@@ -156,15 +156,16 @@ def _read_grd(path) -> tuple[np.ndarray, int]:
                 raise MalformedHeaderError(f"header lacks {key!r}")
         if header["order"] != "C":
             raise MalformedHeaderError(f"unsupported order {header['order']!r}")
+        # JSON true/false parse as bool, a subclass of int: test the exact type.
         dims = header["dims"]
         if (
             not isinstance(dims, list)
             or len(dims) not in (2, 3)
-            or not all(isinstance(n, int) and n >= 1 for n in dims)
+            or not all(type(n) is int and n >= 1 for n in dims)
         ):
             raise DimMismatchError(f"dims must be 2 or 3 positive integers, got {dims!r}")
         channels = header["channels"]
-        if not isinstance(channels, int) or channels < 1:
+        if type(channels) is not int or channels < 1:
             raise MalformedHeaderError(f"bad channel count {channels!r}")
         dtype = _payload_dtype(header["dtype"])
         count = int(np.prod(dims)) * channels

@@ -14,8 +14,20 @@ gradients are the exact gradients of the clamped forward functions, so
 they match central finite differences away from the (measure-zero) clamp
 boundaries.
 
-Reductions use numpy's fixed-order pairwise summation; results do not
-depend on thread counts.
+Each loss has one core ``(y, z, weights) -> (components, dL/dz)`` on bare
+arrays: the ``(n, C)`` target with its spatial axes flattened and ``(...,
+n, C)`` probabilities.  Cores reduce over the spatial axis only, so leading
+batch axes of ``z`` give one value per item; the public losses,
+:func:`evaluate_loss` and :func:`gradient_check` all run them.  J uses the
+matrix form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z``
+gives ``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
+gradient.
+
+Only :func:`evaluate_loss` checks inputs: types, shapes, and a one-hot
+target (once per target container).  Arrays the library derives, such as
+the softmax of a checked logit field, are not checked again.  Sums run in a
+fixed order (pairwise over the field, in order over the channels); training
+output is byte-identical with one and two OpenBLAS threads, as tested.
 """
 
 from __future__ import annotations
@@ -25,10 +37,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import LogitField, ProbabilityField, softmax
+from .grids import LogitField, ProbabilityField, fold_channels, softmax_values
 
 __all__ = [
     "LOG_EPS",
+    "FD_CHUNK_ELEMENTS",
     "PairWeights",
     "LossValue",
     "cross_entropy",
@@ -44,6 +57,10 @@ __all__ = [
 
 #: Clamp applied to every logarithm argument.
 LOG_EPS = 1e-7
+
+#: Most array elements one batched call of the function handed to
+#: :func:`finite_difference_gradient` receives (2 MiB of float64).
+FD_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -96,53 +113,116 @@ class LossValue:
     def grad_norm(self) -> float:
         if self.gradient is None:
             raise ValueError("loss was evaluated without a gradient")
-        return float(np.linalg.norm(self.gradient.ravel()))
+        # Pairwise summation, not BLAS dot: the norm must not depend on the
+        # number of BLAS threads.
+        return float(np.sqrt(np.square(self.gradient).sum()))
 
 
-def _resolve(target: ProbabilityField, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Validate inputs and return (y, z, logits-or-None)."""
+def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Pull a gradient in probabilities back through softmax to the logits."""
+    return z * (dz - fold_channels(np.add, dz * z))
+
+
+def _weighted_ce(y: np.ndarray, z: np.ndarray, class_weights: np.ndarray | None):
+    """Mean (optionally class-weighted) negative log likelihood and dL/dz."""
+    n = y.shape[0]
+    wy = y if class_weights is None else class_weights * y
+    clamped = np.maximum(z, LOG_EPS)
+    value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
+    active = z > LOG_EPS  # below the clamp the log is constant
+    return value, -wy / clamped * active / n
+
+
+def _ce_core(y, z, weights):
+    value, dz = _weighted_ce(y, z, None)
+    return {"ce": value}, dz
+
+
+def _bwm_core(y, z, weights):
+    counts = y.sum(axis=0)
+    channels = y.shape[-1]
+    w = np.divide(y.shape[0], channels * counts, out=np.zeros(channels), where=counts > 0)
+    value, dz = _weighted_ce(y, z, w)
+    return {"bwm": value}, dz
+
+
+def _dsc_core(y, z, weights):
+    ce, dz = _weighted_ce(y, z, None)
+    counts = y.sum(axis=0)
+    present = counts > 0
+    share = present / np.count_nonzero(present)  # mean over present classes
+    inter = (z * y).sum(axis=-2)[..., None, :]
+    # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
+    denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
+    dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+    # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
+    dz = dz - (2.0 * y * denom - 4.0 * inter * z) / denom**2 * share
+    return {"ce": ce, "dice": dice}, dz
+
+
+def _j_core(y, z, weights):
+    channels = y.shape[-1]
+    lam = np.ones((channels, channels)) - np.eye(channels) if weights is None else weights.matrix
+    if len(lam) != channels:
+        raise ValueError(f"pair weights are {len(lam)}x{len(lam)}, field has {channels} channels")
+    counts = y.sum(axis=0)
+    present = counts > 0
+    n = np.where(present, counts, 1.0)
+    phi = y / n  # phi_l = y_l / n_l; absent classes keep all-zero columns
+    s = phi.T @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
+    a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
+    eye = np.eye(channels, dtype=bool)
+    pairs = (lam != 0.0) & ~eye & present & present[:, None]
+    log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
+    value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
+    # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
+    # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
+    # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
+    active = pairs & (a > LOG_EPS) & (a < 1.0)
+    half = np.where(active, 0.5 * lam, 0.0)
+    a = np.where(active, a, 1.0)
+    diag = (half / (a * n[:, None])).sum(axis=-1)[..., None, :]
+    m = np.swapaxes(half / (a * n), -1, -2) - eye * diag
+    return {"j": value}, y @ m
+
+
+def _jc_core(y, z, weights):
+    ce, ce_dz = _weighted_ce(y, z, None)
+    j, j_dz = _j_core(y, z, weights)
+    return {"ce": ce, **j}, ce_dz + j_dz
+
+
+_CORES = {"ce": _ce_core, "j": _j_core, "jc": _jc_core, "bwm": _bwm_core, "dsc": _dsc_core}
+
+
+def evaluate_loss(
+    loss_id: str, target: ProbabilityField, pred, weights: PairWeights | None = None
+) -> LossValue:
+    """Evaluate a loss by identifier: ce | j | jc | bwm | dsc.
+
+    ``weights`` applies to j and jc; the other losses ignore it.
+    """
+    if loss_id not in _CORES:
+        raise ValueError(f"unknown loss {loss_id!r}; expected one of {sorted(_CORES)}")
     if not isinstance(target, ProbabilityField):
         raise TypeError("target must be a ProbabilityField")
     if not target.is_one_hot():
         raise ValueError("target must be one-hot")
     if isinstance(pred, LogitField):
-        theta = pred.values
-        z = softmax(pred).values
+        z = softmax_values(pred.values)
     elif isinstance(pred, ProbabilityField):
-        theta = None
         z = pred.values
     else:
         raise TypeError("prediction must be a LogitField or a ProbabilityField")
-    if z.shape != target.values.shape:
-        raise ValueError(f"shape mismatch: target {target.values.shape}, prediction {z.shape}")
-    return target.values, z, theta
-
-
-def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Pull a gradient in probabilities back through softmax to the logits."""
-    return z * (dz - (dz * z).sum(axis=-1, keepdims=True))
-
-
-def _softmax_array(theta: np.ndarray) -> np.ndarray:
-    shifted = theta - theta.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _wrap(total: float, components: dict[str, float], dz: np.ndarray, z, theta) -> LossValue:
-    grad = _softmax_vjp(z, dz) if theta is not None else None
-    return LossValue(total=total, components=components, gradient=grad)
-
-
-def _weighted_ce(y: np.ndarray, z: np.ndarray, class_weights: np.ndarray | None):
-    """Mean (optionally class-weighted) negative log likelihood and dL/dz."""
-    n = float(np.prod(y.shape[:-1]))
-    w = np.ones(y.shape[-1]) if class_weights is None else class_weights
-    clamped = np.maximum(z, LOG_EPS)
-    value = float(-(w * y * np.log(clamped)).sum() / n)
-    active = z > LOG_EPS  # below the clamp the log is constant
-    dz = -(w * y) / clamped * active / n
-    return value, dz
+    y = target.values
+    if z.shape != y.shape:
+        raise ValueError(f"shape mismatch: target {y.shape}, prediction {z.shape}")
+    flat = (-1, y.shape[-1])
+    parts, dz = _CORES[loss_id](y.reshape(flat), z.reshape(flat), weights)
+    components = {name: float(value) for name, value in parts.items()}
+    logits = isinstance(pred, LogitField)
+    gradient = _softmax_vjp(z, dz.reshape(z.shape)) if logits else None
+    return LossValue(total=sum(components.values()), components=components, gradient=gradient)
 
 
 def cross_entropy(target: ProbabilityField, pred) -> LossValue:
@@ -151,39 +231,7 @@ def cross_entropy(target: ProbabilityField, pred) -> LossValue:
     With logit input the gradient reduces to ``(z - y) / n`` per element
     wherever the clamp is inactive.
     """
-    y, z, theta = _resolve(target, pred)
-    value, dz = _weighted_ce(y, z, None)
-    return _wrap(value, {"ce": value}, dz, z, theta)
-
-
-def _j_core(y: np.ndarray, z: np.ndarray, weights: PairWeights):
-    channels = y.shape[-1]
-    if weights.channels != channels:
-        raise ValueError(
-            f"pair weights are {weights.channels}x{weights.channels}, field has {channels} channels"
-        )
-    axes = tuple(range(y.ndim - 1))
-    counts = y.sum(axis=axes)
-    present = counts > 0
-    # phi_l = y_l / n_l for present classes; absent classes never enter a pair.
-    phi = np.divide(y, np.where(present, counts, 1.0), where=present)
-
-    total = 0.0
-    dz = np.zeros_like(z)
-    lam = weights.matrix
-    for i in range(channels):
-        if not present[i]:
-            continue
-        for k in range(channels):
-            if k == i or not present[k] or lam[i, k] == 0.0:
-                continue
-            delta = 0.5 * (phi[..., i] - phi[..., k])
-            a = 0.5 + float((z[..., i] * delta).sum())
-            a_cl = min(max(a, LOG_EPS), 1.0)
-            total += -lam[i, k] * np.log(a_cl)
-            if LOG_EPS < a < 1.0:
-                dz[..., i] += -lam[i, k] * delta / a
-    return float(total), dz
+    return evaluate_loss("ce", target, pred)
 
 
 def j_loss(target: ProbabilityField, pred, weights: PairWeights | None = None) -> LossValue:
@@ -195,21 +243,12 @@ def j_loss(target: ProbabilityField, pred, weights: PairWeights | None = None) -
     ``phi_l = y_l / n_l``.  Pairs with an absent class contribute exactly
     zero, and the diagonal is skipped.
     """
-    y, z, theta = _resolve(target, pred)
-    weights = weights or PairWeights.default(y.shape[-1])
-    value, dz = _j_core(y, z, weights)
-    return _wrap(value, {"j": value}, dz, z, theta)
+    return evaluate_loss("j", target, pred, weights)
 
 
 def jc_loss(target: ProbabilityField, pred, weights: PairWeights | None = None) -> LossValue:
     """Cross entropy plus the J surrogate; components report both parts."""
-    y, z, theta = _resolve(target, pred)
-    weights = weights or PairWeights.default(y.shape[-1])
-    ce_value, ce_dz = _weighted_ce(y, z, None)
-    j_value, j_dz = _j_core(y, z, weights)
-    return _wrap(
-        ce_value + j_value, {"ce": ce_value, "j": j_value}, ce_dz + j_dz, z, theta
-    )
+    return evaluate_loss("jc", target, pred, weights)
 
 
 def bwm_loss(target: ProbabilityField, pred) -> LossValue:
@@ -218,14 +257,7 @@ def bwm_loss(target: ProbabilityField, pred) -> LossValue:
     Absent classes get weight zero.  With perfectly balanced targets every
     weight collapses to one and the loss equals plain cross entropy.
     """
-    y, z, theta = _resolve(target, pred)
-    axes = tuple(range(y.ndim - 1))
-    counts = y.sum(axis=axes)
-    n = float(np.prod(y.shape[:-1]))
-    channels = y.shape[-1]
-    w = np.divide(n, channels * counts, out=np.zeros(channels), where=counts > 0)
-    value, dz = _weighted_ce(y, z, w)
-    return _wrap(value, {"bwm": value}, dz, z, theta)
+    return evaluate_loss("bwm", target, pred)
 
 
 def dsc_loss(target: ProbabilityField, pred) -> LossValue:
@@ -233,21 +265,7 @@ def dsc_loss(target: ProbabilityField, pred) -> LossValue:
 
     Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
     """
-    y, z, theta = _resolve(target, pred)
-    ce_value, dz = _weighted_ce(y, z, None)
-    axes = tuple(range(y.ndim - 1))
-    counts = y.sum(axis=axes)
-    present = np.flatnonzero(counts > 0)
-    dice_mean = 0.0
-    for l in present:
-        inter = float((z[..., l] * y[..., l]).sum())
-        denom = float((z[..., l] ** 2).sum()) + float(counts[l])  # sum(y^2) = n_l
-        dice_mean += 2.0 * inter / denom
-        # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
-        dz[..., l] -= (2.0 * y[..., l] * denom - 4.0 * inter * z[..., l]) / denom**2 / present.size
-    dice_mean /= present.size
-    dice_part = 1.0 - dice_mean
-    return _wrap(ce_value + dice_part, {"ce": ce_value, "dice": dice_part}, dz, z, theta)
+    return evaluate_loss("dsc", target, pred)
 
 
 LOSSES: dict[str, Callable[..., LossValue]] = {
@@ -259,65 +277,46 @@ LOSSES: dict[str, Callable[..., LossValue]] = {
 }
 
 
-def evaluate_loss(
-    loss_id: str, target: ProbabilityField, pred, weights: PairWeights | None = None
-) -> LossValue:
-    """Evaluate a loss by identifier: ce | j | jc | bwm | dsc."""
-    if loss_id not in LOSSES:
-        raise ValueError(f"unknown loss {loss_id!r}; expected one of {sorted(LOSSES)}")
-    if loss_id in ("j", "jc"):
-        return LOSSES[loss_id](target, pred, weights)
-    return LOSSES[loss_id](target, pred)
-
-
-def _forward_total(loss_id: str, y: np.ndarray, theta: np.ndarray, weights: PairWeights) -> float:
-    """Loss value from bare arrays; the same math as the public functions
-    without container validation.  Used for the many forward evaluations of
-    a finite-difference sweep."""
-    z = _softmax_array(theta)
-    if loss_id == "ce":
-        return _weighted_ce(y, z, None)[0]
-    if loss_id == "j":
-        return _j_core(y, z, weights)[0]
-    if loss_id == "jc":
-        return _weighted_ce(y, z, None)[0] + _j_core(y, z, weights)[0]
-    if loss_id == "bwm":
-        axes = tuple(range(y.ndim - 1))
-        counts = y.sum(axis=axes)
-        n = float(np.prod(y.shape[:-1]))
-        channels = y.shape[-1]
-        w = np.divide(n, channels * counts, out=np.zeros(channels), where=counts > 0)
-        return _weighted_ce(y, z, w)[0]
-    if loss_id == "dsc":
-        total = _weighted_ce(y, z, None)[0]
-        axes = tuple(range(y.ndim - 1))
-        counts = y.sum(axis=axes)
-        present = np.flatnonzero(counts > 0)
-        dice_mean = 0.0
-        for l in present:
-            inter = float((z[..., l] * y[..., l]).sum())
-            denom = float((z[..., l] ** 2).sum()) + float(counts[l])
-            dice_mean += 2.0 * inter / denom
-        return total + 1.0 - dice_mean / present.size
-    raise ValueError(f"unknown loss {loss_id!r}")
-
-
 def finite_difference_gradient(
-    fn: Callable[[np.ndarray], float], theta: np.ndarray, step: float = 1e-5
+    fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, step: float = 1e-5
 ) -> np.ndarray:
-    """Central finite differences of a scalar function of a logit array."""
-    grad = np.zeros_like(theta, dtype=np.float64)
-    flat = grad.ravel()
-    base = theta.astype(np.float64).copy()
-    for idx in range(base.size):
-        orig = base.flat[idx]
-        base.flat[idx] = orig + step
-        hi = fn(base)
-        base.flat[idx] = orig - step
-        lo = fn(base)
-        base.flat[idx] = orig
-        flat[idx] = (hi - lo) / (2.0 * step)
-    return grad
+    """Central finite differences of a scalar function of a logit array.
+
+    ``fn`` is batched: it receives a stack of shape ``(k,) + theta.shape``
+    holding ``k`` perturbed copies of ``theta`` and returns a vector of
+    ``k`` values, the function at each copy.  Entry ``i`` of the result is
+    ``(f(theta + step e_i) - f(theta - step e_i)) / (2 step)``, where both
+    copies differ from ``theta`` in entry ``i`` only.  A stack holds at
+    most ``FD_CHUNK_ELEMENTS`` elements, or one pair of copies when a pair
+    is larger, so memory grows with ``theta.size``, not with its square.
+    """
+    shape = np.shape(theta)
+    base = np.asarray(theta, dtype=np.float64).ravel()
+    grad = np.empty(base.size)
+    per_call = max(1, FD_CHUNK_ELEMENTS // (2 * base.size))
+    for start in range(0, base.size, per_call):
+        idx = np.arange(start, min(start + per_call, base.size))
+        k = idx.size
+        stack = np.tile(base, (2, k, 1))  # [0]: +step copies, [1]: -step copies
+        stack[0, np.arange(k), idx] += step
+        stack[1, np.arange(k), idx] -= step
+        values = np.asarray(fn(stack.reshape((2 * k,) + shape)), dtype=np.float64)
+        if values.shape != (2 * k,):
+            raise ValueError(f"fn returned shape {values.shape} for a stack of {2 * k} arrays")
+        grad[idx] = (values[:k] - values[k:]) / (2.0 * step)
+    return grad.reshape(shape)
+
+
+def _stack_totals(loss_id: str, y: np.ndarray, weights: PairWeights | None):
+    """``fn`` for :func:`finite_difference_gradient`: the loss total of
+    target ``y`` at each logit array of a stack."""
+    y_flat = y.reshape(-1, y.shape[-1])
+
+    def totals(stack: np.ndarray) -> np.ndarray:
+        z = softmax_values(stack).reshape((len(stack),) + y_flat.shape)
+        return sum(_CORES[loss_id](y_flat, z, weights)[0].values())
+
+    return totals
 
 
 #: Grid shapes cycled through by the gradient checker.
@@ -347,15 +346,10 @@ def gradient_check(
         classes = rng.integers(0, channels, size=dims).astype(np.int32)
         y = np.zeros(dims + (channels,))
         np.put_along_axis(y, classes[..., None].astype(np.intp), 1.0, axis=-1)
-        target = ProbabilityField(y)
         theta = rng.normal(0.0, 1.5, size=dims + (channels,))
 
-        analytic = evaluate_loss(loss_id, target, LogitField(theta), weights).gradient
-
-        def forward(arr: np.ndarray) -> float:
-            return _forward_total(loss_id, y, arr, weights)
-
-        numeric = finite_difference_gradient(forward, theta, step=step)
+        analytic = evaluate_loss(loss_id, ProbabilityField(y), LogitField(theta), weights).gradient
+        numeric = finite_difference_gradient(_stack_totals(loss_id, y, weights), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), rel_floor)
         rel = float((np.abs(analytic - numeric) / scale).max())
         worst = max(worst, rel)

@@ -9,6 +9,7 @@ definitions.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -146,3 +147,30 @@ def brute_iou_table(gt: np.ndarray, pred: np.ndarray) -> dict[tuple[int, int], f
             union = int(np.sum(mask_g | mask_p))
             table[(int(lg), int(lp))] = inter / union
     return table
+
+
+def pair_loop_j(y: np.ndarray, z: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
+    """Pairwise Youden's-J surrogate and its gradient in ``z``, one class
+    pair at a time.
+
+    ``y`` is a one-hot target and ``z`` a probability field of the same
+    shape, channel last; ``lam`` holds the pair weights.  Each ordered pair
+    (i positive, k negative) of present classes adds
+    ``-lam[i, k] * log(clamp(a_ik))`` with ``a_ik = 1/2 + sum_p z_i(p) *
+    (y_i(p) / n_i - y_k(p) / n_k) / 2``, clamped to ``[log_eps, 1]``; the
+    diagonal, zero weights and absent classes add nothing.
+    """
+    channels = y.shape[-1]
+    counts = [float(y[..., l].sum()) for l in range(channels)]
+    total = 0.0
+    dz = np.zeros_like(z)
+    for i in range(channels):
+        for k in range(channels):
+            if i == k or counts[i] == 0 or counts[k] == 0 or lam[i, k] == 0:
+                continue
+            delta = 0.5 * (y[..., i] / counts[i] - y[..., k] / counts[k])
+            a = 0.5 + float((z[..., i] * delta).sum())
+            total -= lam[i, k] * math.log(min(max(a, log_eps), 1.0))
+            if log_eps < a < 1.0:
+                dz[..., i] -= lam[i, k] * delta / a
+    return total, dz

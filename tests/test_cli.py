@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jseg
 from jseg import read_grid, write_grid
 from jseg.cli import dispatch
 
@@ -225,3 +229,43 @@ def test_outputs_identical_across_thread_counts(tmp_path, argv_builder):
     assert run(*argv_builder(d8), "--threads", "8") == 0
     name = next(p.name for p in d1.iterdir() if not p.name.endswith("manifest.json"))
     assert (d1 / name).read_bytes() == (d8 / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [[], ["--kind", "random-blobs", "--dims", "96", "96", "--blobs", "12", "--cell-size", "12"]],
+)
+def test_train_toy_output_identical_across_blas_threads(tmp_path, scene):
+    # No output may depend on the BLAS thread count.  On the 96x96 field OpenBLAS
+    # splits a dot product across threads.  It reads its thread count when
+    # numpy loads, so each count gets a fresh interpreter.
+    src = str(Path(jseg.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "jseg.cli", "train-toy", *scene, "--loss", "jc",
+                "--iterations", "60", "--log-every", "30", "--seed", "3", "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, timeout=300)
+        outputs.append((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_sim_imbalance_with_correlation_runs_the_sweep_once(tmp_path, monkeypatch):
+    import jseg.cli
+    import jseg.simulate
+
+    calls = []
+    sweep = jseg.simulate.run_imbalance_sim
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(jseg.simulate, "run_imbalance_sim", counted)
+    monkeypatch.setattr(jseg.cli, "run_imbalance_sim", counted)
+    assert run("sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
+               "--seed", "1", "--out", str(tmp_path / "imb.csv"),
+               "--correlation-out", str(tmp_path / "mccj.csv")) == 0
+    assert len(calls) == 1

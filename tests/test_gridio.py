@@ -107,3 +107,20 @@ def test_u16_overflow_rejected(tmp_path):
     grid = InstanceLabelMap(np.full((2, 2), 70000, dtype=np.int32))
     with pytest.raises(ValueError):
         write_grid(grid, tmp_path / "g.grd")
+
+
+def test_rejects_boolean_dims_and_channels(tmp_path):
+    # JSON true is a Python bool, and bool is a subclass of int.
+    path = tmp_path / "bool.grd"
+
+    def write(dims, channels):
+        header = {"magic": "GRD1", "dims": dims, "channels": channels, "dtype": "u16",
+                  "order": "C"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * (2 * 2 * 2))
+
+    write([4, True], 1)
+    with pytest.raises(DimMismatchError):
+        read_grid(path, "instance")
+    write([2, 2], True)
+    with pytest.raises(MalformedHeaderError):
+        read_grid(path, "instance")

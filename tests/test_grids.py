@@ -35,6 +35,22 @@ def test_containers_reject_bad_values():
         LogitField(np.array([[[np.inf, 0.0]]]))
 
 
+def test_instance_labels_beyond_int32_are_rejected():
+    with pytest.raises(ValueError, match="int32"):
+        InstanceLabelMap(np.array([[0, 2**31 + 5]], dtype=np.int64))
+    top = np.iinfo(np.int32).max
+    assert InstanceLabelMap(np.array([[0, top]], dtype=np.int64)).m == top
+
+
+def test_one_hot_check_runs_once_per_container():
+    field = one_hot(SemanticLabelMap(np.array([[0, 3]])), 4)
+    assert field.is_one_hot()
+    assert field.__dict__["_one_hot"] is True
+    soft = ProbabilityField(np.full((1, 2, 4), 0.25))
+    assert not soft.is_one_hot()
+    assert soft.__dict__["_one_hot"] is False
+
+
 def test_containers_do_not_freeze_caller_arrays():
     arr = np.zeros((2, 2, 3))
     arr[..., 0] = 1.0

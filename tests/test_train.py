@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from jseg import (
+    LogitField,
+    PairWeights,
     SceneSpec,
     TrainConfig,
+    TrainDiverged,
     TransformConfig,
     generate_scene,
+    jc_loss,
     one_hot,
     to_semantic,
     train,
@@ -87,3 +91,15 @@ def test_components_recorded():
     assert set(trace.records[0].components) == {"ce", "j"}
     logged = [r for r in trace.records if r.pq is not None]
     assert [r.iteration for r in logged] == [0, 5, 10]
+
+
+def test_overflowing_loss_raises_train_diverged_with_the_partial_trace():
+    g, y = _scene_target()
+    huge = PairWeights(1e308 * PairWeights.default(4).matrix)
+    # numpy reports the overflow; the J sum must come out +inf, not finite or NaN.
+    with pytest.warns(RuntimeWarning):
+        value = jc_loss(y, LogitField(np.zeros(y.values.shape)), huge)
+        with pytest.raises(TrainDiverged, match="iteration 0") as info:
+            train(y, g, TrainConfig(loss="jc", iterations=5), weights=huge)
+    assert value.components["j"] == np.inf
+    assert info.value.trace.records == ()
