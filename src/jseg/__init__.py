@@ -19,6 +19,7 @@ from .grids import (
 from .gridio import (
     DimMismatchError,
     GridIOError,
+    InvalidValuesError,
     MalformedHeaderError,
     TruncatedPayloadError,
     read_grid,
@@ -48,7 +49,6 @@ from .metrics import (
 from .postprocess import (
     PostprocessConfig,
     instances_from_probs,
-    map_decision,
     resolve_gaps,
     to_instances,
 )
@@ -71,7 +71,6 @@ from .transform import (
     CELL,
     GAP,
     TOUCHING,
-    BottomHatMap,
     TransformConfig,
     ball_footprint,
     bottom_hat,

@@ -9,7 +9,6 @@ be reproduced byte for byte from its manifest.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -18,8 +17,8 @@ import time
 import numpy as np
 
 from . import __version__
-from ._util import ordered_thread_map
-from .grids import one_hot, probs_to_logits, softmax
+from ._util import write_csv
+from .grids import one_hot, probs_to_logits
 from .gridio import GridIOError, read_grid, write_grid
 from .losses import evaluate_loss, gradient_check
 from .metrics import panoptic
@@ -231,25 +230,15 @@ def _cmd_postprocess(args) -> list[str]:
 def _cmd_evaluate(args) -> list[str]:
     if len(args.gt) != len(args.pred):
         raise UsageError("--gt and --pred need the same number of paths")
-    rows = []
-    for gt_path, pred_path in zip(args.gt, args.pred):
-        gt = read_grid(gt_path, "instance")
-        pred = read_grid(pred_path, "instance")
-        report = panoptic(gt, pred)
-        rows.append((gt_path, pred_path, report))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gt", "pred", "p05", "rq", "sq", "pq"])
-        for gt_path, pred_path, report in rows:
-            writer.writerow(
-                [gt_path, pred_path]
-                + [f"{report[m]:.17g}" for m in ("p05", "rq", "sq", "pq")]
-            )
+    reports = [
+        panoptic(read_grid(gt_path, "instance"), read_grid(pred_path, "instance"))
+        for gt_path, pred_path in zip(args.gt, args.pred)
+    ]
+    columns = {m: [r[m] for r in reports] for m in ("p05", "rq", "sq", "pq")}
+    write_csv(args.out, ["gt", "pred", *columns], [args.gt, args.pred, *columns.values()])
     summary_path = args.summary_out or args.out + ".summary.json"
-    means = {
-        m: float(np.mean([r[m] for _, _, r in rows])) for m in ("p05", "rq", "sq", "pq")
-    }
-    _write_json(summary_path, {"pairs": len(rows), "mean": means})
+    means = {m: float(np.mean(col)) for m, col in columns.items()}
+    _write_json(summary_path, {"pairs": len(reports), "mean": means})
     return [args.out, summary_path]
 
 
@@ -268,16 +257,12 @@ def _cmd_train_toy(args) -> list[str]:
         init_noise=args.init_noise,
     )
     trace = train(target, scene, cfg)
-    component_names = sorted(trace.records[0].components)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "total"] + component_names + ["grad_norm", "pq"])
-        for rec in trace.records:
-            writer.writerow(
-                [rec.iteration, f"{rec.total:.17g}"]
-                + [f"{rec.components[c]:.17g}" for c in component_names]
-                + [f"{rec.grad_norm:.17g}", "" if rec.pq is None else f"{rec.pq:.17g}"]
-            )
+    names = sorted(trace.records[0].components)
+    rows = [
+        (r.iteration, r.total, *(r.components[c] for c in names), r.grad_norm, r.pq)
+        for r in trace.records
+    ]
+    write_csv(args.out, ["iteration", "total", *names, "grad_norm", "pq"], list(zip(*rows)))
     summary_path = args.summary_out or args.out + ".summary.json"
     _write_json(
         summary_path,
@@ -404,6 +389,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
     except UsageError as exc:
         print(f"jseg: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ float32 representation for real fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "MalformedHeaderError",
     "DimMismatchError",
     "TruncatedPayloadError",
+    "InvalidValuesError",
     "write_grid",
     "read_grid",
 ]
@@ -50,11 +52,16 @@ class TruncatedPayloadError(GridIOError):
     """The payload does not hold exactly the declared number of samples."""
 
 
+class InvalidValuesError(GridIOError):
+    """The payload holds values the requested grid kind does not allow."""
+
+
+#: kind -> (payload dtype, required channel count or None for >= 2, container)
 _KINDS = {
-    "instance": ("u16", 1),
-    "semantic": ("u16", 1),
-    "probs": ("f32", None),
-    "logits": ("f32", None),
+    "instance": ("u16", 1, InstanceLabelMap),
+    "semantic": ("u16", 1, SemanticLabelMap),
+    "probs": ("f32", None, ProbabilityField),
+    "logits": ("f32", None, LogitField),
 }
 
 
@@ -122,22 +129,19 @@ def read_grid(path: str | os.PathLike, kind: str):
         arr, channels = _read_pgm(path), 1
     else:
         arr, channels = _read_grd(path)
-    want_dtype, want_channels = _KINDS[kind]
+    want_dtype, want_channels, container = _KINDS[kind]
     if want_channels == 1 and channels != 1:
         raise DimMismatchError(f"{kind} map must be single-channel, file has {channels}")
     if want_dtype == "u16" and not np.issubdtype(arr.dtype, np.integer):
         raise MalformedHeaderError(f"{kind} map requires an integer payload")
     if want_dtype == "f32" and np.issubdtype(arr.dtype, np.integer):
         raise MalformedHeaderError(f"{kind} field requires a real payload")
-    if kind == "instance":
-        return InstanceLabelMap(arr.astype(np.int32))
-    if kind == "semantic":
-        return SemanticLabelMap(arr.astype(np.int32))
-    if channels == 1:
+    if want_channels is None and channels == 1:
         raise DimMismatchError(f"{kind} field needs a channel axis, file is single-channel")
-    if kind == "probs":
-        return ProbabilityField(arr)
-    return LogitField(arr)
+    try:
+        return container(arr)
+    except ValueError as exc:
+        raise InvalidValuesError(str(exc)) from exc
 
 
 def _read_grd(path) -> tuple[np.ndarray, int]:
@@ -147,7 +151,8 @@ def _read_grd(path) -> tuple[np.ndarray, int]:
             raise MalformedHeaderError("header line missing or unterminated")
         try:
             header = json.loads(line.decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError also covers over-long integers; RecursionError, deep nesting.
+        except (ValueError, RecursionError) as exc:
             raise MalformedHeaderError(f"header is not single-line JSON: {exc}") from exc
         if not isinstance(header, dict) or header.get("magic") != MAGIC:
             raise MalformedHeaderError("missing GRD1 magic")
@@ -168,7 +173,7 @@ def _read_grd(path) -> tuple[np.ndarray, int]:
         if type(channels) is not int or channels < 1:
             raise MalformedHeaderError(f"bad channel count {channels!r}")
         dtype = _payload_dtype(header["dtype"])
-        count = int(np.prod(dims)) * channels
+        count = math.prod(dims) * channels  # exact: no int64 wrap
         payload = fh.read()
         expected = count * dtype.itemsize
         if len(payload) != expected:
@@ -180,7 +185,9 @@ def _read_grd(path) -> tuple[np.ndarray, int]:
         arr = arr.reshape(shape)
         if dtype.kind == "u":
             return arr.astype(np.int32), channels
-        return arr.astype(np.float64), channels
+        # A signalling NaN warns when cast; the container rejects every NaN.
+        with np.errstate(invalid="ignore"):
+            return arr.astype(np.float64), channels
 
 
 def _read_pgm(path) -> np.ndarray:

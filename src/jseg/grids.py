@@ -126,9 +126,8 @@ class ProbabilityField:
             raise ValueError("probabilities must be finite")
         if values.min() < -PROB_ATOL or values.max() > 1.0 + PROB_ATOL:
             raise ValueError("probabilities must lie in [0, 1]")
-        sums = values.sum(axis=-1)
-        if not np.allclose(sums, 1.0, rtol=0.0, atol=PROB_ATOL):
-            worst = float(np.abs(sums - 1.0).max())
+        worst = float(np.abs(fold_channels(np.add, values) - 1.0).max())
+        if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
         object.__setattr__(self, "values", _freeze(values))
 
@@ -144,17 +143,17 @@ class ProbabilityField:
         """True when every element puts exactly mass 1 on a single channel.
 
         Computed on the first call and stored on the (immutable) instance.
+        Every value 0 or 1 suffices: the channel sum then counts the ones
+        exactly, and validation already held each sum within 1e-6 of 1.
         """
         if "_one_hot" not in self.__dict__:
-            ones = self.values == 1.0
-            zeros = self.values == 0.0
-            ok = bool(np.all(ones.sum(axis=-1) == 1) and np.all(ones | zeros))
+            ok = bool(np.all((self.values == 1.0) | (self.values == 0.0)))
             object.__setattr__(self, "_one_hot", ok)
         return self.__dict__["_one_hot"]
 
     def argmax_classes(self) -> SemanticLabelMap:
         """Per-element most likely class; ties go to the lowest index."""
-        return SemanticLabelMap(np.argmax(self.values, axis=-1).astype(np.int32))
+        return SemanticLabelMap(argmax_channels(self.values)[0])
 
 
 @dataclass(frozen=True)
@@ -187,14 +186,31 @@ def fold_channels(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce`` over the channel (last) axis, keeping that axis.
 
     Folds one channel slice at a time, in order: the same result as
-    ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels, where numpy
-    folds in order too, at a fraction of the cost, since numpy's reduction
-    over a short last axis pays a loop overhead per element.
+    ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels (bar the sign of
+    an all-negative-zero sum), where numpy folds in order too, at a fraction
+    of the cost, since numpy's reduction over a short last axis pays a loop
+    overhead per element.
     """
     out = x[..., 0]
     for c in range(1, x.shape[-1]):
         out = ufunc(out, x[..., c])
     return out[..., None]
+
+
+def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index (int32) and value of the largest channel, per element.
+
+    Walks the channel slices in order and moves only to a strictly larger
+    value, so ties go to the lowest index: for finite ``x``, the same as
+    ``np.argmax`` and ``max`` over the last axis, at a fraction of the cost.
+    """
+    best = x[..., 0]
+    index = np.zeros(best.shape, dtype=np.int32)
+    for c in range(1, x.shape[-1]):
+        larger = x[..., c] > best
+        index[larger] = c
+        best = np.where(larger, x[..., c], best)
+    return index, best
 
 
 def softmax_values(x: np.ndarray) -> np.ndarray:

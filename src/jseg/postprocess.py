@@ -7,18 +7,17 @@ components with iterative absorption of the touching band.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap
-from .scenes import face_offsets, full_offsets
+from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, argmax_channels
 from .transform import CELL, GAP, TOUCHING
 
 __all__ = [
     "PostprocessConfig",
-    "map_decision",
     "resolve_gaps",
     "to_instances",
     "instances_from_probs",
@@ -34,7 +33,7 @@ FULL = "full"
 
 @dataclass(frozen=True)
 class PostprocessConfig:
-    """Gap handling, component connectivity, and the touching tie rule.
+    """Gap handling and component connectivity.
 
     ``map3`` re-decides every gap element as the most likely of the first
     three classes (which already covers sending it to background when
@@ -46,7 +45,6 @@ class PostprocessConfig:
     gap_mode: str = MAP3
     tau: float = 0.1
     connectivity: str = FACE
-    tie_break: str = "low-label"
 
     def __post_init__(self):
         if self.gap_mode not in (MAP3, GAP_TO_BACKGROUND, DUBIOUS):
@@ -55,13 +53,6 @@ class PostprocessConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.connectivity not in (FACE, FULL):
             raise ValueError(f"unknown connectivity {self.connectivity!r}")
-        if self.tie_break != "low-label":
-            raise ValueError("the only supported tie rule is 'low-label'")
-
-
-def map_decision(probs: ProbabilityField) -> SemanticLabelMap:
-    """Per-element most likely class; ties break toward the lowest index."""
-    return probs.argmax_classes()
 
 
 def resolve_gaps(
@@ -82,21 +73,26 @@ def resolve_gaps(
     if probs.channels < 3:
         raise ValueError("gap resolution needs at least 3 channels")
 
-    first3 = probs.values[..., :3]
-    restricted = np.argmax(first3, axis=-1).astype(np.int32)
+    first3 = probs.values[gap][:, :3]
+    restricted, top = argmax_channels(first3)
     if cfg.gap_mode == MAP3:
-        out[gap] = restricted[gap]
+        out[gap] = restricted
     elif cfg.gap_mode == GAP_TO_BACKGROUND:
         out[gap] = 0
     else:
-        spread = first3.max(axis=-1) - np.median(first3, axis=-1)
-        dubious = spread < cfg.tau
-        out[gap] = np.where(dubious[gap], restricted[gap], 0)
+        spread = top - np.median(first3, axis=-1)
+        out[gap] = np.where(spread < cfg.tau, restricted, 0)
     return SemanticLabelMap(out)
 
 
-def _offsets(connectivity: str, d: int):
-    return face_offsets(d) if connectivity == FACE else full_offsets(d)
+def face_offsets(d: int) -> list[tuple[int, ...]]:
+    """Face-neighbour offsets (4 in 2-D, 6 in 3-D)."""
+    return [tuple(sign * (i == axis) for i in range(d)) for axis in range(d) for sign in (-1, 1)]
+
+
+def full_offsets(d: int) -> list[tuple[int, ...]]:
+    """All nonzero offsets of the Chebyshev-1 neighbourhood."""
+    return [off for off in itertools.product((-1, 0, 1), repeat=d) if any(off)]
 
 
 def _structure(connectivity: str, d: int) -> np.ndarray:
@@ -141,7 +137,7 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
     labels = labels.astype(np.int32)
 
     touching = classes == TOUCHING
-    offsets = _offsets(cfg.connectivity, d)
+    offsets = face_offsets(d) if cfg.connectivity == FACE else full_offsets(d)
     sentinel = np.int32(m + 1)
     while True:
         unassigned = touching & (labels == 0)
@@ -164,7 +160,7 @@ def instances_from_probs(
 ) -> InstanceLabelMap:
     """Full pipeline: MAP decision, gap resolution, instance labelling."""
     cfg = cfg or PostprocessConfig()
-    decided = map_decision(probs)
+    decided = probs.argmax_classes()
     if probs.channels >= 4:
         decided = resolve_gaps(decided, probs, cfg)
     return to_instances(decided, cfg)

@@ -16,12 +16,12 @@ Everything is deterministic per seed, independent of thread count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
+from . import _util
 from ._util import child_rng, ordered_thread_map
 from .grids import LogitField, ProbabilityField, one_hot, probs_to_logits
 from .losses import PairWeights, evaluate_loss
@@ -104,14 +104,8 @@ class ImbalanceTable:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pi", "trial"] + list(MEASURES))
-            for row in self.rows:
-                writer.writerow(
-                    [f"{row['pi']:.17g}", int(row["trial"])]
-                    + [f"{row[m]:.17g}" for m in MEASURES]
-                )
+        header = ["pi", "trial", *MEASURES]
+        _util.write_csv(path, header, [self.rows[name] for name in header])
 
 
 def _trial_measures(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -192,13 +186,8 @@ class CorrelationResult:
         return self.r_values[self.pis.index(pi)]
 
     def write_scatter_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pi", "trial", "mcc", "j"])
-            for row in self.table.rows:
-                writer.writerow(
-                    [f"{row['pi']:.17g}", int(row["trial"]), f"{row['mcc']:.17g}", f"{row['j']:.17g}"]
-                )
+        header = ["pi", "trial", "mcc", "j"]
+        _util.write_csv(path, header, [self.table.rows[name] for name in header])
 
 
 def mcc_j_correlation(cfg: ImbalanceSimConfig, threads: int = 1) -> CorrelationResult:
@@ -271,15 +260,8 @@ class ShrinkwrapTrace:
         return np.array([r[name] for r in self.records])
 
     def write_csv(self, path) -> None:
-        cols = ["iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in self.records:
-                writer.writerow(
-                    [r["iteration"], r["margin"], f"{r['confidence']:.17g}", f"{r['ramp']:.17g}"]
-                    + [f"{r[c]:.17g}" for c in ("grad_ce", "grad_j", "grad_jc")]
-                )
+        header = ["iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc"]
+        _util.write_csv(path, header, [self.column(name) for name in header])
 
 
 def _confidence_field(prescribed: np.ndarray, confidence: float, channels: int) -> np.ndarray:
@@ -363,12 +345,9 @@ class LandscapeResult:
     flagged: tuple[tuple[int, int], ...]  # cells where the loss was non-finite
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["a", "b", "loss"])
-            for i, a in enumerate(self.alphas):
-                for jdx, b in enumerate(self.betas):
-                    writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{self.values[i, jdx]:.17g}"])
+        a = np.repeat(self.alphas, len(self.betas))
+        b = np.tile(self.betas, len(self.alphas))
+        _util.write_csv(path, ["a", "b", "loss"], [a, b, self.values.ravel()])
 
 
 def landscape_scan(

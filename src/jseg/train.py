@@ -79,7 +79,8 @@ class TrainTrace:
 
 
 class TrainDiverged(RuntimeError):
-    """Raised when the loss stops being finite; carries the partial trace."""
+    """Raised when the loss or the updated logits stop being finite;
+    carries the partial trace."""
 
     def __init__(self, message: str, trace: TrainTrace):
         super().__init__(message)
@@ -149,16 +150,18 @@ def train(
     first_gap_correct: int | None = None
     final_pq = float("nan")
 
+    def diverged(what: str, it: int) -> TrainDiverged:
+        return TrainDiverged(
+            f"{what} became non-finite at iteration {it} "
+            f"(step {cfg.step_size}, optimizer {cfg.optimizer})",
+            TrainTrace(tuple(records), first_gap_correct, final_pq, cfg),
+        )
+
     for it in range(cfg.iterations + 1):
         logits = LogitField(theta)
         value = evaluate_loss(cfg.loss, target, logits, weights)
         if not np.isfinite(value.total):
-            trace = TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)
-            raise TrainDiverged(
-                f"loss became non-finite at iteration {it} "
-                f"(step {cfg.step_size}, optimizer {cfg.optimizer})",
-                trace,
-            )
+            raise diverged("loss", it)
         if first_gap_correct is None and gap_correct(theta):
             first_gap_correct = it
 
@@ -182,5 +185,8 @@ def train(
             theta = adam.step(theta, grad)
         else:
             theta = theta - cfg.step_size * grad
+        # Catches a non-finite gradient, and a step that overflows a finite one.
+        if not np.isfinite(theta).all():
+            raise diverged("logits", it)
 
     return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)

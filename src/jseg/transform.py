@@ -22,7 +22,6 @@ __all__ = [
     "TOUCHING",
     "GAP",
     "TransformConfig",
-    "BottomHatMap",
     "ball_footprint",
     "bottom_hat",
     "to_semantic",
@@ -60,18 +59,6 @@ class TransformConfig:
         return 3 if self.mode == THREE_CLASS else 4
 
 
-@dataclass(frozen=True)
-class BottomHatMap:
-    """Indicator of background elements filled by the foreground closing."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.uint8, order="C", copy=True)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def ball_footprint(radius: int, d: int) -> np.ndarray:
     """Discrete hyper-sphere: offsets within Euclidean distance ``radius``."""
     if radius < 1:
@@ -80,8 +67,9 @@ def ball_footprint(radius: int, d: int) -> np.ndarray:
     return sum(a**2 for a in axes) <= radius**2
 
 
-def bottom_hat(instance: InstanceLabelMap, radius: int) -> BottomHatMap:
-    """Closing of the binarized foreground minus the foreground itself.
+def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:
+    """Closing of the binarized foreground minus the foreground itself, as
+    a boolean mask of the background elements the closing fills.
 
     Border policy: the foreground pattern is extended by edge replication
     before the closing.  Cavities between cells keep their walls when they
@@ -95,7 +83,7 @@ def bottom_hat(instance: InstanceLabelMap, radius: int) -> BottomHatMap:
     dilated = ndimage.binary_dilation(padded, structure=ball)
     closed = ndimage.binary_erosion(dilated, structure=ball)
     core = closed[(slice(radius, -radius),) * d]
-    return BottomHatMap((core & ~fg).astype(np.uint8))
+    return core & ~fg
 
 
 def _touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
@@ -129,6 +117,5 @@ def to_semantic(instance: InstanceLabelMap, cfg: TransformConfig) -> SemanticLab
     out[fg] = CELL
     out[_touching_mask(labels, cfg.k)] = TOUCHING
     if cfg.mode == FOUR_CLASS:
-        gap = bottom_hat(instance, cfg.gap_radius).values > 0
-        out[gap & ~fg] = GAP
+        out[bottom_hat(instance, cfg.gap_radius)] = GAP
     return SemanticLabelMap(out)

@@ -174,3 +174,44 @@ def pair_loop_j(y: np.ndarray, z: np.ndarray, lam: np.ndarray, log_eps: float = 
             if log_eps < a < 1.0:
                 dz[..., i] -= lam[i, k] * delta / a
     return total, dz
+
+
+#: Extra clearance between blob surfaces, as in ``jseg.scenes``.
+BLOB_CLEARANCE = 1.5
+
+
+def full_grid_blobs(dims: tuple[int, ...], n_blobs: int, cell_size: int, seed: int) -> np.ndarray:
+    """Random-blobs scene labels, placed with one norm call per placed blob
+    and rasterized over the whole grid for every blob.
+
+    The literal rejection sampler: same generator, same draw order, so it
+    must agree with ``generate_scene`` byte for byte.
+    """
+    rng = np.random.default_rng(seed)
+    base_radius = max(1, cell_size // 2)
+
+    placed: list[tuple[np.ndarray, int]] = []
+    for _ in range(n_blobs):
+        for _attempt in range(5000):
+            radius = int(rng.integers(max(1, base_radius - 1), base_radius + 2))
+            if any(n < 2 * radius + 1 for n in dims):
+                continue  # this radius cannot fit; retry (possibly smaller)
+            center = np.array([int(rng.integers(radius, n - radius)) for n in dims])
+            ok = all(
+                np.linalg.norm(center - c) >= radius + r + BLOB_CLEARANCE for c, r in placed
+            )
+            if ok:
+                placed.append((center, radius))
+                break
+        else:
+            raise ValueError(
+                f"could not place {n_blobs} blobs of diameter ~{cell_size} "
+                f"inside the {dims} grid boundary"
+            )
+
+    labels = np.zeros(dims, dtype=np.int32)
+    grids = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
+    for label, (center, radius) in enumerate(placed, start=1):
+        dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+        labels[dist2 <= radius**2] = label
+    return labels

@@ -269,3 +269,11 @@ def test_sim_imbalance_with_correlation_runs_the_sweep_once(tmp_path, monkeypatc
                "--seed", "1", "--out", str(tmp_path / "imb.csv"),
                "--correlation-out", str(tmp_path / "mccj.csv")) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "s.grd"
+    assert run("gen-scene", "--threads", threads, "--seed", "0", "--out", str(out)) == 1
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jseg import (
     DimMismatchError,
+    GridIOError,
     InstanceLabelMap,
     LogitField,
     MalformedHeaderError,
@@ -124,3 +127,109 @@ def test_rejects_boolean_dims_and_channels(tmp_path):
     write([2, 2], True)
     with pytest.raises(MalformedHeaderError):
         read_grid(path, "instance")
+
+
+# -- fuzzing: arbitrary bytes give a grid or a GridIOError, nothing else -------
+
+_KIND_TYPES = {
+    "instance": InstanceLabelMap,
+    "semantic": SemanticLabelMap,
+    "probs": ProbabilityField,
+    "logits": LogitField,
+}
+
+# Derandomized, so every run of the suite draws the same examples.
+_FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _grd1_case(draw):
+    """A GRD1 file and the kind to read it as: a header that fits the kind,
+    at times with one field replaced by arbitrary JSON, and mostly a payload
+    of the declared size."""
+    kind = draw(st.sampled_from(sorted(_KIND_TYPES)))
+    real = kind in ("probs", "logits")
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    header = {
+        "magic": "GRD1",
+        "dims": dims,
+        "channels": draw(st.integers(2, 4)) if real else 1,
+        "dtype": "f32" if real else "u16",
+        "order": "C",
+    }
+    if draw(st.integers(0, 3)) == 0:
+        header[draw(st.sampled_from(sorted(header)))] = draw(_json)
+    size = int(np.prod(dims)) * (4 if real else 2)
+    if type(header["channels"]) is int and 0 < header["channels"] < 9:
+        size *= header["channels"]
+    if draw(st.integers(0, 3)) > 0:
+        payload = draw(st.binary(min_size=size, max_size=size))
+    else:
+        payload = draw(st.binary(max_size=48))
+    return json.dumps(header).encode("ascii") + b"\n" + payload, kind
+
+
+@st.composite
+def _pgm_bytes(draw):
+    """A binary PGM file with header fields drawn around the valid ones."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2"]))
+    fields = [draw(st.sampled_from([b"0", b"-1", b"1_0", b"x"]) | st.integers(1, 6).map(
+        lambda n: str(n).encode())) for _ in range(2)]
+    maxval = draw(st.sampled_from([b"65535", b"65535", b"255"]))
+    comment = draw(st.sampled_from([b"", b"# note\n"]))
+    header = magic + b"\n" + comment + b" ".join(fields) + b"\n" + maxval + b"\n"
+    size = 2 * int(fields[0]) * int(fields[1]) if all(f.isdigit() for f in fields) else 0
+    if draw(st.booleans()):
+        payload = draw(st.binary(min_size=size, max_size=size))
+    else:
+        payload = draw(st.binary(max_size=48))
+    return header + payload
+
+
+def _read_or_reject(path, data: bytes, kind: str) -> None:
+    path.write_bytes(data)
+    try:
+        grid = read_grid(path, kind)
+    except GridIOError:
+        return
+    assert isinstance(grid, _KIND_TYPES[kind])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@_FUZZ
+@given(_grd1_case() | st.tuples(st.binary(max_size=96), st.sampled_from(sorted(_KIND_TYPES))))
+@example((b"[" * 60000 + b"\n", "instance"))  # nesting deeper than the JSON parser recurses
+@example((b'{"magic": "GRD1", "dims": [' + b"9" * 5000 + b"]}\n", "instance"))  # int too long
+@example((  # 2**32 * 2**32 elements: an int64 product would wrap to 0, the empty payload's size
+    b'{"channels": 1, "dims": [4294967296, 4294967296], "dtype": "u16", "magic": "GRD1", '
+    b'"order": "C"}\n',
+    "semantic",
+))
+@example((  # a class label the semantic map does not allow
+    b'{"channels": 1, "dims": [1, 2], "dtype": "u16", "magic": "GRD1", "order": "C"}\n'
+    b"\x00\x00\x09\x00",
+    "semantic",
+))
+@example((  # a signalling NaN, which warns when cast to float64
+    b'{"channels": 2, "dims": [1, 1], "dtype": "f32", "magic": "GRD1", "order": "C"}\n'
+    b"\x00\x00\x00\x00\x01\x00\x81\x7f",
+    "logits",
+))
+def test_grd1_reader_survives_arbitrary_bytes(fuzz_dir, case):
+    _read_or_reject(fuzz_dir / "fuzz.grd", *case)
+
+
+@_FUZZ
+@given(st.one_of(_pgm_bytes(), st.binary(max_size=96)), st.sampled_from(["instance", "semantic"]))
+def test_pgm_reader_survives_arbitrary_bytes(fuzz_dir, data, kind):
+    _read_or_reject(fuzz_dir / "fuzz.pgm", data, kind)

@@ -11,6 +11,7 @@ from jseg import (
     probs_to_logits,
     softmax,
 )
+from jseg.grids import PROB_ATOL, argmax_channels, fold_channels
 
 
 def test_grid_shape_validation():
@@ -134,3 +135,57 @@ def test_probs_to_logits_round_trip():
     z = ProbabilityField(raw / raw.sum(axis=-1, keepdims=True))
     back = softmax(probs_to_logits(z)).values
     assert np.allclose(back, z.values, atol=1e-12)
+
+
+def test_argmax_channels_matches_numpy_on_exact_ties():
+    rng = np.random.default_rng(5)
+    for channels in range(2, 10):
+        for dims in ((7, 9), (4, 5, 6)):
+            # Three distinct values over up to 9 channels: most elements tie.
+            x = rng.integers(0, 3, size=dims + (channels,)).astype(np.float64) / 2
+            index, top = argmax_channels(x)
+            assert index.dtype == np.int32
+            assert np.array_equal(index, np.argmax(x, axis=-1))
+            assert top.tobytes() == x.max(axis=-1).tobytes()
+    tied = ProbabilityField(np.array([[[0.5, 0.5, 0.0, 0.0], [0.0, 0.4, 0.4, 0.2]]]))
+    assert np.array_equal(tied.argmax_classes().classes, [[0, 1]])
+
+
+def test_folded_validation_sums_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for channels in range(2, 8):
+        raw = rng.random((16, 12, channels)) * 10.0 ** rng.integers(-12, 1, (16, 12, channels))
+        x = raw / raw.sum(axis=-1, keepdims=True)
+        assert fold_channels(np.add, x)[..., 0].tobytes() == x.sum(axis=-1).tobytes()
+        # Push element sums to either side of the tolerance: the folded check
+        # accepts and rejects exactly where numpy's sums say so.
+        x[..., 0] += rng.choice([-1.0, 1.0], (16, 12)) * rng.uniform(0.9, 1.1, (16, 12)) * PROB_ATOL
+        verdicts = set()
+        for element in x.reshape(-1, channels):
+            field = element[None, None]
+            if field.min() < -PROB_ATOL or field.max() > 1.0 + PROB_ATOL:
+                continue  # rejected by the range check before any sum
+            off = abs(float(field.sum(axis=-1)[0, 0]) - 1.0)
+            verdicts.add(off <= PROB_ATOL)
+            if off <= PROB_ATOL:
+                ProbabilityField(field)
+            else:
+                with pytest.raises(ValueError, match=f"off by {off:.3g}"):
+                    ProbabilityField(field)
+        assert verdicts == {True, False}
+
+
+def test_is_one_hot_matches_the_ones_count_rule():
+    def reference(values):
+        ones = values == 1.0
+        return bool(np.all(ones.sum(axis=-1) == 1) and np.all(ones | (values == 0.0)))
+
+    rng = np.random.default_rng(7)
+    for channels in (2, 3, 4, 9):
+        exact = np.eye(channels)[rng.integers(0, channels, (5, 6))]
+        near = exact.copy()
+        near[2, 3] = np.roll(near[2, 3], 1) * (1 - 1e-7) + 1e-7 / channels
+        for values in (exact, near, np.full((5, 6, channels), 1.0 / channels)):
+            field = ProbabilityField(values)
+            assert field.is_one_hot() == reference(field.values)
+    assert ProbabilityField(exact).is_one_hot()

@@ -10,7 +10,6 @@ from jseg import (
     TransformConfig,
     generate_scene,
     instances_from_probs,
-    map_decision,
     one_hot,
     panoptic,
     resolve_gaps,
@@ -25,19 +24,19 @@ def _field(rows):
 
 def test_map_decision_on_one_hot():
     y = one_hot(SemanticLabelMap(np.array([[0, 1], [2, 3]])), 4)
-    assert np.array_equal(map_decision(y).classes, [[0, 1], [2, 3]])
+    assert np.array_equal(y.argmax_classes().classes, [[0, 1], [2, 3]])
 
 
 def test_map_decision_argmax_and_tie():
     z = _field([[0.2, 0.25, 0.15, 0.4], [0.5, 0.5, 0.0, 0.0]])
-    decided = map_decision(z).classes
+    decided = z.argmax_classes().classes
     assert decided[0, 0] == 3
     assert decided[0, 1] == 0  # tie goes to the lowest class
 
 
 def test_resolve_gaps_map3():
     z = _field([[0.2, 0.25, 0.15, 0.4], [0.5, 0.05, 0.05, 0.4]])
-    h = map_decision(z)
+    h = z.argmax_classes()
     assert np.array_equal(h.classes, [[3, 0]])
     resolved = resolve_gaps(h, z, PostprocessConfig(gap_mode="map3"))
     assert resolved.classes[0, 0] == 1  # second most likely class
@@ -46,7 +45,7 @@ def test_resolve_gaps_map3():
 
 def test_resolve_gaps_background_mode():
     z = _field([[0.2, 0.25, 0.15, 0.4]])
-    h = map_decision(z)
+    h = z.argmax_classes()
     resolved = resolve_gaps(h, z, PostprocessConfig(gap_mode="background"))
     assert resolved.classes[0, 0] == 0
 
@@ -55,14 +54,14 @@ def test_resolve_gaps_dubious_mode():
     confident = [0.04, 0.41, 0.05, 0.5]  # clear runner-up, spread 0.36 > tau
     muddled = [0.2, 0.19, 0.18, 0.43]  # near-equal first three, spread 0.01
     z = ProbabilityField(np.array([[confident, muddled]]))
-    h = map_decision(z)
+    h = z.argmax_classes()
     assert np.array_equal(h.classes, [[3, 3]])
     resolved = resolve_gaps(h, z, PostprocessConfig(gap_mode="dubious", tau=0.1))
     assert resolved.classes[0, 0] == 0  # confident gap -> background
     assert resolved.classes[0, 1] == 0  # dubious -> restricted argmax = class 0
     distinct = [0.06, 0.1, 0.34, 0.5]  # spread 0.24 < tau=0.4, touching wins
     z2 = ProbabilityField(np.array([[distinct, muddled]]))
-    resolved2 = resolve_gaps(map_decision(z2), z2, PostprocessConfig(gap_mode="dubious", tau=0.4))
+    resolved2 = resolve_gaps(z2.argmax_classes(), z2, PostprocessConfig(gap_mode="dubious", tau=0.4))
     assert resolved2.classes[0, 0] == 2
 
 
@@ -168,3 +167,40 @@ def test_config_validation():
         PostprocessConfig(gap_mode="dubious", tau=0.0)
     with pytest.raises(ValueError):
         PostprocessConfig(connectivity="knight")
+
+
+def _reference_resolve_gaps(classes, values, cfg):
+    """Gap resolution over the whole grid with numpy's reductions."""
+    out = classes.copy()
+    gap = classes == 3
+    first3 = values[..., :3]
+    restricted = np.argmax(first3, axis=-1).astype(np.int32)
+    if cfg.gap_mode == "map3":
+        out[gap] = restricted[gap]
+    elif cfg.gap_mode == "background":
+        out[gap] = 0
+    else:
+        spread = first3.max(axis=-1) - np.median(first3, axis=-1)
+        out[gap] = np.where((spread < cfg.tau)[gap], restricted[gap], 0)
+    return out
+
+
+def test_resolve_gaps_equals_numpy_reductions_with_ties():
+    rng = np.random.default_rng(11)
+    for dims in ((23, 17), (9, 8, 7)):
+        for _ in range(5):
+            # Quantised probabilities give exact ties in the max and the median.
+            raw = rng.integers(0, 4, size=dims + (4,)).astype(np.float64)
+            raw[..., 3] += rng.integers(0, 2, size=dims) * 3
+            raw[raw.sum(axis=-1) == 0] = 1.0
+            z = ProbabilityField(raw / raw.sum(axis=-1, keepdims=True))
+            decided = z.argmax_classes()
+            assert np.array_equal(decided.classes, np.argmax(z.values, axis=-1))
+            assert (decided.classes == 3).any()
+            for cfg in (PostprocessConfig(gap_mode="map3"),
+                        PostprocessConfig(gap_mode="background"),
+                        PostprocessConfig(gap_mode="dubious", tau=0.15),
+                        PostprocessConfig(gap_mode="dubious", tau=0.5)):
+                got = resolve_gaps(decided, z, cfg).classes
+                want = _reference_resolve_gaps(decided.classes, z.values, cfg)
+                assert np.array_equal(got, want)

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from jseg import SceneSpec, generate_scene
-from jseg.scenes import face_offsets
-from oracles import chebyshev_offsets
+from jseg.postprocess import face_offsets
+from oracles import chebyshev_offsets, full_grid_blobs
 
 
 def _spec(**kw):
@@ -87,3 +89,55 @@ def test_spec_invariants():
         _spec(notch_length=9)
     with pytest.raises(ValueError):
         _spec(kind="hexagons")
+
+
+def _blob_specs():
+    """70 random-blobs specs over 2-D and 3-D grids, including cells of
+    size 1 and 2, crowded grids, and radii that cannot fit along an axis."""
+    rng = np.random.default_rng(2024)
+    specs = []
+    for i in range(70):
+        d = 2 + i % 2
+        dims = tuple(int(n) for n in rng.integers(6, 64 if d == 2 else 24, size=d))
+        specs.append((dims, int(rng.integers(1, 7)), int(rng.integers(1, 11)),
+                      int(rng.integers(0, 2**31))))
+    return specs
+
+
+def _blobs(dims, n_blobs, cell_size, seed):
+    spec = SceneSpec(kind="random-blobs", dims=dims, cell_size=cell_size, notch_length=0,
+                     seed=seed, n_blobs=n_blobs)
+    return generate_scene(spec).labels
+
+
+def test_blobs_equal_the_full_grid_reference_byte_for_byte():
+    placed = refused = 0
+    # A 9x9 grid holds one disc of diameter ~8 and no second one.
+    extra = [((9, 9), 2, 8, 0), ((512, 512), 200, 16, 901)]
+    for dims, n_blobs, cell_size, seed in _blob_specs() + extra:
+        try:
+            want = full_grid_blobs(dims, n_blobs, cell_size, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _blobs(dims, n_blobs, cell_size, seed)
+            assert str(info.value) == str(exc)
+            refused += 1
+            continue
+        got = _blobs(dims, n_blobs, cell_size, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        placed += 1
+    assert placed >= 50 and refused >= 1
+
+
+@pytest.mark.parametrize(
+    "dims, n_blobs, cell_size, seed, digest",
+    [
+        ((512, 512), 200, 16, 901, "baf8e0ec5b60e64f"),
+        ((64, 64, 64), 40, 10, 901, "179c6714174ccb27"),
+        ((30, 26), 3, 8, 7, "e55e324364779c34"),
+        ((22, 20, 18), 3, 6, 5, "94823a5fe149f90e"),
+    ],
+)
+def test_blob_scenes_are_pinned(dims, n_blobs, cell_size, seed, digest):
+    labels = _blobs(dims, n_blobs, cell_size, seed)
+    assert hashlib.sha256(labels.tobytes()).hexdigest()[:16] == digest

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from jseg import (
     LogitField,
+    LossValue,
     PairWeights,
     SceneSpec,
     TrainConfig,
@@ -103,3 +106,28 @@ def test_overflowing_loss_raises_train_diverged_with_the_partial_trace():
             train(y, g, TrainConfig(loss="jc", iterations=5), weights=huge)
     assert value.components["j"] == np.inf
     assert info.value.trace.records == ()
+
+
+def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
+    # Finite loss and gradient at iteration 0, but step times gradient overflows.
+    g, y = _scene_target()
+    huge = PairWeights(1e307 * PairWeights.default(4).matrix)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(TrainDiverged, match="logits became non-finite at iteration 0") as info:
+            train(y, g, TrainConfig(loss="jc", iterations=5, step_size=100.0), weights=huge)
+    (record,) = info.value.trace.records
+    assert record.iteration == 0 and np.isfinite(record.total)
+
+
+def test_non_finite_gradient_raises_train_diverged(monkeypatch):
+    g, y = _scene_target()
+
+    def finite_total_inf_gradient(loss_id, target, logits, weights=None):
+        return LossValue(1.0, {"ce": 1.0}, np.full(logits.values.shape, np.inf))
+
+    # ``jseg.train`` names the function; the module holds evaluate_loss.
+    module = importlib.import_module("jseg.train")
+    monkeypatch.setattr(module, "evaluate_loss", finite_total_inf_gradient)
+    for optimizer in ("gd", "adam"):
+        with np.errstate(all="ignore"), pytest.raises(TrainDiverged, match="iteration 0"):
+            train(y, g, TrainConfig(loss="ce", iterations=3, optimizer=optimizer))

@@ -15,12 +15,12 @@ from oracles import brute_bottom_hat, brute_semantic, pointwise_semantic
 
 def test_bottom_hat_empty_foreground():
     g = InstanceLabelMap(np.zeros((6, 6), dtype=np.int32))
-    assert not bottom_hat(g, 2).values.any()
+    assert not bottom_hat(g, 2).any()
 
 
 def test_bottom_hat_one_element_slit():
     g = InstanceLabelMap(np.array([[1, 0, 2]], dtype=np.int32))
-    got = bottom_hat(g, 1).values
+    got = bottom_hat(g, 1)
     assert np.array_equal(got, [[0, 1, 0]])
     assert np.array_equal(got, brute_bottom_hat(g.labels, 1))
 
@@ -30,12 +30,12 @@ def test_bottom_hat_convex_blob_adds_nothing():
     labels[3:9, 3:9] = 1
     g = InstanceLabelMap(labels)
     for radius in (1, 2, 3):
-        assert not bottom_hat(g, radius).values.any()
+        assert not bottom_hat(g, radius).any()
 
 
 def test_bottom_hat_zero_on_foreground():
     g = generate_scene(SceneSpec(kind="two-squares-notch", dims=(20, 10), seed=0))
-    values = bottom_hat(g, 3).values
+    values = bottom_hat(g, 3)
     assert not values[g.labels > 0].any()
 
 

@@ -1,0 +1,211 @@
+"""The shared helpers in ``jseg._util``: the thread map and the one CSV
+writer, checked against row-by-row reference writers for every CSV the
+package produces."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from jseg import (
+    ImbalanceSimConfig,
+    SceneSpec,
+    ShrinkwrapConfig,
+    TrainConfig,
+    TransformConfig,
+    generate_scene,
+    landscape_scan,
+    mcc_j_correlation,
+    one_hot,
+    panoptic,
+    probs_to_logits,
+    read_grid,
+    run_shrinkwrap,
+    to_semantic,
+    train,
+)
+from jseg import _util
+from jseg.cli import dispatch
+
+# -- thread map ---------------------------------------------------------------
+
+
+def test_ordered_thread_map_rejects_fewer_than_one_thread():
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            _util.ordered_thread_map(abs, [1, 2], threads)
+
+
+def test_ordered_thread_map_caps_workers_at_item_count(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", SerialPool)
+    assert _util.ordered_thread_map(lambda x: -x, [1, 2, 3], threads=64) == [-1, -2, -3]
+    assert _util.ordered_thread_map(lambda x: -x, list(range(10)), threads=4) == [
+        -x for x in range(10)
+    ]
+    assert _util.ordered_thread_map(lambda x: -x, [5], threads=64) == [-5]
+    assert seen == [3, 4]
+
+
+# -- CSV writer ----------------------------------------------------------------
+
+
+def _reference_csv(path, header, rows) -> None:
+    """One ``csv.writer`` row per record, cells formatted one at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def _g(x) -> str:
+    return f"{x:.17g}"
+
+
+def test_write_csv_formats_columns_and_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(_util, "CSV_CHUNK_ROWS", 3)
+    rng = np.random.default_rng(0)
+    reals = rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)
+    reals[:3] = [0.1, -0.0, np.nan]
+    ints = rng.integers(-(2**40), 2**40, 8)
+    names = ["a", "b,c", 'q"uote', "", "line\nbreak", "x", "y", "z"]
+    maybe = [0.5, None, 1 / 3, None, 2.0, None, None, 1e-300]
+    got = tmp_path / "got.csv"
+    _util.write_csv(got, ["r", "i", "s", "m"], [reals, ints, names, maybe])
+    want = tmp_path / "want.csv"
+    _reference_csv(
+        want,
+        ["r", "i", "s", "m"],
+        [
+            [_g(r), int(i), s, "" if m is None else _g(m)]
+            for r, i, s, m in zip(reals, ints, names, maybe)
+        ],
+    )
+    assert got.read_bytes() == want.read_bytes()
+    with open(got, newline="") as fh:
+        assert [row[2] for row in csv.reader(fh)][1:] == names
+
+
+def test_write_csv_header_only(tmp_path):
+    out = tmp_path / "empty.csv"
+    _util.write_csv(out, ["a", "b"], [np.zeros(0), []])
+    assert out.read_bytes() == b"a,b\r\n"
+
+
+def test_imbalance_and_scatter_csv_match_row_by_row(tmp_path, monkeypatch):
+    # 3 ratios x 40 trials in chunks of 32 rows: the chunk seams fall inside a ratio.
+    monkeypatch.setattr(_util, "CSV_CHUNK_ROWS", 32)
+    cfg = ImbalanceSimConfig(classifier="c3", pis=(0.05, 0.25, 0.5), samples=200, trials=40, seed=3)
+    corr = mcc_j_correlation(cfg)
+    measures = ["j", "mcc", "jaccard", "f1", "tversky", "accuracy"]
+    corr.table.write_csv(tmp_path / "imb.csv")
+    _reference_csv(
+        tmp_path / "imb_ref.csv",
+        ["pi", "trial", *measures],
+        [[_g(r["pi"]), int(r["trial"])] + [_g(r[m]) for m in measures] for r in corr.table.rows],
+    )
+    corr.write_scatter_csv(tmp_path / "scatter.csv")
+    _reference_csv(
+        tmp_path / "scatter_ref.csv",
+        ["pi", "trial", "mcc", "j"],
+        [[_g(r["pi"]), int(r["trial"]), _g(r["mcc"]), _g(r["j"])] for r in corr.table.rows],
+    )
+    assert (tmp_path / "imb.csv").read_bytes() == (tmp_path / "imb_ref.csv").read_bytes()
+    assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "scatter_ref.csv").read_bytes()
+
+
+def test_shrinkwrap_csv_matches_row_by_row(tmp_path):
+    cfg = ShrinkwrapConfig(
+        scene=SceneSpec(kind="two-squares-notch", dims=(40, 28), cell_size=8),
+        iterations=20,
+        margin_start=6,
+        iters_per_margin_step=2,
+        confidence_start=0.6,
+    )
+    trace = run_shrinkwrap(cfg)
+    trace.write_csv(tmp_path / "sw.csv")
+    _reference_csv(
+        tmp_path / "sw_ref.csv",
+        ["iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc"],
+        [
+            [r["iteration"], r["margin"], _g(r["confidence"]), _g(r["ramp"])]
+            + [_g(r[c]) for c in ("grad_ce", "grad_j", "grad_jc")]
+            for r in trace.records
+        ],
+    )
+    assert (tmp_path / "sw.csv").read_bytes() == (tmp_path / "sw_ref.csv").read_bytes()
+
+
+def test_landscape_csv_matches_row_by_row(tmp_path):
+    scene = generate_scene(SceneSpec(kind="two-squares-notch", dims=(20, 12), cell_size=6,
+                                     notch_length=3))
+    target = one_hot(to_semantic(scene, TransformConfig()), 4)
+    result = landscape_scan("j", target, probs_to_logits(target, floor=1e-3), seed=2,
+                            resolution=7, span=3.0)
+    result.write_csv(tmp_path / "land.csv")
+    _reference_csv(
+        tmp_path / "land_ref.csv",
+        ["a", "b", "loss"],
+        [
+            [_g(a), _g(b), _g(result.values[i, k])]
+            for i, a in enumerate(result.alphas)
+            for k, b in enumerate(result.betas)
+        ],
+    )
+    assert (tmp_path / "land.csv").read_bytes() == (tmp_path / "land_ref.csv").read_bytes()
+
+
+def test_evaluate_csv_matches_row_by_row(tmp_path):
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"scene,{seed}.grd"  # a comma forces csv quoting
+        assert dispatch(["gen-scene", "--kind", "random-blobs", "--dims", "40", "36",
+                         "--blobs", "4", "--cell-size", "9", "--seed", str(seed),
+                         "--out", str(path)]) == 0
+        paths.append(str(path))
+    gts, preds = [paths[0], paths[1], paths[0]], [paths[0], paths[0], paths[1]]
+    out = tmp_path / "eval.csv"
+    assert dispatch(["evaluate", "--gt", *gts, "--pred", *preds, "--seed", "0",
+                     "--out", str(out)]) == 0
+    rows = []
+    for gt, pred in zip(gts, preds):
+        report = panoptic(read_grid(gt, "instance"), read_grid(pred, "instance"))
+        rows.append([gt, pred] + [_g(report[m]) for m in ("p05", "rq", "sq", "pq")])
+    _reference_csv(tmp_path / "eval_ref.csv", ["gt", "pred", "p05", "rq", "sq", "pq"], rows)
+    assert out.read_bytes() == (tmp_path / "eval_ref.csv").read_bytes()
+
+
+def test_train_toy_csv_matches_row_by_row(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert dispatch(["train-toy", "--dims", "24", "16", "--loss", "jc", "--iterations", "40",
+                     "--log-every", "15", "--seed", "3", "--out", str(out)]) == 0
+    scene = generate_scene(SceneSpec(kind="two-squares-notch", dims=(24, 16), seed=3))
+    target = one_hot(to_semantic(scene, TransformConfig()), 4)
+    trace = train(target, scene, TrainConfig(loss="jc", iterations=40, log_every=15, seed=3))
+    names = sorted(trace.records[0].components)
+    _reference_csv(
+        tmp_path / "trace_ref.csv",
+        ["iteration", "total"] + names + ["grad_norm", "pq"],
+        [
+            [rec.iteration, _g(rec.total)]
+            + [_g(rec.components[c]) for c in names]
+            + [_g(rec.grad_norm), "" if rec.pq is None else _g(rec.pq)]
+            for rec in trace.records
+        ],
+    )
+    assert out.read_bytes() == (tmp_path / "trace_ref.csv").read_bytes()
