@@ -26,22 +26,19 @@ from .gridio import (
     write_grid,
 )
 from .losses import (
+    LOSS_IDS,
     LossValue,
     PairWeights,
-    bwm_loss,
-    cross_entropy,
-    dsc_loss,
     evaluate_loss,
     finite_difference_gradient,
     gradient_check,
-    j_loss,
-    jc_loss,
 )
 from .metrics import (
     ConfusionCounts,
     InstanceMatching,
     MetricReport,
     binary_measures,
+    confusion_measures,
     match_instances,
     panoptic,
     pearson,

@@ -1,5 +1,5 @@
-"""Small shared helpers: deterministic thread mapping, seed derivation and
-the one CSV writer."""
+"""Small shared helpers: deterministic thread mapping, seed derivation, a
+thread-count-independent norm and the one CSV writer."""
 
 from __future__ import annotations
 
@@ -36,6 +36,13 @@ def ordered_thread_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, key...) slot of a larger run."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def l2_norm(x: np.ndarray) -> float:
+    """Euclidean norm of all entries by numpy's pairwise sum; unlike the BLAS
+    dot of ``np.linalg.norm``, its last bit does not depend on the number of
+    BLAS threads."""
+    return float(np.sqrt(np.square(x).sum()))
 
 
 def _cells(column) -> list:

@@ -9,6 +9,7 @@ be reproduced byte for byte from its manifest.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from . import __version__
 from ._util import write_csv
 from .grids import one_hot, probs_to_logits
 from .gridio import GridIOError, read_grid, write_grid
-from .losses import evaluate_loss, gradient_check
+from .losses import LOSS_IDS, evaluate_loss, gradient_check
 from .metrics import panoptic
 from .postprocess import PostprocessConfig, instances_from_probs
 from .scenes import RANDOM_BLOBS, TWO_SQUARES_NOTCH, SceneSpec, generate_scene
@@ -279,6 +280,8 @@ def _cmd_train_toy(args) -> list[str]:
 # --------------------------------------------------------------------------
 
 
+# Built once per process: parsing reads the parser and never changes it.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="jseg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"jseg {__version__}")
@@ -298,7 +301,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("loss-eval", help="evaluate a loss on target/prediction grids")
-    p.add_argument("--loss", choices=["ce", "j", "jc", "bwm", "dsc"], required=True)
+    p.add_argument("--loss", choices=LOSS_IDS, required=True)
     p.add_argument("--target", required=True, help="semantic ground-truth map (GRD1/PGM)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--logits", help="logit field (GRD1 f32)")
@@ -309,7 +312,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_loss_eval)
 
     p = sub.add_parser("grad-check", help="finite-difference check of a loss gradient")
-    p.add_argument("--loss", choices=["ce", "j", "jc", "bwm", "dsc"], required=True)
+    p.add_argument("--loss", choices=LOSS_IDS, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--out", required=True, help="JSON report path")
@@ -341,7 +344,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sim_shrinkwrap)
 
     p = sub.add_parser("landscape", help="2-D loss landscape around a near-optimum")
-    p.add_argument("--loss", choices=["ce", "j", "jc", "bwm", "dsc"], default="jc")
+    p.add_argument("--loss", choices=LOSS_IDS, default="jc")
     _scene_args(p)
     _transform_args(p)
     p.add_argument("--resolution", type=int, default=41)
@@ -371,7 +374,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-toy", help="gradient descent on a logit field")
     _scene_args(p)
     _transform_args(p)
-    p.add_argument("--loss", choices=["ce", "jc", "bwm", "dsc"], default="jc")
+    p.add_argument("--loss", choices=[loss for loss in LOSS_IDS if loss != "j"], default="jc")
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--iterations", type=int, default=5000)
     p.add_argument("--log-every", type=int, default=50)

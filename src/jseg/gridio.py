@@ -9,7 +9,8 @@ Two formats are supported:
   single-channel integer maps only.
 
 Write-then-read round trips are bit exact for integer grids and exact to
-float32 representation for real fields.
+float32 representation for real fields.  The writer refuses, before it
+opens the file, any grid the reader would reject.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = [
 
 MAGIC = "GRD1"
 _U16_MAX = 65535
+
+#: Most elements of a real payload that :func:`write_grid` checks at once.
+_CHECK_ELEMENTS = 1 << 18
 
 
 class GridIOError(Exception):
@@ -77,7 +81,9 @@ def write_grid(grid, path: str | os.PathLike) -> None:
     """Write any grid container to ``path``; format picked by extension.
 
     ``.pgm`` selects binary PGM (2-D integer maps only), anything else the
-    GRD1 container.
+    GRD1 container.  Raises ``ValueError`` and writes nothing when the file
+    would not read back: labels past u16, or a real field whose float32
+    values no longer form a valid container of its kind.
     """
     if str(path).lower().endswith(".pgm"):
         _write_pgm(grid, path)
@@ -103,7 +109,19 @@ def _write_grd(grid, path) -> None:
     if dtype == "u16" and arr.max(initial=0) > _U16_MAX:
         raise ValueError("labels exceed the u16 range of the container")
     header = {"magic": MAGIC, "dims": dims, "channels": channels, "dtype": dtype, "order": "C"}
-    payload = np.ascontiguousarray(arr).astype(_payload_dtype(dtype))
+    with np.errstate(over="ignore"):  # a value past the f32 range is rejected below
+        payload = np.ascontiguousarray(arr).astype(_payload_dtype(dtype))
+    if dtype == "f32":
+        # Rounding to f32 can carry a valid field out of its container's range,
+        # such as a probability sum just inside the tolerance, or a logit to inf.
+        # The container checks each element on its own, so slabs along the
+        # first axis give the same verdict with a fraction of the memory.
+        rows = max(1, _CHECK_ELEMENTS // payload[0].size)
+        try:
+            for start in range(0, len(payload), rows):
+                type(grid)(payload[start : start + rows])
+        except ValueError as exc:
+            raise ValueError(f"the float32 payload would not read back: {exc}") from exc
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         fh.write(payload.tobytes(order="C"))

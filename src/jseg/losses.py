@@ -16,9 +16,10 @@ boundaries.
 
 Each loss has one core ``(y, z, weights) -> (components, dL/dz)`` on bare
 arrays: the ``(n, C)`` target with its spatial axes flattened and ``(...,
-n, C)`` probabilities.  Cores reduce over the spatial axis only, so leading
-batch axes of ``z`` give one value per item; the public losses,
-:func:`evaluate_loss` and :func:`gradient_check` all run them.  J uses the
+n, C)`` probabilities.  Each core's docstring defines its loss.  Cores
+reduce over the spatial axis only, so leading batch axes of ``z`` give one
+value per item.  :func:`evaluate_loss` runs a core picked by its identifier
+in ``LOSS_IDS``, and :func:`gradient_check` runs the same cores.  J uses the
 matrix form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z``
 gives ``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
 gradient.
@@ -37,19 +38,16 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import l2_norm
 from .grids import LogitField, ProbabilityField, fold_channels, softmax_values
 
 __all__ = [
     "LOG_EPS",
     "FD_CHUNK_ELEMENTS",
+    "GRAD_CHECK_FLOOR",
     "PairWeights",
     "LossValue",
-    "cross_entropy",
-    "j_loss",
-    "jc_loss",
-    "bwm_loss",
-    "dsc_loss",
-    "LOSSES",
+    "LOSS_IDS",
     "evaluate_loss",
     "finite_difference_gradient",
     "gradient_check",
@@ -61,6 +59,9 @@ LOG_EPS = 1e-7
 #: Most array elements one batched call of the function handed to
 #: :func:`finite_difference_gradient` receives (2 MiB of float64).
 FD_CHUNK_ELEMENTS = 1 << 18
+
+#: Smallest denominator of a relative error in :func:`gradient_check`.
+GRAD_CHECK_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,7 @@ class LossValue:
     def grad_norm(self) -> float:
         if self.gradient is None:
             raise ValueError("loss was evaluated without a gradient")
-        # Pairwise summation, not BLAS dot: the norm must not depend on the
-        # number of BLAS threads.
-        return float(np.sqrt(np.square(self.gradient).sum()))
+        return l2_norm(self.gradient)
 
 
 def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -134,11 +133,21 @@ def _weighted_ce(y: np.ndarray, z: np.ndarray, class_weights: np.ndarray | None)
 
 
 def _ce_core(y, z, weights):
+    """Cross entropy: the mean negative log likelihood over elements.
+
+    With logit input the gradient reduces to ``(z - y) / n`` per element
+    wherever the clamp is inactive.
+    """
     value, dz = _weighted_ce(y, z, None)
     return {"ce": value}, dz
 
 
 def _bwm_core(y, z, weights):
+    """BWM: cross entropy with per-class balance weights ``n / (channels * n_l)``.
+
+    Absent classes get weight zero.  With perfectly balanced targets every
+    weight collapses to one and the loss equals plain cross entropy.
+    """
     counts = y.sum(axis=0)
     channels = y.shape[-1]
     w = np.divide(y.shape[0], channels * counts, out=np.zeros(channels), where=counts > 0)
@@ -147,6 +156,10 @@ def _bwm_core(y, z, weights):
 
 
 def _dsc_core(y, z, weights):
+    """DSC: cross entropy plus one minus the mean soft Dice over present classes.
+
+    Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
+    """
     ce, dz = _weighted_ce(y, z, None)
     counts = y.sum(axis=0)
     present = counts > 0
@@ -161,6 +174,15 @@ def _dsc_core(y, z, weights):
 
 
 def _j_core(y, z, weights):
+    """J: the pairwise surrogate of Youden's J statistic.
+
+    For every ordered pair of present classes (i positive, k negative) the
+    soft true-positive and true-negative rates combine into a log term
+    ``-w[i,k] * log(1/2 + sum_p z_i(p) * (phi_i(p) - phi_k(p)) / 2)`` with
+    ``phi_l = y_l / n_l``.  Pairs with an absent class contribute exactly
+    zero, and the diagonal is skipped.  ``weights`` None means
+    :meth:`PairWeights.default`.
+    """
     channels = y.shape[-1]
     lam = np.ones((channels, channels)) - np.eye(channels) if weights is None else weights.matrix
     if len(lam) != channels:
@@ -187,6 +209,7 @@ def _j_core(y, z, weights):
 
 
 def _jc_core(y, z, weights):
+    """JC: cross entropy plus the J surrogate; components report both parts."""
     ce, ce_dz = _weighted_ce(y, z, None)
     j, j_dz = _j_core(y, z, weights)
     return {"ce": ce, **j}, ce_dz + j_dz
@@ -194,12 +217,16 @@ def _jc_core(y, z, weights):
 
 _CORES = {"ce": _ce_core, "j": _j_core, "jc": _jc_core, "bwm": _bwm_core, "dsc": _dsc_core}
 
+#: Identifiers of the losses :func:`evaluate_loss` accepts.
+LOSS_IDS = tuple(_CORES)
+
 
 def evaluate_loss(
     loss_id: str, target: ProbabilityField, pred, weights: PairWeights | None = None
 ) -> LossValue:
     """Evaluate a loss by identifier: ce | j | jc | bwm | dsc.
 
+    Each loss is defined on its core (``_ce_core``, ``_j_core``, ...).
     ``weights`` applies to j and jc; the other losses ignore it.
     """
     if loss_id not in _CORES:
@@ -223,58 +250,6 @@ def evaluate_loss(
     logits = isinstance(pred, LogitField)
     gradient = _softmax_vjp(z, dz.reshape(z.shape)) if logits else None
     return LossValue(total=sum(components.values()), components=components, gradient=gradient)
-
-
-def cross_entropy(target: ProbabilityField, pred) -> LossValue:
-    """Mean negative log likelihood over elements.
-
-    With logit input the gradient reduces to ``(z - y) / n`` per element
-    wherever the clamp is inactive.
-    """
-    return evaluate_loss("ce", target, pred)
-
-
-def j_loss(target: ProbabilityField, pred, weights: PairWeights | None = None) -> LossValue:
-    """Pairwise surrogate of Youden's J statistic.
-
-    For every ordered pair of present classes (i positive, k negative) the
-    soft true-positive and true-negative rates combine into a log term
-    ``-w[i,k] * log(1/2 + sum_p z_i(p) * (phi_i(p) - phi_k(p)) / 2)`` with
-    ``phi_l = y_l / n_l``.  Pairs with an absent class contribute exactly
-    zero, and the diagonal is skipped.
-    """
-    return evaluate_loss("j", target, pred, weights)
-
-
-def jc_loss(target: ProbabilityField, pred, weights: PairWeights | None = None) -> LossValue:
-    """Cross entropy plus the J surrogate; components report both parts."""
-    return evaluate_loss("jc", target, pred, weights)
-
-
-def bwm_loss(target: ProbabilityField, pred) -> LossValue:
-    """Cross entropy with per-class balance weights ``n / (channels * n_l)``.
-
-    Absent classes get weight zero.  With perfectly balanced targets every
-    weight collapses to one and the loss equals plain cross entropy.
-    """
-    return evaluate_loss("bwm", target, pred)
-
-
-def dsc_loss(target: ProbabilityField, pred) -> LossValue:
-    """Cross entropy plus one minus the mean soft Dice over present classes.
-
-    Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
-    """
-    return evaluate_loss("dsc", target, pred)
-
-
-LOSSES: dict[str, Callable[..., LossValue]] = {
-    "ce": cross_entropy,
-    "j": j_loss,
-    "jc": jc_loss,
-    "bwm": bwm_loss,
-    "dsc": dsc_loss,
-}
 
 
 def finite_difference_gradient(
@@ -322,35 +297,31 @@ def _stack_totals(loss_id: str, y: np.ndarray, weights: PairWeights | None):
 #: Grid shapes cycled through by the gradient checker.
 _CHECK_SHAPES = ((4, 4), (6, 5), (8, 8), (3, 3, 3), (4, 4, 4))
 
+#: Class channels of the gradient checker's fields.
+_CHECK_CHANNELS = 4
 
-def gradient_check(
-    loss_id: str,
-    seed: int = 0,
-    trials: int = 100,
-    step: float = 1e-5,
-    channels: int = 4,
-    rel_floor: float = 1e-6,
-) -> dict:
+
+def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float = 1e-5) -> dict:
     """Compare analytic and finite-difference gradients on random fields.
 
-    Relative error per entry uses ``max(|analytic|, |numeric|, rel_floor)``
-    as the denominator, so near-zero entries are compared at the floor
-    scale.  Returns the maximum and mean over all trials.
+    Relative error per entry uses ``max(|analytic|, |numeric|,
+    GRAD_CHECK_FLOOR)`` as the denominator, so near-zero entries are
+    compared at the floor scale.  J pairs carry the default weights.
+    Returns the maximum and mean over all trials.
     """
     rng = np.random.default_rng(seed)
-    weights = PairWeights.default(channels)
     worst = 0.0
     total = 0.0
     for trial in range(trials):
         dims = _CHECK_SHAPES[trial % len(_CHECK_SHAPES)]
-        classes = rng.integers(0, channels, size=dims).astype(np.int32)
-        y = np.zeros(dims + (channels,))
+        classes = rng.integers(0, _CHECK_CHANNELS, size=dims).astype(np.int32)
+        y = np.zeros(dims + (_CHECK_CHANNELS,))
         np.put_along_axis(y, classes[..., None].astype(np.intp), 1.0, axis=-1)
-        theta = rng.normal(0.0, 1.5, size=dims + (channels,))
+        theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
 
-        analytic = evaluate_loss(loss_id, ProbabilityField(y), LogitField(theta), weights).gradient
-        numeric = finite_difference_gradient(_stack_totals(loss_id, y, weights), theta, step=step)
-        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), rel_floor)
+        analytic = evaluate_loss(loss_id, ProbabilityField(y), LogitField(theta)).gradient
+        numeric = finite_difference_gradient(_stack_totals(loss_id, y, None), theta, step=step)
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())
         worst = max(worst, rel)
         total += rel

@@ -1,5 +1,8 @@
 """Binary classification measures, Pearson correlation, and panoptic metrics.
 
+:func:`confusion_measures` holds the one definition of the six binary
+measures, on count arrays of any shape; :func:`binary_measures` applies it
+to one confusion matrix and the imbalance sweep to every trial at once.
 Measures with a zero denominator report 0 and flag the measure name in the
 report instead of raising, which keeps batch evaluation total and explicit.
 """
@@ -12,10 +15,15 @@ import numpy as np
 
 from .grids import InstanceLabelMap
 
+#: The binary measures, in the order of every table that lists them.
+MEASURES = ("j", "mcc", "jaccard", "f1", "tversky", "accuracy")
+
 __all__ = [
+    "MEASURES",
     "ConfusionCounts",
     "MetricReport",
     "InstanceMatching",
+    "confusion_measures",
     "binary_measures",
     "pearson",
     "match_instances",
@@ -68,48 +76,47 @@ class InstanceMatching:
     unmatched_pred: tuple[int, ...]
 
 
-def _rate(num: float, den: float, name: str, flags: set[str]) -> float:
-    if den == 0:
-        flags.add(name)
-        return 0.0
-    return num / den
+def _ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """``num / den`` with 0 where ``den`` is zero, and the mask of those places."""
+    zero = np.asarray(den) == 0
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    return np.divide(num, den, out=out, where=~zero), zero
 
 
-def binary_measures(
-    counts: ConfusionCounts, tversky_alpha: float = 0.5, tversky_beta: float = 0.5
-) -> MetricReport:
-    """Youden's J, MCC, Jaccard, F1, Tversky and Accuracy from one confusion matrix.
+def confusion_measures(tp, fp, fn, tn) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Youden's J, MCC, Jaccard, F1, Tversky (false negatives and positives
+    weighted one half each) and Accuracy from count arrays of one shape.
 
-    J is sensitivity plus specificity minus one, so it sits at zero for any
-    classifier independent of the truth, at every imbalance ratio.
+    Returns two dicts keyed by :data:`MEASURES`: the float64 values, and
+    masks of the entries whose denominator is zero (for J, that of either
+    rate), where the value is 0.  J is sensitivity plus specificity minus
+    one, so it sits at zero for any classifier independent of the truth, at
+    every imbalance ratio.
     """
+    tp, fp, fn, tn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn, tn))
+    tpr, no_pos = _ratio(tp, tp + fn)
+    tnr, no_neg = _ratio(tn, tn + fp)
+    j_zero = no_pos | no_neg
+    measures = (
+        (np.where(j_zero, 0.0, tpr + tnr - 1.0), j_zero),
+        _ratio(tp * tn - fp * fn, np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))),
+        _ratio(tp, tp + fp + fn),
+        _ratio(2 * tp, 2 * tp + fp + fn),
+        _ratio(tp, tp + 0.5 * fn + 0.5 * fp),
+        _ratio(tp + tn, tp + fp + fn + tn),
+    )
+    values, zero = (dict(zip(MEASURES, part)) for part in zip(*measures))
+    return values, zero
+
+
+def binary_measures(counts: ConfusionCounts) -> MetricReport:
+    """The measures of :func:`confusion_measures` from one confusion matrix."""
     if counts.total == 0:
         raise ValueError("cannot compute rates from an empty confusion matrix")
-    tp, fp, fn, tn = float(counts.tp), float(counts.fp), float(counts.fn), float(counts.tn)
-    flags: set[str] = set()
-
-    tpr = _rate(tp, tp + fn, "j", flags)
-    tnr = _rate(tn, tn + fp, "j", flags)
-    j = 0.0 if "j" in flags else tpr + tnr - 1.0
-
-    mcc_den = np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-    mcc = _rate(tp * tn - fp * fn, mcc_den, "mcc", flags)
-
-    jaccard = _rate(tp, tp + fp + fn, "jaccard", flags)
-    f1 = _rate(2 * tp, 2 * tp + fp + fn, "f1", flags)
-    tversky = _rate(tp, tp + tversky_alpha * fn + tversky_beta * fp, "tversky", flags)
-    accuracy = (tp + tn) / counts.total
-
+    values, zero = confusion_measures(counts.tp, counts.fp, counts.fn, counts.tn)
     return MetricReport(
-        values={
-            "j": j,
-            "mcc": mcc,
-            "jaccard": jaccard,
-            "f1": f1,
-            "tversky": tversky,
-            "accuracy": accuracy,
-        },
-        flagged=frozenset(flags),
+        values={m: float(values[m]) for m in MEASURES},
+        flagged=frozenset(m for m in MEASURES if zero[m]),
         meta={"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn},
     )
 
@@ -187,15 +194,14 @@ def panoptic(gt: InstanceLabelMap, pred: InstanceLabelMap) -> MetricReport:
     fp = len(matching.unmatched_pred)
     fn = len(matching.unmatched_gt)
     iou_sum = sum(iou for _, _, iou in matching.matches)
-    flags: set[str] = set()
-
-    p05 = _rate(tp, tp + fp, "p05", flags)
-    rq = _rate(2 * tp, 2 * tp + fp + fn, "rq", flags)
-    sq = _rate(iou_sum, tp, "sq", flags)
-    pq = _rate(iou_sum, tp + fp / 2 + fn / 2, "pq", flags)
-
+    ratios = {
+        "p05": _ratio(tp, tp + fp),
+        "rq": _ratio(2 * tp, 2 * tp + fp + fn),
+        "sq": _ratio(iou_sum, tp),
+        "pq": _ratio(iou_sum, tp + fp / 2 + fn / 2),
+    }
     return MetricReport(
-        values={"p05": p05, "rq": rq, "sq": sq, "pq": pq},
-        flagged=frozenset(flags),
+        values={m: float(value) for m, (value, _) in ratios.items()},
+        flagged=frozenset(m for m, (_, zero) in ratios.items() if zero),
         meta={"tp": tp, "fp": fp, "fn": fn, "matches": matching},
     )

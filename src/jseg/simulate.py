@@ -22,10 +22,10 @@ import numpy as np
 from scipy import ndimage
 
 from . import _util
-from ._util import child_rng, ordered_thread_map
+from ._util import child_rng, l2_norm, ordered_thread_map
 from .grids import LogitField, ProbabilityField, one_hot, probs_to_logits
-from .losses import PairWeights, evaluate_loss
-from .metrics import pearson
+from .losses import evaluate_loss
+from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
 from .transform import CELL, TransformConfig, ball_footprint, to_semantic
 
@@ -45,8 +45,6 @@ __all__ = [
 
 C1 = "c1"
 C3 = "c3"
-
-MEASURES = ("j", "mcc", "jaccard", "f1", "tversky", "accuracy")
 
 
 def default_pi_grid() -> tuple[float, ...]:
@@ -108,23 +106,6 @@ class ImbalanceTable:
         _util.write_csv(path, header, [self.rows[name] for name in header])
 
 
-def _trial_measures(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Vectorized confusion measures for a (trials, samples) boolean pair."""
-    tp = (gt & pred).sum(axis=1).astype(np.float64)
-    fp = (~gt & pred).sum(axis=1).astype(np.float64)
-    fn = (gt & ~pred).sum(axis=1).astype(np.float64)
-    tn = (~gt & ~pred).sum(axis=1).astype(np.float64)
-    tpr = tp / (tp + fn)
-    tnr = tn / (tn + fp)
-    j = tpr + tnr - 1.0
-    mcc = (tp * tn - fp * fn) / np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-    jaccard = tp / (tp + fp + fn)
-    f1 = 2 * tp / (2 * tp + fp + fn)
-    tversky = tp / (tp + 0.5 * fn + 0.5 * fp)
-    accuracy = (tp + tn) / gt.shape[1]
-    return j, mcc, jaccard, f1, tversky, accuracy
-
-
 def _simulate_pi(args) -> tuple[np.ndarray, int]:
     cfg, pi_index = args
     pi = cfg.pis[pi_index]
@@ -148,15 +129,17 @@ def _simulate_pi(args) -> tuple[np.ndarray, int]:
         gt[bad] = rng.random((n_bad, samples)) < pi
         pred[bad] = rng.random((n_bad, samples)) < p_pred
 
-    cols = _trial_measures(gt, pred)
+    # pos and ppos hold the counts of the final draw: the last pass found no bad trial.
+    tp = (gt & pred).sum(axis=1)
+    values, _ = confusion_measures(tp, ppos - tp, pos - tp, samples - pos - ppos + tp)
     rows = np.zeros(
         trials,
         dtype=[("pi", "f8"), ("trial", "i8")] + [(m, "f8") for m in MEASURES],
     )
     rows["pi"] = pi
     rows["trial"] = np.arange(trials)
-    for name, col in zip(MEASURES, cols):
-        rows[name] = col
+    for name in MEASURES:
+        rows[name] = values[name]
     return rows, resampled
 
 
@@ -271,7 +254,7 @@ def _confidence_field(prescribed: np.ndarray, confidence: float, channels: int) 
     return z
 
 
-def run_shrinkwrap(cfg: ShrinkwrapConfig, weights: PairWeights | None = None) -> ShrinkwrapTrace:
+def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     """Walk the prescribed trajectory and record each loss's gradient norm.
 
     The scene must be the two-squares-notch geometry; the cells' dilation
@@ -325,7 +308,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig, weights: PairWeights | None = None) ->
             "ramp": ramp,
         }
         for loss_id in ("ce", "j", "jc"):
-            record[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits, weights).grad_norm
+            record[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits).grad_norm
         records.append(record)
 
     return ShrinkwrapTrace(records=tuple(records), shrinkwrap_index=t_shrink - 1)
@@ -357,7 +340,6 @@ def landscape_scan(
     seed: int = 0,
     resolution: int = 41,
     span: float = 1.0,
-    weights: PairWeights | None = None,
     threads: int = 1,
 ) -> LandscapeResult:
     """Scan ``loss(center + a*d1 + b*d2)`` over an (a, b) grid.
@@ -377,8 +359,8 @@ def landscape_scan(
     def direction() -> np.ndarray:
         delta = rng.standard_normal(theta.shape)
         for c in range(theta.shape[-1]):
-            ref = np.linalg.norm(theta[..., c])
-            norm = np.linalg.norm(delta[..., c])
+            ref = l2_norm(theta[..., c])
+            norm = l2_norm(delta[..., c])
             delta[..., c] *= ref / norm if norm > 0 else 0.0
         return delta
 
@@ -391,7 +373,7 @@ def landscape_scan(
         row = np.zeros(resolution)
         for jdx in range(resolution):
             perturbed = LogitField(theta + alphas[i] * d1 + betas[jdx] * d2)
-            value = evaluate_loss(loss_id, target, perturbed, weights).total
+            value = evaluate_loss(loss_id, target, perturbed).total
             row[jdx] = value if np.isfinite(value) else np.nan
         return row
 

@@ -15,12 +15,15 @@ import numpy as np
 
 from ._util import child_rng
 from .grids import InstanceLabelMap, LogitField, ProbabilityField, softmax
-from .losses import LOSSES, PairWeights, evaluate_loss
+from .losses import LOSS_IDS, PairWeights, evaluate_loss
 from .metrics import panoptic
 from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
 from .transform import GAP
 
 __all__ = ["TrainConfig", "TrainRecord", "TrainTrace", "TrainDiverged", "train"]
+
+#: Post-processing behind the panoptic quality that training records.
+_MEASURE_POST = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class TrainConfig:
     init_noise: float = 0.5
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
+        if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
@@ -110,7 +113,6 @@ def train(
     source: InstanceLabelMap,
     cfg: TrainConfig,
     weights: PairWeights | None = None,
-    post: PostprocessConfig | None = None,
 ) -> TrainTrace:
     """Descend the configured loss on a per-element logit field.
 
@@ -118,14 +120,13 @@ def train(
     quality (via the full post-processing pipeline) is recorded against
     ``source`` on every log iteration.  Deterministic per seed.
 
-    The default measurement pipeline sends gap elements straight to
-    background: per-element logits leave the runner-up ordering at a
-    confident gap element unconstrained, so the restricted-MAP gap rule
-    would read noise there.
+    The measurement pipeline sends gap elements straight to background:
+    per-element logits leave the runner-up ordering at a confident gap
+    element unconstrained, so the restricted-MAP gap rule would read noise
+    there.
     """
     if target.values.shape[:-1] != source.labels.shape:
         raise ValueError("target field and source instance map shapes differ")
-    post = post or PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
     rng = child_rng(cfg.seed, 0)
     shape = target.values.shape
     theta = np.zeros(shape)
@@ -137,7 +138,7 @@ def train(
     adam = _Adam(cfg.adam_lr) if cfg.optimizer == "adam" else None
 
     def measure_pq(logits: LogitField) -> float:
-        instances = instances_from_probs(softmax(logits), post)
+        instances = instances_from_probs(softmax(logits), _MEASURE_POST)
         return panoptic(source, instances)["pq"]
 
     def gap_correct(logits_arr: np.ndarray) -> bool:

@@ -215,3 +215,54 @@ def full_grid_blobs(dims: tuple[int, ...], n_blobs: int, cell_size: int, seed: i
         dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
         labels[dist2 <= radius**2] = label
     return labels
+
+
+def trial_measures(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectorized confusion measures for a (trials, samples) boolean pair.
+
+    Reference for ``jseg.metrics.confusion_measures`` on the imbalance
+    sweep's trials: four boolean reductions, then one expression per
+    measure in the order of ``MEASURES``.  Every trial must have both
+    classes in the truth and in the prediction.
+    """
+    tp = (gt & pred).sum(axis=1).astype(np.float64)
+    fp = (~gt & pred).sum(axis=1).astype(np.float64)
+    fn = (gt & ~pred).sum(axis=1).astype(np.float64)
+    tn = (~gt & ~pred).sum(axis=1).astype(np.float64)
+    tpr = tp / (tp + fn)
+    tnr = tn / (tn + fp)
+    j = tpr + tnr - 1.0
+    mcc = (tp * tn - fp * fn) / np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+    jaccard = tp / (tp + fp + fn)
+    f1 = 2 * tp / (2 * tp + fp + fn)
+    tversky = tp / (tp + 0.5 * fn + 0.5 * fp)
+    accuracy = (tp + tn) / gt.shape[1]
+    return j, mcc, jaccard, f1, tversky, accuracy
+
+
+def scalar_binary_measures(tp: int, fp: int, fn: int, tn: int) -> tuple[dict[str, float], set[str]]:
+    """The six binary measures of one confusion matrix, one Python float
+    division at a time, and the set of measures whose denominator is zero
+    (reported as 0; J when either of its rates has one)."""
+    flags: set[str] = set()
+
+    def rate(num, den, name):
+        if den == 0:
+            flags.add(name)
+            return 0.0
+        return num / den
+
+    total = tp + fp + fn + tn
+    tp, fp, fn, tn = float(tp), float(fp), float(fn), float(tn)
+    tpr = rate(tp, tp + fn, "j")
+    tnr = rate(tn, tn + fp, "j")
+    mcc_den = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
+    values = {
+        "j": 0.0 if "j" in flags else tpr + tnr - 1.0,
+        "mcc": rate(tp * tn - fp * fn, mcc_den, "mcc"),
+        "jaccard": rate(tp, tp + fp + fn, "jaccard"),
+        "f1": rate(2 * tp, 2 * tp + fp + fn, "f1"),
+        "tversky": rate(tp, tp + 0.5 * fn + 0.5 * fp, "tversky"),
+        "accuracy": rate(tp + tn, total, "accuracy"),
+    }
+    return values, flags

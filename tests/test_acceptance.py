@@ -19,11 +19,10 @@ from jseg import (
     ShrinkwrapConfig,
     TrainConfig,
     TransformConfig,
+    evaluate_loss,
     generate_scene,
     gradient_check,
     instances_from_probs,
-    j_loss,
-    jc_loss,
     mcc_j_correlation,
     one_hot,
     panoptic,
@@ -70,15 +69,15 @@ def test_criterion_02_optimum_consistency():
     for _ in range(50):
         dims = (int(rng.integers(3, 8)), int(rng.integers(3, 8)))
         y = _one_hot_with_all_classes(rng, dims)
-        worst = max(worst, abs(jc_loss(y, y).total))
+        worst = max(worst, abs(evaluate_loss("jc", y, y).total))
     _verdict(2, worst < 1e-6, f"max |JC(y, y)| over 50 one-hot targets = {worst:.2e} (< 1e-6)")
 
 
 def test_criterion_03_hand_oracle_values():
     y = ProbabilityField(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
     z = ProbabilityField(np.array([[[0.6, 0.4], [0.3, 0.7]]]))
-    j = j_loss(y, z).total
-    jc = jc_loss(y, z).total
+    j = evaluate_loss("j", y, z).total
+    jc = evaluate_loss("jc", y, z).total
     # frozen from the pairwise alpha/beta oracle: -2 log 0.65 and its CE sum
     ok = abs(j - 0.8615658321849085) < 1e-3 and abs(jc - 1.2953161160372701) < 1e-3
     _verdict(3, ok, f"two-element field: j={j:.6f} (0.861566 +- 1e-3), jc={jc:.6f} (1.295316 +- 1e-3)")

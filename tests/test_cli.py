@@ -237,19 +237,56 @@ def test_outputs_identical_across_thread_counts(tmp_path, argv_builder):
 )
 def test_train_toy_output_identical_across_blas_threads(tmp_path, scene):
     # No output may depend on the BLAS thread count.  On the 96x96 field OpenBLAS
-    # splits a dot product across threads.  It reads its thread count when
-    # numpy loads, so each count gets a fresh interpreter.
-    src = str(Path(jseg.__file__).resolve().parent.parent)
+    # splits a dot product across threads.
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"trace-{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "jseg.cli", "train-toy", *scene, "--loss", "jc",
-                "--iterations", "60", "--log-every", "30", "--seed", "3", "--out", str(out)]
-        subprocess.run(argv, env=env, check=True, timeout=300)
+        _run_fresh(threads, "train-toy", *scene, "--loss", "jc", "--iterations", "60",
+                   "--log-every", "30", "--seed", "3", "--out", str(out))
         outputs.append((out.read_bytes(), Path(f"{out}.summary.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_landscape_output_identical_across_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product across threads above 10 000 elements, so a
+    # 101x100 field is the smallest whose channel norms could tell 1 from 2.
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"land-{threads}.csv"
+        _run_fresh(threads, "landscape", "--kind", "random-blobs", "--dims", "101", "100",
+                   "--blobs", "4", "--cell-size", "10", "--resolution", "3", "--seed", "5",
+                   "--out", str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _run_fresh(blas_threads: str, *argv: str) -> None:
+    """Run ``jseg`` in a new interpreter under an OpenBLAS thread count, which
+    OpenBLAS reads once, when numpy loads."""
+    src = str(Path(jseg.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "jseg.cli", *argv], env=env, check=True, timeout=300)
+
+
+def test_repeated_dispatch_matches_fresh_runs(tmp_path):
+    # One process, the parser reused: a flag given to one call must not leak
+    # into the defaults of the next.
+    calls = [
+        ["gen-scene", "--dims", "30", "20", "--blobs", "2", "--seed", "1", "--out"],
+        ["gen-scene", "--seed", "1", "--out"],
+    ]
+    fresh = []
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"fresh-{i}.grd"
+        _run_fresh("1", *argv, str(out))
+        fresh.append(json.loads(Path(f"{out}.manifest.json").read_text())["config"])
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"fresh-{i}.grd"  # the same path, so "out" matches too
+        assert run(*argv, str(out)) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["config"] == fresh[i]
+    assert fresh[1]["dims"] == [24, 16]
+    assert run("gen-scene", "--bogus", "--out", str(tmp_path / "x.grd")) == 1
 
 
 def test_sim_imbalance_with_correlation_runs_the_sweep_once(tmp_path, monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import jseg.gridio
 from jseg import (
     DimMismatchError,
     GridIOError,
@@ -233,3 +235,76 @@ def test_grd1_reader_survives_arbitrary_bytes(fuzz_dir, case):
 @given(st.one_of(_pgm_bytes(), st.binary(max_size=96)), st.sampled_from(["instance", "semantic"]))
 def test_pgm_reader_survives_arbitrary_bytes(fuzz_dir, data, kind):
     _read_or_reject(fuzz_dir / "fuzz.pgm", data, kind)
+
+
+# -- round trips: every grid the writer accepts reads back --------------------
+
+
+def test_writer_refuses_a_sum_that_float32_carries_past_the_tolerance(tmp_path, monkeypatch):
+    # The check runs in slabs of one row here; only the last of five holds the
+    # element off by 1.0e-6 in float64 (within the tolerance), 1.03e-6 in float32.
+    monkeypatch.setattr(jseg.gridio, "_CHECK_ELEMENTS", 8)
+    values = np.full((5, 2, 4), 0.25)
+    write_grid(ProbabilityField(values), tmp_path / "ok.grd")
+    values[-1, -1] = [0.20670468, 0.12887593, 0.33495928, 0.32945911]
+    path = tmp_path / "p.grd"
+    with pytest.raises(ValueError, match="sum to 1"):
+        write_grid(ProbabilityField(values), path)
+    assert not path.exists()
+
+
+def test_writer_refuses_logits_past_the_float32_range(tmp_path, monkeypatch):
+    monkeypatch.setattr(jseg.gridio, "_CHECK_ELEMENTS", 8)
+    values = np.zeros((5, 2, 2, 2))
+    values[-1, -1, -1, -1] = 1e39
+    path = tmp_path / "t.grd"
+    with pytest.raises(ValueError, match="finite"):
+        write_grid(LogitField(values), path)
+    assert not path.exists()
+
+
+@st.composite
+def _grid(draw):
+    """A grid container, its kind and a file suffix, with values at and past
+    the edges the writer accepts: labels past u16, probability sums at the
+    tolerance, logits past the float32 range.  Integer maps are written as
+    PGM half the time they are 2-D."""
+    kind = draw(st.sampled_from(sorted(_KIND_TYPES)))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    integer = kind in ("instance", "semantic")
+    suffix = ".pgm" if integer and len(dims) == 2 and draw(st.booleans()) else ".grd"
+    if kind == "semantic":
+        classes = draw(hnp.arrays(np.int64, dims, elements=st.integers(0, 3)))
+        return SemanticLabelMap(classes), kind, suffix
+    if kind == "instance":
+        labels = draw(hnp.arrays(np.int64, dims, elements=st.integers(0, 9)))
+        edge = draw(st.sampled_from([9, 65535, 65536]))
+        labels.flat[draw(st.integers(0, labels.size - 1))] = edge
+        return InstanceLabelMap(labels), kind, suffix
+    shape = dims + (draw(st.integers(2, 4)),)
+    if kind == "logits":
+        values = draw(hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+        edge = draw(st.sampled_from([10.0, -3e38, 1e39]))
+        values.flat[draw(st.integers(0, values.size - 1))] = edge
+        return LogitField(values), kind, suffix
+    raw = draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-3, 1.0)))
+    scale = draw(st.floats(1.0 - 9.9e-7, 1.0 + 9.9e-7))
+    return ProbabilityField(raw / raw.sum(axis=-1, keepdims=True) * scale), kind, suffix
+
+
+@_FUZZ
+@given(_grid())
+def test_every_grid_the_writer_accepts_reads_back(fuzz_dir, case):
+    grid, kind, suffix = case
+    path = fuzz_dir / f"round-trip{suffix}"
+    try:
+        write_grid(grid, path)
+    except ValueError:
+        return
+    back = read_grid(path, kind)
+    if kind == "instance":
+        assert np.array_equal(back.labels, grid.labels)
+    elif kind == "semantic":
+        assert np.array_equal(back.classes, grid.classes)
+    else:
+        assert np.array_equal(back.values, grid.values.astype(np.float32).astype(np.float64))

@@ -9,14 +9,9 @@ from jseg import (
     PairWeights,
     ProbabilityField,
     SemanticLabelMap,
-    bwm_loss,
-    cross_entropy,
-    dsc_loss,
     evaluate_loss,
     finite_difference_gradient,
     gradient_check,
-    j_loss,
-    jc_loss,
     one_hot,
     probs_to_logits,
 )
@@ -44,20 +39,20 @@ HAND_Z = _field([[0.6, 0.4], [0.3, 0.7]])
 def test_ce_zero_at_target():
     rng = np.random.default_rng(0)
     y = _random_one_hot(rng, (4, 4))
-    assert cross_entropy(y, y).total == 0.0
+    assert evaluate_loss("ce", y, y).total == 0.0
 
 
 def test_ce_hand_value():
     y = _field([[1.0, 0.0]])
     z = _field([[0.5, 0.5]])
-    assert cross_entropy(y, z).total == pytest.approx(0.6931471805599453, abs=1e-12)
+    assert evaluate_loss("ce", y, z).total == pytest.approx(0.6931471805599453, abs=1e-12)
 
 
 def test_ce_gradient_is_z_minus_y_over_n():
     rng = np.random.default_rng(1)
     y = _random_one_hot(rng, (4, 4))
     theta = LogitField(rng.normal(size=(4, 4, 4)))
-    value = cross_entropy(y, theta)
+    value = evaluate_loss("ce", y, theta)
     from jseg import softmax
 
     z = softmax(theta).values
@@ -66,18 +61,18 @@ def test_ce_gradient_is_z_minus_y_over_n():
 
 def test_j_hand_value():
     # alpha_0 = 0.6, beta_01 = 0.7, and the symmetric pair: -2 log 0.65
-    assert j_loss(HAND_Y, HAND_Z).total == pytest.approx(0.8615658321849085, abs=1e-9)
+    assert evaluate_loss("j", HAND_Y, HAND_Z).total == pytest.approx(0.8615658321849085, abs=1e-9)
 
 
 def test_j_zero_at_target_with_all_classes_present():
     rng = np.random.default_rng(2)
     for _ in range(20):
         y = _random_one_hot(rng, (5, 5))
-        assert abs(j_loss(y, y).total) < 1e-9
+        assert abs(evaluate_loss("j", y, y).total) < 1e-9
 
 
 def test_jc_hand_value_and_components():
-    value = jc_loss(HAND_Y, HAND_Z)
+    value = evaluate_loss("jc", HAND_Y, HAND_Z)
     assert value.total == pytest.approx(1.2953161160372701, abs=1e-9)
     assert value.components["j"] == pytest.approx(0.8615658321849085, abs=1e-9)
     assert value.components["ce"] == pytest.approx(0.4337502838523616, abs=1e-9)
@@ -89,8 +84,8 @@ def test_jc_additivity_on_random_fields():
         dims = (int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         y = _random_one_hot(rng, dims)
         theta = LogitField(rng.normal(size=dims + (4,)))
-        total = jc_loss(y, theta).total
-        parts = cross_entropy(y, theta).total + j_loss(y, theta).total
+        total = evaluate_loss("jc", y, theta).total
+        parts = evaluate_loss("ce", y, theta).total + evaluate_loss("j", y, theta).total
         assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -98,8 +93,8 @@ def test_bwm_equals_ce_when_balanced():
     y = _field([[1, 0], [0, 1], [1, 0], [0, 1]])
     rng = np.random.default_rng(4)
     theta = LogitField(rng.normal(size=(1, 4, 2)))
-    a = bwm_loss(y, theta)
-    b = cross_entropy(y, theta)
+    a = evaluate_loss("bwm", y, theta)
+    b = evaluate_loss("ce", y, theta)
     assert a.total == pytest.approx(b.total, abs=1e-12)
     assert np.allclose(a.gradient, b.gradient, atol=1e-12)
 
@@ -107,13 +102,13 @@ def test_bwm_equals_ce_when_balanced():
 def test_bwm_zero_at_target():
     rng = np.random.default_rng(5)
     y = _random_one_hot(rng, (4, 5))
-    assert bwm_loss(y, y).total == 0.0
+    assert evaluate_loss("bwm", y, y).total == 0.0
 
 
 def test_dsc_hand_value():
     y = _field([[1.0, 0.0]])
     z = _field([[0.5, 0.5]])
-    value = dsc_loss(y, z)
+    value = evaluate_loss("dsc", y, z)
     # d_0 = 2*0.5 / (0.25 + 1) = 0.8; class 1 absent -> dice part 0.2
     assert value.components["dice"] == pytest.approx(0.2, abs=1e-12)
     assert value.total == pytest.approx(0.6931471805599453 + 0.2, abs=1e-12)
@@ -122,7 +117,7 @@ def test_dsc_hand_value():
 def test_dsc_zero_at_target():
     rng = np.random.default_rng(6)
     y = _random_one_hot(rng, (5, 4))
-    value = dsc_loss(y, y)
+    value = evaluate_loss("dsc", y, y)
     assert value.components["dice"] == pytest.approx(0.0, abs=1e-12)
     assert value.total == pytest.approx(0.0, abs=1e-12)
 
@@ -138,7 +133,7 @@ def test_gradient_check_covers_2d_and_3d():
     rng = np.random.default_rng(7)
     y = _random_one_hot(rng, (3, 3, 3))
     theta = rng.normal(size=(3, 3, 3, 4))
-    analytic = jc_loss(y, LogitField(theta)).gradient
+    analytic = evaluate_loss("jc", y, LogitField(theta)).gradient
     w = PairWeights.default(4)
     numeric = finite_difference_gradient(_stack_totals("jc", y.values, w), theta)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -160,9 +155,9 @@ def test_lambda_scaling_scales_j_exactly():
     rng = np.random.default_rng(9)
     y = _random_one_hot(rng, (4, 4))
     theta = LogitField(rng.normal(size=(4, 4, 4)))
-    base = j_loss(y, theta, PairWeights.default(4))
+    base = evaluate_loss("j", y, theta, PairWeights.default(4))
     c = 3.7
-    scaled = j_loss(y, theta, PairWeights(c * PairWeights.default(4).matrix))
+    scaled = evaluate_loss("j", y, theta, PairWeights(c * PairWeights.default(4).matrix))
     assert scaled.total == pytest.approx(c * base.total, rel=1e-15)
     assert np.allclose(scaled.gradient, c * base.gradient, rtol=1e-15, atol=0)
 
@@ -173,8 +168,8 @@ def test_diagonal_weights_change_nothing():
     theta = LogitField(rng.normal(size=(4, 4, 4)))
     base = PairWeights.default(4).matrix
     spiked = base + 100.0 * np.eye(4)
-    a = j_loss(y, theta, PairWeights(base))
-    b = j_loss(y, theta, PairWeights(spiked))
+    a = evaluate_loss("j", y, theta, PairWeights(base))
+    b = evaluate_loss("j", y, theta, PairWeights(spiked))
     assert a.total == b.total
     assert np.array_equal(a.gradient, b.gradient)
 
@@ -185,12 +180,13 @@ def test_j_invariant_under_class_relabeling():
     theta = rng.normal(size=(5, 4, 4))
     lam = rng.random((4, 4))
     np.fill_diagonal(lam, 0.0)
-    base = j_loss(y, LogitField(theta), PairWeights(lam)).total
+    base = evaluate_loss("j", y, LogitField(theta), PairWeights(lam)).total
     perm = rng.permutation(4)
     y_p = ProbabilityField(y.values[..., perm])
     theta_p = LogitField(theta[..., perm])
     lam_p = lam[np.ix_(perm, perm)]
-    assert j_loss(y_p, theta_p, PairWeights(lam_p)).total == pytest.approx(base, rel=1e-12)
+    permuted = evaluate_loss("j", y_p, theta_p, PairWeights(lam_p)).total
+    assert permuted == pytest.approx(base, rel=1e-12)
 
 
 def test_absent_class_is_safe_and_contributes_nothing():
@@ -198,8 +194,8 @@ def test_absent_class_is_safe_and_contributes_nothing():
     classes = rng.integers(0, 3, size=(4, 4)).astype(np.int32)  # class 3 absent
     y = one_hot(SemanticLabelMap(classes), 4)
     theta = LogitField(rng.normal(size=(4, 4, 4)))
-    for fn in (cross_entropy, j_loss, jc_loss, bwm_loss, dsc_loss):
-        value = fn(y, theta)
+    for loss_id in LOSS_IDS:
+        value = evaluate_loss(loss_id, y, theta)
         assert np.isfinite(value.total)
         assert np.all(np.isfinite(value.gradient))
 
@@ -216,7 +212,7 @@ def test_losses_nonnegative_on_random_fields():
 def test_probability_input_yields_no_gradient():
     rng = np.random.default_rng(14)
     y = _random_one_hot(rng, (3, 3))
-    value = jc_loss(y, y)
+    value = evaluate_loss("jc", y, y)
     assert value.gradient is None
     with pytest.raises(ValueError):
         value.grad_norm
@@ -226,21 +222,21 @@ def test_shape_mismatch_rejected():
     rng = np.random.default_rng(15)
     y = _random_one_hot(rng, (3, 3))
     z = _random_one_hot(rng, (3, 4))
-    for fn in (cross_entropy, j_loss, jc_loss, bwm_loss, dsc_loss):
+    for loss_id in LOSS_IDS:
         with pytest.raises(ValueError):
-            fn(y, z)
+            evaluate_loss(loss_id, y, z)
 
 
 def test_target_must_be_one_hot():
     soft = ProbabilityField(np.full((2, 2, 4), 0.25))
     with pytest.raises(ValueError):
-        cross_entropy(soft, soft)
+        evaluate_loss("ce", soft, soft)
 
 
 def test_logits_to_probs_equivalence():
     # evaluating through log-probabilities reproduces the probability value
-    value_probs = j_loss(HAND_Y, HAND_Z).total
-    value_logits = j_loss(HAND_Y, probs_to_logits(HAND_Z)).total
+    value_probs = evaluate_loss("j", HAND_Y, HAND_Z).total
+    value_logits = evaluate_loss("j", HAND_Y, probs_to_logits(HAND_Z)).total
     assert value_logits == pytest.approx(value_probs, rel=1e-12)
 
 
@@ -263,7 +259,7 @@ def test_j_gradient_stays_finite_for_a_weight_near_the_float_limit():
     y = _random_one_hot(rng, (6, 6))
     lam = np.zeros((4, 4))
     lam[1, 0] = 1e308
-    value = j_loss(y, LogitField(rng.normal(size=(6, 6, 4))), PairWeights(lam))
+    value = evaluate_loss("j", y, LogitField(rng.normal(size=(6, 6, 4))), PairWeights(lam))
     assert np.isfinite(value.total)
     assert np.all(np.isfinite(value.gradient))
 
@@ -350,7 +346,7 @@ def test_losses_are_equivariant_under_a_class_permutation(case, perm, data):
 @given(_target_and_logits())
 def test_jc_of_the_target_against_itself_is_zero(case):
     y, _ = case
-    assert jc_loss(y, y).total == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_loss("jc", y, y).total == pytest.approx(0.0, abs=1e-12)
 
 
 @_PROPERTY

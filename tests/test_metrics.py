@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from jseg import (
     ConfusionCounts,
     InstanceLabelMap,
     binary_measures,
+    confusion_measures,
     match_instances,
     panoptic,
     pearson,
 )
-from oracles import brute_iou_table
+from jseg.metrics import MEASURES
+from oracles import brute_iou_table, scalar_binary_measures, trial_measures
 
 
 def test_perfect_classifier():
@@ -41,7 +45,7 @@ def test_tversky_half_half_equals_f1():
     rng = np.random.default_rng(0)
     for _ in range(50):
         c = ConfusionCounts(*(int(x) for x in rng.integers(1, 100, size=4)))
-        report = binary_measures(c, tversky_alpha=0.5, tversky_beta=0.5)
+        report = binary_measures(c)
         assert report["tversky"] == pytest.approx(report["f1"], rel=1e-15)
 
 
@@ -64,6 +68,42 @@ def test_zero_denominators_are_flagged():
     report = binary_measures(ConfusionCounts(tp=0, fp=0, fn=0, tn=10))
     assert "j" in report.flagged
     assert report["j"] == 0.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_confusion_measures_equal_the_trial_reference_bit_for_bit():
+    # The counts the imbalance sweep derives from tp and the class totals.
+    rng = np.random.default_rng(5)
+    samples = 500
+    for pi, p_pred in ((0.01, 0.01), (0.02, 0.5), (0.3, 0.3), (0.5, 0.5)):
+        gt = rng.random((300, samples)) < pi
+        pred = rng.random((300, samples)) < p_pred
+        pos, ppos = gt.sum(axis=1), pred.sum(axis=1)
+        keep = (pos > 0) & (pos < samples) & (ppos > 0) & (ppos < samples)
+        gt, pred, pos, ppos = gt[keep], pred[keep], pos[keep], ppos[keep]
+        tp = (gt & pred).sum(axis=1)
+        values, zero = confusion_measures(tp, ppos - tp, pos - tp, samples - pos - ppos + tp)
+        for name, want in zip(MEASURES, trial_measures(gt, pred)):
+            assert _bits(values[name]) == _bits(want), (pi, name)
+            assert not zero[name].any()
+
+
+def test_confusion_measures_flag_zero_denominators_like_the_scalar_path():
+    # Every count matrix over {0, 1, 2} but the empty one, as one batch.
+    counts = np.array([c for c in itertools.product(range(3), repeat=4) if any(c)])
+    values, zero = confusion_measures(*counts.T)
+    flagged_somewhere = set()
+    for row, c in enumerate(counts.tolist()):
+        report = binary_measures(ConfusionCounts(*c))
+        want, want_flags = scalar_binary_measures(*c)
+        assert report.flagged == want_flags == {m for m in MEASURES if zero[m][row]}
+        flagged_somewhere |= want_flags
+        for m in MEASURES:
+            assert _bits(values[m][row]) == _bits(report[m]) == _bits(want[m]), (c, m)
+    assert flagged_somewhere == set(MEASURES) - {"accuracy"}
 
 
 def test_pearson_perfect_correlations():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jseg.simulate
 from jseg import (
     ImbalanceSimConfig,
     LogitField,
@@ -173,6 +174,17 @@ def test_landscape_deterministic_and_thread_independent():
     assert np.array_equal(a.values, b.values)
     c = landscape_scan("jc", y, theta, seed=5, resolution=9, span=0.5)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_landscape_equals_the_blas_norm_scan_within_rounding(monkeypatch):
+    # The directions are scaled by a pairwise-summed norm so the scan does not
+    # depend on the BLAS thread count; np.linalg.norm's dot gives the same scan
+    # up to rounding.
+    y, theta = _landscape_inputs()
+    pairwise = landscape_scan("jc", y, theta, seed=4, resolution=9, span=0.5)
+    monkeypatch.setattr(jseg.simulate, "l2_norm", np.linalg.norm)
+    blas = landscape_scan("jc", y, theta, seed=4, resolution=9, span=0.5)
+    np.testing.assert_allclose(pairwise.values, blas.values, rtol=1e-12, atol=0)
 
 
 def test_landscape_validation():

@@ -11,8 +11,8 @@ from jseg import (
     TrainConfig,
     TrainDiverged,
     TransformConfig,
+    evaluate_loss,
     generate_scene,
-    jc_loss,
     one_hot,
     to_semantic,
     train,
@@ -101,7 +101,7 @@ def test_overflowing_loss_raises_train_diverged_with_the_partial_trace():
     huge = PairWeights(1e308 * PairWeights.default(4).matrix)
     # numpy reports the overflow; the J sum must come out +inf, not finite or NaN.
     with pytest.warns(RuntimeWarning):
-        value = jc_loss(y, LogitField(np.zeros(y.values.shape)), huge)
+        value = evaluate_loss("jc", y, LogitField(np.zeros(y.values.shape)), huge)
         with pytest.raises(TrainDiverged, match="iteration 0") as info:
             train(y, g, TrainConfig(loss="jc", iterations=5), weights=huge)
     assert value.components["j"] == np.inf
