@@ -113,8 +113,7 @@ def _write_manifest(args, inputs: list[str], outputs: list[str], started: float)
 
 def _target_field(args):
     semantic = read_grid(args.target, "semantic")
-    channels = getattr(args, "classes", 4)
-    return one_hot(semantic, channels)
+    return one_hot(semantic, args.classes)
 
 
 def _pred_logits(args):
@@ -398,7 +397,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"jseg: {exc}", file=sys.stderr)
         return 1
     started = time.monotonic()
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         args.seed = int.from_bytes(os.urandom(4), "little")
     try:
         outputs = args.func(args)

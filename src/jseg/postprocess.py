@@ -7,7 +7,6 @@ components with iterative absorption of the touching band.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,36 +84,10 @@ def resolve_gaps(
     return SemanticLabelMap(out)
 
 
-def face_offsets(d: int) -> list[tuple[int, ...]]:
-    """Face-neighbour offsets (4 in 2-D, 6 in 3-D)."""
-    return [tuple(sign * (i == axis) for i in range(d)) for axis in range(d) for sign in (-1, 1)]
-
-
-def full_offsets(d: int) -> list[tuple[int, ...]]:
-    """All nonzero offsets of the Chebyshev-1 neighbourhood."""
-    return [off for off in itertools.product((-1, 0, 1), repeat=d) if any(off)]
-
-
 def _structure(connectivity: str, d: int) -> np.ndarray:
-    if connectivity == FACE:
-        return ndimage.generate_binary_structure(d, 1)
-    return np.ones((3,) * d, dtype=bool)
-
-
-def _shift(arr: np.ndarray, offset: tuple[int, ...], fill) -> np.ndarray:
-    """Shift without wraparound, padding with ``fill``."""
-    out = np.full_like(arr, fill)
-    src = []
-    dst = []
-    for n, o in zip(arr.shape, offset):
-        if o >= 0:
-            src.append(slice(0, n - o))
-            dst.append(slice(o, n))
-        else:
-            src.append(slice(-o, n))
-            dst.append(slice(0, n + o))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
+    """The neighbourhood of an element, centre included: face neighbours
+    or the full Chebyshev-1 cube."""
+    return ndimage.generate_binary_structure(d, 1 if connectivity == FACE else d)
 
 
 def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = None) -> InstanceLabelMap:
@@ -133,20 +106,29 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
     d = classes.ndim
 
     cells = classes == CELL
-    labels, m = ndimage.label(cells, structure=_structure(cfg.connectivity, d))
+    structure = _structure(cfg.connectivity, d)
+    labels, m = ndimage.label(cells, structure=structure)
     labels = labels.astype(np.int32)
 
     touching = classes == TOUCHING
-    offsets = face_offsets(d) if cfg.connectivity == FACE else full_offsets(d)
+    shape = labels.shape
+    # In the grid padded by one element, the window at offset ``off`` of
+    # the structure reads, for each element, its neighbour at ``off - 1``.
+    windows = [tuple(slice(o, o + n) for o, n in zip(off, shape)) for off in np.argwhere(structure)]
     sentinel = np.int32(m + 1)
+    padded = np.full([n + 2 for n in shape], sentinel)
+    interior = padded[(slice(1, -1),) * d]
+    best = np.empty_like(labels)
     while True:
         unassigned = touching & (labels == 0)
         if not unassigned.any():
             break
-        best = np.full_like(labels, sentinel)
-        for off in offsets:
-            neighbor = _shift(labels, off, 0)
-            np.minimum(best, np.where(neighbor > 0, neighbor, sentinel), out=best)
+        np.copyto(interior, np.where(labels > 0, labels, sentinel))
+        best.fill(sentinel)
+        # The centre window reads the unassigned element itself, a sentinel,
+        # so it changes no minimum where ``grow`` looks.
+        for window in windows:
+            np.minimum(best, padded[window], out=best)
         grow = unassigned & (best <= m)
         if not grow.any():
             break  # remaining touching elements are unreachable

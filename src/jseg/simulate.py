@@ -71,6 +71,8 @@ class ImbalanceSimConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if not self.pis or any(not 0.0 < p <= 0.5 for p in self.pis):
             raise ValueError("every imbalance ratio must lie in (0, 0.5]")
+        if len(set(self.pis)) != len(self.pis):
+            raise ValueError("imbalance ratios must be distinct")
         if self.samples < 100:
             raise ValueError("need at least 100 samples per trial")
         if self.trials < 2:
@@ -79,7 +81,12 @@ class ImbalanceSimConfig:
 
 @dataclass(frozen=True)
 class ImbalanceTable:
-    """Per-(pi, trial) measure table plus resampling counts."""
+    """Per-(pi, trial) measure table plus resampling counts.
+
+    ``rows`` holds one contiguous block of trials per ratio, in the order
+    of ``pis``; the ratios are distinct, so each block has its own
+    ``resampled`` count.
+    """
 
     classifier: str
     pis: tuple[float, ...]
@@ -87,8 +94,7 @@ class ImbalanceTable:
     resampled: dict[float, int]
 
     def per_pi(self, pi: float, measure: str) -> np.ndarray:
-        sel = self.rows["pi"] == pi
-        return self.rows[measure][sel]
+        return self.rows[measure].reshape(len(self.pis), -1)[self.pis.index(pi)]
 
     def summary(self) -> list[dict]:
         out = []

@@ -22,6 +22,9 @@ from .transform import GAP
 
 __all__ = ["TrainConfig", "TrainRecord", "TrainTrace", "TrainDiverged", "train"]
 
+#: Adam's learning rate.
+_ADAM_LR = 1e-4
+
 #: Post-processing behind the panoptic quality that training records.
 _MEASURE_POST = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
 
@@ -43,7 +46,6 @@ class TrainConfig:
     log_every: int = 50
     seed: int = 0
     optimizer: str = "gd"
-    adam_lr: float = 1e-4
     init_noise: float = 0.5
 
     def __post_init__(self):
@@ -135,7 +137,7 @@ def train(
 
     gap_mask = target.values[..., GAP] == 1.0 if target.channels > GAP else None
     target_classes = np.argmax(target.values, axis=-1)
-    adam = _Adam(cfg.adam_lr) if cfg.optimizer == "adam" else None
+    adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
 
     def measure_pq(logits: LogitField) -> float:
         instances = instances_from_probs(softmax(logits), _MEASURE_POST)

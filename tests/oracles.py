@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def ball_offsets(radius: int, d: int) -> list[tuple[int, ...]]:
@@ -28,6 +29,11 @@ def chebyshev_offsets(k: int, d: int) -> list[tuple[int, ...]]:
     """All nonzero offsets with Chebyshev norm at most ``k``."""
     rng = range(-k, k + 1)
     return [off for off in itertools.product(rng, repeat=d) if any(off)]
+
+
+def face_offsets(d: int) -> list[tuple[int, ...]]:
+    """The 2*d nonzero offsets with one coordinate of +-1."""
+    return [off for off in chebyshev_offsets(1, d) if sum(map(abs, off)) == 1]
 
 
 def _shift_bool(mask: np.ndarray, offset: tuple[int, ...], fill: bool) -> np.ndarray:
@@ -266,3 +272,77 @@ def scalar_binary_measures(tp: int, fp: int, fn: int, tn: int) -> tuple[dict[str
         "accuracy": rate(tp + tn, total, "accuracy"),
     }
     return values, flags
+
+
+def brute_instances(classes: np.ndarray, connectivity: str) -> np.ndarray:
+    """Instance labelling with absorption of the touching band, one element
+    at a time.
+
+    Cell components (class 1) are flood-filled over the literal face or
+    Chebyshev-1 offsets and numbered 1..m in scan order of their first
+    element.  Each round then gives every unlabelled touching element
+    (class 2) with a labelled neighbour the smallest such label, all read
+    from the labels of the previous round; touching elements that no round
+    reaches stay 0.
+    """
+    dims = classes.shape
+    offsets = face_offsets(len(dims)) if connectivity == "face" else chebyshev_offsets(1, len(dims))
+
+    def neighbours(idx):
+        for off in offsets:
+            nb = tuple(i + o for i, o in zip(idx, off))
+            if all(0 <= j < n for j, n in zip(nb, dims)):
+                yield nb
+
+    labels = np.zeros(dims, dtype=np.int32)
+    m = 0
+    for idx in itertools.product(*[range(n) for n in dims]):
+        if classes[idx] != 1 or labels[idx]:
+            continue
+        m += 1
+        labels[idx] = m
+        stack = [idx]
+        while stack:
+            for nb in neighbours(stack.pop()):
+                if classes[nb] == 1 and not labels[nb]:
+                    labels[nb] = m
+                    stack.append(nb)
+
+    while True:
+        grown = {}
+        for idx in itertools.product(*[range(n) for n in dims]):
+            if classes[idx] == 2 and not labels[idx]:
+                found = [int(labels[nb]) for nb in neighbours(idx) if labels[nb]]
+                if found:
+                    grown[idx] = min(found)
+        if not grown:
+            return labels
+        for idx, label in grown.items():
+            labels[idx] = label
+
+
+def shift_instances(classes: np.ndarray, connectivity: str) -> np.ndarray:
+    """The whole-grid shift loop that ``jseg.postprocess.to_instances`` ran
+    before it read its neighbourhood from the labelling structure; its
+    output is the byte-for-byte reference for the windowed loop."""
+    d = classes.ndim
+    structure = ndimage.generate_binary_structure(d, 1 if connectivity == "face" else d)
+    labels, m = ndimage.label(classes == 1, structure=structure)
+    labels = labels.astype(np.int32)
+
+    touching = classes == 2
+    offsets = face_offsets(d) if connectivity == "face" else chebyshev_offsets(1, d)
+    sentinel = np.int32(m + 1)
+    while True:
+        unassigned = touching & (labels == 0)
+        if not unassigned.any():
+            break
+        best = np.full_like(labels, sentinel)
+        for off in offsets:
+            neighbor = _shift_int(labels, off)
+            np.minimum(best, np.where(neighbor > 0, neighbor, sentinel), out=best)
+        grow = unassigned & (best <= m)
+        if not grow.any():
+            break  # remaining touching elements are unreachable
+        labels[grow] = best[grow]
+    return labels

@@ -308,6 +308,14 @@ def test_sim_imbalance_with_correlation_runs_the_sweep_once(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
+    out = tmp_path / "imb.csv"
+    assert run("sim-imbalance", "--classifier", "c1", "--pis", "0.01", "0.01", "--samples", "100",
+               "--trials", "50", "--seed", "1", "--out", str(out)) == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     out = tmp_path / "s.grd"

@@ -16,6 +16,7 @@ from jseg import (
     to_instances,
     to_semantic,
 )
+from oracles import brute_instances, shift_instances
 
 
 def _field(rows):
@@ -125,6 +126,34 @@ def test_unreachable_touching_becomes_background():
     instances = to_instances(h)
     assert instances.labels[0, 0] == 0
     assert instances.labels[0, 2] == 1
+
+
+def test_to_instances_equals_the_element_reference_and_the_shift_loop():
+    rng = np.random.default_rng(7)
+    maps = [
+        np.array([[1, 2, 1]], dtype=np.int32),  # a tie: the smaller label wins
+        np.array([[1, 0, 0], [0, 2, 0], [0, 0, 1]], dtype=np.int32),  # a diagonal tie
+        np.array([[2, 2, 0, 1, 2, 2]], dtype=np.int32),  # one band element out of reach
+    ]
+    for dims in ((12, 12), (9, 14), (6, 6, 6), (4, 7, 5)):
+        for p_touch in (0.2, 0.5):
+            for _ in range(8):
+                p = [0.7 - p_touch, 0.3, p_touch]
+                maps.append(rng.choice([0, 1, 2], p=p, size=dims).astype(np.int32))
+    unreachable = 0
+    for classes in maps:
+        for connectivity in ("face", "full"):
+            got = to_instances(SemanticLabelMap(classes), PostprocessConfig(connectivity=connectivity))
+            assert np.array_equal(got.labels, brute_instances(classes, connectivity))
+            reference = shift_instances(classes, connectivity)
+            assert got.labels.dtype == reference.dtype
+            assert got.labels.tobytes() == reference.tobytes()
+            unreachable += int(((classes == 2) & (got.labels == 0)).any())
+    assert to_instances(SemanticLabelMap(maps[0])).labels.tolist() == [[1, 1, 2]]
+    full = to_instances(SemanticLabelMap(maps[1]), PostprocessConfig(connectivity="full"))
+    assert full.labels.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+    assert not to_instances(SemanticLabelMap(maps[1])).labels[1, 1]
+    assert unreachable > 10
 
 
 def test_round_trip_recovers_scene():

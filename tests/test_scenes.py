@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from jseg import SceneSpec, generate_scene
-from jseg.postprocess import face_offsets
-from oracles import chebyshev_offsets, full_grid_blobs
+from oracles import chebyshev_offsets, face_offsets, full_grid_blobs
 
 
 def _spec(**kw):

@@ -46,6 +46,9 @@ def test_imbalance_determinism_and_thread_independence():
     a = run_imbalance_sim(cfg, threads=1)
     b = run_imbalance_sim(cfg, threads=8)
     assert a.rows.tobytes() == b.rows.tobytes()
+    for pi in cfg.pis:
+        for measure in ("pi", "trial", "j", "mcc"):
+            assert np.array_equal(a.per_pi(pi, measure), a.rows[measure][a.rows["pi"] == pi])
     c = run_imbalance_sim(_small_cfg(seed=1))
     assert a.rows.tobytes() != c.rows.tobytes()
 
@@ -80,6 +83,11 @@ def test_imbalance_config_validation():
         _small_cfg(trials=1)
     with pytest.raises(ValueError):
         _small_cfg(classifier="c2")
+    # One block per ratio: a repeated ratio would pool two blocks in the
+    # summary but keep only the last block's resampling count.
+    for pis in ((0.01, 0.01), (0.25, 0.5, 0.25)):
+        with pytest.raises(ValueError, match="distinct"):
+            _small_cfg(pis=pis)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_jc_fixes_gap_elements_before_ce():
 
 def test_adam_optimizer_descends():
     g, y = _scene_target()
-    cfg = TrainConfig(loss="jc", iterations=200, optimizer="adam", adam_lr=1e-2, seed=2)
+    cfg = TrainConfig(loss="jc", iterations=200, optimizer="adam", seed=2)
     trace = train(y, g, cfg)
     assert trace.records[-1].total < trace.records[0].total
 
