@@ -7,7 +7,6 @@ robustness simulations, and the evaluation metrics that go with them.
 """
 
 from .grids import (
-    GridShape,
     InstanceLabelMap,
     LogitField,
     ProbabilityField,

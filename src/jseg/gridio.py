@@ -157,7 +157,9 @@ def read_grid(path: str | os.PathLike, kind: str):
     if want_channels is None and channels == 1:
         raise DimMismatchError(f"{kind} field needs a channel axis, file is single-channel")
     try:
-        return container(arr)
+        # A signalling NaN warns when the container casts it; it rejects every NaN.
+        with np.errstate(invalid="ignore"):
+            return container(arr)
     except ValueError as exc:
         raise InvalidValuesError(str(exc)) from exc
 
@@ -198,14 +200,8 @@ def _read_grd(path) -> tuple[np.ndarray, int]:
             raise TruncatedPayloadError(
                 f"payload holds {len(payload)} bytes, header declares {expected}"
             )
-        arr = np.frombuffer(payload, dtype=dtype)
         shape = tuple(dims) + ((channels,) if channels > 1 else ())
-        arr = arr.reshape(shape)
-        if dtype.kind == "u":
-            return arr.astype(np.int32), channels
-        # A signalling NaN warns when cast; the container rejects every NaN.
-        with np.errstate(invalid="ignore"):
-            return arr.astype(np.float64), channels
+        return np.frombuffer(payload, dtype=dtype).reshape(shape), channels
 
 
 def _read_pgm(path) -> np.ndarray:
@@ -242,4 +238,4 @@ def _read_pgm(path) -> np.ndarray:
         raise TruncatedPayloadError(
             f"payload holds {len(payload)} bytes, header declares {w * h * 2}"
         )
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(np.int32)
+    return np.frombuffer(payload, dtype=">u2").reshape(h, w)

@@ -7,6 +7,12 @@ are marked read-only once a container is built, so instances can move
 between threads freely.  All reductions run in a fixed order (numpy's
 pairwise summation, or an in-order fold over the channels), which keeps
 results independent of worker count.
+
+Each construction checks its input once and makes exactly one copy, in
+the container's dtype (int32 for maps, float64 for fields), so no caller
+array is ever aliased or frozen.  Callers therefore hand over arrays as
+they have them: the grid readers pass the raw file payload (``<u2``,
+``>u2`` or ``<f4``) and the container does the cast.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GridShape",
     "InstanceLabelMap",
     "SemanticLabelMap",
     "ProbabilityField",
@@ -32,32 +37,39 @@ PROB_ATOL = 1e-6
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-@dataclass(frozen=True)
-class GridShape:
-    """Extent of a d-dimensional element grid, d restricted to 2 or 3."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) not in (2, 3):
-            raise ValueError(f"grid must be 2-D or 3-D, got {len(dims)} dims")
-        if any(n < 1 for n in dims):
-            raise ValueError(f"every grid dimension must be >= 1, got {dims}")
-
-    @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    @property
-    def n_elements(self) -> int:
-        return int(np.prod(self.dims))
+def _check_dims(dims: tuple[int, ...]) -> None:
+    if len(dims) not in (2, 3):
+        raise ValueError(f"grid must be 2-D or 3-D, got {len(dims)} dims")
+    if min(dims) < 1:
+        raise ValueError(f"every grid dimension must be >= 1, got {dims}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # Always copy: marking a view read-only would freeze the caller's array.
-    out = np.array(arr, order="C", copy=True)
+def _label_copy(values, what: str, top: int, bounds: str) -> np.ndarray:
+    """The one read-only int32 copy of an integer grid with values in [0, top].
+
+    The range is checked in the input's own dtype, before the cast could wrap.
+    """
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{what} must be integers")
+    _check_dims(values.shape)
+    if values.min() < 0 or values.max() > top:
+        raise ValueError(f"{what} must {bounds}")
+    out = np.array(values, dtype=np.int32, order="C", copy=True)
+    out.setflags(write=False)
+    return out
+
+
+def _field_copy(values, what: str) -> np.ndarray:
+    """The one read-only float64 copy of a finite field with >= 2 channels."""
+    out = np.array(values, dtype=np.float64, order="C", copy=True)
+    if out.ndim not in (3, 4):
+        raise ValueError(f"{what} field needs spatial dims plus a channel axis")
+    _check_dims(out.shape[:-1])
+    if out.shape[-1] < 2:
+        raise ValueError(f"{what} field needs at least 2 channels")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} values must be finite")
     out.setflags(write=False)
     return out
 
@@ -69,19 +81,9 @@ class InstanceLabelMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("instance labels must be integers")
-        GridShape(labels.shape)
-        if labels.size and labels.min() < 0:
-            raise ValueError("instance labels must be non-negative")
-        if labels.size and labels.max() > _INT32_MAX:
-            raise ValueError(f"instance labels must fit in int32 (at most {_INT32_MAX})")
-        object.__setattr__(self, "labels", _freeze(labels.astype(np.int32)))
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(self.labels.shape)
+        bounds = f"be non-negative and fit in int32 (at most {_INT32_MAX})"
+        labels = _label_copy(self.labels, "instance labels", _INT32_MAX, bounds)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:
@@ -96,17 +98,8 @@ class SemanticLabelMap:
     classes: np.ndarray
 
     def __post_init__(self):
-        classes = np.asarray(self.classes)
-        if not np.issubdtype(classes.dtype, np.integer):
-            raise ValueError("semantic classes must be integers")
-        GridShape(classes.shape)
-        if classes.size and (classes.min() < 0 or classes.max() > 3):
-            raise ValueError("semantic classes must lie in {0, 1, 2, 3}")
-        object.__setattr__(self, "classes", _freeze(classes.astype(np.int32)))
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(self.classes.shape)
+        classes = _label_copy(self.classes, "semantic classes", 3, "lie in {0, 1, 2, 3}")
+        object.__setattr__(self, "classes", classes)
 
 
 @dataclass(frozen=True)
@@ -116,24 +109,13 @@ class ProbabilityField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim not in (3, 4):
-            raise ValueError("probability field needs spatial dims plus a channel axis")
-        GridShape(values.shape[:-1])
-        if values.shape[-1] < 2:
-            raise ValueError("probability field needs at least 2 channels")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("probabilities must be finite")
+        values = _field_copy(self.values, "probability")
         if values.min() < -PROB_ATOL or values.max() > 1.0 + PROB_ATOL:
             raise ValueError("probabilities must lie in [0, 1]")
         worst = float(np.abs(fold_channels(np.add, values) - 1.0).max())
         if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(self.values.shape[:-1])
+        object.__setattr__(self, "values", values)
 
     @property
     def channels(self) -> int:
@@ -163,19 +145,7 @@ class LogitField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim not in (3, 4):
-            raise ValueError("logit field needs spatial dims plus a channel axis")
-        GridShape(values.shape[:-1])
-        if values.shape[-1] < 2:
-            raise ValueError("logit field needs at least 2 channels")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("logits must be finite")
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(self.values.shape[:-1])
+        object.__setattr__(self, "values", _field_copy(self.values, "logit"))
 
     @property
     def channels(self) -> int:

@@ -252,6 +252,11 @@ def evaluate_loss(
     return LossValue(total=sum(components.values()), components=components, gradient=gradient)
 
 
+def _check_step(step: float) -> None:
+    if not 0.0 < step < np.inf:  # written so that NaN fails too
+        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
+
+
 def finite_difference_gradient(
     fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, step: float = 1e-5
 ) -> np.ndarray:
@@ -264,7 +269,9 @@ def finite_difference_gradient(
     copies differ from ``theta`` in entry ``i`` only.  A stack holds at
     most ``FD_CHUNK_ELEMENTS`` elements, or one pair of copies when a pair
     is larger, so memory grows with ``theta.size``, not with its square.
+    Raises ``ValueError`` unless ``step`` is finite and positive.
     """
+    _check_step(step)
     shape = np.shape(theta)
     base = np.asarray(theta, dtype=np.float64).ravel()
     grad = np.empty(base.size)
@@ -307,8 +314,13 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     Relative error per entry uses ``max(|analytic|, |numeric|,
     GRAD_CHECK_FLOOR)`` as the denominator, so near-zero entries are
     compared at the floor scale.  J pairs carry the default weights.
-    Returns the maximum and mean over all trials.
+    Returns the maximum and mean over all trials; a NaN error in any trial
+    makes both NaN.  Raises ``ValueError`` for ``trials < 1`` and for a
+    ``step`` that is not finite and positive.
     """
+    if trials < 1:
+        raise ValueError(f"gradient check needs trials >= 1, got {trials}")
+    _check_step(step)
     rng = np.random.default_rng(seed)
     worst = 0.0
     total = 0.0
@@ -323,7 +335,7 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
         numeric = finite_difference_gradient(_stack_totals(loss_id, y, None), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())
-        worst = max(worst, rel)
+        worst = float(np.maximum(worst, rel))  # max() would drop a NaN
         total += rel
     return {
         "loss": loss_id,

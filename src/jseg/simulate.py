@@ -357,7 +357,7 @@ def landscape_scan(
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd number >= 3 so the centre lies on the grid")
-    if span <= 0:
+    if not span > 0:  # written so that NaN fails too
         raise ValueError("span must be positive")
     rng = np.random.default_rng(seed)
     theta = center.values

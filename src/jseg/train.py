@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import child_rng
-from .grids import InstanceLabelMap, LogitField, ProbabilityField, softmax
+from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax
 from .losses import LOSS_IDS, PairWeights, evaluate_loss
 from .metrics import panoptic
 from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
@@ -51,7 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:  # written so that NaN fails too
             raise ValueError("step size must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -59,7 +59,7 @@ class TrainConfig:
             raise ValueError("log period must be >= 1")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.init_noise < 0:
+        if not self.init_noise >= 0:
             raise ValueError("init noise must be >= 0")
 
 
@@ -136,7 +136,6 @@ def train(
         theta += cfg.init_noise * rng.standard_normal(shape)
 
     gap_mask = target.values[..., GAP] == 1.0 if target.channels > GAP else None
-    target_classes = np.argmax(target.values, axis=-1)
     adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
 
     def measure_pq(logits: LogitField) -> float:
@@ -146,8 +145,8 @@ def train(
     def gap_correct(logits_arr: np.ndarray) -> bool:
         if gap_mask is None or not gap_mask.any():
             return True
-        decided = np.argmax(logits_arr, axis=-1)
-        return bool(np.all(decided[gap_mask] == target_classes[gap_mask]))
+        # Every gap element's target class is GAP; ties go to the lowest index.
+        return bool(np.all(argmax_channels(logits_arr[gap_mask])[0] == GAP))
 
     records: list[TrainRecord] = []
     first_gap_correct: int | None = None

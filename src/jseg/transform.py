@@ -97,8 +97,10 @@ def _touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
     fg = labels > 0
     size = 2 * k + 1
     win_max = ndimage.maximum_filter(labels, size=size, mode="constant", cval=0)
-    as_float = np.where(fg, labels.astype(np.float64), np.inf)
-    win_min = ndimage.minimum_filter(as_float, size=size, mode="constant", cval=np.inf)
+    # The int32 maximum is never below a label, so it stands in for +inf.
+    top = np.iinfo(np.int32).max
+    as_top = np.where(fg, labels, top)
+    win_min = ndimage.minimum_filter(as_top, size=size, mode="constant", cval=top)
     return fg & ((win_max > labels) | (win_min < labels))
 
 

@@ -316,6 +316,25 @@ def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["grad-check", "--loss", "ce", "--trials", "0"], "trials"),
+        (["grad-check", "--loss", "ce", "--trials", "-3"], "trials"),
+        (["grad-check", "--loss", "ce", "--trials", "1", "--step", "nan"], "step must"),
+        (["grad-check", "--loss", "ce", "--trials", "1", "--step", "0"], "step must"),
+        (["train-toy", "--iterations", "1", "--step", "nan"], "step size"),
+        (["train-toy", "--iterations", "1", "--init-noise", "nan"], "init noise"),
+        (["landscape", "--resolution", "3", "--span", "nan"], "span"),
+    ],
+)
+def test_settings_that_cannot_run_are_data_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", "0", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     out = tmp_path / "s.grd"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,36 @@ def test_semantic_pgm_round_trip(tmp_path):
     write_grid(grid, path)
     back = read_grid(path, "semantic")
     assert np.array_equal(back.classes, grid.classes)
+
+
+def test_read_grid_casts_each_payload_once(tmp_path):
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 4, size=(256, 256)).astype(np.int32)
+    raw = rng.random((64, 64, 4))
+    probs = ProbabilityField(raw / raw.sum(axis=-1, keepdims=True))
+    cases = (
+        ("i.grd", InstanceLabelMap(labels), "instance", "labels"),
+        ("i.pgm", InstanceLabelMap(labels), "instance", "labels"),
+        ("s.grd", SemanticLabelMap(labels), "semantic", "classes"),
+        ("s.pgm", SemanticLabelMap(labels), "semantic", "classes"),
+        ("p.grd", probs, "probs", "values"),
+        ("l.grd", LogitField(rng.normal(size=(256, 256, 4))), "logits", "values"),
+    )
+    for name, grid, kind, attr in cases:
+        path = tmp_path / name
+        write_grid(grid, path)
+        tracemalloc.start()
+        try:
+            arr = getattr(read_grid(path, kind), attr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.dtype == (np.float64 if attr == "values" else np.int32)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        if kind != "probs":  # the simplex check's own temporaries hide a second copy
+            # The file's bytes plus one copy in the container's dtype, and for
+            # logits the finiteness mask (an eighth of the copy).
+            assert peak < path.stat().st_size + 1.25 * arr.nbytes
 
 
 def test_rejects_six_dims(tmp_path):

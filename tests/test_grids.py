@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jseg import (
-    GridShape,
     InstanceLabelMap,
     LogitField,
     ProbabilityField,
@@ -14,15 +15,32 @@ from jseg import (
 from jseg.grids import PROB_ATOL, argmax_channels, fold_channels
 
 
+def _each_kind(dims, rng):
+    """(container, field name, valid input in the container's dtype and
+    C order) for each of the four kinds over grid ``dims``."""
+    classes = rng.integers(0, 4, size=dims).astype(np.int32)
+    return (
+        (InstanceLabelMap, "labels", classes * 5),
+        (SemanticLabelMap, "classes", classes),
+        (ProbabilityField, "values", np.eye(4)[classes]),
+        (LogitField, "values", rng.normal(size=dims + (3,))),
+    )
+
+
 def test_grid_shape_validation():
-    assert GridShape((4, 5)).d == 2
-    assert GridShape((2, 3, 4)).n_elements == 24
-    with pytest.raises(ValueError):
-        GridShape((5,))
-    with pytest.raises(ValueError):
-        GridShape((2, 3, 4, 5))
-    with pytest.raises(ValueError):
-        GridShape((0, 3))
+    rng = np.random.default_rng(0)
+    for dims, message in (
+        ((5,), "2-D or 3-D|spatial dims"),
+        ((2, 3, 4, 5), "2-D or 3-D|spatial dims"),
+        ((0, 3), ">= 1"),
+        ((2, 0, 4), ">= 1"),
+    ):
+        for kind, _, arr in _each_kind(dims, rng):
+            with pytest.raises(ValueError, match=message):
+                kind(arr)
+    for dims in ((4, 5), (2, 3, 4)):
+        for kind, name, arr in _each_kind(dims, rng):
+            assert getattr(kind(arr), name).shape == arr.shape
 
 
 def test_containers_reject_bad_values():
@@ -53,11 +71,29 @@ def test_one_hot_check_runs_once_per_container():
 
 
 def test_containers_do_not_freeze_caller_arrays():
-    arr = np.zeros((2, 2, 3))
-    arr[..., 0] = 1.0
-    ProbabilityField(arr)
-    arr[0, 0, 0] = 0.5  # caller's array must stay writable
-    assert arr[0, 0, 0] == 0.5
+    # Input already in the container's dtype and C order is the case that a
+    # cast or copy skipped for "no conversion needed" would alias.
+    for kind, name, arr in _each_kind((3, 4), np.random.default_rng(1)):
+        assert arr.flags.c_contiguous and arr.dtype == (np.int32 if arr.ndim == 2 else np.float64)
+        stored = getattr(kind(arr), name)
+        assert arr.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(stored, arr)
+        before = stored.copy()
+        arr[0, 0] += 1  # the caller's array stays writable ...
+        assert np.array_equal(stored, before)  # ... and its writes stay out
+
+
+def test_label_maps_are_copied_once():
+    labels = np.random.default_rng(2).integers(0, 4, size=(256, 256)).astype(np.int32)
+    for kind in (InstanceLabelMap, SemanticLabelMap):
+        tracemalloc.start()
+        try:
+            kind(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One int32 copy; a second copy would take the peak to twice this.
+        assert labels.nbytes <= peak < 1.5 * labels.nbytes
 
 
 def test_softmax_uniform_on_equal_logits():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import jseg.losses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -126,6 +128,35 @@ def test_dsc_zero_at_target():
 def test_gradients_match_finite_differences(loss_id):
     report = gradient_check(loss_id, seed=13, trials=15)
     assert report["grad_max_rel_err"] < 1e-4
+
+
+@pytest.mark.parametrize(
+    "settings", [{"trials": 0}, {"trials": -3}, {"step": np.nan}, {"step": 0.0}, {"step": np.inf}]
+)
+def test_gradient_check_rejects_settings_it_cannot_run(settings):
+    with pytest.raises(ValueError, match="trials|step"):
+        gradient_check("ce", **settings)
+
+
+@pytest.mark.parametrize("step", [np.nan, 0.0, -1e-5, np.inf])
+def test_finite_differences_reject_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="step"):
+        finite_difference_gradient(lambda stack: stack.sum(axis=(1, 2)), np.zeros((2, 2)), step)
+
+
+def test_gradient_check_reports_a_nan_error(monkeypatch):
+    real = jseg.losses.finite_difference_gradient
+    calls = []
+
+    def nan_first(fn, theta, step):
+        calls.append(step)
+        numeric = real(fn, theta, step)
+        return np.full_like(numeric, np.nan) if len(calls) == 1 else numeric
+
+    monkeypatch.setattr(jseg.losses, "finite_difference_gradient", nan_first)
+    report = gradient_check("ce", trials=3)
+    assert len(calls) == 3
+    assert np.isnan(report["grad_max_rel_err"]) and np.isnan(report["grad_mean_rel_err"])
 
 
 def test_gradient_check_covers_2d_and_3d():

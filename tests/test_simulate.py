@@ -199,5 +199,6 @@ def test_landscape_validation():
     y, theta = _landscape_inputs()
     with pytest.raises(ValueError):
         landscape_scan("jc", y, theta, resolution=10)
-    with pytest.raises(ValueError):
-        landscape_scan("jc", y, theta, span=0.0)
+    for span in (0.0, np.nan):
+        with pytest.raises(ValueError, match="span"):
+            landscape_scan("jc", y, theta, span=span)

@@ -80,8 +80,12 @@ def test_adam_optimizer_descends():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(loss="mse")
-    with pytest.raises(ValueError):
-        TrainConfig(step_size=0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="step size"):
+            TrainConfig(step_size=bad)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="init noise"):
+            TrainConfig(init_noise=bad)
     with pytest.raises(ValueError):
         TrainConfig(iterations=-1)
     with pytest.raises(ValueError):
