@@ -3,7 +3,6 @@ thread-count-independent norm and the one CSV writer."""
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
@@ -45,24 +44,47 @@ def l2_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.square(x).sum()))
 
 
-def _cells(column) -> list:
-    values = np.asarray(column)
-    if values.dtype.kind in "fO":  # floats, or floats mixed with None
-        return ["" if v is None else format(v, ".17g") for v in values.tolist()]
-    return values.tolist()
+def _quote(cell: str) -> str:
+    """A cell as the csv module's default dialect writes it: quoted, with
+    inner quotes doubled, when it holds a delimiter, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length ``columns`` under ``header`` in the csv module's
-    default dialect.
+    """Write equal-length ``columns`` under ``header``, byte for byte as the
+    csv module's default dialect would.
 
-    Float columns are written with ``.17g``, which round-trips exactly;
-    integer and string columns as ``str`` does; None in a float column
-    gives an empty field.
+    Every row is formatted by one ``%``-template built from the columns'
+    dtypes: ``%.17g`` for a float column, which round-trips exactly, and
+    ``%d`` for an integer column.  Any other column is converted to cells
+    once and enters the template as ``%s``: None in a float-or-None column
+    gives an empty cell and its floats ``.17g``; strings keep the csv
+    module's minimal quoting and bools read ``True``/``False``.
     """
+    # The csv module quotes an empty cell that is its row's only one, so
+    # that the row does not read as a blank line.
+    empty = '""' if len(columns) == 1 else ""
+    fields, values = [], []
+    for column in columns:
+        array = np.asarray(column)
+        kind = array.dtype.kind
+        if kind in "fiu":
+            fields.append("%.17g" if kind == "f" else "%d")
+        else:
+            # Cells come from the caller's values: a numpy string array
+            # would strip trailing NULs.
+            if kind == "O":  # floats mixed with None
+                cells = [empty if v is None else format(v, ".17g") for v in column]
+            else:
+                cells = [_quote(str(v)) or empty for v in column]
+            fields.append("%s")
+            array = np.array(cells, dtype=object)
+        values.append(array)
+    template = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            stop = start + CSV_CHUNK_ROWS
-            writer.writerows(zip(*(_cells(col[start:stop]) for col in columns)))
+        fh.write(",".join(_quote(name) or empty for name in header) + "\r\n")
+        for start in range(0, len(values[0]), CSV_CHUNK_ROWS):
+            rows = zip(*(v[start : start + CSV_CHUNK_ROWS].tolist() for v in values))
+            fh.write("".join([template % row for row in rows]))

@@ -112,7 +112,9 @@ class ProbabilityField:
         values = _field_copy(self.values, "probability")
         if values.min() < -PROB_ATOL or values.max() > 1.0 + PROB_ATOL:
             raise ValueError("probabilities must lie in [0, 1]")
-        worst = float(np.abs(fold_channels(np.add, values) - 1.0).max())
+        off = fold_channels(np.add, values)
+        off -= 1.0
+        worst = float(np.abs(off, out=off).max())
         if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
         object.__setattr__(self, "values", values)
@@ -159,11 +161,13 @@ def fold_channels(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels (bar the sign of
     an all-negative-zero sum), where numpy folds in order too, at a fraction
     of the cost, since numpy's reduction over a short last axis pays a loop
-    overhead per element.
+    overhead per element.  ``x`` needs at least 2 channels; the first step
+    allocates the result and the rest fold into it, so ``x`` is never written
+    and no other array is made.
     """
-    out = x[..., 0]
-    for c in range(1, x.shape[-1]):
-        out = ufunc(out, x[..., c])
+    out = ufunc(x[..., 0], x[..., 1])
+    for c in range(2, x.shape[-1]):
+        ufunc(out, x[..., c], out=out)
     return out[..., None]
 
 

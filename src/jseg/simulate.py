@@ -3,7 +3,10 @@
 Three simulators:
 
 * random-classifier sweeps over imbalance ratios, showing which binary
-  measures stay put when the positive class shrinks;
+  measures stay put when the positive class shrinks; every measure depends
+  only on a trial's confusion counts, so each trial is sampled as counts
+  from the exact law of its per-element Bernoulli draws: binomial class
+  totals of truth and prediction, then hypergeometric true positives;
 * the shrinkwrap run, a prescribed segmentation trajectory that contracts
   an inflated mask onto two touching cells and then ramps the probabilities
   to the exact ground truth, recording the gradient norms of the losses
@@ -46,6 +49,11 @@ __all__ = [
 C1 = "c1"
 C3 = "c3"
 
+#: Upper bound on samples per trial: ``Generator.hypergeometric`` needs
+#: both populations below 10**9, and the degenerate redraw keeps each of
+#: them at least one below ``samples``.
+MAX_SAMPLES = 10**9
+
 
 def default_pi_grid() -> tuple[float, ...]:
     """Imbalance ratios 0.01, 0.02, ..., 0.50."""
@@ -57,6 +65,7 @@ class ImbalanceSimConfig:
     """Protocol for the random-classifier sweeps.
 
     C1 predicts positive with the ground-truth ratio pi, C3 with one half.
+    ``samples`` lies in [100, MAX_SAMPLES].
     """
 
     classifier: str = C3
@@ -75,6 +84,8 @@ class ImbalanceSimConfig:
             raise ValueError("imbalance ratios must be distinct")
         if self.samples < 100:
             raise ValueError("need at least 100 samples per trial")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"at most {MAX_SAMPLES} samples per trial, got {self.samples}")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
 
@@ -119,24 +130,23 @@ def _simulate_pi(args) -> tuple[np.ndarray, int]:
     p_pred = pi if cfg.classifier == C1 else 0.5
     trials, samples = cfg.trials, cfg.samples
 
-    gt = rng.random((trials, samples)) < pi
-    pred = rng.random((trials, samples)) < p_pred
+    pos = rng.binomial(samples, pi, trials)
+    ppos = rng.binomial(samples, p_pred, trials)
     resampled = 0
     while True:
         # A trial is degenerate when truth or prediction misses a class
         # entirely; Jaccard would divide by zero and MCC would be undefined.
-        pos = gt.sum(axis=1)
-        ppos = pred.sum(axis=1)
         bad = (pos == 0) | (pos == samples) | (ppos == 0) | (ppos == samples)
         n_bad = int(bad.sum())
         if n_bad == 0:
             break
         resampled += n_bad
-        gt[bad] = rng.random((n_bad, samples)) < pi
-        pred[bad] = rng.random((n_bad, samples)) < p_pred
+        pos[bad] = rng.binomial(samples, pi, n_bad)
+        ppos[bad] = rng.binomial(samples, p_pred, n_bad)
 
-    # pos and ppos hold the counts of the final draw: the last pass found no bad trial.
-    tp = (gt & pred).sum(axis=1)
+    # Given both totals, the predicted positives are a uniform subset of
+    # size ppos, so the positives among them are hypergeometric.
+    tp = rng.hypergeometric(pos, samples - pos, ppos)
     values, _ = confusion_measures(tp, ppos - tp, pos - tp, samples - pos - ppos + tp)
     rows = np.zeros(
         trials,
@@ -152,8 +162,15 @@ def _simulate_pi(args) -> tuple[np.ndarray, int]:
 def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTable:
     """Sample the configured classifier against Bernoulli(pi) ground truths.
 
-    Trials where a class is entirely absent (in the truth or the
-    prediction) are redrawn and counted.
+    Each trial is drawn as its confusion counts, from the exact joint law of
+    ``samples`` independent Bernoulli(pi) truths and Bernoulli(p_pred)
+    predictions: ``pos ~ Binomial(samples, pi)`` and ``ppos ~
+    Binomial(samples, p_pred)``, independent, then ``tp ~
+    Hypergeometric(pos, samples - pos, ppos)``, with ``fp = ppos - tp``,
+    ``fn = pos - tp`` and ``tn = samples - pos - ppos + tp``.  Trials where a
+    class is entirely absent (``pos`` or ``ppos`` is 0 or ``samples``) are
+    redrawn and counted.  Each ratio draws from its own child generator, so
+    the table is the same for any thread count.
     """
     results = ordered_thread_map(
         _simulate_pi, [(cfg, i) for i in range(len(cfg.pis))], threads

@@ -223,6 +223,32 @@ def full_grid_blobs(dims: tuple[int, ...], n_blobs: int, cell_size: int, seed: i
     return labels
 
 
+def bernoulli_trials(
+    pi: float, p_pred: float, samples: int, trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference sampler for the imbalance sweep, one element at a time.
+
+    Draws ``(trials, samples)`` Bernoulli(pi) truths and Bernoulli(p_pred)
+    predictions and redraws both rows of every trial where the truth or the
+    prediction misses a class, until none does.  Returns the truths, the
+    predictions and the number of trials redrawn; the library samples the
+    same law as confusion counts.
+    """
+    gt = rng.random((trials, samples)) < pi
+    pred = rng.random((trials, samples)) < p_pred
+    resampled = 0
+    while True:
+        pos = gt.sum(axis=1)
+        ppos = pred.sum(axis=1)
+        bad = (pos == 0) | (pos == samples) | (ppos == 0) | (ppos == samples)
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return gt, pred, resampled
+        resampled += n_bad
+        gt[bad] = rng.random((n_bad, samples)) < pi
+        pred[bad] = rng.random((n_bad, samples)) < p_pred
+
+
 def trial_measures(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, ...]:
     """Vectorized confusion measures for a (trials, samples) boolean pair.
 

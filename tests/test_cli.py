@@ -326,6 +326,7 @@ def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
         (["train-toy", "--iterations", "1", "--step", "nan"], "step size"),
         (["train-toy", "--iterations", "1", "--init-noise", "nan"], "init noise"),
         (["landscape", "--resolution", "3", "--span", "nan"], "span"),
+        (["sim-imbalance", "--samples", str(10**9 + 1)], "samples"),
     ],
 )
 def test_settings_that_cannot_run_are_data_errors(tmp_path, capsys, argv, message):

@@ -96,6 +96,20 @@ def test_label_maps_are_copied_once():
         assert labels.nbytes <= peak < 1.5 * labels.nbytes
 
 
+def test_probability_field_checks_the_simplex_without_full_temporaries():
+    raw = np.random.default_rng(3).random((256, 256, 4))
+    z = raw / raw.sum(axis=-1, keepdims=True)
+    tracemalloc.start()
+    try:
+        ProbabilityField(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stored copy plus one channel-sum array (a quarter of the field);
+    # a second per-element temporary in the check would reach 1.5x.
+    assert z.nbytes <= peak < 1.3 * z.nbytes
+
+
 def test_softmax_uniform_on_equal_logits():
     logits = LogitField(np.zeros((2, 2, 4)))
     z = softmax(logits).values
@@ -192,7 +206,10 @@ def test_folded_validation_sums_match_numpy_bit_for_bit():
     for channels in range(2, 8):
         raw = rng.random((16, 12, channels)) * 10.0 ** rng.integers(-12, 1, (16, 12, channels))
         x = raw / raw.sum(axis=-1, keepdims=True)
+        before = x.copy()
         assert fold_channels(np.add, x)[..., 0].tobytes() == x.sum(axis=-1).tobytes()
+        assert fold_channels(np.maximum, x)[..., 0].tobytes() == x.max(axis=-1).tobytes()
+        assert x.tobytes() == before.tobytes()  # the fold never writes its input
         # Push element sums to either side of the tolerance: the folded check
         # accepts and rejects exactly where numpy's sums say so.
         x[..., 0] += rng.choice([-1.0, 1.0], (16, 12)) * rng.uniform(0.9, 1.1, (16, 12)) * PROB_ATOL

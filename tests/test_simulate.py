@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import jseg.simulate
 from jseg import (
@@ -17,6 +18,7 @@ from jseg import (
     run_shrinkwrap,
     to_semantic,
 )
+from oracles import bernoulli_trials, trial_measures
 
 
 def _small_cfg(**kw):
@@ -54,13 +56,37 @@ def test_imbalance_determinism_and_thread_independence():
 
 
 def test_degenerate_trials_are_resampled_and_counted():
-    cfg = ImbalanceSimConfig(classifier="c1", pis=(0.01,), samples=100, trials=400, seed=2)
+    trials = 400
+    cfg = ImbalanceSimConfig(classifier="c1", pis=(0.01,), samples=100, trials=trials, seed=2)
     table = run_imbalance_sim(cfg)
-    # pi=0.01 with 100 samples misses the positive class in ~36% of draws
-    assert table.resampled[0.01] > 0
+    # pi=0.01 with 100 samples misses the positive class in ~36% of draws of
+    # the truth and of the prediction alike, so a draw is degenerate with
+    # probability q (all-positive is negligible) and each trial is redrawn a
+    # geometric number of times, with mean q/(1-q) and variance q/(1-q)^2.
+    q = 1.0 - (1.0 - 0.99**100) ** 2
+    expected = trials * q / (1.0 - q)
+    stderr = np.sqrt(trials * q) / (1.0 - q)
+    assert abs(table.resampled[0.01] - expected) < 4 * stderr
     rows = table.rows
     assert np.all(np.isfinite(rows["mcc"]))
     assert np.all(np.isfinite(rows["jaccard"]))
+
+
+def test_count_sampler_matches_the_bernoulli_reference():
+    # Both samplers draw the same law: a two-sample KS test per
+    # (classifier, ratio, measure) at fixed seeds, each p > 0.01.
+    rng = np.random.default_rng(31)
+    for clf in ("c1", "c3"):
+        cfg = ImbalanceSimConfig(classifier=clf, pis=(0.01, 0.1, 0.5), samples=1000, trials=500,
+                                 seed=30)
+        table = run_imbalance_sim(cfg)
+        for pi in cfg.pis:
+            p_pred = pi if clf == "c1" else 0.5
+            gt, pred, _ = bernoulli_trials(pi, p_pred, cfg.samples, cfg.trials, rng)
+            j, mcc = trial_measures(gt, pred)[:2]
+            for measure, reference in (("j", j), ("mcc", mcc)):
+                p = ks_2samp(table.per_pi(pi, measure), reference).pvalue
+                assert p > 0.01, (clf, pi, measure, p)
 
 
 def test_correlation_requires_c3():
@@ -81,6 +107,11 @@ def test_imbalance_config_validation():
         _small_cfg(samples=10)
     with pytest.raises(ValueError):
         _small_cfg(trials=1)
+    # The hypergeometric draw takes populations below 10**9; the bound is
+    # checked before anything is drawn.
+    _small_cfg(samples=10**9)
+    with pytest.raises(ValueError, match="samples"):
+        _small_cfg(samples=10**9 + 1)
     with pytest.raises(ValueError):
         _small_cfg(classifier="c2")
     # One block per ratio: a repeated ratio would pool two blocks in the

@@ -6,6 +6,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jseg import (
     ImbalanceSimConfig,
@@ -99,6 +101,46 @@ def test_write_csv_formats_columns_and_chunks(tmp_path, monkeypatch):
     assert got.read_bytes() == want.read_bytes()
     with open(got, newline="") as fh:
         assert [row[2] for row in csv.reader(fh)][1:] == names
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e-300, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(codec="utf-8")), max_size=6)
+
+# Per column kind: the values, the column as write_csv receives it, and the
+# cell the reference writer gets.
+_KINDS = {
+    "float64": (_FLOATS, lambda v: np.array(v, dtype=np.float64), _g),
+    "int64": (st.integers(-(2**63), 2**63 - 1), lambda v: np.array(v, dtype=np.int64), int),
+    "uint16": (st.integers(0, 2**16 - 1), lambda v: np.array(v, dtype=np.uint16), int),
+    "bool": (st.booleans(), lambda v: np.array(v, dtype=bool), bool),
+    "float-or-None": (st.none() | _FLOATS, list, lambda v: "" if v is None else _g(v)),
+    "str": (_TEXT, list, str),
+}
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=5))
+    header = [draw(_TEXT) for _ in kinds]
+    data = [draw(st.lists(_KINDS[k][0], min_size=rows, max_size=rows)) for k in kinds]
+    return header, kinds, data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tables(), st.integers(1, 5))
+def test_write_csv_matches_the_csv_module_on_any_column_mix(tmp_path_factory, table, chunk):
+    header, kinds, data = table
+    d = tmp_path_factory.mktemp("csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_util, "CSV_CHUNK_ROWS", chunk)
+        _util.write_csv(d / "got.csv", header, [_KINDS[k][1](v) for k, v in zip(kinds, data)])
+    cells = [[_KINDS[k][2](x) for x in v] for k, v in zip(kinds, data)]
+    _reference_csv(d / "want.csv", header, zip(*cells))
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
 
 def test_write_csv_header_only(tmp_path):
