@@ -10,7 +10,9 @@ Three simulators:
 * the shrinkwrap run, a prescribed segmentation trajectory that contracts
   an inflated mask onto two touching cells and then ramps the probabilities
   to the exact ground truth, recording the gradient norms of the losses
-  along the way;
+  along the way; every margin's mask is a threshold of one squared
+  distance field, and a step's three gradients share one softmax and one
+  run each of the ce and j cores;
 * a 2-D loss-landscape scan around a near-optimal logit field along two
   random, channel-normalized directions.
 
@@ -22,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import _util
 from ._util import child_rng, l2_norm, ordered_thread_map
-from .grids import LogitField, ProbabilityField, one_hot, probs_to_logits
-from .losses import evaluate_loss
+from .grids import LogitField, ProbabilityField, one_hot, probs_to_logits, softmax_values
+from .losses import _ce_core, _j_core, _softmax_vjp, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
-from .transform import CELL, TransformConfig, ball_footprint, to_semantic
+from .transform import CELL, TransformConfig, to_semantic
 
 __all__ = [
     "ImbalanceSimConfig",
@@ -277,6 +278,35 @@ def _confidence_field(prescribed: np.ndarray, confidence: float, channels: int) 
     return z
 
 
+def _squared_distance(fg: np.ndarray, reach: int) -> np.ndarray:
+    """Squared Euclidean distance from each element to the nearest true
+    element of ``fg``, truncated at ``reach``.
+
+    One axis at a time (Saito & Toriwaki, *Pattern Recognit.* 27(11),
+    1994): start from 0 on ``fg`` and inf elsewhere, then along each axis
+    fold ``np.minimum`` over the field shifted by k = +-1..+-reach plus
+    ``k*k``, read from an inf-padded copy.  Every value is at least the
+    true squared distance, and equals it wherever that is at most
+    ``reach**2``: a nearest element within ``reach`` lies within ``reach``
+    along every axis.  So ``d2 <= m*m`` is exactly the dilation of ``fg``
+    by the ball of radius ``m <= reach``, outside the grid counting as
+    false.  No two elements lie further apart than ``n - 1`` along an axis
+    of length ``n``, so the reach on that axis is clamped to it and the
+    padding never outgrows the grid.
+    """
+    d2 = np.where(fg, 0.0, np.inf)
+    for axis, n in enumerate(fg.shape):
+        r = min(reach, n - 1)
+        width = [(0, 0)] * fg.ndim
+        width[axis] = (r, r)
+        padded = np.pad(d2, width, constant_values=np.inf)
+        lead = (slice(None),) * axis
+        for k in range(-r, r + 1):
+            if k:
+                np.minimum(d2, padded[lead + (slice(r + k, r + k + n),)] + k * k, out=d2)
+    return d2
+
+
 def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     """Walk the prescribed trajectory and record each loss's gradient norm.
 
@@ -284,6 +314,14 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     absorbs the notch and touching structure until the margin reaches zero,
     at which point the mask hugs the cells but the rare classes are still
     wrong ("the shrinkwrap point").
+
+    The mask at margin ``m`` is ``d2 <= m*m`` on one squared distance field
+    of the cells (:func:`_squared_distance`), the same set as a dilation by
+    the ball of radius ``m``.  Each step's prescribed probabilities go
+    through ``probs_to_logits`` and one softmax; the ce and j cores run
+    once each, and the jc gradient pulls back ``ce_dz + j_dz`` summed
+    before the softmax pull-back, as the jc core does, so all three norms
+    equal ``evaluate_loss(...).grad_norm`` bit for bit.
     """
     if cfg.scene.kind != TWO_SQUARES_NOTCH:
         raise ValueError("the shrinkwrap trajectory runs on the two-squares-notch scene")
@@ -291,14 +329,16 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     semantic = to_semantic(scene, cfg.transform)
     channels = cfg.transform.channels
     target = one_hot(semantic, channels)
+    if not target.is_one_hot():
+        raise ValueError("target must be one-hot")
     y = target.values
-    fg = scene.labels > 0
-    d = fg.ndim
+    flat = (-1, channels)
+    y_flat = y.reshape(flat)
+    d2 = _squared_distance(scene.labels > 0, cfg.margin_start)
 
     t_shrink = cfg.shrink_iterations
     ramp_len = cfg.iterations - t_shrink
 
-    masks: dict[int, np.ndarray] = {0: fg}
     records = []
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
@@ -310,9 +350,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
                 ) * (t - 1) / (t_shrink - 1)
             else:
                 confidence = cfg.confidence_final
-            if margin not in masks:
-                masks[margin] = ndimage.binary_dilation(fg, structure=ball_footprint(margin, d))
-            prescribed = np.where(masks[margin], CELL, 0).astype(np.int32)
+            prescribed = np.where(d2 <= margin * margin, CELL, 0).astype(np.int32)
             z = _confidence_field(prescribed, confidence, channels)
             ramp = 0.0
             if t == t_shrink:
@@ -323,15 +361,18 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             ramp = (t - t_shrink) / ramp_len
             z = (1.0 - ramp) * z_at_shrinkwrap + ramp * y
 
-        logits = probs_to_logits(ProbabilityField(z))
+        s = softmax_values(probs_to_logits(ProbabilityField(z)).values)
+        s_flat = s.reshape(flat)
+        ce_dz = _ce_core(y_flat, s_flat, None)[1]
+        j_dz = _j_core(y_flat, s_flat, None)[1]
         record = {
             "iteration": t,
             "margin": margin,
             "confidence": confidence,
             "ramp": ramp,
         }
-        for loss_id in ("ce", "j", "jc"):
-            record[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits).grad_norm
+        for name, dz in (("grad_ce", ce_dz), ("grad_j", j_dz), ("grad_jc", ce_dz + j_dz)):
+            record[name] = l2_norm(_softmax_vjp(s, dz.reshape(s.shape)))
         records.append(record)
 
     return ShrinkwrapTrace(records=tuple(records), shrinkwrap_index=t_shrink - 1)

@@ -1,9 +1,9 @@
 """Independent brute-force references used by the tests.
 
-Everything here is deliberately written with plain shifts, Python loops and
-first-principles set arithmetic, not with the library's scipy-filter code
-paths, so the tests compare two genuinely different routes to the same
-definitions.
+Everything here is deliberately written with plain shifts, Python loops,
+first-principles set arithmetic or the scipy filters a library path has
+replaced, never with the code path under test, so the tests compare two
+genuinely different routes to the same definitions.
 """
 
 from __future__ import annotations
@@ -13,6 +13,16 @@ import math
 
 import numpy as np
 from scipy import ndimage
+
+from jseg import (
+    ProbabilityField,
+    evaluate_loss,
+    generate_scene,
+    one_hot,
+    probs_to_logits,
+    to_semantic,
+)
+from jseg.transform import CELL, ball_footprint
 
 
 def ball_offsets(radius: int, d: int) -> list[tuple[int, ...]]:
@@ -372,3 +382,49 @@ def shift_instances(classes: np.ndarray, connectivity: str) -> np.ndarray:
             break  # remaining touching elements are unreachable
         labels[grow] = best[grow]
     return labels
+
+
+def shrinkwrap_grad_norms(cfg) -> tuple[dict, ...]:
+    """The rows of ``jseg.simulate.run_shrinkwrap`` by the literal route.
+
+    Each margin's mask is ``ndimage.binary_dilation`` of the cells by the
+    ball of that radius (the cells themselves at margin 0), and every step
+    makes three checked ``evaluate_loss`` calls, one per loss, on the
+    logits of its prescribed probabilities.  The schedule of margins,
+    confidences and ramp is spelled out step by step.
+    """
+    scene = generate_scene(cfg.scene)
+    channels = cfg.transform.channels
+    target = one_hot(to_semantic(scene, cfg.transform), channels)
+    fg = scene.labels > 0
+    t_shrink = cfg.margin_start * cfg.iters_per_margin_step + 1
+    masks = {0: fg}
+    rows = []
+    for t in range(1, cfg.iterations + 1):
+        if t <= t_shrink:
+            margin = max(0, cfg.margin_start - (t - 1) // cfg.iters_per_margin_step)
+            confidence = cfg.confidence_final
+            if t_shrink > 1:
+                confidence = cfg.confidence_start + (
+                    cfg.confidence_final - cfg.confidence_start
+                ) * (t - 1) / (t_shrink - 1)
+            if margin not in masks:
+                masks[margin] = ndimage.binary_dilation(fg, structure=ball_footprint(margin, fg.ndim))
+            rest = (1.0 - confidence) / (channels - 1)
+            z = np.full(fg.shape + (channels,), rest)
+            z[masks[margin], CELL] = confidence
+            z[~masks[margin], 0] = confidence
+            ramp = 0.0
+            if t == t_shrink:
+                z_at_shrinkwrap = z
+        else:
+            margin = 0
+            confidence = cfg.confidence_final
+            ramp = (t - t_shrink) / (cfg.iterations - t_shrink)
+            z = (1.0 - ramp) * z_at_shrinkwrap + ramp * target.values
+        logits = probs_to_logits(ProbabilityField(z))
+        row = {"iteration": t, "margin": margin, "confidence": confidence, "ramp": ramp}
+        for loss_id in ("ce", "j", "jc"):
+            row[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits).grad_norm
+        rows.append(row)
+    return tuple(rows)

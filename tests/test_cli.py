@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +15,25 @@ from jseg.cli import dispatch
 
 def run(*argv):
     return dispatch(list(argv))
+
+
+def test_only_transform_and_postprocess_import_scipy():
+    # Every CLI launch pays for what the package imports, and scipy.ndimage
+    # is most of that: this set may shrink, never grow.
+    paths = sorted(Path(jseg.__file__).parent.glob("*.py"))
+    importers = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert "simulate.py" in {p.name for p in paths}
+    assert importers <= {"transform.py", "postprocess.py"}
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,5 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 from scipy.stats import ks_2samp
 
 import jseg.simulate
@@ -8,6 +14,7 @@ from jseg import (
     LogitField,
     SceneSpec,
     ShrinkwrapConfig,
+    ShrinkwrapTrace,
     TransformConfig,
     generate_scene,
     landscape_scan,
@@ -18,7 +25,9 @@ from jseg import (
     run_shrinkwrap,
     to_semantic,
 )
-from oracles import bernoulli_trials, trial_measures
+from jseg.simulate import _squared_distance
+from jseg.transform import ball_footprint
+from oracles import bernoulli_trials, shrinkwrap_grad_norms, trial_measures
 
 
 def _small_cfg(**kw):
@@ -184,6 +193,72 @@ def test_shrinkwrap_confidence_invariants():
         _fast_shrinkwrap(confidence_start=0.2)
     with pytest.raises(ValueError):
         _fast_shrinkwrap(confidence_start=0.9, confidence_final=0.8)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ShrinkwrapConfig(),
+        ShrinkwrapConfig(
+            scene=SceneSpec(kind="two-squares-notch", dims=(24, 16, 12), cell_size=6, seed=0),
+            margin_start=4,
+        ),
+        # Margin 30 reaches past the 24x16 grid's diagonal of about 28.8.
+        ShrinkwrapConfig(
+            scene=SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=6, seed=0),
+            margin_start=30,
+            iters_per_margin_step=1,
+        ),
+    ],
+    ids=["default", "3d", "margin-past-diagonal"],
+)
+def test_shrinkwrap_csv_equals_the_dilation_and_evaluate_loss_oracle(cfg, tmp_path):
+    run_shrinkwrap(cfg).write_csv(tmp_path / "run.csv")
+    oracle = ShrinkwrapTrace(shrinkwrap_grad_norms(cfg), cfg.shrink_iterations - 1)
+    oracle.write_csv(tmp_path / "oracle.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@st.composite
+def _mask_and_margins(draw):
+    """A 2-D or 3-D mask, a margin from 1 to past the grid diagonal, and a
+    reach of at least that margin."""
+    dims = draw(st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    ))
+    fg = draw(hnp.arrays(bool, dims))
+    diagonal = int(np.ceil(np.sqrt(sum(n * n for n in dims))))
+    margin = draw(st.integers(1, diagonal + 2))
+    return fg, margin, margin + draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mask_and_margins())
+@example((np.zeros((7, 5), bool), 9, 9))
+@example((np.ones((7, 5), bool), 1, 1))
+@example((np.zeros((4, 3, 5), bool), 2, 4))
+@example((np.ones((4, 3, 5), bool), 8, 8))
+def test_distance_thresholds_equal_ball_dilations(case):
+    fg, margin, reach = case
+    dilated = ndimage.binary_dilation(fg, structure=ball_footprint(margin, fg.ndim))
+    np.testing.assert_array_equal(_squared_distance(fg, reach) <= margin * margin, dilated)
+
+
+def test_squared_distance_clamps_its_reach_to_the_grid():
+    fg = np.random.default_rng(3).random((12, 9)) < 0.1
+    points = np.argwhere(fg)
+    grid = np.indices(fg.shape).reshape(2, -1).T
+    exact = ((grid[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1).min(axis=1)
+    _squared_distance(fg, 2)  # let numpy finish its lazy set-up before tracing
+    tracemalloc.start()
+    try:
+        d2 = _squared_distance(fg, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(d2, exact.reshape(fg.shape))
+    assert peak < 20 * fg.size * 8
 
 
 # ---------------------------------------------------------------------------
