@@ -34,6 +34,9 @@ __all__ = [
 #: Per-element tolerance for the simplex constraint of a ProbabilityField.
 PROB_ATOL = 1e-6
 
+#: Default floor that probabilities are raised to before their log is taken.
+LOG_FLOOR = 1e-12
+
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -223,8 +226,18 @@ def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:
     return ProbabilityField(values)
 
 
-def probs_to_logits(field: ProbabilityField, floor: float = 1e-12) -> LogitField:
+def logit_values(p: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+    """``log(max(p, floor))``: logits whose softmax reproduces the
+    probabilities ``p`` up to the zero-probability floor.
+
+    For probabilities the library derives itself, so, like
+    :func:`softmax_values`, it checks nothing: ``floor`` must lie in (0, 1).
+    """
+    return np.log(np.maximum(p, floor))
+
+
+def probs_to_logits(field: ProbabilityField, floor: float = LOG_FLOOR) -> LogitField:
     """Logits whose softmax reproduces ``field`` up to the zero-probability floor."""
     if not 0.0 < floor < 1.0:
         raise ValueError("floor must lie in (0, 1)")
-    return LogitField(np.log(np.maximum(field.values, floor)))
+    return LogitField(logit_values(field.values, floor))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from ._util import fold_windows
 from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, argmax_channels
 from .transform import CELL, GAP, TOUCHING
 
@@ -87,7 +87,9 @@ def resolve_gaps(
 def _structure(connectivity: str, d: int) -> np.ndarray:
     """The neighbourhood of an element, centre included: face neighbours
     or the full Chebyshev-1 cube."""
-    return ndimage.generate_binary_structure(d, 1 if connectivity == FACE else d)
+    if connectivity == FULL:
+        return np.ones((3,) * d, dtype=bool)
+    return np.abs(np.indices((3,) * d) - 1).sum(axis=0) <= 1
 
 
 def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = None) -> InstanceLabelMap:
@@ -99,6 +101,10 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
     a labelled element the smallest adjacent label, until nothing changes.
     Touching elements no component can reach become background.
     """
+    # Imported here, not at module level, so that only the subcommands that
+    # label instances pay for loading scipy.ndimage.
+    from scipy import ndimage
+
     cfg = cfg or PostprocessConfig()
     classes = semantic.classes
     if (classes == GAP).any():
@@ -111,12 +117,8 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
     labels = labels.astype(np.int32)
 
     touching = classes == TOUCHING
-    shape = labels.shape
-    # In the grid padded by one element, the window at offset ``off`` of
-    # the structure reads, for each element, its neighbour at ``off - 1``.
-    windows = [tuple(slice(o, o + n) for o, n in zip(off, shape)) for off in np.argwhere(structure)]
     sentinel = np.int32(m + 1)
-    padded = np.full([n + 2 for n in shape], sentinel)
+    padded = np.full([n + 2 for n in labels.shape], sentinel)
     interior = padded[(slice(1, -1),) * d]
     best = np.empty_like(labels)
     while True:
@@ -127,8 +129,7 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
         best.fill(sentinel)
         # The centre window reads the unassigned element itself, a sentinel,
         # so it changes no minimum where ``grow`` looks.
-        for window in windows:
-            np.minimum(best, padded[window], out=best)
+        fold_windows(np.minimum, padded, structure, best)
         grow = unassigned & (best <= m)
         if not grow.any():
             break  # remaining touching elements are unreachable

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _util
 from ._util import child_rng, l2_norm, ordered_thread_map
-from .grids import LogitField, ProbabilityField, one_hot, probs_to_logits, softmax_values
+from .grids import LogitField, ProbabilityField, logit_values, one_hot, softmax_values
 from .losses import _ce_core, _j_core, _softmax_vjp, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
@@ -318,10 +318,13 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     The mask at margin ``m`` is ``d2 <= m*m`` on one squared distance field
     of the cells (:func:`_squared_distance`), the same set as a dilation by
     the ball of radius ``m``.  Each step's prescribed probabilities go
-    through ``probs_to_logits`` and one softmax; the ce and j cores run
-    once each, and the jc gradient pulls back ``ce_dz + j_dz`` summed
-    before the softmax pull-back, as the jc core does, so all three norms
-    equal ``evaluate_loss(...).grad_norm`` bit for bit.
+    through ``logit_values``, the arithmetic of ``probs_to_logits``, and one
+    softmax, on bare arrays: the configuration keeps every confidence in
+    (0.25, 1), so each prescribed field lies on the simplex and needs no
+    container checks.  The ce and j cores run once each, and the jc
+    gradient pulls back ``ce_dz + j_dz`` summed before the softmax
+    pull-back, as the jc core does, so all three norms equal
+    ``evaluate_loss(...).grad_norm`` bit for bit.
     """
     if cfg.scene.kind != TWO_SQUARES_NOTCH:
         raise ValueError("the shrinkwrap trajectory runs on the two-squares-notch scene")
@@ -361,7 +364,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             ramp = (t - t_shrink) / ramp_len
             z = (1.0 - ramp) * z_at_shrinkwrap + ramp * y
 
-        s = softmax_values(probs_to_logits(ProbabilityField(z)).values)
+        s = softmax_values(logit_values(z))
         s_flat = s.reshape(flat)
         ce_dz = _ce_core(y_flat, s_flat, None)[1]
         j_dz = _j_core(y_flat, s_flat, None)[1]

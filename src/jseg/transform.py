@@ -4,7 +4,9 @@ Turns an instance annotation into the three- or four-class semantic map
 used for training: background, cell, touching, and (in four-class mode)
 gap.  Gaps are the background elements filled by a morphological closing
 of the foreground; touching elements are foreground elements that see a
-different nonzero label within a Chebyshev-``k`` neighbourhood.
+different nonzero label within a Chebyshev-``k`` neighbourhood.  Both
+tests are folds of a ufunc over the windows of a padded grid, one window
+per offset of a structuring element (``_util.fold_windows``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from ._util import fold_windows
 from .grids import InstanceLabelMap, SemanticLabelMap
 
 __all__ = [
@@ -71,19 +73,80 @@ def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:
     """Closing of the binarized foreground minus the foreground itself, as
     a boolean mask of the background elements the closing fills.
 
-    Border policy: the foreground pattern is extended by edge replication
-    before the closing.  Cavities between cells keep their walls when they
-    run into the border and still fill, while open background at the
-    border stays open; no interior foreground appears out of nothing.
+    Border policy: the foreground pattern is extended by ``radius`` elements
+    of edge replication, and the closing runs on that grid with false
+    beyond it, the border of ``scipy.ndimage``'s binary morphology.
+    Cavities between cells keep their walls when they run into the border
+    and still fill, while open background at the border stays open; no
+    interior foreground appears out of nothing.
+
+    The dilation is folded with ``np.logical_or`` over the ball on the grid
+    edge-padded by ``2 * radius``, which gives it on the ``radius``-padded
+    grid; the erosion folds ``np.logical_and`` back onto the grid.  Reading
+    edge values instead of false beyond the ``radius``-padded grid changes
+    nothing: an offset that leaves that grid reads the same edge value as
+    the offset clamped to its border, which is no longer along any axis and
+    so lies inside the ball too.  The erosion of a grid element never
+    reaches beyond the ``radius``-padded grid.
     """
     fg = instance.labels > 0
-    d = fg.ndim
+    padded = np.pad(fg, 2 * radius, mode="edge")
+    dilated = np.zeros([n + 2 * radius for n in fg.shape], dtype=bool)
+    _fold_ball(np.logical_or, padded, radius, dilated)
+    # Each grid is dropped once read, so at most four are alive at a time.
+    del padded
+    closed = _fold_ball(np.logical_and, dilated, radius, np.ones(fg.shape, dtype=bool))
+    del dilated
+    closed &= ~fg
+    return closed
+
+
+def _fold_ball(ufunc: np.ufunc, padded: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
+    """``fold_windows(ufunc, padded, ball_footprint(radius, d), out)`` for
+    ``np.logical_or`` or ``np.logical_and``, in fewer passes.
+
+    The ball is a stack of lines along the last axis: through the leading
+    offset ``p`` runs the line of half-length ``h(p)``, the largest ``h``
+    with ``|p|**2 + h**2 <= radius**2``.  A running fold over the centred
+    line grows with ``h = 0..radius`` by the offsets ``+-h``; after each
+    step, the offsets ``p`` with ``h(p) = h`` fold it into ``out``.  Both
+    ufuncs are exact, so no order of the offsets changes a bit.  At radius
+    3 that is 3 + 29 passes for the 123 offsets of the 3-D ball.
+    """
+    d = padded.ndim
     ball = ball_footprint(radius, d)
-    padded = np.pad(fg, radius, mode="edge")
-    dilated = ndimage.binary_dilation(padded, structure=ball)
-    closed = ndimage.binary_erosion(dilated, structure=ball)
-    core = closed[(slice(radius, -radius),) * d]
-    return core & ~fg
+    height = np.where(ball.any(axis=-1), ball.sum(axis=-1) // 2, -1)
+    lines = padded[..., radius:-radius].copy()
+    for h in range(radius + 1):
+        if h:
+            step = np.zeros((1,) * (d - 1) + (2 * radius + 1,), dtype=bool)
+            step[..., [radius - h, radius + h]] = True
+            fold_windows(ufunc, padded, step, lines)
+        fold_windows(ufunc, lines, (height == h)[..., None], out)
+    return out
+
+
+def _fold_box(ufunc: np.ufunc, values: np.ndarray, k: int, fill: int) -> np.ndarray:
+    """``ufunc`` folded over the Chebyshev-``k`` box around every element,
+    with ``fill`` beyond the grid.
+
+    The box is separable: one pass per axis folds the 2k+1 windows of a line
+    structure over the previous pass.  Every pass reads the same buffer,
+    padded by ``k`` with ``fill`` on all sides: it copies its input into the
+    interior and reads the view padded along its own axis only.
+    """
+    d = values.ndim
+    padded = np.full([n + 2 * k for n in values.shape], fill, dtype=values.dtype)
+    inner = (slice(k, -k),) * d
+    out = np.empty_like(values)
+    src = values
+    for axis in range(d):
+        padded[inner] = src
+        line = np.ones([2 * k + 1 if a == axis else 1 for a in range(d)], dtype=bool)
+        out.fill(fill)
+        fold_windows(ufunc, padded[inner[:axis] + (slice(None),) + inner[axis + 1 :]], line, out)
+        src = out
+    return out
 
 
 def _touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
@@ -95,12 +158,10 @@ def _touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
     it.  The element itself never triggers (its label equals its own).
     """
     fg = labels > 0
-    size = 2 * k + 1
-    win_max = ndimage.maximum_filter(labels, size=size, mode="constant", cval=0)
+    win_max = _fold_box(np.maximum, labels, k, 0)
     # The int32 maximum is never below a label, so it stands in for +inf.
     top = np.iinfo(np.int32).max
-    as_top = np.where(fg, labels, top)
-    win_min = ndimage.minimum_filter(as_top, size=size, mode="constant", cval=top)
+    win_min = _fold_box(np.minimum, np.where(fg, labels, top), k, top)
     return fg & ((win_max > labels) | (win_min < labels))
 
 

@@ -84,6 +84,34 @@ def brute_bottom_hat(labels: np.ndarray, radius: int) -> np.ndarray:
     return (brute_closing(fg, radius) & ~fg).astype(np.uint8)
 
 
+def ndimage_bottom_hat(labels: np.ndarray, radius: int) -> np.ndarray:
+    """The bottom-hat as ``jseg.transform.bottom_hat`` computed it before its
+    window folds: the foreground edge-padded by ``radius`` and closed by
+    ``ndimage.binary_dilation`` and ``binary_erosion`` with the ball, false
+    beyond the padded grid."""
+    fg = labels > 0
+    ball = ball_footprint(radius, fg.ndim)
+    padded = np.pad(fg, radius, mode="edge")
+    dilated = ndimage.binary_dilation(padded, structure=ball)
+    closed = ndimage.binary_erosion(dilated, structure=ball)
+    core = closed[(slice(radius, -radius),) * fg.ndim]
+    return core & ~fg
+
+
+def ndimage_touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
+    """The touching test as ``jseg.transform._touching_mask`` computed it
+    before its box folds: ``ndimage.maximum_filter`` over the labels and
+    ``minimum_filter`` over the labels with background raised to the int32
+    maximum, both constant beyond the grid."""
+    fg = labels > 0
+    size = 2 * k + 1
+    win_max = ndimage.maximum_filter(labels, size=size, mode="constant", cval=0)
+    top = np.iinfo(np.int32).max
+    as_top = np.where(fg, labels, top)
+    win_min = ndimage.minimum_filter(as_top, size=size, mode="constant", cval=top)
+    return fg & ((win_max > labels) | (win_min < labels))
+
+
 def brute_semantic(labels: np.ndarray, k: int, gap_radius: int, four_class: bool = True) -> np.ndarray:
     """Shift-based reference for the four-class transform."""
     fg = labels > 0

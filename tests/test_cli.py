@@ -17,23 +17,37 @@ def run(*argv):
     return dispatch(list(argv))
 
 
-def test_only_transform_and_postprocess_import_scipy():
+def _scipy_imports(tree: ast.AST, in_function: bool = False):
+    """Yield, for every import of scipy under ``tree``, whether it sits
+    inside a function body."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            yield in_function
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scipy_imports(node, inner)
+
+
+def test_scipy_is_imported_only_inside_postprocess_functions():
     # Every CLI launch pays for what the package imports, and scipy.ndimage
-    # is most of that: this set may shrink, never grow.
+    # is most of that: only instance labelling loads it, when it runs.
     paths = sorted(Path(jseg.__file__).parent.glob("*.py"))
-    importers = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(m.split(".")[0] == "scipy" for m in modules):
-                importers.add(path.name)
-    assert "simulate.py" in {p.name for p in paths}
-    assert importers <= {"transform.py", "postprocess.py"}
+    places = {path.name: list(_scipy_imports(ast.parse(path.read_text()))) for path in paths}
+    assert "simulate.py" in places
+    assert {name for name, found in places.items() if found} <= {"postprocess.py"}
+    assert all(places["postprocess.py"])
+
+
+def test_import_cli_leaves_scipy_ndimage_unloaded():
+    code = "import sys, jseg.cli; print('scipy.ndimage' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -280,12 +294,17 @@ def test_landscape_output_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _fresh_env(**extra: str) -> dict:
+    """The environment of a new interpreter that imports this ``jseg``."""
+    src = str(Path(jseg.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_fresh(blas_threads: str, *argv: str) -> None:
     """Run ``jseg`` in a new interpreter under an OpenBLAS thread count, which
     OpenBLAS reads once, when numpy loads."""
-    src = str(Path(jseg.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env(OPENBLAS_NUM_THREADS=blas_threads)
     subprocess.run([sys.executable, "-m", "jseg.cli", *argv], env=env, check=True, timeout=300)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from jseg import (
     InstanceLabelMap,
@@ -16,6 +17,7 @@ from jseg import (
     to_instances,
     to_semantic,
 )
+from jseg.postprocess import FACE, FULL, _structure
 from oracles import brute_instances, shift_instances
 
 
@@ -98,13 +100,19 @@ def test_to_instances_rejects_gaps():
         to_instances(SemanticLabelMap(np.array([[3, 0]])))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_structure_equals_ndimage_binary_structure(d):
+    for connectivity, rank in ((FACE, 1), (FULL, d)):
+        got = _structure(connectivity, d)
+        assert got.dtype == bool
+        assert np.array_equal(got, ndimage.generate_binary_structure(d, rank))
+
+
 def test_to_instances_never_merges_components():
     rng = np.random.default_rng(0)
     for _ in range(30):
         classes = rng.choice([0, 1, 2], p=[0.5, 0.3, 0.2], size=(12, 12)).astype(np.int32)
         h = SemanticLabelMap(classes)
-        from scipy import ndimage
-
         n_components = ndimage.label(classes == 1, ndimage.generate_binary_structure(2, 1))[1]
         instances = to_instances(h)
         assert instances.m == n_components

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jseg import (
     InstanceLabelMap,
@@ -9,8 +14,14 @@ from jseg import (
     generate_scene,
     to_semantic,
 )
-from jseg.transform import THREE_CLASS
-from oracles import brute_bottom_hat, brute_semantic, pointwise_semantic
+from jseg.transform import THREE_CLASS, _touching_mask
+from oracles import (
+    brute_bottom_hat,
+    brute_semantic,
+    ndimage_bottom_hat,
+    ndimage_touching_mask,
+    pointwise_semantic,
+)
 
 
 def test_bottom_hat_empty_foreground():
@@ -37,6 +48,74 @@ def test_bottom_hat_zero_on_foreground():
     g = generate_scene(SceneSpec(kind="two-squares-notch", dims=(20, 10), seed=0))
     values = bottom_hat(g, 3)
     assert not values[g.labels > 0].any()
+
+
+_FOLDS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _label_maps(draw):
+    """2-D int32 label maps of up to 7 elements per axis or 3-D ones of up
+    to 5, with labels 0-3 so that cells touch."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.tuples(*[st.integers(1, 7 if d == 2 else 5)] * d))
+    return draw(hnp.arrays(np.int32, shape, elements=st.integers(0, 3)))
+
+
+# All background, all foreground (one cell, two cells side by side), single
+# rows and columns, and radii beyond the grid.
+_EDGE_CASES = [
+    (np.zeros((5, 4), np.int32), 2),
+    (np.ones((3, 1, 4), np.int32), 6),
+    (np.array([[1, 1, 2, 2, 2]], np.int32), 7),
+    (np.array([[1], [0], [0], [2]], np.int32), 3),
+    (np.zeros((1, 1, 1), np.int32), 1),
+    (np.full((2, 3, 2), 3, np.int32), 4),
+]
+
+
+def _with_edge_cases(test):
+    for labels, size in _EDGE_CASES:
+        test = example(labels, size)(test)
+    return test
+
+
+@_FOLDS
+@given(_label_maps(), st.integers(1, 6))
+@_with_edge_cases
+def test_bottom_hat_matches_ndimage_closing(labels, radius):
+    got = bottom_hat(InstanceLabelMap(labels), radius)
+    assert got.dtype == bool
+    assert np.array_equal(got, ndimage_bottom_hat(labels, radius))
+
+
+@_FOLDS
+@given(_label_maps(), st.integers(1, 6))
+@_with_edge_cases
+def test_touching_mask_matches_ndimage_filters(labels, k):
+    got = _touching_mask(labels, k)
+    assert got.dtype == bool
+    assert np.array_equal(got, ndimage_touching_mask(labels, k))
+
+
+def test_bottom_hat_folds_without_per_offset_temporaries():
+    # The peak is the foreground, the 2r-padded grid, its running line fold
+    # and the r-padded dilation, 64^3 + 76^3 + 76^2*70 + 70^3 bytes: 3.30
+    # times the padded grid.  One temporary per offset, even if freed at
+    # once, adds another r-padded grid or line fold, 0.78 or 0.92 times the
+    # padded grid.
+    radius = 3
+    spec = SceneSpec(kind="random-blobs", dims=(64, 64, 64), n_blobs=40, cell_size=10, seed=1)
+    g = generate_scene(spec)
+    padded_bytes = np.prod([n + 4 * radius for n in g.labels.shape])
+    bottom_hat(g, radius)  # first-call allocations are not the fold's
+    tracemalloc.start()
+    try:
+        bottom_hat(g, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.7 * padded_bytes
 
 
 def test_to_semantic_all_background():
