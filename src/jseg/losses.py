@@ -14,19 +14,25 @@ gradients are the exact gradients of the clamped forward functions, so
 they match central finite differences away from the (measure-zero) clamp
 boundaries.
 
-Each loss has one core ``(y, z, weights) -> (components, dL/dz)`` on bare
-arrays: the ``(n, C)`` target with its spatial axes flattened and ``(...,
-n, C)`` probabilities.  Each core's docstring defines its loss.  Cores
-reduce over the spatial axis only, so leading batch axes of ``z`` give one
-value per item.  :func:`evaluate_loss` runs a core picked by its identifier
-in ``LOSS_IDS``, and :func:`gradient_check` runs the same cores.  J uses the
+Each loss has one core on bare arrays, built per target:
+``_CORES[id](y, weights)`` takes the ``(n, C)`` target with its spatial
+axes flattened, does the target-side work once (class counts, presence,
+``phi``, the pair mask, class weights) and returns ``core(z) ->
+(components, dL/dz)`` for ``(..., n, C)`` probabilities.  Each core's
+docstring defines its loss.  Cores reduce over the spatial axis only, so
+leading batch axes of ``z`` give one value per item.  A caller that
+evaluates one target many times builds its core once and reuses it:
+:func:`evaluate_loss` per call, :func:`gradient_check` per trial,
+``train`` per run and ``run_shrinkwrap`` per trajectory.  J uses the
 matrix form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z``
 gives ``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
 gradient.
 
-Only :func:`evaluate_loss` checks inputs: types, shapes, and a one-hot
-target (once per target container).  Arrays the library derives, such as
-the softmax of a checked logit field, are not checked again.  Sums run in a
+Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
+(once per target container) and the size of the pair weights.  Building a
+core checks nothing but the pair weights' size, and running one checks
+nothing; the callers above pass targets and probabilities that are checked
+or derived by the library.  Sums run in a
 fixed order (pairwise over the field, in order over the channels); training
 output is byte-identical with one and two OpenBLAS threads, as tested.
 """
@@ -122,27 +128,38 @@ def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return z * (dz - fold_channels(np.add, dz * z))
 
 
-def _weighted_ce(y: np.ndarray, z: np.ndarray, class_weights: np.ndarray | None):
-    """Mean (optionally class-weighted) negative log likelihood and dL/dz."""
+def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None):
+    """Mean (optionally class-weighted) negative log likelihood: returns
+    ``ce(z) -> (value, dL/dz)`` for the target ``y``."""
     n = y.shape[0]
     wy = y if class_weights is None else class_weights * y
-    clamped = np.maximum(z, LOG_EPS)
-    value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
-    active = z > LOG_EPS  # below the clamp the log is constant
-    return value, -wy / clamped * active / n
+    neg_wy = -wy
+
+    def ce(z):
+        clamped = np.maximum(z, LOG_EPS)
+        value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
+        active = z > LOG_EPS  # below the clamp the log is constant
+        return value, neg_wy / clamped * active / n
+
+    return ce
 
 
-def _ce_core(y, z, weights):
+def _ce_core(y, weights):
     """Cross entropy: the mean negative log likelihood over elements.
 
     With logit input the gradient reduces to ``(z - y) / n`` per element
     wherever the clamp is inactive.
     """
-    value, dz = _weighted_ce(y, z, None)
-    return {"ce": value}, dz
+    ce = _weighted_ce(y, None)
+
+    def core(z):
+        value, dz = ce(z)
+        return {"ce": value}, dz
+
+    return core
 
 
-def _bwm_core(y, z, weights):
+def _bwm_core(y, weights):
     """BWM: cross entropy with per-class balance weights ``n / (channels * n_l)``.
 
     Absent classes get weight zero.  With perfectly balanced targets every
@@ -151,29 +168,40 @@ def _bwm_core(y, z, weights):
     counts = y.sum(axis=0)
     channels = y.shape[-1]
     w = np.divide(y.shape[0], channels * counts, out=np.zeros(channels), where=counts > 0)
-    value, dz = _weighted_ce(y, z, w)
-    return {"bwm": value}, dz
+    ce = _weighted_ce(y, w)
+
+    def core(z):
+        value, dz = ce(z)
+        return {"bwm": value}, dz
+
+    return core
 
 
-def _dsc_core(y, z, weights):
+def _dsc_core(y, weights):
     """DSC: cross entropy plus one minus the mean soft Dice over present classes.
 
     Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
     """
-    ce, dz = _weighted_ce(y, z, None)
+    ce = _weighted_ce(y, None)
     counts = y.sum(axis=0)
     present = counts > 0
     share = present / np.count_nonzero(present)  # mean over present classes
-    inter = (z * y).sum(axis=-2)[..., None, :]
-    # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
-    denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
-    dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
-    # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
-    dz = dz - (2.0 * y * denom - 4.0 * inter * z) / denom**2 * share
-    return {"ce": ce, "dice": dice}, dz
+    two_y = 2.0 * y
+
+    def core(z):
+        value, dz = ce(z)
+        inter = (z * y).sum(axis=-2)[..., None, :]
+        # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
+        denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
+        dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+        # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
+        dz = dz - (two_y * denom - 4.0 * inter * z) / denom**2 * share
+        return {"ce": value, "dice": dice}, dz
+
+    return core
 
 
-def _j_core(y, z, weights):
+def _j_core(y, weights):
     """J: the pairwise surrogate of Youden's J statistic.
 
     For every ordered pair of present classes (i positive, k negative) the
@@ -190,29 +218,41 @@ def _j_core(y, z, weights):
     counts = y.sum(axis=0)
     present = counts > 0
     n = np.where(present, counts, 1.0)
-    phi = y / n  # phi_l = y_l / n_l; absent classes keep all-zero columns
-    s = phi.T @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
-    a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
+    n_col = n[:, None]
+    phi_t = (y / n).T  # phi_l = y_l / n_l; absent classes keep all-zero columns
     eye = np.eye(channels, dtype=bool)
     pairs = (lam != 0.0) & ~eye & present & present[:, None]
-    log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
-    value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
-    # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
-    # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
-    # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
-    active = pairs & (a > LOG_EPS) & (a < 1.0)
-    half = np.where(active, 0.5 * lam, 0.0)
-    a = np.where(active, a, 1.0)
-    diag = (half / (a * n[:, None])).sum(axis=-1)[..., None, :]
-    m = np.swapaxes(half / (a * n), -1, -2) - eye * diag
-    return {"j": value}, y @ m
+    half_lam = 0.5 * lam
+
+    def core(z):
+        s = phi_t @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
+        a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
+        log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
+        value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
+        # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
+        # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
+        # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
+        active = pairs & (a > LOG_EPS) & (a < 1.0)
+        half = np.where(active, half_lam, 0.0)
+        a = np.where(active, a, 1.0)
+        diag = (half / (a * n_col)).sum(axis=-1)[..., None, :]
+        m = np.swapaxes(half / (a * n), -1, -2) - eye * diag
+        return {"j": value}, y @ m
+
+    return core
 
 
-def _jc_core(y, z, weights):
+def _jc_core(y, weights):
     """JC: cross entropy plus the J surrogate; components report both parts."""
-    ce, ce_dz = _weighted_ce(y, z, None)
-    j, j_dz = _j_core(y, z, weights)
-    return {"ce": ce, **j}, ce_dz + j_dz
+    ce = _weighted_ce(y, None)
+    j = _j_core(y, weights)
+
+    def core(z):
+        ce_value, ce_dz = ce(z)
+        j_parts, j_dz = j(z)
+        return {"ce": ce_value, **j_parts}, ce_dz + j_dz
+
+    return core
 
 
 _CORES = {"ce": _ce_core, "j": _j_core, "jc": _jc_core, "bwm": _bwm_core, "dsc": _dsc_core}
@@ -245,7 +285,7 @@ def evaluate_loss(
     if z.shape != y.shape:
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {z.shape}")
     flat = (-1, y.shape[-1])
-    parts, dz = _CORES[loss_id](y.reshape(flat), z.reshape(flat), weights)
+    parts, dz = _CORES[loss_id](y.reshape(flat), weights)(z.reshape(flat))
     components = {name: float(value) for name, value in parts.items()}
     logits = isinstance(pred, LogitField)
     gradient = _softmax_vjp(z, dz.reshape(z.shape)) if logits else None
@@ -293,10 +333,11 @@ def _stack_totals(loss_id: str, y: np.ndarray, weights: PairWeights | None):
     """``fn`` for :func:`finite_difference_gradient`: the loss total of
     target ``y`` at each logit array of a stack."""
     y_flat = y.reshape(-1, y.shape[-1])
+    core = _CORES[loss_id](y_flat, weights)
 
     def totals(stack: np.ndarray) -> np.ndarray:
         z = softmax_values(stack).reshape((len(stack),) + y_flat.shape)
-        return sum(_CORES[loss_id](y_flat, z, weights)[0].values())
+        return sum(core(z)[0].values())
 
     return totals
 

@@ -321,7 +321,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     through ``logit_values``, the arithmetic of ``probs_to_logits``, and one
     softmax, on bare arrays: the configuration keeps every confidence in
     (0.25, 1), so each prescribed field lies on the simplex and needs no
-    container checks.  The ce and j cores run once each, and the jc
+    container checks.  The ce and j cores are built for the target once,
+    before the loop; each step runs them once each, and the jc
     gradient pulls back ``ce_dz + j_dz`` summed before the softmax
     pull-back, as the jc core does, so all three norms equal
     ``evaluate_loss(...).grad_norm`` bit for bit.
@@ -337,6 +338,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     y = target.values
     flat = (-1, channels)
     y_flat = y.reshape(flat)
+    ce_core = _ce_core(y_flat, None)
+    j_core = _j_core(y_flat, None)
     d2 = _squared_distance(scene.labels > 0, cfg.margin_start)
 
     t_shrink = cfg.shrink_iterations
@@ -366,8 +369,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
 
         s = softmax_values(logit_values(z))
         s_flat = s.reshape(flat)
-        ce_dz = _ce_core(y_flat, s_flat, None)[1]
-        j_dz = _j_core(y_flat, s_flat, None)[1]
+        ce_dz = ce_core(s_flat)[1]
+        j_dz = j_core(s_flat)[1]
         record = {
             "iteration": t,
             "margin": margin,

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import child_rng
-from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax
-from .losses import LOSS_IDS, PairWeights, evaluate_loss
+from ._util import child_rng, l2_norm
+from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax_values
+from .losses import _CORES, LOSS_IDS, PairWeights, _softmax_vjp, evaluate_loss
 from .metrics import panoptic
 from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
 from .transform import GAP
@@ -122,10 +122,20 @@ def train(
     quality (via the full post-processing pipeline) is recorded against
     ``source`` on every log iteration.  Deterministic per seed.
 
+    Iteration 0 is one checked :func:`evaluate_loss` call: it checks the
+    target, its shape against the logits and the pair weights, and supplies
+    the first record and gradient.  Every later iteration runs the loss core
+    built once for the target on the bare logit array (softmax, core,
+    softmax pull-back), with no container and no gradient copy; the logits
+    are checked for finiteness after every update instead.  The output is
+    byte-identical to an :func:`evaluate_loss` call per iteration.
+
     The measurement pipeline sends gap elements straight to background:
     per-element logits leave the runner-up ordering at a confident gap
     element unconstrained, so the restricted-MAP gap rule would read noise
-    there.
+    there.  Under that rule the instances depend on the MAP class map
+    alone, so post-processing and panoptic quality rerun only on log
+    iterations where the map changed since the last one measured.
     """
     if target.values.shape[:-1] != source.labels.shape:
         raise ValueError("target field and source instance map shapes differ")
@@ -137,10 +147,25 @@ def train(
 
     gap_mask = target.values[..., GAP] == 1.0 if target.channels > GAP else None
     adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
+    flat = (-1, target.channels)
+    core = None  # built after iteration 0 has checked the inputs
 
-    def measure_pq(logits: LogitField) -> float:
-        instances = instances_from_probs(softmax(logits), _MEASURE_POST)
-        return panoptic(source, instances)["pq"]
+    def step(theta_arr: np.ndarray) -> tuple[dict[str, float], np.ndarray]:
+        z = softmax_values(theta_arr)
+        parts, dz = core(z.reshape(flat))
+        components = {name: float(value) for name, value in parts.items()}
+        return components, _softmax_vjp(z, dz.reshape(shape))
+
+    measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
+
+    def measure_pq(logits_arr: np.ndarray) -> float:
+        probs = softmax_values(logits_arr)
+        key = argmax_channels(probs)[0].tobytes()
+        if key not in measured:
+            instances = instances_from_probs(ProbabilityField(probs), _MEASURE_POST)
+            measured.clear()
+            measured[key] = panoptic(source, instances)["pq"]
+        return measured[key]
 
     def gap_correct(logits_arr: np.ndarray) -> bool:
         if gap_mask is None or not gap_mask.any():
@@ -160,29 +185,33 @@ def train(
         )
 
     for it in range(cfg.iterations + 1):
-        logits = LogitField(theta)
-        value = evaluate_loss(cfg.loss, target, logits, weights)
-        if not np.isfinite(value.total):
+        if it == 0:
+            value = evaluate_loss(cfg.loss, target, LogitField(theta), weights)
+            components, grad = dict(value.components), value.gradient
+            core = _CORES[cfg.loss](target.values.reshape(flat), weights)
+        else:
+            components, grad = step(theta)
+        total = sum(components.values())
+        if not np.isfinite(total):
             raise diverged("loss", it)
         if first_gap_correct is None and gap_correct(theta):
             first_gap_correct = it
 
         log_now = it % cfg.log_every == 0 or it == cfg.iterations
-        pq = measure_pq(logits) if log_now else None
+        pq = measure_pq(theta) if log_now else None
         if log_now:
             final_pq = pq
         records.append(
             TrainRecord(
                 iteration=it,
-                total=value.total,
-                components=dict(value.components),
-                grad_norm=value.grad_norm,
+                total=total,
+                components=components,
+                grad_norm=l2_norm(grad),
                 pq=pq,
             )
         )
         if it == cfg.iterations:
             break
-        grad = value.gradient
         if adam is not None:
             theta = adam.step(theta, grad)
         else:

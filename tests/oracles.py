@@ -15,14 +15,22 @@ import numpy as np
 from scipy import ndimage
 
 from jseg import (
+    LogitField,
+    PostprocessConfig,
     ProbabilityField,
     evaluate_loss,
     generate_scene,
+    instances_from_probs,
     one_hot,
+    panoptic,
     probs_to_logits,
+    softmax,
     to_semantic,
 )
-from jseg.transform import CELL, ball_footprint
+from jseg._util import child_rng
+from jseg.postprocess import GAP_TO_BACKGROUND
+from jseg.train import TrainRecord, TrainTrace
+from jseg.transform import CELL, GAP, ball_footprint
 
 
 def ball_offsets(radius: int, d: int) -> list[tuple[int, ...]]:
@@ -456,3 +464,49 @@ def shrinkwrap_grad_norms(cfg) -> tuple[dict, ...]:
             row[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits).grad_norm
         rows.append(row)
     return tuple(rows)
+
+
+def evaluate_loss_train(target, source, cfg, weights=None):
+    """The trace of ``jseg.train.train`` by the literal route.
+
+    Every iteration builds a ``LogitField`` of the logits and makes one
+    checked ``evaluate_loss`` call, and every log iteration runs softmax,
+    the full post-processing pipeline (gap elements to background) and
+    panoptic quality, with no memo.  Adam's update is spelled out step by
+    step.  Stops quietly where ``train`` would raise ``TrainDiverged``.
+    """
+    rng = child_rng(cfg.seed, 0)
+    theta = np.zeros(target.values.shape)
+    if cfg.init_noise > 0:
+        theta += cfg.init_noise * rng.standard_normal(theta.shape)
+    gap = target.values[..., GAP] == 1.0 if target.channels > GAP else np.zeros(theta.shape[:-1], bool)
+    post = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
+    m = v = np.zeros(theta.shape)
+    lr, beta1, beta2, eps = 1e-4, 0.9, 0.999, 1e-8
+    records = []
+    first_gap_correct = None
+    final_pq = float("nan")
+    for it in range(cfg.iterations + 1):
+        logits = LogitField(theta)
+        value = evaluate_loss(cfg.loss, target, logits, weights)
+        if not np.isfinite(value.total):
+            break
+        if first_gap_correct is None and np.all(np.argmax(theta[gap], axis=-1) == GAP):
+            first_gap_correct = it
+        pq = None
+        if it % cfg.log_every == 0 or it == cfg.iterations:
+            pq = final_pq = panoptic(source, instances_from_probs(softmax(logits), post))["pq"]
+        records.append(TrainRecord(it, value.total, dict(value.components), value.grad_norm, pq))
+        if it == cfg.iterations:
+            break
+        grad = value.gradient
+        if cfg.optimizer == "adam":
+            t = it + 1
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad**2
+            theta = theta - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+        else:
+            theta = theta - cfg.step_size * grad
+        if not np.isfinite(theta).all():
+            break
+    return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)

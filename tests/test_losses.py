@@ -280,7 +280,7 @@ def test_j_core_matches_the_pair_loop_oracle(dims):
         z = softmax_values(rng.normal(0.0, 2.0, size=dims + (4,)))
         lam = rng.random((4, 4)) * (rng.random((4, 4)) > 0.2)
         want, want_dz = pair_loop_j(y, z, lam)
-        parts, dz = _CORES["j"](y.reshape(-1, 4), z.reshape(-1, 4), PairWeights(lam))
+        parts, dz = _CORES["j"](y.reshape(-1, 4), PairWeights(lam))(z.reshape(-1, 4))
         assert parts["j"] == pytest.approx(want, rel=1e-12, abs=0)
         np.testing.assert_allclose(dz.reshape(z.shape), want_dz, rtol=1e-12, atol=0)
 
@@ -301,9 +301,10 @@ def test_batched_cores_equal_per_item_cores(loss_id):
     y = _random_one_hot(rng, (5, 3)).values.reshape(-1, 4)
     z = softmax_values(rng.normal(size=(3, 15, 4)))
     weights = PairWeights(rng.random((4, 4)))
-    parts, dz = _CORES[loss_id](y, z, weights)
+    core = _CORES[loss_id](y, weights)
+    parts, dz = core(z)
     for b in range(len(z)):
-        item_parts, item_dz = _CORES[loss_id](y, z[b], weights)
+        item_parts, item_dz = core(z[b])
         assert {name: value[b] for name, value in parts.items()} == item_parts
         assert np.array_equal(dz[b], item_dz)
 
@@ -388,3 +389,12 @@ def test_logit_gradients_sum_to_zero_over_the_channels(case):
         gradient = evaluate_loss(loss_id, y, LogitField(theta)).gradient
         # Round-off of dL/dz terms far larger than the pulled-back gradient.
         assert np.abs(gradient.sum(axis=-1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("loss_id", ["j", "jc"])
+def test_pair_weights_must_match_the_channel_count(loss_id):
+    rng = np.random.default_rng(20)
+    y = _random_one_hot(rng, (5, 4))
+    logits = LogitField(rng.normal(size=(5, 4, 4)))
+    with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
+        evaluate_loss(loss_id, y, logits, PairWeights.default(3))

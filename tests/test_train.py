@@ -17,13 +17,17 @@ from jseg import (
     to_semantic,
     train,
 )
+from oracles import evaluate_loss_train
 
 
-def _scene_target(seed=0):
-    spec = SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=8, seed=seed)
+def _scene_target(seed=0, spec=None):
+    spec = spec or SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=8, seed=seed)
     g = generate_scene(spec)
     h = to_semantic(g, TransformConfig())
     return g, one_hot(h, 4)
+
+
+_BLOBS_3D = SceneSpec(kind="random-blobs", dims=(10, 12, 9), cell_size=5, n_blobs=4, seed=2)
 
 
 def test_zero_iterations_gives_initial_uniform_loss():
@@ -135,3 +139,56 @@ def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     for optimizer in ("gd", "adam"):
         with np.errstate(all="ignore"), pytest.raises(TrainDiverged, match="iteration 0"):
             train(y, g, TrainConfig(loss="ce", iterations=3, optimizer=optimizer))
+
+
+@pytest.mark.parametrize("spec", [None, _BLOBS_3D], ids=["toy", "blobs3d"])
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+@pytest.mark.parametrize("loss", ["ce", "jc", "bwm", "dsc"])
+def test_train_equals_the_evaluate_loss_loop(loss, optimizer, spec):
+    # The bare-array steps and the PQ memo change no bit of the trace.
+    g, y = _scene_target(spec=spec)
+    random = PairWeights(np.random.default_rng(4).random((4, 4)))
+    cfg = TrainConfig(loss=loss, iterations=60, log_every=4, seed=9, optimizer=optimizer)
+    for weights in (None, random):
+        got = train(y, g, cfg, weights)
+        want = evaluate_loss_train(y, g, cfg, weights)
+        assert len(got.records) == len(want.records) == 61
+        for a, b in zip(got.records, want.records):
+            assert a.iteration == b.iteration
+            assert a.total == b.total
+            assert a.components == b.components
+            assert a.grad_norm == b.grad_norm
+            assert a.pq == b.pq
+        assert got.first_gap_correct == want.first_gap_correct
+        assert got.final_pq == want.final_pq
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 37])
+def test_train_checks_its_inputs_in_one_evaluate_loss_call(monkeypatch, iterations):
+    module = importlib.import_module("jseg.train")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate_loss(*args, **kwargs)
+
+    monkeypatch.setattr(module, "evaluate_loss", counting)
+    g, y = _scene_target()
+    trace = train(y, g, TrainConfig(loss="jc", iterations=iterations, log_every=5))
+    assert len(trace.records) == iterations + 1
+    assert calls == ["jc"]
+
+
+def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
+    module = importlib.import_module("jseg.train")
+    record, made = module.TrainRecord, []
+
+    def recording(*args, **kwargs):
+        made.append(kwargs)
+        return record(*args, **kwargs)
+
+    g, y = _scene_target()
+    monkeypatch.setattr(module, "TrainRecord", recording)
+    with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
+        train(y, g, TrainConfig(loss="jc", iterations=5), weights=PairWeights.default(3))
+    assert made == []
