@@ -1,11 +1,18 @@
 """Small shared helpers: deterministic thread mapping, seed derivation, a
 thread-count-independent norm, the window fold behind every morphology
-filter and the one CSV writer."""
+filter and the one CSV writer.
+
+The CSV writer formats cells, not rows: per chunk of rows, each numeric
+column formats each of its distinct values once, and one pass can write
+several files that share columns, so a shared column is formatted once
+for all of them."""
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from typing import TypeVar
 
 import numpy as np
@@ -14,7 +21,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Rows formatted per batch in :func:`write_csv`, so a long table never
-#: holds all of its cell strings in memory at once.
+#: holds all of its cell strings in memory at once; also the span over
+#: which a repeated value is formatted once.
 CSV_CHUNK_ROWS = 4096
 
 
@@ -70,39 +78,78 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+def _numeric_cells(values: np.ndarray) -> list[str]:
+    """One cell per entry of a numeric array, each distinct value formatted
+    once: ``.17g`` for floats, which round-trips exactly, ``str`` for
+    integers and bools.  Floats are told apart by their bit pattern, so
+    ``-0.0``, ``0.0`` and every NaN payload keep their own cell."""
+    if values.dtype.kind == "f":
+        distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        texts = [format(v, ".17g") for v in distinct.view(values.dtype).tolist()]
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        texts = [str(v) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _cells(column, array: np.ndarray, start: int, stop: int) -> list[str]:
+    """The cells of rows ``start:stop`` of ``column``, whose array is ``array``.
+
+    A numeric column goes through :func:`_numeric_cells`.  Any other column
+    is read from the caller's values, since a numpy string array would
+    strip trailing NULs: None in a float-or-None column gives an empty cell
+    and its floats ``.17g``; strings keep the csv module's minimal quoting.
+    """
+    if array.dtype.kind in "biuf":
+        return _numeric_cells(array[start:stop])
+    if array.dtype.kind == "O":  # floats mixed with None
+        return ["" if v is None else format(v, ".17g") for v in column[start:stop]]
+    return [_quote(str(v)) for v in column[start:stop]]
+
+
+def _rows(cells: Sequence[Sequence[str]]) -> str:
+    """CSV lines of the given column cells.  The csv module quotes an empty
+    cell that is its row's only one, so that the row does not read as a
+    blank line."""
+    if len(cells) == 1:
+        lines = [cell or '""' for cell in cells[0]]
+    else:
+        lines = map(",".join, zip(*cells))
+    return "\r\n".join(lines) + "\r\n"
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence, subsets: Sequence = ()) -> None:
     """Write equal-length ``columns`` under ``header``, byte for byte as the
     csv module's default dialect would.
 
-    Every row is formatted by one ``%``-template built from the columns'
-    dtypes: ``%.17g`` for a float column, which round-trips exactly, and
-    ``%d`` for an integer column.  Any other column is converted to cells
-    once and enters the template as ``%s``: None in a float-or-None column
-    gives an empty cell and its floats ``.17g``; strings keep the csv
-    module's minimal quoting and bools read ``True``/``False``.
+    The rows go out in chunks of :data:`CSV_CHUNK_ROWS`.  Per chunk each
+    column becomes one list of cells: a numeric column formats each of its
+    distinct values once (:func:`_numeric_cells`), any other column each
+    value (:func:`_cells`).  Each line is its cells joined by ``,``, and
+    the lines are joined by CRLF.  Only one chunk of cells is alive at a
+    time.
+
+    ``subsets`` holds ``(path, names)`` pairs.  Each one gets a file of its
+    own, written in the same pass from the same cells: the columns under
+    ``names`` (the first column of each name in ``header``), in that order,
+    under ``names`` as the header.  So a column two files share is formatted
+    once.  Every path must be a different file.
     """
-    # The csv module quotes an empty cell that is its row's only one, so
-    # that the row does not read as a blank line.
-    empty = '""' if len(columns) == 1 else ""
-    fields, values = [], []
-    for column in columns:
-        array = np.asarray(column)
-        kind = array.dtype.kind
-        if kind in "fiu":
-            fields.append("%.17g" if kind == "f" else "%d")
-        else:
-            # Cells come from the caller's values: a numpy string array
-            # would strip trailing NULs.
-            if kind == "O":  # floats mixed with None
-                cells = [empty if v is None else format(v, ".17g") for v in column]
-            else:
-                cells = [_quote(str(v)) or empty for v in column]
-            fields.append("%s")
-            array = np.array(cells, dtype=object)
-        values.append(array)
-    template = ",".join(fields) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_quote(name) or empty for name in header) + "\r\n")
-        for start in range(0, len(values[0]), CSV_CHUNK_ROWS):
-            rows = zip(*(v[start : start + CSV_CHUNK_ROWS].tolist() for v in values))
-            fh.write("".join([template % row for row in rows]))
+    files = [(path, range(len(header)))]
+    files += [(sub_path, [header.index(name) for name in names]) for sub_path, names in subsets]
+    if subsets and len({os.path.realpath(os.fspath(p)) for p, _ in files}) < len(files):
+        raise ValueError("each CSV of one pass needs its own path")
+    arrays = [np.asarray(column) for column in columns]
+    n_rows = len(arrays[0]) if arrays else 0
+    with ExitStack() as stack:
+        handles = []
+        for file_path, picks in files:
+            fh = stack.enter_context(open(file_path, "w", newline=""))
+            fh.write(_rows([[_quote(header[i])] for i in picks]))
+            handles.append((fh, picks))
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            cells = [_cells(c, a, start, stop) for c, a in zip(columns, arrays)]
+            for fh, picks in handles:
+                fh.write(_rows([cells[i] for i in picks]))
+            del cells  # so the next chunk's cells never live beside these

@@ -171,12 +171,15 @@ def _cmd_sim_imbalance(args) -> list[str]:
     # The correlation runs the sweep itself; its table is the one written here.
     corr = mcc_j_correlation(cfg, threads=args.threads) if args.correlation_out else None
     table = corr.table if corr else run_imbalance_sim(cfg, threads=args.threads)
-    table.write_csv(args.out)
+    if corr:
+        # One pass writes both CSVs, formatting their shared columns once.
+        corr.write_scatter_csv(args.correlation_out, table_path=args.out)
+    else:
+        table.write_csv(args.out)
     summary_path = args.summary_out or args.out + ".summary.json"
     _write_json(summary_path, {"classifier": cfg.classifier, "per_pi": table.summary()})
     outputs = [args.out, summary_path]
     if corr:
-        corr.write_scatter_csv(args.correlation_out)
         corr_json = args.correlation_out + ".summary.json"
         _write_json(
             corr_json,

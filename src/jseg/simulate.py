@@ -55,6 +55,10 @@ C3 = "c3"
 #: them at least one below ``samples``.
 MAX_SAMPLES = 10**9
 
+#: Columns of the imbalance CSV and of the MCC/J scatter CSV.
+TABLE_HEADER = ("pi", "trial", *MEASURES)
+SCATTER_HEADER = ("pi", "trial", "mcc", "j")
+
 
 def default_pi_grid() -> tuple[float, ...]:
     """Imbalance ratios 0.01, 0.02, ..., 0.50."""
@@ -109,19 +113,19 @@ class ImbalanceTable:
         return self.rows[measure].reshape(len(self.pis), -1)[self.pis.index(pi)]
 
     def summary(self) -> list[dict]:
-        out = []
-        for pi in self.pis:
-            entry = {"pi": pi, "resampled": self.resampled[pi]}
-            for m in MEASURES:
-                vals = self.per_pi(pi, m)
-                entry[f"{m}_mean"] = float(vals.mean())
-                entry[f"{m}_std"] = float(vals.std())
-            out.append(entry)
+        """Per ratio: the resampled count and each measure's mean and
+        standard deviation, one reduction per measure over all ratios."""
+        out = [{"pi": pi, "resampled": self.resampled[pi]} for pi in self.pis]
+        for m in MEASURES:
+            vals = self.rows[m].reshape(len(self.pis), -1)
+            means, stds = vals.mean(axis=1).tolist(), vals.std(axis=1).tolist()
+            for entry, mean, std in zip(out, means, stds):
+                entry[f"{m}_mean"] = mean
+                entry[f"{m}_std"] = std
         return out
 
     def write_csv(self, path) -> None:
-        header = ["pi", "trial", *MEASURES]
-        _util.write_csv(path, header, [self.rows[name] for name in header])
+        _util.write_csv(path, TABLE_HEADER, [self.rows[name] for name in TABLE_HEADER])
 
 
 def _simulate_pi(args) -> tuple[np.ndarray, int]:
@@ -192,9 +196,23 @@ class CorrelationResult:
     def r_at(self, pi: float) -> float:
         return self.r_values[self.pis.index(pi)]
 
-    def write_scatter_csv(self, path) -> None:
-        header = ["pi", "trial", "mcc", "j"]
-        _util.write_csv(path, header, [self.table.rows[name] for name in header])
+    def write_scatter_csv(self, path, table_path=None) -> None:
+        """Write the per-trial MCC/J scatter CSV to ``path``.
+
+        With ``table_path``, the table's own CSV (as
+        :meth:`ImbalanceTable.write_csv` writes it) goes there in the same
+        pass, and the four scatter columns are formatted once for both.
+        """
+        rows = self.table.rows
+        if table_path is None:
+            _util.write_csv(path, SCATTER_HEADER, [rows[name] for name in SCATTER_HEADER])
+        else:
+            _util.write_csv(
+                table_path,
+                TABLE_HEADER,
+                [rows[name] for name in TABLE_HEADER],
+                [(path, SCATTER_HEADER)],
+            )
 
 
 def mcc_j_correlation(cfg: ImbalanceSimConfig, threads: int = 1) -> CorrelationResult:
@@ -332,10 +350,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     scene = generate_scene(cfg.scene)
     semantic = to_semantic(scene, cfg.transform)
     channels = cfg.transform.channels
-    target = one_hot(semantic, channels)
-    if not target.is_one_hot():
-        raise ValueError("target must be one-hot")
-    y = target.values
+    y = one_hot(semantic, channels).values
     flat = (-1, channels)
     y_flat = y.reshape(flat)
     ce_core = _ce_core(y_flat, None)
@@ -350,12 +365,10 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     for t in range(1, cfg.iterations + 1):
         if t <= t_shrink:
             margin = max(0, cfg.margin_start - (t - 1) // cfg.iters_per_margin_step)
-            if t_shrink > 1:
-                confidence = cfg.confidence_start + (
-                    cfg.confidence_final - cfg.confidence_start
-                ) * (t - 1) / (t_shrink - 1)
-            else:
-                confidence = cfg.confidence_final
+            # t_shrink >= 2: margin_start and iters_per_margin_step are >= 1.
+            confidence = cfg.confidence_start + (
+                cfg.confidence_final - cfg.confidence_start
+            ) * (t - 1) / (t_shrink - 1)
             prescribed = np.where(d2 <= margin * margin, CELL, 0).astype(np.int32)
             z = _confidence_field(prescribed, confidence, channels)
             ramp = 0.0

@@ -9,6 +9,7 @@ element of the target is classified correctly under MAP.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,31 @@ class _Adam:
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool]:
+    """Whether MAP classifies every gap element of ``target`` as GAP, as a
+    function of the logits.
+
+    :func:`argmax_channels` sends ties to the lowest index, so an element
+    is classed GAP exactly when its GAP logit is strictly greater than every
+    lower channel and no smaller than any higher one.  The gap elements'
+    rows are found once, here; each call gathers them and compares.  With
+    the four-class transform GAP is the last channel, so that is one
+    comparison.
+    """
+    flat = (-1, target.channels)
+    has_gap = target.channels > GAP
+    rows = np.flatnonzero(target.values.reshape(flat)[:, GAP] == 1.0) if has_gap else []
+    if len(rows) == 0:
+        return lambda theta: True
+
+    def check(theta: np.ndarray) -> bool:
+        g = theta.reshape(flat)[rows]
+        top = g[:, GAP, None]
+        return bool((g[:, :GAP] < top).all() and (g[:, GAP + 1 :] <= top).all())
+
+    return check
+
+
 def train(
     target: ProbabilityField,
     source: InstanceLabelMap,
@@ -145,7 +171,7 @@ def train(
     if cfg.init_noise > 0:
         theta += cfg.init_noise * rng.standard_normal(shape)
 
-    gap_mask = target.values[..., GAP] == 1.0 if target.channels > GAP else None
+    gap_correct = _gap_check(target)
     adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
     flat = (-1, target.channels)
     core = None  # built after iteration 0 has checked the inputs
@@ -166,12 +192,6 @@ def train(
             measured.clear()
             measured[key] = panoptic(source, instances)["pq"]
         return measured[key]
-
-    def gap_correct(logits_arr: np.ndarray) -> bool:
-        if gap_mask is None or not gap_mask.any():
-            return True
-        # Every gap element's target class is GAP; ties go to the lowest index.
-        return bool(np.all(argmax_channels(logits_arr[gap_mask])[0] == GAP))
 
     records: list[TrainRecord] = []
     first_gap_correct: int | None = None

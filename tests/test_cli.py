@@ -1,4 +1,7 @@
+import argparse
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +12,20 @@ import numpy as np
 import pytest
 
 import jseg
-from jseg import read_grid, write_grid
-from jseg.cli import dispatch
+from jseg import (
+    ImbalanceSimConfig,
+    PostprocessConfig,
+    SceneSpec,
+    ShrinkwrapConfig,
+    TrainConfig,
+    TransformConfig,
+    gradient_check,
+    landscape_scan,
+    read_grid,
+    write_grid,
+)
+from jseg.cli import _build_parser, _scene_from, _transform_from, dispatch
+from jseg.simulate import default_pi_grid
 
 
 def run(*argv):
@@ -347,6 +362,15 @@ def test_sim_imbalance_with_correlation_runs_the_sweep_once(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+def test_one_path_for_both_sweep_csvs_is_a_data_error(tmp_path, capsys):
+    # One pass writes both files, so they cannot share a path.
+    out = tmp_path / "imb.csv"
+    assert run("sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
+               "--seed", "1", "--out", str(out), "--correlation-out", str(out)) == 2
+    assert "own path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
     out = tmp_path / "imb.csv"
     assert run("sim-imbalance", "--classifier", "c1", "--pis", "0.01", "0.01", "--samples", "100",
@@ -381,3 +405,104 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     assert run("gen-scene", "--threads", threads, "--seed", "0", "--out", str(out)) == 1
     assert "--threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_loss_eval_reads_a_probability_field(tmp_path):
+    # --probs reads a probability field and evaluates its logits.
+    g, h = tmp_path / "g.grd", tmp_path / "h.grd"
+    assert run("gen-scene", "--dims", "20", "10", "--seed", "0", "--out", str(g)) == 0
+    assert run("transform", "--in", str(g), "--out", str(h), "--seed", "0") == 0
+    from jseg import ProbabilityField, evaluate_loss, one_hot, probs_to_logits
+
+    target = one_hot(read_grid(h, "semantic"), 4)
+    probs = ProbabilityField(0.9 * target.values + 0.025)
+    p_path = tmp_path / "p.grd"
+    write_grid(probs, p_path)
+    out = tmp_path / "loss.json"
+    assert run("loss-eval", "--loss", "jc", "--target", str(h), "--probs", str(p_path),
+               "--seed", "0", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    want = evaluate_loss("jc", target, probs_to_logits(read_grid(p_path, "probs")))
+    assert payload == {"loss": want.total, "components": want.components,
+                       "grad_norm": want.grad_norm}
+    manifest = json.loads((tmp_path / "loss.json.manifest.json").read_text())
+    assert manifest["inputs"] == sorted([str(h), str(p_path)])
+
+
+def test_evaluate_with_unequal_path_counts_is_usage_error(tmp_path, capsys):
+    g = tmp_path / "g.grd"
+    assert run("gen-scene", "--seed", "0", "--out", str(g)) == 0
+    out = tmp_path / "eval.csv"
+    assert run("evaluate", "--gt", str(g), str(g), "--pred", str(g), "--seed", "0",
+               "--out", str(out)) == 1
+    assert "same number of paths" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "eval.csv.manifest.json").exists()
+
+
+def _cli_defaults(*argv: str) -> argparse.Namespace:
+    return _build_parser().parse_args([*argv, "--out", "o"])
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+def _param_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def test_cli_defaults_equal_the_library_defaults_they_restate():
+    # Each CLI default that restates a config field or a library default must
+    # equal it; the mappings from argparse dest to field are the CLI's own.
+    def scene_of(ns, scene: SceneSpec) -> SceneSpec:
+        ns.seed = scene.seed
+        return _scene_from(ns)
+
+    # SceneSpec has no default kind or dims; each subcommand sets its own.
+    fields = _field_defaults(SceneSpec)
+    for argv in (["gen-scene"], ["train-toy"], ["landscape"]):
+        ns = _cli_defaults(*argv)
+        scene = SceneSpec(kind=ns.kind, dims=ns.dims, **fields)
+        assert scene_of(ns, scene) == scene
+        if argv != ["gen-scene"]:
+            assert _transform_from(ns) == TransformConfig()
+
+    ns = _cli_defaults("transform", "--in", "i")
+    assert _transform_from(ns) == TransformConfig()
+
+    ns = _cli_defaults("train-toy")
+    train = TrainConfig()
+    assert (ns.loss, ns.step, ns.iterations, ns.log_every, ns.optimizer, ns.init_noise) == (
+        train.loss, train.step_size, train.iterations, train.log_every, train.optimizer,
+        train.init_noise)
+
+    ns = _cli_defaults("sim-shrinkwrap")
+    shrink = ShrinkwrapConfig()
+    assert scene_of(ns, shrink.scene) == shrink.scene
+    assert _transform_from(ns) == shrink.transform
+    assert (ns.iterations, ns.margin, ns.iters_per_step, ns.confidence_start,
+            ns.confidence_final) == (shrink.iterations, shrink.margin_start,
+                                     shrink.iters_per_margin_step, shrink.confidence_start,
+                                     shrink.confidence_final)
+
+    ns = _cli_defaults("sim-imbalance")
+    sweep = ImbalanceSimConfig()
+    assert (ns.classifier, ns.samples, ns.trials) == (sweep.classifier, sweep.samples,
+                                                      sweep.trials)
+    assert ns.pis is None and sweep.pis == default_pi_grid()
+
+    ns = _cli_defaults("postprocess", "--in", "i")
+    post = PostprocessConfig()
+    assert (ns.gap_mode, ns.tau, ns.connectivity) == (post.gap_mode, post.tau, post.connectivity)
+
+    ns = _cli_defaults("grad-check", "--loss", "jc")
+    check = _param_defaults(gradient_check)
+    assert (ns.trials, ns.step) == (check["trials"], check["step"])
+
+    ns = _cli_defaults("landscape")
+    scan = _param_defaults(landscape_scan)
+    assert (ns.resolution, ns.span, ns.threads) == (scan["resolution"], scan["span"],
+                                                    scan["threads"])

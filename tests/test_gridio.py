@@ -139,6 +139,48 @@ def test_kind_mismatch_is_rejected(tmp_path):
         read_grid(path, "probs")
 
 
+def test_pgm_writer_rejections(tmp_path):
+    path = tmp_path / "g.pgm"
+    probs = ProbabilityField(np.full((3, 4, 2), 0.5))
+    cube = InstanceLabelMap(np.ones((2, 3, 4), dtype=np.int32))
+    for grid in (probs, cube):
+        with pytest.raises(ValueError, match="2-D single-channel integer maps only"):
+            write_grid(grid, path)
+    with pytest.raises(ValueError, match="16-bit range"):
+        write_grid(InstanceLabelMap(np.full((2, 2), 70000, dtype=np.int32)), path)
+    assert not path.exists()
+
+
+def test_read_grid_checks_kind_channels_dtype_and_order(tmp_path):
+    def grd(name, channels, dtype, payload):
+        path = tmp_path / name
+        header = {"magic": "GRD1", "dims": [2, 3], "channels": channels, "dtype": dtype,
+                  "order": "C"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
+        return path
+
+    flat_real = grd("real.grd", 1, "f32", np.zeros(6, "<f4"))
+    field = grd("field.grd", 2, "f32", np.full(12, 0.5, "<f4"))
+    with pytest.raises(ValueError, match="unknown grid kind 'mask'"):
+        read_grid(field, "mask")
+    with pytest.raises(DimMismatchError, match="instance map must be single-channel, file has 2"):
+        read_grid(field, "instance")
+    with pytest.raises(MalformedHeaderError, match="semantic map requires an integer payload"):
+        read_grid(flat_real, "semantic")
+    with pytest.raises(DimMismatchError, match="logits field needs a channel axis"):
+        read_grid(flat_real, "logits")
+    assert read_grid(field, "probs").values.shape == (2, 3, 2)
+    header = {"magic": "GRD1", "dims": [2, 3], "channels": 1, "dtype": "u16", "order": "F"}
+    path = tmp_path / "order.grd"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(12))
+    with pytest.raises(MalformedHeaderError, match="unsupported order 'F'"):
+        read_grid(path, "instance")
+    del header["order"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(12))
+    with pytest.raises(MalformedHeaderError, match="header lacks 'order'"):
+        read_grid(path, "instance")
+
+
 def test_u16_overflow_rejected(tmp_path):
     grid = InstanceLabelMap(np.full((2, 2), 70000, dtype=np.int32))
     with pytest.raises(ValueError):

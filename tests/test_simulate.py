@@ -103,6 +103,22 @@ def test_correlation_requires_c3():
         mcc_j_correlation(_small_cfg(classifier="c1"))
 
 
+@pytest.mark.parametrize("classifier", ["c1", "c3"])
+@pytest.mark.parametrize("seed", [5, 901, 11])
+def test_summary_equals_the_per_ratio_reductions(classifier, seed):
+    # One reduction per measure over all ratios gives the bits of one per ratio.
+    table = run_imbalance_sim(ImbalanceSimConfig(classifier=classifier, seed=seed))
+    want = []
+    for pi in table.pis:
+        entry = {"pi": pi, "resampled": table.resampled[pi]}
+        for m in ("j", "mcc", "jaccard", "f1", "tversky", "accuracy"):
+            vals = table.per_pi(pi, m)
+            entry[f"{m}_mean"] = float(vals.mean())
+            entry[f"{m}_std"] = float(vals.std())
+        want.append(entry)
+    assert table.summary() == want
+
+
 def test_correlation_high_at_balance():
     corr = mcc_j_correlation(_small_cfg(trials=300))
     assert corr.r_at(0.5) > 0.99

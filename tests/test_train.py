@@ -7,6 +7,7 @@ from jseg import (
     LogitField,
     LossValue,
     PairWeights,
+    ProbabilityField,
     SceneSpec,
     TrainConfig,
     TrainDiverged,
@@ -17,6 +18,9 @@ from jseg import (
     to_semantic,
     train,
 )
+from jseg.grids import argmax_channels
+from jseg.train import _gap_check
+from jseg.transform import GAP
 from oracles import evaluate_loss_train
 
 
@@ -192,3 +196,20 @@ def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
     with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
         train(y, g, TrainConfig(loss="jc", iterations=5), weights=PairWeights.default(3))
     assert made == []
+
+
+def test_gap_check_equals_the_argmax_rule_ties_included():
+    # Logits from {0, 1, 2} tie often; the lowest index wins a tie, so a gap
+    # element tied with a lower channel is wrong and with a higher one right.
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for trial in range(400):
+        channels = (3, 4, 5)[trial % 3]
+        classes = rng.integers(0, channels, (2, 3))
+        target = ProbabilityField(np.eye(channels)[classes])
+        theta = rng.integers(0, 3, (2, 3, channels)).astype(float)
+        gap = classes == GAP if channels > GAP else np.zeros(classes.shape, bool)
+        want = bool(np.all(argmax_channels(theta[gap])[0] == GAP))
+        assert _gap_check(target)(theta) == want
+        outcomes.add((channels, want))
+    assert outcomes == {(3, True), (4, True), (4, False), (5, True), (5, False)}

@@ -1,8 +1,9 @@
 """The shared helpers in ``jseg._util``: the thread map and the one CSV
 writer, checked against row-by-row reference writers for every CSV the
-package produces."""
+package produces, and its one-pass form against separate writes."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -121,12 +122,42 @@ _KINDS = {
 }
 
 
+#: Floats that format alike but differ in their bits: the writer must not
+#: merge them, or merge them with anything else, when it formats each
+#: distinct value once.
+_LOOKALIKES = [
+    -0.0,
+    0.0,
+    # Quiet NaNs of either sign, one with a payload, and a signalling NaN.
+    *(struct.unpack("<d", struct.pack("<Q", bits))[0]
+      for bits in (0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0001,
+                   0x7FF0_0000_0000_0001)),
+]
+
+
+def _column(draw, kind: str, rows: int, pooled: bool) -> list:
+    """``rows`` values of one column kind.  A pooled column draws them from
+    a pool of at most three, so a chunk holds repeats; a pooled float column
+    also draws from :data:`_LOOKALIKES`."""
+    values = _KINDS[kind][0]
+    if not pooled:
+        return draw(st.lists(values, min_size=rows, max_size=rows))
+    if kind in ("float64", "float-or-None"):
+        values = values | st.sampled_from(_LOOKALIKES)
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+
+
 @st.composite
-def _tables(draw):
+def _tables(draw, unique_header: bool = False):
     rows = draw(st.integers(0, 12))
     kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=5))
-    header = [draw(_TEXT) for _ in kinds]
-    data = [draw(st.lists(_KINDS[k][0], min_size=rows, max_size=rows)) for k in kinds]
+    if unique_header:
+        header = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    else:
+        header = [draw(_TEXT) for _ in kinds]
+    pooled = draw(st.booleans())
+    data = [_column(draw, k, rows, pooled) for k in kinds]
     return header, kinds, data
 
 
@@ -141,6 +172,55 @@ def test_write_csv_matches_the_csv_module_on_any_column_mix(tmp_path_factory, ta
     cells = [[_KINDS[k][2](x) for x in v] for k, v in zip(kinds, data)]
     _reference_csv(d / "want.csv", header, zip(*cells))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tables(unique_header=True), st.integers(1, 5), st.data())
+def test_one_pass_writes_the_bytes_of_separate_writes(tmp_path_factory, table, chunk, data):
+    header, kinds, values = table
+    columns = [_KINDS[k][1](v) for k, v in zip(kinds, values)]
+    picks = data.draw(st.lists(
+        st.lists(st.integers(0, len(header) - 1), min_size=1, max_size=4), max_size=3
+    ))
+    d = tmp_path_factory.mktemp("csv")
+    subsets = [(d / f"sub{n}.csv", [header[i] for i in idx]) for n, idx in enumerate(picks)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_util, "CSV_CHUNK_ROWS", chunk)
+        _util.write_csv(d / "all.csv", header, columns, subsets)
+        _util.write_csv(d / "all_ref.csv", header, columns)
+        for n, idx in enumerate(picks):
+            _util.write_csv(d / f"sub{n}_ref.csv", subsets[n][1], [columns[i] for i in idx])
+    assert (d / "all.csv").read_bytes() == (d / "all_ref.csv").read_bytes()
+    for n in range(len(picks)):
+        assert (d / f"sub{n}.csv").read_bytes() == (d / f"sub{n}_ref.csv").read_bytes()
+
+
+def test_write_csv_formats_each_distinct_value_once_per_chunk(tmp_path, monkeypatch):
+    formatted = []
+
+    def counting(value, spec):
+        formatted.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(_util, "format", counting, raising=False)
+    monkeypatch.setattr(_util, "CSV_CHUNK_ROWS", 6)
+    nan, other_nan = _LOOKALIKES[2], _LOOKALIKES[4]
+    reals = np.array([0.5, -0.0, 0.5, 0.0, -0.0, nan, other_nan, 0.5, nan, 0.5])
+    _util.write_csv(tmp_path / "got.csv", ["r", "same"], [reals, reals],
+                    [(tmp_path / "r.csv", ["r"])])
+    # Per column, chunk 1 holds 0.5, -0.0, 0.0 and a NaN; chunk 2, 0.5 and
+    # two NaN payloads.
+    assert len(formatted) == 2 * (4 + 3)
+    _reference_csv(tmp_path / "want.csv", ["r", "same"], [[_g(r), _g(r)] for r in reals])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "r.csv").read_text().split() == ["r"] + [_g(r) for r in reals]
+
+
+def test_one_pass_refuses_to_write_one_file_twice(tmp_path):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="own path"):
+        _util.write_csv(out, ["a", "b"], [[1], [2]], [(tmp_path / "." / "t.csv", ["b"])])
+    assert not out.exists()
 
 
 def test_write_csv_header_only(tmp_path):
@@ -167,8 +247,16 @@ def test_imbalance_and_scatter_csv_match_row_by_row(tmp_path, monkeypatch):
         ["pi", "trial", "mcc", "j"],
         [[_g(r["pi"]), int(r["trial"]), _g(r["mcc"]), _g(r["j"])] for r in corr.table.rows],
     )
-    assert (tmp_path / "imb.csv").read_bytes() == (tmp_path / "imb_ref.csv").read_bytes()
-    assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "scatter_ref.csv").read_bytes()
+    # The CLI writes both files in one pass.
+    assert dispatch(["sim-imbalance", "--classifier", "c3", "--pis", "0.05", "0.25", "0.5",
+                     "--samples", "200", "--trials", "40", "--seed", "3",
+                     "--out", str(tmp_path / "cli_imb.csv"),
+                     "--correlation-out", str(tmp_path / "cli_scatter.csv")]) == 0
+    for name in ("imb", "cli_imb"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "imb_ref.csv").read_bytes()
+    for name in ("scatter", "cli_scatter"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / "scatter_ref.csv").read_bytes()
 
 
 def test_shrinkwrap_csv_matches_row_by_row(tmp_path):
