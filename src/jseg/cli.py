@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -47,13 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _default(fn, name: str):
+    """The default of parameter ``name`` of ``fn``."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _scene_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=[TWO_SQUARES_NOTCH, RANDOM_BLOBS], default=TWO_SQUARES_NOTCH)
     p.add_argument("--dims", type=int, nargs="+", default=[24, 16], help="grid extent per axis")
-    p.add_argument("--cell-size", type=int, default=8)
-    p.add_argument("--notch-width", type=int, default=1)
-    p.add_argument("--notch-length", type=int, default=4)
-    p.add_argument("--blobs", type=int, default=3)
+    p.add_argument("--cell-size", type=int, default=SceneSpec.cell_size)
+    p.add_argument("--notch-width", type=int, default=SceneSpec.notch_width)
+    p.add_argument("--notch-length", type=int, default=SceneSpec.notch_length)
+    p.add_argument("--blobs", type=int, default=SceneSpec.n_blobs)
 
 
 def _scene_from(args) -> SceneSpec:
@@ -69,8 +75,8 @@ def _scene_from(args) -> SceneSpec:
 
 
 def _transform_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=2, help="touching neighbourhood radius")
-    p.add_argument("--gap-radius", type=int, default=3)
+    p.add_argument("--k", type=int, default=TransformConfig.k, help="touching neighbourhood radius")
+    p.add_argument("--gap-radius", type=int, default=TransformConfig.gap_radius)
     p.add_argument("--classes", type=int, choices=[3, 4], default=4)
 
 
@@ -315,17 +321,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", help="finite-difference check of a loss gradient")
     p.add_argument("--loss", choices=LOSS_IDS, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--trials", type=int, default=_default(gradient_check, "trials"))
+    p.add_argument("--step", type=float, default=_default(gradient_check, "step"))
     p.add_argument("--out", required=True, help="JSON report path")
     _common_args(p)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("sim-imbalance", help="random-classifier imbalance sweep")
-    p.add_argument("--classifier", choices=["c1", "c3"], default="c3")
+    p.add_argument("--classifier", choices=["c1", "c3"], default=ImbalanceSimConfig.classifier)
     p.add_argument("--pis", type=float, nargs="+", default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--samples", type=int, default=ImbalanceSimConfig.samples)
+    p.add_argument("--trials", type=int, default=ImbalanceSimConfig.trials)
     p.add_argument("--out", required=True, help="per-trial CSV path")
     p.add_argument("--summary-out", default=None)
     p.add_argument("--correlation-out", default=None, help="also emit MCC/J scatter CSV")
@@ -334,12 +340,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sim-shrinkwrap", help="prescribed shrinkwrap trajectory")
     _scene_args(p)
-    p.set_defaults(kind=TWO_SQUARES_NOTCH, dims=[80, 56])
-    p.add_argument("--iterations", type=int, default=85)
-    p.add_argument("--margin", type=int, default=18)
-    p.add_argument("--iters-per-step", type=int, default=3)
-    p.add_argument("--confidence-start", type=float, default=0.95)
-    p.add_argument("--confidence-final", type=float, default=0.95)
+    p.set_defaults(kind=ShrinkwrapConfig.scene.kind, dims=list(ShrinkwrapConfig.scene.dims))
+    p.add_argument("--iterations", type=int, default=ShrinkwrapConfig.iterations)
+    p.add_argument("--margin", type=int, default=ShrinkwrapConfig.margin_start)
+    p.add_argument("--iters-per-step", type=int, default=ShrinkwrapConfig.iters_per_margin_step)
+    p.add_argument("--confidence-start", type=float, default=ShrinkwrapConfig.confidence_start)
+    p.add_argument("--confidence-final", type=float, default=ShrinkwrapConfig.confidence_final)
     _transform_args(p)
     p.add_argument("--out", required=True, help="trajectory CSV path")
     _common_args(p)
@@ -349,8 +355,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--loss", choices=LOSS_IDS, default="jc")
     _scene_args(p)
     _transform_args(p)
-    p.add_argument("--resolution", type=int, default=41)
-    p.add_argument("--span", type=float, default=1.0)
+    p.add_argument("--resolution", type=int, default=_default(landscape_scan, "resolution"))
+    p.add_argument("--span", type=float, default=_default(landscape_scan, "span"))
     p.add_argument("--confidence-floor", type=float, default=1e-3)
     p.add_argument("--out", required=True)
     _common_args(p)
@@ -359,9 +365,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("postprocess", help="probability field to instance map")
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gap-mode", choices=["map3", "background", "dubious"], default="map3")
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--connectivity", choices=["face", "full"], default="face")
+    p.add_argument(
+        "--gap-mode", choices=["map3", "background", "dubious"], default=PostprocessConfig.gap_mode
+    )
+    p.add_argument("--tau", type=float, default=PostprocessConfig.tau)
+    p.add_argument("--connectivity", choices=["face", "full"], default=PostprocessConfig.connectivity)
     _common_args(p)
     p.set_defaults(func=_cmd_postprocess)
 
@@ -376,12 +384,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-toy", help="gradient descent on a logit field")
     _scene_args(p)
     _transform_args(p)
-    p.add_argument("--loss", choices=[loss for loss in LOSS_IDS if loss != "j"], default="jc")
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--iterations", type=int, default=5000)
-    p.add_argument("--log-every", type=int, default=50)
-    p.add_argument("--optimizer", choices=["gd", "adam"], default="gd")
-    p.add_argument("--init-noise", type=float, default=0.5)
+    losses = [loss for loss in LOSS_IDS if loss != "j"]
+    p.add_argument("--loss", choices=losses, default=TrainConfig.loss)
+    p.add_argument("--step", type=float, default=TrainConfig.step_size)
+    p.add_argument("--iterations", type=int, default=TrainConfig.iterations)
+    p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
+    p.add_argument("--optimizer", choices=["gd", "adam"], default=TrainConfig.optimizer)
+    p.add_argument("--init-noise", type=float, default=TrainConfig.init_noise)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--summary-out", default=None)
     _common_args(p)

@@ -20,19 +20,26 @@ axes flattened, does the target-side work once (class counts, presence,
 ``phi``, the pair mask, class weights) and returns ``core(z) ->
 (components, dL/dz)`` for ``(..., n, C)`` probabilities.  Each core's
 docstring defines its loss.  Cores reduce over the spatial axis only, so
-leading batch axes of ``z`` give one value per item.  A caller that
-evaluates one target many times builds its core once and reuses it:
-:func:`evaluate_loss` per call, :func:`gradient_check` per trial,
-``train`` per run and ``run_shrinkwrap`` per trajectory.  J uses the
-matrix form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z``
-gives ``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
+leading batch axes of ``z`` give one value per item.  J uses the matrix
+form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z`` gives
+``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
 gradient.
+
+A caller that evaluates one target many times builds its core once
+(``_build_core``) and reuses it: :func:`evaluate_loss` per call,
+:func:`gradient_check` per trial (for the analytic and the
+finite-difference side), ``train`` per run, ``landscape_scan`` per scan
+and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
+paths: ``_logit_gradient`` for one field with its logit gradient
+(softmax, core, softmax pull-back), and ``_stack_totals`` for the loss
+totals of a stack of fields.  Only ``run_shrinkwrap`` runs cores its own
+way, as it needs the ce and j gradients apart from one softmax.
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
 (once per target container) and the size of the pair weights.  Building a
-core checks nothing but the pair weights' size, and running one checks
-nothing; the callers above pass targets and probabilities that are checked
-or derived by the library.  Sums run in a
+core checks nothing but the loss id and the pair weights' size, and
+running one checks nothing; the callers above pass targets and logits
+that are checked or derived by the library.  Sums run in a
 fixed order (pairwise over the field, in order over the channels); training
 output is byte-identical with one and two OpenBLAS threads, as tested.
 """
@@ -128,9 +135,17 @@ def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return z * (dz - fold_channels(np.add, dz * z))
 
 
-def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None):
-    """Mean (optionally class-weighted) negative log likelihood: returns
-    ``ce(z) -> (value, dL/dz)`` for the target ``y``."""
+def _logit_gradient(core, theta: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Run a prepared core at bare logits: ``(parts, dL/dtheta)``, through
+    softmax, the core on the flattened ``(n, C)`` view and the pull-back."""
+    z = softmax_values(theta)
+    parts, dz = core(z.reshape(-1, z.shape[-1]))
+    return parts, _softmax_vjp(z, dz.reshape(z.shape))
+
+
+def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
+    """Mean (optionally class-weighted) negative log likelihood: the core
+    ``z -> ({name: value}, dL/dz)`` for the target ``y``."""
     n = y.shape[0]
     wy = y if class_weights is None else class_weights * y
     neg_wy = -wy
@@ -139,7 +154,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None):
         clamped = np.maximum(z, LOG_EPS)
         value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
         active = z > LOG_EPS  # below the clamp the log is constant
-        return value, neg_wy / clamped * active / n
+        return {name: value}, neg_wy / clamped * active / n
 
     return ce
 
@@ -150,13 +165,7 @@ def _ce_core(y, weights):
     With logit input the gradient reduces to ``(z - y) / n`` per element
     wherever the clamp is inactive.
     """
-    ce = _weighted_ce(y, None)
-
-    def core(z):
-        value, dz = ce(z)
-        return {"ce": value}, dz
-
-    return core
+    return _weighted_ce(y, None)
 
 
 def _bwm_core(y, weights):
@@ -168,13 +177,7 @@ def _bwm_core(y, weights):
     counts = y.sum(axis=0)
     channels = y.shape[-1]
     w = np.divide(y.shape[0], channels * counts, out=np.zeros(channels), where=counts > 0)
-    ce = _weighted_ce(y, w)
-
-    def core(z):
-        value, dz = ce(z)
-        return {"bwm": value}, dz
-
-    return core
+    return _weighted_ce(y, w, "bwm")
 
 
 def _dsc_core(y, weights):
@@ -182,21 +185,21 @@ def _dsc_core(y, weights):
 
     Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
     """
-    ce = _weighted_ce(y, None)
+    ce = _ce_core(y, None)
     counts = y.sum(axis=0)
     present = counts > 0
     share = present / np.count_nonzero(present)  # mean over present classes
     two_y = 2.0 * y
 
     def core(z):
-        value, dz = ce(z)
+        parts, dz = ce(z)
         inter = (z * y).sum(axis=-2)[..., None, :]
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
         denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
         dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
         # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
         dz = dz - (two_y * denom - 4.0 * inter * z) / denom**2 * share
-        return {"ce": value, "dice": dice}, dz
+        return {**parts, "dice": dice}, dz
 
     return core
 
@@ -244,13 +247,13 @@ def _j_core(y, weights):
 
 def _jc_core(y, weights):
     """JC: cross entropy plus the J surrogate; components report both parts."""
-    ce = _weighted_ce(y, None)
+    ce = _ce_core(y, None)
     j = _j_core(y, weights)
 
     def core(z):
-        ce_value, ce_dz = ce(z)
+        ce_parts, ce_dz = ce(z)
         j_parts, j_dz = j(z)
-        return {"ce": ce_value, **j_parts}, ce_dz + j_dz
+        return {**ce_parts, **j_parts}, ce_dz + j_dz
 
     return core
 
@@ -261,6 +264,14 @@ _CORES = {"ce": _ce_core, "j": _j_core, "jc": _jc_core, "bwm": _bwm_core, "dsc":
 LOSS_IDS = tuple(_CORES)
 
 
+def _build_core(loss_id: str, y: np.ndarray, weights: PairWeights | None):
+    """The core of ``loss_id`` for the one-hot target array ``y``, whose
+    spatial axes it flattens.  Raises ``ValueError`` for an unknown id."""
+    if loss_id not in _CORES:
+        raise ValueError(f"unknown loss {loss_id!r}; expected one of {sorted(_CORES)}")
+    return _CORES[loss_id](y.reshape(-1, y.shape[-1]), weights)
+
+
 def evaluate_loss(
     loss_id: str, target: ProbabilityField, pred, weights: PairWeights | None = None
 ) -> LossValue:
@@ -269,26 +280,21 @@ def evaluate_loss(
     Each loss is defined on its core (``_ce_core``, ``_j_core``, ...).
     ``weights`` applies to j and jc; the other losses ignore it.
     """
-    if loss_id not in _CORES:
-        raise ValueError(f"unknown loss {loss_id!r}; expected one of {sorted(_CORES)}")
     if not isinstance(target, ProbabilityField):
         raise TypeError("target must be a ProbabilityField")
     if not target.is_one_hot():
         raise ValueError("target must be one-hot")
-    if isinstance(pred, LogitField):
-        z = softmax_values(pred.values)
-    elif isinstance(pred, ProbabilityField):
-        z = pred.values
-    else:
+    if not isinstance(pred, (LogitField, ProbabilityField)):
         raise TypeError("prediction must be a LogitField or a ProbabilityField")
     y = target.values
-    if z.shape != y.shape:
-        raise ValueError(f"shape mismatch: target {y.shape}, prediction {z.shape}")
-    flat = (-1, y.shape[-1])
-    parts, dz = _CORES[loss_id](y.reshape(flat), weights)(z.reshape(flat))
+    if pred.values.shape != y.shape:
+        raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
+    core = _build_core(loss_id, y, weights)
+    if isinstance(pred, LogitField):
+        parts, gradient = _logit_gradient(core, pred.values)
+    else:
+        parts, gradient = core(pred.values.reshape(-1, y.shape[-1]))[0], None
     components = {name: float(value) for name, value in parts.items()}
-    logits = isinstance(pred, LogitField)
-    gradient = _softmax_vjp(z, dz.reshape(z.shape)) if logits else None
     return LossValue(total=sum(components.values()), components=components, gradient=gradient)
 
 
@@ -329,15 +335,14 @@ def finite_difference_gradient(
     return grad.reshape(shape)
 
 
-def _stack_totals(loss_id: str, y: np.ndarray, weights: PairWeights | None):
-    """``fn`` for :func:`finite_difference_gradient`: the loss total of
-    target ``y`` at each logit array of a stack."""
-    y_flat = y.reshape(-1, y.shape[-1])
-    core = _CORES[loss_id](y_flat, weights)
+def _stack_totals(core):
+    """The loss total of a prepared core at each logit array of a stack:
+    ``fn`` for :func:`finite_difference_gradient`, and the landscape
+    scan's evaluator of stacked grid cells."""
 
     def totals(stack: np.ndarray) -> np.ndarray:
-        z = softmax_values(stack).reshape((len(stack),) + y_flat.shape)
-        return sum(core(z)[0].values())
+        z = softmax_values(stack)
+        return sum(core(z.reshape(len(z), -1, z.shape[-1]))[0].values())
 
     return totals
 
@@ -356,8 +361,10 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     GRAD_CHECK_FLOOR)`` as the denominator, so near-zero entries are
     compared at the floor scale.  J pairs carry the default weights.
     Returns the maximum and mean over all trials; a NaN error in any trial
-    makes both NaN.  Raises ``ValueError`` for ``trials < 1`` and for a
-    ``step`` that is not finite and positive.
+    makes both NaN.  Each trial builds one core for its target, used by
+    the analytic and the finite-difference side.  Raises ``ValueError`` for
+    an unknown loss, for ``trials < 1`` and for a ``step`` that is not
+    finite and positive.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs trials >= 1, got {trials}")
@@ -372,8 +379,9 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
         np.put_along_axis(y, classes[..., None].astype(np.intp), 1.0, axis=-1)
         theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
 
-        analytic = evaluate_loss(loss_id, ProbabilityField(y), LogitField(theta)).gradient
-        numeric = finite_difference_gradient(_stack_totals(loss_id, y, None), theta, step=step)
+        core = _build_core(loss_id, y, None)
+        analytic = _logit_gradient(core, theta)[1]
+        numeric = finite_difference_gradient(_stack_totals(core), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())
         worst = float(np.maximum(worst, rel))  # max() would drop a NaN

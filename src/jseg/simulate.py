@@ -14,7 +14,9 @@ Three simulators:
   distance field, and a step's three gradients share one softmax and one
   run each of the ce and j cores;
 * a 2-D loss-landscape scan around a near-optimal logit field along two
-  random, channel-normalized directions.
+  random, channel-normalized directions; after one checked loss call at
+  the centre, each row of the grid runs the loss core, built once, on
+  stacks of perturbed fields.
 
 Everything is deterministic per seed, independent of thread count.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from . import _util
 from ._util import child_rng, l2_norm, ordered_thread_map
 from .grids import LogitField, ProbabilityField, logit_values, one_hot, softmax_values
-from .losses import _ce_core, _j_core, _softmax_vjp, evaluate_loss
+from .losses import FD_CHUNK_ELEMENTS, _build_core, _softmax_vjp, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
 from .transform import CELL, TransformConfig, to_semantic
@@ -340,9 +342,11 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     softmax, on bare arrays: the configuration keeps every confidence in
     (0.25, 1), so each prescribed field lies on the simplex and needs no
     container checks.  The ce and j cores are built for the target once,
-    before the loop; each step runs them once each, and the jc
-    gradient pulls back ``ce_dz + j_dz`` summed before the softmax
-    pull-back, as the jc core does, so all three norms equal
+    before the loop.  A step needs the ce, j and jc gradients of one
+    field, so rather than the losses module's one-loss path it runs the
+    ce and j cores once each on one softmax and pulls back each gradient
+    itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
+    softmax pull-back as the jc core sums it, so all three norms equal
     ``evaluate_loss(...).grad_norm`` bit for bit.
     """
     if cfg.scene.kind != TWO_SQUARES_NOTCH:
@@ -352,9 +356,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     channels = cfg.transform.channels
     y = one_hot(semantic, channels).values
     flat = (-1, channels)
-    y_flat = y.reshape(flat)
-    ce_core = _ce_core(y_flat, None)
-    j_core = _j_core(y_flat, None)
+    ce_core = _build_core("ce", y, None)
+    j_core = _build_core("j", y, None)
     d2 = _squared_distance(scene.labels > 0, cfg.margin_start)
 
     t_shrink = cfg.shrink_iterations
@@ -408,7 +411,6 @@ class LandscapeResult:
     alphas: np.ndarray
     betas: np.ndarray
     values: np.ndarray  # (len(alphas), len(betas))
-    flagged: tuple[tuple[int, int], ...]  # cells where the loss was non-finite
 
     def write_csv(self, path) -> None:
         a = np.repeat(self.alphas, len(self.betas))
@@ -429,13 +431,21 @@ def landscape_scan(
 
     The two directions are seeded Gaussian fields rescaled channel by
     channel to the norm of the matching centre channel, so the axes are
-    comparable across channels of very different magnitude.  Non-finite
-    values are recorded and flagged, never raised.
+    comparable across channels of very different magnitude.  One checked
+    :func:`evaluate_loss` call at the centre checks the inputs; the loss
+    core is then built once and runs on stacks of perturbed fields, each
+    row of the grid in chunks of at most ``FD_CHUNK_ELEMENTS`` elements
+    (one field when a field is larger).  Every value equals the
+    ``evaluate_loss`` total of its perturbed field bit for bit.  Raises
+    what :func:`evaluate_loss` raises for bad inputs, and ``ValueError``
+    for a bad resolution or span and when a perturbed logit is not finite.
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd number >= 3 so the centre lies on the grid")
     if not span > 0:  # written so that NaN fails too
         raise ValueError("span must be positive")
+    evaluate_loss(loss_id, target, center)
+    totals = _stack_totals(_build_core(loss_id, target.values, None))
     rng = np.random.default_rng(seed)
     theta = center.values
 
@@ -451,18 +461,18 @@ def landscape_scan(
     d2 = direction()
     alphas = np.linspace(-span, span, resolution)
     betas = np.linspace(-span, span, resolution)
+    per_call = max(1, FD_CHUNK_ELEMENTS // theta.size)
+    beta_axes = (slice(None),) + (None,) * theta.ndim
 
     def scan_row(i: int) -> np.ndarray:
-        row = np.zeros(resolution)
-        for jdx in range(resolution):
-            perturbed = LogitField(theta + alphas[i] * d1 + betas[jdx] * d2)
-            value = evaluate_loss(loss_id, target, perturbed).total
-            row[jdx] = value if np.isfinite(value) else np.nan
-        return row
+        row = theta + alphas[i] * d1
+        values = []
+        for start in range(0, resolution, per_call):
+            stack = row + betas[start : start + per_call][beta_axes] * d2
+            if not np.isfinite(stack).all():
+                raise ValueError("logit values must be finite")
+            values.append(totals(stack))
+        return np.concatenate(values)
 
-    rows = ordered_thread_map(scan_row, list(range(resolution)), threads)
-    values = np.stack(rows)
-    flagged = tuple(zip(*np.nonzero(~np.isfinite(values))))
-    return LandscapeResult(
-        alphas=alphas, betas=betas, values=values, flagged=tuple((int(i), int(jdx)) for i, jdx in flagged)
-    )
+    values = np.stack(ordered_thread_map(scan_row, list(range(resolution)), threads))
+    return LandscapeResult(alphas=alphas, betas=betas, values=values)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import child_rng, l2_norm
 from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax_values
-from .losses import _CORES, LOSS_IDS, PairWeights, _softmax_vjp, evaluate_loss
+from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
 from .metrics import panoptic
 from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
 from .transform import GAP
@@ -173,14 +173,7 @@ def train(
 
     gap_correct = _gap_check(target)
     adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
-    flat = (-1, target.channels)
     core = None  # built after iteration 0 has checked the inputs
-
-    def step(theta_arr: np.ndarray) -> tuple[dict[str, float], np.ndarray]:
-        z = softmax_values(theta_arr)
-        parts, dz = core(z.reshape(flat))
-        components = {name: float(value) for name, value in parts.items()}
-        return components, _softmax_vjp(z, dz.reshape(shape))
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
@@ -208,9 +201,10 @@ def train(
         if it == 0:
             value = evaluate_loss(cfg.loss, target, LogitField(theta), weights)
             components, grad = dict(value.components), value.gradient
-            core = _CORES[cfg.loss](target.values.reshape(flat), weights)
+            core = _build_core(cfg.loss, target.values, weights)
         else:
-            components, grad = step(theta)
+            parts, grad = _logit_gradient(core, theta)
+            components = {name: float(value) for name, value in parts.items()}
         total = sum(components.values())
         if not np.isfinite(total):
             raise diverged("loss", it)

@@ -27,7 +27,7 @@ from jseg import (
     softmax,
     to_semantic,
 )
-from jseg._util import child_rng
+from jseg._util import child_rng, l2_norm
 from jseg.postprocess import GAP_TO_BACKGROUND
 from jseg.train import TrainRecord, TrainTrace
 from jseg.transform import CELL, GAP, ball_footprint
@@ -510,3 +510,31 @@ def evaluate_loss_train(target, source, cfg, weights=None):
         if not np.isfinite(theta).all():
             break
     return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)
+
+
+def landscape_values(loss_id, target, center, seed=0, resolution=41, span=1.0) -> np.ndarray:
+    """The values of ``jseg.simulate.landscape_scan`` by the literal route.
+
+    The directions are drawn and channel-normalised as the scan draws them;
+    then every grid cell builds a ``LogitField`` of its perturbed logits
+    and makes one checked ``evaluate_loss`` call, one cell at a time.
+    """
+    rng = np.random.default_rng(seed)
+    theta = center.values
+
+    def direction():
+        delta = rng.standard_normal(theta.shape)
+        for c in range(theta.shape[-1]):
+            ref = l2_norm(theta[..., c])
+            norm = l2_norm(delta[..., c])
+            delta[..., c] *= ref / norm if norm > 0 else 0.0
+        return delta
+
+    d1 = direction()
+    d2 = direction()
+    grid = np.linspace(-span, span, resolution)
+    values = np.zeros((resolution, resolution))
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            values[i, j] = evaluate_loss(loss_id, target, LogitField(theta + a * d1 + b * d2)).total
+    return values

@@ -14,11 +14,12 @@ from jseg import (
     evaluate_loss,
     finite_difference_gradient,
     gradient_check,
+    landscape_scan,
     one_hot,
     probs_to_logits,
 )
 from jseg.grids import softmax_values
-from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, _stack_totals
+from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, _build_core, _stack_totals
 from oracles import pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -166,7 +167,7 @@ def test_gradient_check_covers_2d_and_3d():
     theta = rng.normal(size=(3, 3, 3, 4))
     analytic = evaluate_loss("jc", y, LogitField(theta)).gradient
     w = PairWeights.default(4)
-    numeric = finite_difference_gradient(_stack_totals("jc", y.values, w), theta)
+    numeric = finite_difference_gradient(_stack_totals(_build_core("jc", y.values, w)), theta)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     assert (np.abs(analytic - numeric) / scale).max() < 1e-4
 
@@ -177,7 +178,7 @@ def test_fast_forward_matches_public_api():
     theta = rng.normal(size=(4, 4, 4))
     w = PairWeights.default(4)
     for loss_id in ("ce", "j", "jc", "bwm", "dsc"):
-        fast = _stack_totals(loss_id, y.values, w)(theta[None])[0]
+        fast = _stack_totals(_build_core(loss_id, y.values, w))(theta[None])[0]
         full = evaluate_loss(loss_id, y, LogitField(theta), w).total
         assert fast == pytest.approx(full, abs=0)
 
@@ -313,7 +314,7 @@ def test_chunked_finite_differences_match_a_per_entry_loop():
     rng = np.random.default_rng(18)
     y = _random_one_hot(rng, (10, 10))
     theta = rng.normal(size=(10, 10, 4))
-    fn = _stack_totals("jc", y.values, PairWeights.default(4))
+    fn = _stack_totals(_build_core("jc", y.values, PairWeights.default(4)))
     stacks = []
 
     def recorded(stack):
@@ -329,6 +330,22 @@ def test_chunked_finite_differences_match_a_per_entry_loop():
         lo.flat[idx] -= 1e-5
         looped[idx] = (fn(hi[None])[0] - fn(lo[None])[0]) / 2e-5
     assert np.array_equal(chunked, looped.reshape(theta.shape))
+
+
+def test_each_caller_builds_one_core_per_target(monkeypatch):
+    builds = []
+    for loss_id, build in list(_CORES.items()):
+        def counted(y, weights, build=build):
+            builds.append(y.shape)
+            return build(y, weights)
+
+        monkeypatch.setitem(_CORES, loss_id, counted)
+    gradient_check("jc", seed=7, trials=7)
+    assert len(builds) == 7
+    builds.clear()
+    y = _random_one_hot(np.random.default_rng(20), (6, 5))
+    landscape_scan("dsc", y, LogitField(np.random.default_rng(21).normal(size=(6, 5, 4))))
+    assert builds == [(30, 4)] * 2  # the centre's checked evaluate_loss call, then the scan's
 
 
 @st.composite

@@ -27,7 +27,7 @@ from jseg import (
 )
 from jseg.simulate import _squared_distance
 from jseg.transform import ball_footprint
-from oracles import bernoulli_trials, shrinkwrap_grad_norms, trial_measures
+from oracles import bernoulli_trials, landscape_values, shrinkwrap_grad_norms, trial_measures
 
 
 def _small_cfg(**kw):
@@ -294,7 +294,56 @@ def test_landscape_center_is_minimum_for_jc():
     mid = result.values[7, 7]
     assert mid == np.nanmin(result.values)
     assert result.alphas[7] == 0.0 and result.betas[7] == 0.0
-    assert not result.flagged
+    assert np.isfinite(result.values).all()
+
+
+def _landscape_inputs_3d():
+    spec = SceneSpec(kind="random-blobs", dims=(9, 8, 7), cell_size=4, n_blobs=2, seed=1)
+    y = one_hot(to_semantic(generate_scene(spec), TransformConfig()), 4)
+    return y, probs_to_logits(y, floor=1e-2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("loss_id", ["ce", "j", "jc", "bwm", "dsc"])
+@pytest.mark.parametrize("inputs", [_landscape_inputs, _landscape_inputs_3d])
+def test_landscape_equals_a_checked_call_per_cell(inputs, loss_id, threads):
+    y, theta = inputs()
+    result = landscape_scan(loss_id, y, theta, seed=6, resolution=7, span=0.8, threads=threads)
+    assert np.array_equal(result.values, landscape_values(loss_id, y, theta, seed=6,
+                                                          resolution=7, span=0.8))
+
+
+def test_landscape_rows_stay_within_the_chunk_bound(monkeypatch):
+    y, theta = _landscape_inputs()
+    bound = 2 * theta.values.size + 1  # two fields per stack: four stacks per row of 7
+    monkeypatch.setattr(jseg.simulate, "FD_CHUNK_ELEMENTS", bound)
+    sizes = []
+    build_totals = jseg.simulate._stack_totals
+
+    def recorded(core):
+        totals = build_totals(core)
+
+        def fn(stack):
+            sizes.append(stack.size)
+            return totals(stack)
+
+        return fn
+
+    monkeypatch.setattr(jseg.simulate, "_stack_totals", recorded)
+    result = landscape_scan("jc", y, theta, seed=6, resolution=7, span=0.8)
+    assert len(sizes) == 7 * 4 and max(sizes) <= bound
+    assert np.array_equal(result.values, landscape_values("jc", y, theta, seed=6, resolution=7,
+                                                          span=0.8))
+
+
+def test_landscape_raises_on_non_finite_logits():
+    y, theta = _landscape_inputs()
+    # At 1e307 some perturbed logits overflow; at 1e308 linspace's own
+    # span overflows and the grid holds NaN.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        landscape_scan("jc", y, theta, resolution=5, span=1e307)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        landscape_scan("jc", y, theta, span=1e308)
 
 
 def test_landscape_deterministic_and_thread_independent():
