@@ -1,6 +1,6 @@
-"""Small shared helpers: deterministic thread mapping, seed derivation, a
-thread-count-independent norm, the window fold behind every morphology
-filter and the one CSV writer.
+"""Small shared helpers: deterministic thread mapping, seed derivation, the
+per-run workspace of the step loops, a thread-count-independent norm, the
+window fold behind every morphology filter and the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -46,11 +46,42 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def l2_norm(x: np.ndarray) -> float:
+class Workspace:
+    """The arrays one run of a step loop reuses on every step.
+
+    A step that is handed a workspace writes each of its large
+    intermediates into ``scratch(ws, key, like)``: the array made for
+    ``key`` (shaped like ``like``) on the first step, the same one on every
+    later step.  So a run allocates its buffers once, and a step computes
+    the same ufuncs, in the same order, as one without a workspace, which
+    gets fresh arrays (``scratch`` returns None, numpy's default ``out``).
+    A workspace belongs to one run on one thread; the functions that take
+    one keep no state of their own.
+    """
+
+    def __init__(self):
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The array for ``key`` of this shape and dtype, made on first use."""
+        slot = (key, shape, dtype)
+        array = self._arrays.get(slot)
+        if array is None:
+            array = self._arrays[slot] = np.empty(shape, dtype)
+        return array
+
+
+def scratch(ws: Workspace | None, key: str, like: np.ndarray, dtype=np.float64) -> np.ndarray | None:
+    """``ws``'s array for ``key`` shaped like ``like``, or None without a
+    workspace, so that the ufunc it is passed to as ``out`` allocates."""
+    return None if ws is None else ws.take(key, like.shape, dtype)
+
+
+def l2_norm(x: np.ndarray, ws: Workspace | None = None) -> float:
     """Euclidean norm of all entries by numpy's pairwise sum; unlike the BLAS
     dot of ``np.linalg.norm``, its last bit does not depend on the number of
-    BLAS threads."""
-    return float(np.sqrt(np.square(x).sum()))
+    BLAS threads.  The squares go to ``ws``'s scratch array when given."""
+    return float(np.sqrt(np.square(x, out=scratch(ws, "l2_norm", x)).sum()))
 
 
 def fold_windows(ufunc: np.ufunc, padded: np.ndarray, structure: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import Workspace, scratch
+
 __all__ = [
     "InstanceLabelMap",
     "SemanticLabelMap",
@@ -157,7 +159,7 @@ class LogitField:
         return int(self.values.shape[-1])
 
 
-def fold_channels(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+def fold_channels(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``ufunc.reduce`` over the channel (last) axis, keeping that axis.
 
     Folds one channel slice at a time, in order: the same result as
@@ -165,13 +167,14 @@ def fold_channels(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
     an all-negative-zero sum), where numpy folds in order too, at a fraction
     of the cost, since numpy's reduction over a short last axis pays a loop
     overhead per element.  ``x`` needs at least 2 channels; the first step
-    allocates the result and the rest fold into it, so ``x`` is never written
-    and no other array is made.
+    writes the result, into ``out`` (shaped like ``x[..., :1]``) when given,
+    and the rest fold into it, so ``x`` is never written and no other array
+    is made.
     """
-    out = ufunc(x[..., 0], x[..., 1])
+    acc = ufunc(x[..., 0], x[..., 1], out=None if out is None else out[..., 0])
     for c in range(2, x.shape[-1]):
-        ufunc(out, x[..., c], out=out)
-    return out[..., None]
+        ufunc(acc, x[..., c], out=acc)
+    return acc[..., None]
 
 
 def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +193,19 @@ def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, best
 
 
-def softmax_values(x: np.ndarray) -> np.ndarray:
+def softmax_values(x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Softmax over the last axis of a finite array, with max-subtraction.
 
     The subtraction keeps every exponent at or below 0, so nothing
     overflows and every output lies in [0, 1] with per-element sums of 1
-    up to rounding: the result needs no ProbabilityField checks.
+    up to rounding: the result needs no ProbabilityField checks.  With a
+    workspace the result and both channel folds live in its arrays.
     """
-    e = np.exp(x - fold_channels(np.maximum, x))
-    return e / fold_channels(np.add, e)
+    lane = x[..., :1]
+    e = np.subtract(x, fold_channels(np.maximum, x, scratch(ws, "softmax.max", lane)),
+                    out=scratch(ws, "softmax", x))
+    np.exp(e, out=e)
+    return np.divide(e, fold_channels(np.add, e, scratch(ws, "softmax.sum", lane)), out=e)
 
 
 def softmax(logits: LogitField) -> ProbabilityField:
@@ -226,14 +233,15 @@ def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:
     return ProbabilityField(values)
 
 
-def logit_values(p: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+def logit_values(p: np.ndarray, floor: float = LOG_FLOOR, ws: Workspace | None = None) -> np.ndarray:
     """``log(max(p, floor))``: logits whose softmax reproduces the
     probabilities ``p`` up to the zero-probability floor.
 
     For probabilities the library derives itself, so, like
     :func:`softmax_values`, it checks nothing: ``floor`` must lie in (0, 1).
     """
-    return np.log(np.maximum(p, floor))
+    logits = np.maximum(p, floor, out=scratch(ws, "logits", p))
+    return np.log(logits, out=logits)
 
 
 def probs_to_logits(field: ProbabilityField, floor: float = LOG_FLOOR) -> LogitField:

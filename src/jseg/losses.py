@@ -17,9 +17,11 @@ boundaries.
 Each loss has one core on bare arrays, built per target:
 ``_CORES[id](y, weights)`` takes the ``(n, C)`` target with its spatial
 axes flattened, does the target-side work once (class counts, presence,
-``phi``, the pair mask, class weights) and returns ``core(z) ->
-(components, dL/dz)`` for ``(..., n, C)`` probabilities.  Each core's
-docstring defines its loss.  Cores reduce over the spatial axis only, so
+``phi``, the pair mask, class weights) and returns ``core(z, ws=None,
+grad=True) -> (components, dL/dz)`` for ``(..., n, C)`` probabilities.
+With ``grad=False`` the same body stops after the components and returns
+``(components, None)``: the gradient arithmetic is skipped, and the
+components are the same bits.  Each core's docstring defines its loss.  Cores reduce over the spatial axis only, so
 leading batch axes of ``z`` give one value per item.  J uses the matrix
 form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z`` gives
 ``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
@@ -32,8 +34,19 @@ finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
 paths: ``_logit_gradient`` for one field with its logit gradient
 (softmax, core, softmax pull-back), and ``_stack_totals`` for the loss
-totals of a stack of fields.  Only ``run_shrinkwrap`` runs cores its own
-way, as it needs the ce and j gradients apart from one softmax.
+totals of a stack of fields, on the value path.  Only ``run_shrinkwrap``
+runs cores its own way, as it needs the ce and j gradients apart from one
+softmax.
+
+The step loops, ``train`` and ``run_shrinkwrap``, make one
+:class:`~jseg._util.Workspace` per run and pass it as ``ws`` to the
+softmax, the cores, the pull-back and the norm, which then write every
+element-sized intermediate into its arrays with ``out=`` and in-place
+ufuncs: the same ufuncs in the same order as without one, so the same
+bits, and no large allocation after the first step.  Every other caller
+passes no workspace and gets fresh arrays.  A core holds only its
+target-side arrays, which it never writes, so one core can run on several
+threads at once (``landscape_scan`` does); the buffers belong to the run.
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
 (once per target container) and the size of the pair weights.  Building a
@@ -51,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import l2_norm
+from ._util import Workspace, l2_norm, scratch
 from .grids import LogitField, ProbabilityField, fold_channels, softmax_values
 
 __all__ = [
@@ -130,17 +143,21 @@ class LossValue:
         return l2_norm(self.gradient)
 
 
-def _softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Pull a gradient in probabilities back through softmax to the logits."""
-    return z * (dz - fold_channels(np.add, dz * z))
+def _softmax_vjp(z: np.ndarray, dz: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Pull a gradient in probabilities back through softmax to the logits:
+    ``z * (dz - sum_c dz_c z_c)``, in ``ws``'s arrays when given."""
+    pulled = np.multiply(dz, z, out=scratch(ws, "vjp", z))
+    np.subtract(dz, fold_channels(np.add, pulled, scratch(ws, "vjp.sum", z[..., :1])), out=pulled)
+    return np.multiply(z, pulled, out=pulled)
 
 
-def _logit_gradient(core, theta: np.ndarray) -> tuple[dict, np.ndarray]:
+def _logit_gradient(core, theta: np.ndarray, ws: Workspace | None = None) -> tuple[dict, np.ndarray]:
     """Run a prepared core at bare logits: ``(parts, dL/dtheta)``, through
-    softmax, the core on the flattened ``(n, C)`` view and the pull-back."""
-    z = softmax_values(theta)
-    parts, dz = core(z.reshape(-1, z.shape[-1]))
-    return parts, _softmax_vjp(z, dz.reshape(z.shape))
+    softmax, the core and the pull-back, all on the flattened ``(n, C)``
+    view, with every intermediate in ``ws``'s arrays when given."""
+    z = softmax_values(theta.reshape(-1, theta.shape[-1]), ws)
+    parts, dz = core(z, ws)
+    return parts, _softmax_vjp(z, dz, ws).reshape(theta.shape)
 
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
@@ -150,11 +167,17 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     wy = y if class_weights is None else class_weights * y
     neg_wy = -wy
 
-    def ce(z):
-        clamped = np.maximum(z, LOG_EPS)
-        value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
-        active = z > LOG_EPS  # below the clamp the log is constant
-        return {name: value}, neg_wy / clamped * active / n
+    def ce(z, ws=None, grad=True):
+        clamped = np.maximum(z, LOG_EPS, out=scratch(ws, name + ".clamped", z))
+        terms = np.log(clamped, out=scratch(ws, name + ".dz", z))  # borrows dz's array
+        value = -np.multiply(wy, terms, out=terms).sum(axis=(-2, -1)) / n
+        if not grad:
+            return {name: value}, None
+        active = np.greater(z, LOG_EPS, out=scratch(ws, name + ".active", z, bool))
+        dz = np.divide(neg_wy, clamped, out=terms)
+        dz *= active  # below the clamp the log is constant
+        dz /= n
+        return {name: value}, dz
 
     return ce
 
@@ -191,15 +214,24 @@ def _dsc_core(y, weights):
     share = present / np.count_nonzero(present)  # mean over present classes
     two_y = 2.0 * y
 
-    def core(z):
-        parts, dz = ce(z)
-        inter = (z * y).sum(axis=-2)[..., None, :]
+    def core(z, ws=None, grad=True):
+        parts, dz = ce(z, ws, grad)
+        product = scratch(ws, "dsc.product", z)
+        inter = np.multiply(z, y, out=product).sum(axis=-2)[..., None, :]
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
-        denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
+        squares = np.multiply(z, z, out=product).sum(axis=-2)
+        denom = np.where(present, squares + counts, 1.0)[..., None, :]
         dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+        parts = {**parts, "dice": dice}
+        if not grad:
+            return parts, None
         # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
-        dz = dz - (two_y * denom - 4.0 * inter * z) / denom**2 * share
-        return {**parts, "dice": dice}, dz
+        term = np.multiply(two_y, denom, out=product)
+        term -= np.multiply(4.0 * inter, z, out=scratch(ws, "dsc.cross", z))
+        term /= denom**2
+        term *= share
+        dz -= term
+        return parts, dz
 
     return core
 
@@ -227,11 +259,13 @@ def _j_core(y, weights):
     pairs = (lam != 0.0) & ~eye & present & present[:, None]
     half_lam = 0.5 * lam
 
-    def core(z):
+    def core(z, ws=None, grad=True):
         s = phi_t @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
         a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
         log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
         value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
+        if not grad:
+            return {"j": value}, None
         # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
         # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
         # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
@@ -240,7 +274,7 @@ def _j_core(y, weights):
         a = np.where(active, a, 1.0)
         diag = (half / (a * n_col)).sum(axis=-1)[..., None, :]
         m = np.swapaxes(half / (a * n), -1, -2) - eye * diag
-        return {"j": value}, y @ m
+        return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
 
     return core
 
@@ -250,10 +284,12 @@ def _jc_core(y, weights):
     ce = _ce_core(y, None)
     j = _j_core(y, weights)
 
-    def core(z):
-        ce_parts, ce_dz = ce(z)
-        j_parts, j_dz = j(z)
-        return {**ce_parts, **j_parts}, ce_dz + j_dz
+    def core(z, ws=None, grad=True):
+        ce_parts, ce_dz = ce(z, ws, grad)
+        j_parts, j_dz = j(z, ws, grad)
+        if grad:
+            ce_dz += j_dz
+        return {**ce_parts, **j_parts}, ce_dz
 
     return core
 
@@ -293,7 +329,7 @@ def evaluate_loss(
     if isinstance(pred, LogitField):
         parts, gradient = _logit_gradient(core, pred.values)
     else:
-        parts, gradient = core(pred.values.reshape(-1, y.shape[-1]))[0], None
+        parts, gradient = core(pred.values.reshape(-1, y.shape[-1]), grad=False)
     components = {name: float(value) for name, value in parts.items()}
     return LossValue(total=sum(components.values()), components=components, gradient=gradient)
 
@@ -342,7 +378,7 @@ def _stack_totals(core):
 
     def totals(stack: np.ndarray) -> np.ndarray:
         z = softmax_values(stack)
-        return sum(core(z.reshape(len(z), -1, z.shape[-1]))[0].values())
+        return sum(core(z.reshape(len(z), -1, z.shape[-1]), grad=False)[0].values())
 
     return totals
 

@@ -11,12 +11,13 @@ Three simulators:
   an inflated mask onto two touching cells and then ramps the probabilities
   to the exact ground truth, recording the gradient norms of the losses
   along the way; every margin's mask is a threshold of one squared
-  distance field, and a step's three gradients share one softmax and one
-  run each of the ce and j cores;
+  distance field, a step's three gradients share one softmax and one run
+  each of the ce and j cores, and a step that repeats the previous step's
+  state repeats its norms;
 * a 2-D loss-landscape scan around a near-optimal logit field along two
   random, channel-normalized directions; after one checked loss call at
-  the centre, each row of the grid runs the loss core, built once, on
-  stacks of perturbed fields.
+  the centre, each row of the grid runs the value path of the loss core,
+  built once, on stacks of perturbed fields.
 
 Everything is deterministic per seed, independent of thread count.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _util
-from ._util import child_rng, l2_norm, ordered_thread_map
+from ._util import Workspace, child_rng, l2_norm, ordered_thread_map
 from .grids import LogitField, ProbabilityField, logit_values, one_hot, softmax_values
 from .losses import FD_CHUNK_ELEMENTS, _build_core, _softmax_vjp, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
@@ -291,11 +292,13 @@ class ShrinkwrapTrace:
         _util.write_csv(path, header, [self.column(name) for name in header])
 
 
-def _confidence_field(prescribed: np.ndarray, confidence: float, channels: int) -> np.ndarray:
-    rest = (1.0 - confidence) / (channels - 1)
-    z = np.full(prescribed.shape + (channels,), rest)
-    np.put_along_axis(z, prescribed[..., None].astype(np.intp), confidence, axis=-1)
-    return z
+def _confidence_field(inside: np.ndarray, confidence: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the field that holds ``confidence`` on CELL where
+    ``inside`` holds and on background elsewhere, the rest spread evenly."""
+    out.fill((1.0 - confidence) / (out.shape[-1] - 1))
+    np.copyto(out[..., CELL], confidence, where=inside)
+    np.copyto(out[..., 0], confidence, where=~inside)
+    return out
 
 
 def _squared_distance(fg: np.ndarray, reach: int) -> np.ndarray:
@@ -347,22 +350,32 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     ce and j cores once each on one softmax and pulls back each gradient
     itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
     softmax pull-back as the jc core sums it, so all three norms equal
-    ``evaluate_loss(...).grad_norm`` bit for bit.
+    ``evaluate_loss(...).grad_norm`` bit for bit.  Every step writes its
+    fields into the arrays of one :class:`~jseg._util.Workspace` made for
+    the run.
+
+    A step's field depends only on its ``(margin, confidence, ramp)``.  A
+    step whose state equals the previous step's copies that step's three
+    norms and builds no field; at the defaults the confidence stays put
+    and the margin holds for ``iters_per_margin_step`` steps, so 49 of the
+    85 steps run the cores.  The shrinkwrap step itself is always built:
+    the margin falls from 1 to 0 there.
     """
     if cfg.scene.kind != TWO_SQUARES_NOTCH:
         raise ValueError("the shrinkwrap trajectory runs on the two-squares-notch scene")
     scene = generate_scene(cfg.scene)
     semantic = to_semantic(scene, cfg.transform)
     channels = cfg.transform.channels
-    y = one_hot(semantic, channels).values
-    flat = (-1, channels)
+    y = one_hot(semantic, channels).values.reshape(-1, channels)
     ce_core = _build_core("ce", y, None)
     j_core = _build_core("j", y, None)
-    d2 = _squared_distance(scene.labels > 0, cfg.margin_start)
+    d2 = _squared_distance(scene.labels > 0, cfg.margin_start).ravel()
 
     t_shrink = cfg.shrink_iterations
     ramp_len = cfg.iterations - t_shrink
 
+    ws = Workspace()
+    z = ws.take("field", y.shape)
     records = []
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
@@ -372,29 +385,30 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             confidence = cfg.confidence_start + (
                 cfg.confidence_final - cfg.confidence_start
             ) * (t - 1) / (t_shrink - 1)
-            prescribed = np.where(d2 <= margin * margin, CELL, 0).astype(np.int32)
-            z = _confidence_field(prescribed, confidence, channels)
             ramp = 0.0
-            if t == t_shrink:
-                z_at_shrinkwrap = z
         else:
             margin = 0
             confidence = cfg.confidence_final
             ramp = (t - t_shrink) / ramp_len
-            z = (1.0 - ramp) * z_at_shrinkwrap + ramp * y
+        state = {"margin": margin, "confidence": confidence, "ramp": ramp}
+        if records and state.items() <= records[-1].items():  # the previous step's state
+            records.append({**records[-1], "iteration": t})
+            continue
 
-        s = softmax_values(logit_values(z))
-        s_flat = s.reshape(flat)
-        ce_dz = ce_core(s_flat)[1]
-        j_dz = j_core(s_flat)[1]
-        record = {
-            "iteration": t,
-            "margin": margin,
-            "confidence": confidence,
-            "ramp": ramp,
-        }
-        for name, dz in (("grad_ce", ce_dz), ("grad_j", j_dz), ("grad_jc", ce_dz + j_dz)):
-            record[name] = l2_norm(_softmax_vjp(s, dz.reshape(s.shape)))
+        if t <= t_shrink:
+            _confidence_field(d2 <= margin * margin, confidence, z)
+            if t == t_shrink:
+                z_at_shrinkwrap = z.copy()
+        else:
+            np.multiply(z_at_shrinkwrap, 1.0 - ramp, out=z)
+            z += np.multiply(y, ramp, out=ws.take("ramp", y.shape))
+        s = softmax_values(logit_values(z, ws=ws), ws)
+        ce_dz = ce_core(s, ws)[1]
+        j_dz = j_core(s, ws)[1]
+        jc_dz = np.add(ce_dz, j_dz, out=ws.take("jc.dz", y.shape))
+        record = {"iteration": t, **state}
+        for name, dz in (("grad_ce", ce_dz), ("grad_j", j_dz), ("grad_jc", jc_dz)):
+            record[name] = l2_norm(_softmax_vjp(s, dz, ws), ws)
         records.append(record)
 
     return ShrinkwrapTrace(records=tuple(records), shrinkwrap_index=t_shrink - 1)
@@ -438,12 +452,14 @@ def landscape_scan(
     (one field when a field is larger).  Every value equals the
     ``evaluate_loss`` total of its perturbed field bit for bit.  Raises
     what :func:`evaluate_loss` raises for bad inputs, and ``ValueError``
-    for a bad resolution or span and when a perturbed logit is not finite.
+    for a bad resolution, for a span that is not positive or whose grid
+    width ``2 * span`` overflows, and when a perturbed logit is not finite.
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd number >= 3 so the centre lies on the grid")
-    if not span > 0:  # written so that NaN fails too
-        raise ValueError("span must be positive")
+    # The grid is 2 * span wide, which must stay finite; NaN fails too.
+    if not 0 < span <= np.finfo(np.float64).max / 2:
+        raise ValueError(f"span must be positive, with a finite grid width 2 * span; got {span}")
     evaluate_loss(loss_id, target, center)
     totals = _stack_totals(_build_core(loss_id, target.values, None))
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import child_rng, l2_norm
+from ._util import Workspace, child_rng, l2_norm
 from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax_values
 from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
 from .metrics import panoptic
@@ -94,21 +94,36 @@ class TrainDiverged(RuntimeError):
 
 
 class _Adam:
+    """Adam for one run: its moments and its one scratch array are made at
+    the first step and updated in place after that."""
+
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = self.v = None
+        self.m = self.v = self.scratch = None
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """``theta -= lr * m_hat / (sqrt(v_hat) + eps)`` in place, after
+        ``m = beta1 m + (1 - beta1) grad`` and ``v = beta2 v + (1 - beta2)
+        grad**2``; ``grad`` is overwritten."""
         if self.m is None:
             self.m = np.zeros_like(grad)
             self.v = np.zeros_like(grad)
+            self.scratch = np.empty_like(grad)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1 - self.beta1, out=self.scratch)
+        self.v *= self.beta2
+        np.square(grad, out=grad)
+        grad *= 1 - self.beta2
+        self.v += grad
+        step = np.divide(self.m, 1 - self.beta1**self.t, out=self.scratch)
+        step *= self.lr
+        root = np.divide(self.v, 1 - self.beta2**self.t, out=grad)
+        np.sqrt(root, out=root)
+        root += self.eps
+        step /= root
+        theta -= step
 
 
 def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool]:
@@ -148,12 +163,15 @@ def train(
     quality (via the full post-processing pipeline) is recorded against
     ``source`` on every log iteration.  Deterministic per seed.
 
-    Iteration 0 is one checked :func:`evaluate_loss` call: it checks the
-    target, its shape against the logits and the pair weights, and supplies
-    the first record and gradient.  Every later iteration runs the loss core
+    One checked :func:`evaluate_loss` call before the loop checks the
+    target, its shape against the logits and the pair weights; its value is
+    not used.  Every iteration, the first included, then runs the loss core
     built once for the target on the bare logit array (softmax, core,
     softmax pull-back), with no container and no gradient copy; the logits
-    are checked for finiteness after every update instead.  The output is
+    are checked for finiteness after every update instead.  Each step writes
+    its element-sized intermediates, the update of the logits in place
+    included, into the arrays of one :class:`~jseg._util.Workspace` made
+    for the run, so the steps allocate no large array.  The output is
     byte-identical to an :func:`evaluate_loss` call per iteration.
 
     The measurement pipeline sends gap elements straight to background:
@@ -173,7 +191,9 @@ def train(
 
     gap_correct = _gap_check(target)
     adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
-    core = None  # built after iteration 0 has checked the inputs
+    evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
+    core = _build_core(cfg.loss, target.values, weights)
+    ws = Workspace()
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
@@ -198,13 +218,8 @@ def train(
         )
 
     for it in range(cfg.iterations + 1):
-        if it == 0:
-            value = evaluate_loss(cfg.loss, target, LogitField(theta), weights)
-            components, grad = dict(value.components), value.gradient
-            core = _build_core(cfg.loss, target.values, weights)
-        else:
-            parts, grad = _logit_gradient(core, theta)
-            components = {name: float(value) for name, value in parts.items()}
+        parts, grad = _logit_gradient(core, theta, ws)
+        components = {name: float(value) for name, value in parts.items()}
         total = sum(components.values())
         if not np.isfinite(total):
             raise diverged("loss", it)
@@ -220,18 +235,19 @@ def train(
                 iteration=it,
                 total=total,
                 components=components,
-                grad_norm=l2_norm(grad),
+                grad_norm=l2_norm(grad, ws),
                 pq=pq,
             )
         )
         if it == cfg.iterations:
             break
         if adam is not None:
-            theta = adam.step(theta, grad)
+            adam.step(theta, grad)
         else:
-            theta = theta - cfg.step_size * grad
+            grad *= cfg.step_size
+            theta -= grad
         # Catches a non-finite gradient, and a step that overflows a finite one.
-        if not np.isfinite(theta).all():
+        if not np.isfinite(theta, out=ws.take("finite", theta.shape, bool)).all():
             raise diverged("logits", it)
 
     return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)

@@ -18,8 +18,9 @@ from jseg import (
     one_hot,
     probs_to_logits,
 )
+from jseg._util import Workspace, l2_norm
 from jseg.grids import softmax_values
-from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, _build_core, _stack_totals
+from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, _build_core, _logit_gradient, _stack_totals
 from oracles import pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -308,6 +309,36 @@ def test_batched_cores_equal_per_item_cores(loss_id):
         item_parts, item_dz = core(z[b])
         assert {name: value[b] for name, value in parts.items()} == item_parts
         assert np.array_equal(dz[b], item_dz)
+
+
+@pytest.mark.parametrize("dims", [(5, 3), (3, 4, 2)], ids=["2d", "3d"])
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_value_path_equals_the_full_cores_parts(loss_id, dims):
+    rng = np.random.default_rng(21)
+    y = _random_one_hot(rng, dims).values.reshape(-1, 4)
+    z = softmax_values(rng.normal(size=(6,) + dims + (4,))).reshape(6, -1, 4)
+    core = _CORES[loss_id](y, PairWeights(rng.random((4, 4))))
+    parts, dz = core(z)
+    values, no_dz = core(z, grad=False)
+    assert no_dz is None and dz.shape == z.shape
+    assert values.keys() == parts.keys()
+    for name, value in parts.items():
+        assert np.array_equal(values[name], value)
+
+
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
+    rng = np.random.default_rng(22)
+    y = _random_one_hot(rng, (7, 6, 3))
+    core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
+    ws = Workspace()
+    for _ in range(3):  # the same arrays serve every step
+        theta = rng.normal(0.0, 2.0, size=(7, 6, 3, 4))
+        parts, gradient = _logit_gradient(core, theta, ws)
+        want_parts, want_gradient = _logit_gradient(core, theta)
+        assert parts == want_parts
+        assert np.array_equal(gradient, want_gradient)
+        assert l2_norm(gradient, ws) == l2_norm(want_gradient)
 
 
 def test_chunked_finite_differences_match_a_per_entry_loop():

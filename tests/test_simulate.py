@@ -225,14 +225,45 @@ def test_shrinkwrap_confidence_invariants():
             margin_start=30,
             iters_per_margin_step=1,
         ),
+        # Neither of these two repeats a state, so every step runs the cores.
+        ShrinkwrapConfig(confidence_start=0.6),
+        ShrinkwrapConfig(iters_per_margin_step=1),
     ],
-    ids=["default", "3d", "margin-past-diagonal"],
+    ids=["default", "3d", "margin-past-diagonal", "rising-confidence", "one-step-per-margin"],
 )
 def test_shrinkwrap_csv_equals_the_dilation_and_evaluate_loss_oracle(cfg, tmp_path):
     run_shrinkwrap(cfg).write_csv(tmp_path / "run.csv")
     oracle = ShrinkwrapTrace(shrinkwrap_grad_norms(cfg), cfg.shrink_iterations - 1)
     oracle.write_csv(tmp_path / "oracle.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cfg, runs",
+    [
+        # 19 margins from 18 to 0, then 30 ramp steps.
+        (ShrinkwrapConfig(), 49),
+        (ShrinkwrapConfig(confidence_start=0.6), 85),
+        (ShrinkwrapConfig(iters_per_margin_step=1), 85),
+    ],
+    ids=["default", "rising-confidence", "one-step-per-margin"],
+)
+def test_shrinkwrap_runs_the_cores_once_per_distinct_state(monkeypatch, cfg, runs):
+    build, calls = jseg.simulate._build_core, []
+
+    def counted(loss_id, y, weights):
+        core = build(loss_id, y, weights)
+
+        def run(*args, **kwargs):
+            calls.append(loss_id)
+            return core(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(jseg.simulate, "_build_core", counted)
+    trace = run_shrinkwrap(cfg)
+    assert len(trace.records) == 85
+    assert sorted(calls) == ["ce"] * runs + ["j"] * runs
 
 
 @st.composite
@@ -370,6 +401,7 @@ def test_landscape_validation():
     y, theta = _landscape_inputs()
     with pytest.raises(ValueError):
         landscape_scan("jc", y, theta, resolution=10)
-    for span in (0.0, np.nan):
+    # Past about 8.99e307, 2 * span and so linspace's grid overflow.
+    for span in (0.0, np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="span"):
             landscape_scan("jc", y, theta, span=span)

@@ -1,11 +1,11 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jseg import (
     LogitField,
-    LossValue,
     PairWeights,
     ProbabilityField,
     SceneSpec,
@@ -134,12 +134,13 @@ def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
 def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     g, y = _scene_target()
 
-    def finite_total_inf_gradient(loss_id, target, logits, weights=None):
-        return LossValue(1.0, {"ce": 1.0}, np.full(logits.values.shape, np.inf))
+    def finite_total_inf_gradient(core, theta, ws=None):
+        return {"ce": 1.0}, np.full(theta.shape, np.inf)
 
-    # ``jseg.train`` names the function; the module holds evaluate_loss.
+    # Every iteration, the first included, takes its loss and gradient from
+    # the step path that ``jseg.train`` binds as ``_logit_gradient``.
     module = importlib.import_module("jseg.train")
-    monkeypatch.setattr(module, "evaluate_loss", finite_total_inf_gradient)
+    monkeypatch.setattr(module, "_logit_gradient", finite_total_inf_gradient)
     for optimizer in ("gd", "adam"):
         with np.errstate(all="ignore"), pytest.raises(TrainDiverged, match="iteration 0"):
             train(y, g, TrainConfig(loss="ce", iterations=3, optimizer=optimizer))
@@ -165,6 +166,44 @@ def test_train_equals_the_evaluate_loss_loop(loss, optimizer, spec):
             assert a.pq == b.pq
         assert got.first_gap_correct == want.first_gap_correct
         assert got.final_pq == want.final_pq
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+def test_back_to_back_runs_give_equal_traces(optimizer):
+    # Each run has its own buffers: a run in between, on another loss,
+    # changes no bit of the next one.
+    g, y = _scene_target()
+    cfg = TrainConfig(loss="jc", iterations=40, log_every=8, seed=4, optimizer=optimizer)
+    first = train(y, g, cfg)
+    train(y, g, TrainConfig(loss="dsc", iterations=7, seed=5, optimizer=optimizer))
+    again = train(y, g, cfg)
+    assert again == first
+
+
+def test_steady_state_steps_allocate_less_than_one_field(monkeypatch):
+    # Between two records of a 96x96 run the traced peak rises by less than
+    # one logit field: every element-sized array of a step is reused.
+    spec = SceneSpec(kind="random-blobs", dims=(96, 96), cell_size=12, n_blobs=12, seed=81)
+    g, y = _scene_target(spec=spec)
+    module = importlib.import_module("jseg.train")
+    norm, seen = module.l2_norm, []
+
+    def watching(*args, **kwargs):  # called once per iteration, for its record
+        seen.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(module, "l2_norm", watching)
+    cfg = TrainConfig(loss="jc", step_size=24.0, iterations=12, log_every=100, seed=81)
+    tracemalloc.start()
+    try:
+        train(y, g, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 13
+    # Iterations 0 and 1 make the buffers; iteration 12 measures PQ first.
+    rises = [peak - seen[k - 1][0] for k, (_, peak) in enumerate(seen) if 2 <= k <= 11]
+    assert max(rises) < y.values.nbytes
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 37])
