@@ -212,8 +212,8 @@ def _cmd_sim_shrinkwrap(args) -> list[str]:
 
 def _cmd_landscape(args) -> list[str]:
     scene = generate_scene(_scene_from(args))
-    semantic = to_semantic(scene, _transform_from(args))
-    target = one_hot(semantic, _transform_from(args).channels)
+    transform = _transform_from(args)
+    target = one_hot(to_semantic(scene, transform), transform.channels)
     center = probs_to_logits(target, floor=args.confidence_floor)
     result = landscape_scan(
         args.loss,
@@ -386,7 +386,8 @@ def _build_parser() -> _Parser:
     _transform_args(p)
     losses = [loss for loss in LOSS_IDS if loss != "j"]
     p.add_argument("--loss", choices=losses, default=TrainConfig.loss)
-    p.add_argument("--step", type=float, default=TrainConfig.step_size)
+    p.add_argument("--step", type=float, default=TrainConfig.step_size,
+                   help="gradient-descent step; adam ignores it and runs at its fixed 1e-4")
     p.add_argument("--iterations", type=int, default=TrainConfig.iterations)
     p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
     p.add_argument("--optimizer", choices=["gd", "adam"], default=TrainConfig.optimizer)

@@ -60,12 +60,12 @@ class InvalidValuesError(GridIOError):
     """The payload holds values the requested grid kind does not allow."""
 
 
-#: kind -> (payload dtype, required channel count or None for >= 2, container)
+#: kind -> (container, array attribute, payload dtype, channels or None for >= 2)
 _KINDS = {
-    "instance": ("u16", 1, InstanceLabelMap),
-    "semantic": ("u16", 1, SemanticLabelMap),
-    "probs": ("f32", None, ProbabilityField),
-    "logits": ("f32", None, LogitField),
+    "instance": (InstanceLabelMap, "labels", "u16", 1),
+    "semantic": (SemanticLabelMap, "classes", "u16", 1),
+    "probs": (ProbabilityField, "values", "f32", None),
+    "logits": (LogitField, "values", "f32", None),
 }
 
 
@@ -92,14 +92,10 @@ def write_grid(grid, path: str | os.PathLike) -> None:
 
 
 def _split(grid) -> tuple[np.ndarray, str, int]:
-    if isinstance(grid, InstanceLabelMap):
-        return grid.labels, "u16", 1
-    if isinstance(grid, SemanticLabelMap):
-        return grid.classes, "u16", 1
-    if isinstance(grid, ProbabilityField):
-        return grid.values, "f32", grid.channels
-    if isinstance(grid, LogitField):
-        return grid.values, "f32", grid.channels
+    for container, attr, dtype, channels in _KINDS.values():
+        if isinstance(grid, container):
+            arr = getattr(grid, attr)
+            return arr, dtype, channels or arr.shape[-1]
     raise TypeError(f"cannot serialize {type(grid).__name__}")
 
 
@@ -147,7 +143,7 @@ def read_grid(path: str | os.PathLike, kind: str):
         arr, channels = _read_pgm(path), 1
     else:
         arr, channels = _read_grd(path)
-    want_dtype, want_channels, container = _KINDS[kind]
+    container, _, want_dtype, want_channels = _KINDS[kind]
     if want_channels == 1 and channels != 1:
         raise DimMismatchError(f"{kind} map must be single-channel, file has {channels}")
     if want_dtype == "u16" and not np.issubdtype(arr.dtype, np.integer):

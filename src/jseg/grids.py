@@ -131,14 +131,10 @@ class ProbabilityField:
     def is_one_hot(self) -> bool:
         """True when every element puts exactly mass 1 on a single channel.
 
-        Computed on the first call and stored on the (immutable) instance.
         Every value 0 or 1 suffices: the channel sum then counts the ones
         exactly, and validation already held each sum within 1e-6 of 1.
         """
-        if "_one_hot" not in self.__dict__:
-            ok = bool(np.all((self.values == 1.0) | (self.values == 0.0)))
-            object.__setattr__(self, "_one_hot", ok)
-        return self.__dict__["_one_hot"]
+        return bool(np.all((self.values == 1.0) | (self.values == 0.0)))
 
     def argmax_classes(self) -> SemanticLabelMap:
         """Per-element most likely class; ties go to the lowest index."""

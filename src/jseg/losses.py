@@ -49,12 +49,12 @@ target-side arrays, which it never writes, so one core can run on several
 threads at once (``landscape_scan`` does); the buffers belong to the run.
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
-(once per target container) and the size of the pair weights.  Building a
-core checks nothing but the loss id and the pair weights' size, and
-running one checks nothing; the callers above pass targets and logits
-that are checked or derived by the library.  Sums run in a
-fixed order (pairwise over the field, in order over the channels); training
-output is byte-identical with one and two OpenBLAS threads, as tested.
+and the size of the pair weights.  Building a core checks nothing but the
+loss id and the pair weights' size, and running one checks nothing; the
+callers above pass targets and logits that are checked or derived by the
+library.  Sums run in a fixed order (pairwise over the field, in order
+over the channels); training output is byte-identical with one and two
+OpenBLAS threads, as tested.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ from typing import Callable
 import numpy as np
 
 from ._util import Workspace, l2_norm, scratch
-from .grids import LogitField, ProbabilityField, fold_channels, softmax_values
+from .grids import (LogitField, ProbabilityField, SemanticLabelMap, fold_channels, one_hot,
+                    softmax_values)
 
 __all__ = [
     "LOG_EPS",
@@ -247,7 +248,7 @@ def _j_core(y, weights):
     :meth:`PairWeights.default`.
     """
     channels = y.shape[-1]
-    lam = np.ones((channels, channels)) - np.eye(channels) if weights is None else weights.matrix
+    lam = (PairWeights.default(channels) if weights is None else weights).matrix
     if len(lam) != channels:
         raise ValueError(f"pair weights are {len(lam)}x{len(lam)}, field has {channels} channels")
     counts = y.sum(axis=0)
@@ -255,8 +256,9 @@ def _j_core(y, weights):
     n = np.where(present, counts, 1.0)
     n_col = n[:, None]
     phi_t = (y / n).T  # phi_l = y_l / n_l; absent classes keep all-zero columns
-    eye = np.eye(channels, dtype=bool)
-    pairs = (lam != 0.0) & ~eye & present & present[:, None]
+    pairs = (lam != 0.0) & present & present[:, None]
+    np.fill_diagonal(pairs, False)
+    ch = np.arange(channels)
     half_lam = 0.5 * lam
 
     def core(z, ws=None, grad=True):
@@ -272,8 +274,8 @@ def _j_core(y, weights):
         active = pairs & (a > LOG_EPS) & (a < 1.0)
         half = np.where(active, half_lam, 0.0)
         a = np.where(active, a, 1.0)
-        diag = (half / (a * n_col)).sum(axis=-1)[..., None, :]
-        m = np.swapaxes(half / (a * n), -1, -2) - eye * diag
+        m = np.swapaxes(half / (a * n), -1, -2).copy()  # C order for matmul; diagonal +0.0
+        m[..., ch, ch] -= (half / (a * n_col)).sum(axis=-1)
         return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
 
     return core
@@ -411,8 +413,7 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     for trial in range(trials):
         dims = _CHECK_SHAPES[trial % len(_CHECK_SHAPES)]
         classes = rng.integers(0, _CHECK_CHANNELS, size=dims).astype(np.int32)
-        y = np.zeros(dims + (_CHECK_CHANNELS,))
-        np.put_along_axis(y, classes[..., None].astype(np.intp), 1.0, axis=-1)
+        y = one_hot(SemanticLabelMap(classes), _CHECK_CHANNELS).values
         theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
 
         core = _build_core(loss_id, y, None)

@@ -148,37 +148,22 @@ def match_instances(gt: InstanceLabelMap, pred: InstanceLabelMap) -> InstanceMat
         )
     g = gt.labels.ravel().astype(np.int64)
     p = pred.labels.ravel().astype(np.int64)
-
     areas_g = np.bincount(g, minlength=1)
     areas_p = np.bincount(p, minlength=1)
-    gt_labels = np.flatnonzero(areas_g)
-    gt_labels = gt_labels[gt_labels > 0]
-    pred_labels = np.flatnonzero(areas_p)
-    pred_labels = pred_labels[pred_labels > 0]
+    stride = len(areas_p)
 
+    # Unique keys come sorted, so the matches come in (gt, pred) order.
     both = (g > 0) & (p > 0)
-    key = g[both] * (int(p.max(initial=0)) + 1) + p[both]
-    pair_keys, inter = np.unique(key, return_counts=True)
-
-    matches = []
-    matched_g: set[int] = set()
-    matched_p: set[int] = set()
-    stride = int(p.max(initial=0)) + 1
-    for pair_key, overlap in zip(pair_keys, inter):
-        lg = int(pair_key // stride)
-        lp = int(pair_key % stride)
-        union = int(areas_g[lg]) + int(areas_p[lp]) - int(overlap)
-        iou = overlap / union
-        if iou > 0.5:
-            matches.append((lg, lp, float(iou)))
-            matched_g.add(lg)
-            matched_p.add(lp)
-
-    matches.sort()
+    pair_keys, inter = np.unique(g[both] * stride + p[both], return_counts=True)
+    lg, lp = np.divmod(pair_keys, stride)
+    iou = inter / (areas_g[lg] + areas_p[lp] - inter)
+    hit = iou > 0.5
+    lg, lp = lg[hit], lp[hit]
+    areas_g[lg] = areas_p[lp] = 0  # the labels that still have an area are unmatched
     return InstanceMatching(
-        matches=tuple(matches),
-        unmatched_gt=tuple(int(l) for l in gt_labels if int(l) not in matched_g),
-        unmatched_pred=tuple(int(l) for l in pred_labels if int(l) not in matched_p),
+        matches=tuple(zip(lg.tolist(), lp.tolist(), iou[hit].tolist())),
+        unmatched_gt=tuple((np.flatnonzero(areas_g[1:]) + 1).tolist()),
+        unmatched_pred=tuple((np.flatnonzero(areas_p[1:]) + 1).tolist()),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._util import fold_windows
 from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, argmax_channels
-from .transform import CELL, GAP, TOUCHING
+from .transform import CELL, GAP, TOUCHING, ball_footprint
 
 __all__ = [
     "PostprocessConfig",
@@ -89,7 +89,7 @@ def _structure(connectivity: str, d: int) -> np.ndarray:
     or the full Chebyshev-1 cube."""
     if connectivity == FULL:
         return np.ones((3,) * d, dtype=bool)
-    return np.abs(np.indices((3,) * d) - 1).sum(axis=0) <= 1
+    return ball_footprint(1, d)
 
 
 def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = None) -> InstanceLabelMap:

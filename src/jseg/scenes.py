@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import InstanceLabelMap
+from .grids import InstanceLabelMap, _check_dims
+from .transform import ball_footprint
 
 __all__ = ["SceneSpec", "generate_scene", "TWO_SQUARES_NOTCH", "RANDOM_BLOBS"]
 
@@ -48,8 +49,7 @@ class SceneSpec:
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         if self.kind not in (TWO_SQUARES_NOTCH, RANDOM_BLOBS):
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if len(self.dims) not in (2, 3) or any(n < 1 for n in self.dims):
-            raise ValueError(f"dims must be 2 or 3 positive sizes, got {self.dims}")
+        _check_dims(self.dims)
         if self.cell_size < 1:
             raise ValueError("cell_size must be >= 1")
         if self.notch_width < 1:
@@ -125,6 +125,5 @@ def _random_blobs(spec: SceneSpec) -> InstanceLabelMap:
     for label, (center, radius) in enumerate(zip(centers.tolist(), radii.tolist()), start=1):
         # Centres lie in [radius, n - radius), so every box lies inside the grid.
         box = tuple(slice(c - radius, c + radius + 1) for c in center)
-        offsets = np.ogrid[tuple(slice(-radius, radius + 1) for _ in dims)]
-        labels[box][sum(o * o for o in offsets) <= radius * radius] = label
+        labels[box][ball_footprint(radius, len(dims))] = label
     return InstanceLabelMap(labels)

@@ -58,6 +58,10 @@ C3 = "c3"
 #: them at least one below ``samples``.
 MAX_SAMPLES = 10**9
 
+#: Most rounds of redrawing degenerate trials per ratio, past which the sweep
+#: raises; at the default grid a trial needs more with a chance below 1e-200.
+MAX_REDRAW_ROUNDS = 1000
+
 #: Columns of the imbalance CSV and of the MCC/J scatter CSV.
 TABLE_HEADER = ("pi", "trial", *MEASURES)
 SCATTER_HEADER = ("pi", "trial", "mcc", "j")
@@ -141,13 +145,15 @@ def _simulate_pi(args) -> tuple[np.ndarray, int]:
     pos = rng.binomial(samples, pi, trials)
     ppos = rng.binomial(samples, p_pred, trials)
     resampled = 0
-    while True:
+    for rounds in range(MAX_REDRAW_ROUNDS + 1):
         # A trial is degenerate when truth or prediction misses a class
         # entirely; Jaccard would divide by zero and MCC would be undefined.
         bad = (pos == 0) | (pos == samples) | (ppos == 0) | (ppos == samples)
         n_bad = int(bad.sum())
         if n_bad == 0:
             break
+        if rounds == MAX_REDRAW_ROUNDS:
+            raise ValueError(f"trials at pi={pi} stay degenerate after {rounds} redraw rounds")
         resampled += n_bad
         pos[bad] = rng.binomial(samples, pi, n_bad)
         ppos[bad] = rng.binomial(samples, p_pred, n_bad)
@@ -177,7 +183,8 @@ def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTab
     Hypergeometric(pos, samples - pos, ppos)``, with ``fp = ppos - tp``,
     ``fn = pos - tp`` and ``tn = samples - pos - ppos + tp``.  Trials where a
     class is entirely absent (``pos`` or ``ppos`` is 0 or ``samples``) are
-    redrawn and counted.  Each ratio draws from its own child generator, so
+    redrawn and counted, for at most ``MAX_REDRAW_ROUNDS`` rounds, and then
+    raise ``ValueError``.  Each ratio draws from its own child generator, so
     the table is the same for any thread count.
     """
     results = ordered_thread_map(

@@ -34,11 +34,13 @@ _MEASURE_POST = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
 class TrainConfig:
     """Optimizer settings for the toy logit-field training loop.
 
-    ``init_noise`` scales a seeded Gaussian perturbation added to the
-    all-zero initial logits.  At zero the start is exactly uniform and a
-    single descent step already classifies every element correctly, which
-    makes timing comparisons between losses degenerate; a small noise
-    level gives every loss actual work to do and gives the seed its role.
+    ``step_size`` is the gradient-descent step; ``adam`` runs at its fixed
+    rate of 1e-4 and ignores it.  ``init_noise`` scales a seeded Gaussian
+    perturbation added to the all-zero initial logits.  At zero the start
+    is exactly uniform and a single descent step already classifies every
+    element correctly, which makes timing comparisons between losses
+    degenerate; a small noise level gives every loss actual work to do and
+    gives the seed its role.
     """
 
     loss: str = "jc"
@@ -75,6 +77,10 @@ class TrainRecord:
 
 @dataclass(frozen=True)
 class TrainTrace:
+    """The records of a run.  ``first_gap_correct`` is the first iteration
+    at which MAP classifies every gap element of the target correctly, or
+    None when the target has no gap element or the run never fixes them."""
+
     records: tuple[TrainRecord, ...]
     first_gap_correct: int | None
     final_pq: float
@@ -126,9 +132,9 @@ class _Adam:
         theta -= step
 
 
-def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool]:
+def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
     """Whether MAP classifies every gap element of ``target`` as GAP, as a
-    function of the logits.
+    function of the logits; None when ``target`` has no gap element.
 
     :func:`argmax_channels` sends ties to the lowest index, so an element
     is classed GAP exactly when its GAP logit is strictly greater than every
@@ -141,7 +147,7 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool]:
     has_gap = target.channels > GAP
     rows = np.flatnonzero(target.values.reshape(flat)[:, GAP] == 1.0) if has_gap else []
     if len(rows) == 0:
-        return lambda theta: True
+        return None
 
     def check(theta: np.ndarray) -> bool:
         g = theta.reshape(flat)[rows]
@@ -223,7 +229,7 @@ def train(
         total = sum(components.values())
         if not np.isfinite(total):
             raise diverged("loss", it)
-        if first_gap_correct is None and gap_correct(theta):
+        if first_gap_correct is None and gap_correct is not None and gap_correct(theta):
             first_gap_correct = it
 
         log_now = it % cfg.log_every == 0 or it == cfg.iterations

@@ -65,8 +65,8 @@ def ball_footprint(radius: int, d: int) -> np.ndarray:
     """Discrete hyper-sphere: offsets within Euclidean distance ``radius``."""
     if radius < 1:
         raise ValueError("structuring-element radius must be >= 1")
-    axes = np.meshgrid(*[np.arange(-radius, radius + 1)] * d, indexing="ij")
-    return sum(a**2 for a in axes) <= radius**2
+    offsets = np.ogrid[(slice(-radius, radius + 1),) * d]
+    return sum(o * o for o in offsets) <= radius * radius
 
 
 def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:

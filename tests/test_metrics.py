@@ -13,7 +13,7 @@ from jseg import (
     pearson,
 )
 from jseg.metrics import MEASURES
-from oracles import brute_iou_table, scalar_binary_measures, trial_measures
+from oracles import brute_iou_table, pair_loop_matching, scalar_binary_measures, trial_measures
 
 
 def test_perfect_classifier():
@@ -192,6 +192,32 @@ def test_matching_agrees_with_brute_force_sets():
         assert set(got) == set(want)
         for key in got:
             assert got[key] == pytest.approx(want[key], abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(12, 10), (6, 5, 4)])
+def test_matching_equals_the_pair_loop(dims):
+    # Whole InstanceMatching objects, Python types included: blocky maps with
+    # sparse label numbers, a prediction that keeps most elements of the
+    # truth, an empty prediction and an identical one.
+    rng = np.random.default_rng(8)
+    seen_matches = seen_unmatched = 0
+    for _ in range(60):
+        numbers = np.concatenate([[0], np.sort(rng.choice(10**6, 5, replace=False)) + 1])
+        coarse = rng.integers(0, 6, size=tuple((n + 1) // 2 for n in dims))
+        for axis in range(len(dims)):
+            coarse = coarse.repeat(2, axis)
+        gt = numbers[coarse[tuple(slice(n) for n in dims)]]
+        noise = numbers[rng.integers(0, 6, size=dims)]
+        kept = np.where(rng.random(dims) < 0.7, gt, noise)
+        for pred in (kept, np.zeros(dims, np.int64), gt):
+            g, p = InstanceLabelMap(gt), InstanceLabelMap(pred)
+            got, want = match_instances(g, p), pair_loop_matching(g, p)
+            assert got == want
+            assert all(list(map(type, m)) == [int, int, float] for m in got.matches)
+            assert all(type(l) is int for l in got.unmatched_gt + got.unmatched_pred)
+            seen_matches += len(got.matches)
+            seen_unmatched += len(got.unmatched_gt) + len(got.unmatched_pred)
+    assert seen_matches > 0 and seen_unmatched > 0
 
 
 def test_labels_appear_in_at_most_one_match():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,14 @@ def test_degenerate_trials_are_resampled_and_counted():
     rows = table.rows
     assert np.all(np.isfinite(rows["mcc"]))
     assert np.all(np.isfinite(rows["jaccard"]))
+
+
+def test_a_ratio_that_stays_degenerate_raises_within_a_second():
+    cfg = ImbalanceSimConfig(pis=(1e-12,), samples=100, trials=2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"pi=1e-12 .* 1000 redraw rounds"):
+        run_imbalance_sim(cfg)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_sampler_matches_the_bernoulli_reference():

@@ -248,7 +248,24 @@ def test_gap_check_equals_the_argmax_rule_ties_included():
         target = ProbabilityField(np.eye(channels)[classes])
         theta = rng.integers(0, 3, (2, 3, channels)).astype(float)
         gap = classes == GAP if channels > GAP else np.zeros(classes.shape, bool)
+        check = _gap_check(target)
+        if not gap.any():
+            assert check is None
+            outcomes.add((channels, None))
+            continue
         want = bool(np.all(argmax_channels(theta[gap])[0] == GAP))
-        assert _gap_check(target)(theta) == want
+        assert check(theta) == want
         outcomes.add((channels, want))
-    assert outcomes == {(3, True), (4, True), (4, False), (5, True), (5, False)}
+    assert outcomes == {
+        (3, None), (4, None), (4, True), (4, False), (5, None), (5, True), (5, False)
+    }
+
+
+def test_targets_without_a_gap_element_report_no_gap_iteration():
+    # A three-class target, and the same map one-hot in four channels.
+    g = generate_scene(SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=8))
+    semantic = to_semantic(g, TransformConfig(mode="three-class"))
+    for channels in (3, 4):
+        trace = train(one_hot(semantic, channels), g, TrainConfig(loss="jc", iterations=20))
+        assert trace.first_gap_correct is None
+        assert len(trace.records) == 21

@@ -14,8 +14,9 @@ from jseg import (
     generate_scene,
     to_semantic,
 )
-from jseg.transform import THREE_CLASS, _touching_mask
+from jseg.transform import THREE_CLASS, _touching_mask, ball_footprint
 from oracles import (
+    ball_offsets,
     brute_bottom_hat,
     brute_semantic,
     ndimage_bottom_hat,
@@ -189,6 +190,15 @@ def test_transform_matches_brute_force_3d(k):
         got = to_semantic(g, TransformConfig(k=k, gap_radius=2)).classes
         want = brute_semantic(g.labels, k, 2)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_footprint_holds_the_offsets_within_the_radius(d):
+    for radius in range(1, 12):
+        ball = ball_footprint(radius, d)
+        assert ball.shape == (2 * radius + 1,) * d and ball.dtype == bool
+        got = sorted(tuple(int(i) - radius for i in idx) for idx in zip(*np.nonzero(ball)))
+        assert got == sorted(ball_offsets(radius, d))
 
 
 def test_config_validation():
