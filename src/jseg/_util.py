@@ -54,7 +54,7 @@ class Workspace:
     ``key`` (shaped like ``like``) on the first step, the same one on every
     later step.  So a run allocates its buffers once, and a step computes
     the same ufuncs, in the same order, as one without a workspace, which
-    gets fresh arrays (``scratch`` returns None, numpy's default ``out``).
+    gets a fresh C-order array from ``scratch`` per call.
     A workspace belongs to one run on one thread; the functions that take
     one keep no state of their own.
     """
@@ -71,10 +71,12 @@ class Workspace:
         return array
 
 
-def scratch(ws: Workspace | None, key: str, like: np.ndarray, dtype=np.float64) -> np.ndarray | None:
-    """``ws``'s array for ``key`` shaped like ``like``, or None without a
-    workspace, so that the ufunc it is passed to as ``out`` allocates."""
-    return None if ws is None else ws.take(key, like.shape, dtype)
+def scratch(ws: Workspace | None, key: str, like: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``ws``'s array for ``key`` shaped like ``like``, or a fresh one
+    without a workspace: a C-order array either way, so that a ufunc
+    writing into it as ``out`` leaves C-order output, whatever its
+    ``order`` of iteration."""
+    return np.empty(like.shape, dtype) if ws is None else ws.take(key, like.shape, dtype)
 
 
 def l2_norm(x: np.ndarray, ws: Workspace | None = None) -> float:

@@ -41,6 +41,9 @@ LOG_FLOOR = 1e-12
 
 _INT32_MAX = np.iinfo(np.int32).max
 
+#: numpy's ufunc buffer, in elements, read once (the call costs about 1 µs).
+_UFUNC_BUFFER = np.getbufsize()
+
 
 def _check_dims(dims: tuple[int, ...]) -> None:
     if len(dims) not in (2, 3):
@@ -173,6 +176,25 @@ def fold_channels(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray | None = None)
     return acc[..., None]
 
 
+def lane_order(x: np.ndarray) -> str:
+    """The iteration order for a lane operation on ``x``: one that
+    broadcasts a ``(..., 1)`` lane over the channels.
+
+    numpy's default order runs one inner loop of C elements per row.  On a
+    flattened ``(rows, C)`` array, ``"F"`` runs the inner loop down the rows
+    instead, about twice as fast at 96².  This returns ``"F"`` only there:
+    on an N-D array F order is slower, so callers flatten first; and an
+    F-order pass over an array that fits in numpy's ufunc buffer goes
+    through the buffer and loses to the default order (at 384 rows it
+    took 4.1 µs against 3.0).  Both orders apply the same ufunc to the
+    same operands per element, so the bits do not depend on the order.
+    The ``out`` of an F-order pass must be a C-order array: left to
+    allocate, it would return F-order output, and sums over that run in
+    another order.
+    """
+    return "F" if x.ndim == 2 and x.size > _UFUNC_BUFFER else "K"
+
+
 def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index (int32) and value of the largest channel, per element.
 
@@ -196,12 +218,20 @@ def softmax_values(x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     overflows and every output lies in [0, 1] with per-element sums of 1
     up to rounding: the result needs no ProbabilityField checks.  With a
     workspace the result and both channel folds live in its arrays.
+
+    The two lane operations, ``x - max`` and ``e / sum``, iterate in
+    :func:`lane_order` into a C-order ``out``, the workspace's array or a
+    fresh one: down the rows for a large flattened ``(rows, C)`` array,
+    which is how every caller passes its field.  So the result is C-order
+    and has the bits of numpy's default order.
     """
     lane = x[..., :1]
+    order = lane_order(x)
     e = np.subtract(x, fold_channels(np.maximum, x, scratch(ws, "softmax.max", lane)),
-                    out=scratch(ws, "softmax", x))
+                    out=scratch(ws, "softmax", x), order=order)
     np.exp(e, out=e)
-    return np.divide(e, fold_channels(np.add, e, scratch(ws, "softmax.sum", lane)), out=e)
+    return np.divide(e, fold_channels(np.add, e, scratch(ws, "softmax.sum", lane)), out=e,
+                     order=order)
 
 
 def softmax(logits: LogitField) -> ProbabilityField:
@@ -210,7 +240,8 @@ def softmax(logits: LogitField) -> ProbabilityField:
     The subtraction leaves the per-element argmax unchanged and makes the
     output shift-invariant per element.
     """
-    return ProbabilityField(softmax_values(logits.values))
+    x = logits.values
+    return ProbabilityField(softmax_values(x.reshape(-1, x.shape[-1])).reshape(x.shape))
 
 
 def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import Workspace, child_rng, l2_norm
-from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels, softmax_values
+from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels
 from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
 from .metrics import panoptic
 from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
@@ -185,7 +185,9 @@ def train(
     element unconstrained, so the restricted-MAP gap rule would read noise
     there.  Under that rule the instances depend on the MAP class map
     alone, so post-processing and panoptic quality rerun only on log
-    iterations where the map changed since the last one measured.
+    iterations where the map changed since the last one measured.  The
+    measure reads the probabilities the step's softmax just wrote, before
+    the update, so it runs no softmax of its own.
     """
     if target.values.shape[:-1] != source.labels.shape:
         raise ValueError("target field and source instance map shapes differ")
@@ -203,11 +205,10 @@ def train(
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
-    def measure_pq(logits_arr: np.ndarray) -> float:
-        probs = softmax_values(logits_arr)
+    def measure_pq(probs: np.ndarray) -> float:
         key = argmax_channels(probs)[0].tobytes()
         if key not in measured:
-            instances = instances_from_probs(ProbabilityField(probs), _MEASURE_POST)
+            instances = instances_from_probs(ProbabilityField(probs.reshape(shape)), _MEASURE_POST)
             measured.clear()
             measured[key] = panoptic(source, instances)["pq"]
         return measured[key]
@@ -224,7 +225,7 @@ def train(
         )
 
     for it in range(cfg.iterations + 1):
-        parts, grad = _logit_gradient(core, theta, ws)
+        parts, grad, probs = _logit_gradient(core, theta, ws)
         components = {name: float(value) for name, value in parts.items()}
         total = sum(components.values())
         if not np.isfinite(total):
@@ -233,7 +234,7 @@ def train(
             first_gap_correct = it
 
         log_now = it % cfg.log_every == 0 or it == cfg.iterations
-        pq = measure_pq(theta) if log_now else None
+        pq = measure_pq(probs) if log_now else None
         if log_now:
             final_pq = pq
         records.append(

@@ -20,7 +20,8 @@ from jseg import (
 )
 from jseg._util import Workspace, l2_norm
 from jseg.grids import softmax_values
-from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, _build_core, _logit_gradient, _stack_totals
+from jseg.losses import (_CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _logit_gradient,
+                         _softmax_vjp, _stack_totals)
 from oracles import pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -334,11 +335,86 @@ def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
     ws = Workspace()
     for _ in range(3):  # the same arrays serve every step
         theta = rng.normal(0.0, 2.0, size=(7, 6, 3, 4))
-        parts, gradient = _logit_gradient(core, theta, ws)
-        want_parts, want_gradient = _logit_gradient(core, theta)
+        parts, gradient, _ = _logit_gradient(core, theta, ws)
+        want_parts, want_gradient, _ = _logit_gradient(core, theta)
         assert parts == want_parts
         assert np.array_equal(gradient, want_gradient)
         assert l2_norm(gradient, ws) == l2_norm(want_gradient)
+
+
+def _fold_in_order(ufunc, x):
+    """``ufunc`` over the channel axis, one channel at a time, keeping the axis."""
+    acc = x[..., 0]
+    for c in range(1, x.shape[-1]):
+        acc = ufunc(acc, x[..., c])
+    return acc[..., None]
+
+
+def _default_order_softmax(x):
+    """The softmax as broadcast expressions in numpy's default order."""
+    e = np.exp(x - _fold_in_order(np.maximum, x))
+    return e / _fold_in_order(np.add, e)
+
+
+def _default_order_vjp(z, dz):
+    """The softmax pull-back as broadcast expressions in numpy's default order."""
+    return z * (dz - _fold_in_order(np.add, dz * z))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(9, 7, 4), (48, 48, 4), (12, 14, 13, 4), (3, 32, 32, 4), (2, 10, 12, 10, 4)],
+    ids=["small2d", "2d", "3d", "stack2d", "stack3d"],
+)
+def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
+    # Down-the-rows iteration gives every element the same ufunc on the same
+    # operands as the default order, and writes C-order arrays.  Flattened as
+    # the callers pass them, all but the small field outgrow numpy's ufunc
+    # buffer, so their lanes run in F order; the N-D arrays keep the default.
+    rng = np.random.default_rng(23)
+    ws = Workspace()
+    for _ in range(2):  # the second step reuses the workspace's arrays
+        x = rng.normal(0.0, 3.0, size=shape)
+        dz = rng.normal(size=shape)
+        want_z = _default_order_softmax(x)
+        want_pulled = _default_order_vjp(want_z, dz)
+        for flat in ((-1, shape[-1]), shape):
+            for workspace in (None, ws):
+                z = softmax_values(x.reshape(flat), workspace)
+                pulled = _softmax_vjp(z, dz.reshape(flat), workspace)
+                assert _same_bits(z, want_z.reshape(flat))
+                assert _same_bits(pulled, want_pulled.reshape(flat))
+                assert z.flags.c_contiguous and pulled.flags.c_contiguous
+
+
+@pytest.mark.parametrize("loss_id", ["ce", "bwm"])
+def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
+    # At and below LOG_EPS the gradient is the old ``dz *= z > LOG_EPS``: -0.0.
+    y = np.eye(4)[[0, 1, 2, 0, 1, 2]]  # class 3 absent: bwm weights it 0
+    above = np.nextafter(LOG_EPS, 1.0)
+    z = np.array([  # the target class at 0, at LOG_EPS and just above it
+        [0.0, 0.5, 0.5, 0.0],
+        [0.5, LOG_EPS, 0.5 - LOG_EPS, 0.0],
+        [0.5, LOG_EPS, above, 0.5 - LOG_EPS - above],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.25, 0.25, LOG_EPS, 0.5 - LOG_EPS],
+        [0.3, 0.3, 0.4, 0.0],
+    ])
+    n = len(y)
+    counts = y.sum(axis=0)
+    w = np.divide(n, 4 * counts, out=np.zeros(4), where=counts > 0)
+    wy = y if loss_id == "ce" else w * y
+    want = -wy / np.maximum(z, LOG_EPS)
+    want *= z > LOG_EPS
+    want /= n
+    for ws in (None, Workspace()):
+        dz = _CORES[loss_id](y, None)(z, ws)[1]
+        assert _same_bits(dz, want)
+        assert np.all(np.signbit(dz[z <= LOG_EPS]))
 
 
 def test_chunked_finite_differences_match_a_per_entry_loop():

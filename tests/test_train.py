@@ -135,7 +135,7 @@ def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     g, y = _scene_target()
 
     def finite_total_inf_gradient(core, theta, ws=None):
-        return {"ce": 1.0}, np.full(theta.shape, np.inf)
+        return {"ce": 1.0}, np.full(theta.shape, np.inf), np.full((theta.size // 4, 4), 0.25)
 
     # Every iteration, the first included, takes its loss and gradient from
     # the step path that ``jseg.train`` binds as ``_logit_gradient``.
