@@ -10,7 +10,7 @@ for all of them."""
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import TypeVar
@@ -62,21 +62,36 @@ class Workspace:
     def __init__(self):
         self._arrays: dict[tuple, np.ndarray] = {}
 
-    def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """The array for ``key`` of this shape and dtype, made on first use."""
+    def take(
+        self, key: Hashable, shape: tuple[int, ...], dtype=np.float64, fill=None
+    ) -> np.ndarray:
+        """The array for ``key`` of this shape and dtype, made on first use.
+
+        With ``fill`` the array is filled with that value when it is made,
+        and only then: a caller that writes part of it on every step keeps
+        the rest as filled.  Such an array holds what one caller put there,
+        so its key must belong to that caller alone, e.g. a tuple holding
+        an ``object()`` of its own.
+        """
         slot = (key, shape, dtype)
         array = self._arrays.get(slot)
         if array is None:
             array = self._arrays[slot] = np.empty(shape, dtype)
+            if fill is not None:
+                array.fill(fill)
         return array
 
 
-def scratch(ws: Workspace | None, key: str, like: np.ndarray, dtype=np.float64) -> np.ndarray:
+def scratch(ws: Workspace | None, key: Hashable, like: np.ndarray, dtype=np.float64,
+            fill=None) -> np.ndarray:
     """``ws``'s array for ``key`` shaped like ``like``, or a fresh one
     without a workspace: a C-order array either way, so that a ufunc
     writing into it as ``out`` leaves C-order output, whatever its
-    ``order`` of iteration."""
-    return np.empty(like.shape, dtype) if ws is None else ws.take(key, like.shape, dtype)
+    ``order`` of iteration.  ``fill`` fills a fresh array, and a workspace
+    array when it is made (:meth:`Workspace.take`)."""
+    if ws is not None:
+        return ws.take(key, like.shape, dtype, fill)
+    return np.empty(like.shape, dtype) if fill is None else np.full(like.shape, fill, dtype)
 
 
 def l2_norm(x: np.ndarray, ws: Workspace | None = None) -> float:

@@ -21,11 +21,33 @@ axes flattened, does the target-side work once (class counts, presence,
 grad=True) -> (components, dL/dz)`` for ``(..., n, C)`` probabilities.
 With ``grad=False`` the same body stops after the components and returns
 ``(components, None)``: the gradient arithmetic is skipped, and the
-components are the same bits.  Each core's docstring defines its loss.  Cores reduce over the spatial axis only, so
-leading batch axes of ``z`` give one value per item.  J uses the matrix
-form of its pair sum: with ``phi_l = y_l / n_l``, ``S = phi^T z`` gives
-``a_ik = 1/2 + (S_ii - S_ki) / 2`` for every pair, and ``phi M`` the
-gradient.
+components are the same bits.  Each core's docstring defines its loss.
+Cores reduce over the spatial axis only, so leading batch axes of ``z``
+give one value per item.  J uses the matrix form of its pair sum: with
+``phi_l = y_l / n_l``, ``S = phi^T z`` gives ``a_ik = 1/2 + (S_ii - S_ki)
+/ 2`` for every pair, and ``phi M`` the gradient.
+
+A single ``(n, C)`` field, which every gradient caller passes, runs a
+body that uses what the target fixes; a stack (the value-only
+finite-difference and landscape stacks) keeps the dense body.  Both give
+the same bits, as tested.
+- **CE at the target entries** (ce and bwm, and the ce parts of dsc and
+  jc).  Off the target the terms ``w y log z`` and ``dz`` are both
+  ``-0.0``, so the core gathers ``z`` at the ``n`` target entries, found
+  once per target, and takes the clamp, log and division there.  Value
+  and ``dz`` go in turn into one array that holds ``-0.0`` off the target
+  (filled once, see :meth:`~jseg._util.Workspace.take`); the value is
+  summed over all of it.
+- **The J tail in scalars.**  After ``S = phi^T z`` the pair terms run on
+  the pair list, precomputed per target, in Python floats: the same IEEE
+  operations per pair as the matrix body.  The log is one ``np.log`` call
+  on the pair vector, and the value and the diagonal of ``M`` are numpy
+  sums over the matrix body's C x C layout, so their order is numpy's.
+- **JC's sum happens at the target entries.**  JC adds the CE gradient at
+  the target entries into J's ``dz``, which J writes afresh each call;
+  off the target CE's ``dz`` is ``-0.0`` and ``x + -0.0 == x``.  DSC
+  subtracts its Dice term into an array of its own, so the CE array is
+  written only by its core.
 
 A caller that evaluates one target many times builds its core once
 (``_build_core``) and reuses it: :func:`evaluate_loss` per call,
@@ -43,7 +65,8 @@ The step loops, ``train`` and ``run_shrinkwrap``, make one
 softmax, the cores, the pull-back and the norm, which then write every
 element-sized intermediate into its arrays with ``out=`` and in-place
 ufuncs: the same ufuncs in the same order as without one, so the same
-bits, and no large allocation after the first step.  Every other caller
+bits, and no large allocation after the first step (tested at 96²: a
+step's peak is below 0.3 of one field).  Every other caller
 passes no workspace and gets fresh C-order arrays from ``scratch``, so
 every ``out`` is C-order either way.  The softmax and its pull-back rely
 on that: their lane operations, which broadcast one value per row over
@@ -114,6 +137,8 @@ class PairWeights:
         m = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("pair weights must form a square matrix")
+        if m.size == 0:
+            raise ValueError("pair weights need at least one class")
         if not np.all(np.isfinite(m)) or m.min() < 0:
             raise ValueError("pair weights must be finite and non-negative")
         m.setflags(write=False)
@@ -180,24 +205,64 @@ def _logit_gradient(
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
     """Mean (optionally class-weighted) negative log likelihood: the core
-    ``z -> ({name: value}, dL/dz)`` for the target ``y``."""
+    ``z -> ({name: value}, dL/dz)`` for the target ``y``.
+
+    A single field runs at the target entries (see the module docstring):
+    off the target ``w y`` is +0.0 and the clamped ``z`` positive, so both
+    the terms and ``dz`` are ``-0.0`` there.  ``add_to``, a C-order array
+    shaped like ``z``, takes the gradient added into it in place, and is
+    returned as ``dz``.
+    """
     n = y.shape[0]
     wy = y if class_weights is None else class_weights * y
     neg_wy = -wy
+    at = np.flatnonzero(y.ravel())  # the flat index of each element's target entry
+    wy_at = wy.ravel()[at]
+    neg_wy_at = neg_wy.ravel()[at]
+    out_key = (name + ".out", object())  # this core's own array: -0.0 off its target
 
-    def ce(z, ws=None, grad=True):
+    def dense(z, ws, grad):
         clamped = np.maximum(z, LOG_EPS, out=scratch(ws, name + ".clamped", z))
         terms = np.log(clamped, out=scratch(ws, name + ".dz", z))  # borrows dz's array
         value = -np.multiply(wy, terms, out=terms).sum(axis=(-2, -1)) / n
         if not grad:
-            return {name: value}, None
+            return value, None
         dz = np.divide(neg_wy, clamped, out=terms)
         # Below the clamp the log is constant, so dz is zero there: -0.0, the
         # sign of 0.0 times dz = -w y / LOG_EPS <= 0.
         clamp = np.less_equal(z, LOG_EPS, out=scratch(ws, name + ".clamp", z, bool))
         np.copyto(dz, -0.0, where=clamp)
         dz /= n
-        return {name: value}, dz
+        return value, dz
+
+    def ce(z, ws=None, grad=True, add_to=None):
+        if z.ndim > 2:
+            value, dz = dense(z, ws, grad)
+            if add_to is not None:
+                dz = np.add(add_to, dz, out=add_to)
+            return {name: value}, dz
+        out = scratch(ws, out_key, z, fill=-0.0)
+        flat = out.ravel()
+        # The indices are in range; any mode but the default "raise" takes
+        # straight into the buffer instead of through a copy.
+        gathered = np.take(z.ravel(), at, out=scratch(ws, name + ".at", at), mode="wrap")
+        clamped = np.maximum(gathered, LOG_EPS, out=gathered)
+        terms = np.log(clamped, out=scratch(ws, name + ".terms", at))
+        flat[at] = np.multiply(wy_at, terms, out=terms)
+        value = -out.sum(axis=(-2, -1)) / n
+        if not grad:
+            return {name: value}, None
+        dz = np.divide(neg_wy_at, clamped, out=terms)
+        # z <= LOG_EPS exactly where its clamp is LOG_EPS.
+        clamp = np.less_equal(clamped, LOG_EPS, out=scratch(ws, name + ".clamp", at, bool))
+        np.copyto(dz, -0.0, where=clamp)
+        dz /= n
+        if add_to is None:
+            flat[at] = dz
+            return {name: value}, out
+        into = add_to.ravel()
+        into[at] = np.add(np.take(into, at, out=clamped, mode="wrap"), dz, out=clamped)
+        return {name: value}, add_to
 
     return ce
 
@@ -250,8 +315,7 @@ def _dsc_core(y, weights):
         term -= np.multiply(4.0 * inter, z, out=scratch(ws, "dsc.cross", z))
         term /= denom**2
         term *= share
-        dz -= term
-        return parts, dz
+        return parts, np.subtract(dz, term, out=term)  # dz may be the ce core's own array
 
     return core
 
@@ -279,8 +343,42 @@ def _j_core(y, weights):
     np.fill_diagonal(pairs, False)
     ch = np.arange(channels)
     half_lam = 0.5 * lam
+    # A single field runs the tail on the pair list in Python floats: per
+    # pair the same IEEE operations as the matrix body below.  The log and
+    # the two sums stay numpy calls, the sums over that body's C x C layout,
+    # held as flat lists; flat index i * C + k is entry [i, k].
+    size = channels * channels
+    ik = [(int(i), int(k)) for i, k in zip(*np.nonzero(pairs))]
+    value_p = [(i * channels + k, float(lam[i, k])) for i, k in ik]
+    grad_p = [(i * channels + k, k * channels + i, float(half_lam[i, k]), float(n[i]), float(n[k]))
+              for i, k in ik]
+
+    def single(z, ws, grad):
+        s = (phi_t @ z).tolist()
+        a = [0.5 + 0.5 * (s[i][i] - s[k][i]) for i, k in ik]
+        # The clamp of np.minimum(np.maximum(a, LOG_EPS), 1.0), NaN included.
+        log_a = np.log([LOG_EPS if v < LOG_EPS else 1.0 if v > 1.0 else v for v in a]).tolist()
+        terms = [0.0] * size
+        for (at, w), log_v in zip(value_p, log_a):
+            terms[at] = w * log_v
+        value = -np.array(terms).reshape(channels, channels).sum(axis=(-2, -1))
+        if not grad:
+            return {"j": value}, None
+        m = [0.0] * size
+        row_terms = [0.0] * size  # h_ik / n_i, summed over k below
+        for (at, at_t, h, n_i, n_k), v in zip(grad_p, a):
+            if LOG_EPS < v < 1.0:
+                m[at_t] = h / (v * n_k)
+                row_terms[at] = h / (v * n_i)
+        row_sums = np.array(row_terms).reshape(channels, channels).sum(axis=-1).tolist()
+        for i, row_sum in enumerate(row_sums):
+            m[i * (channels + 1)] = 0.0 - row_sum  # the matrix body's diagonal starts at +0.0
+        m = np.array(m).reshape(channels, channels)
+        return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
 
     def core(z, ws=None, grad=True):
+        if z.ndim == 2:
+            return single(z, ws, grad)
         s = phi_t @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
         a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
         log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
@@ -306,11 +404,9 @@ def _jc_core(y, weights):
     j = _j_core(y, weights)
 
     def core(z, ws=None, grad=True):
-        ce_parts, ce_dz = ce(z, ws, grad)
         j_parts, j_dz = j(z, ws, grad)
-        if grad:
-            ce_dz += j_dz
-        return {**ce_parts, **j_parts}, ce_dz
+        ce_parts, dz = ce(z, ws, grad, add_to=j_dz)  # j writes its dz afresh each call
+        return {**ce_parts, **j_parts}, dz
 
     return core
 
@@ -372,13 +468,15 @@ def finite_difference_gradient(
     copies differ from ``theta`` in entry ``i`` only.  A stack holds at
     most ``FD_CHUNK_ELEMENTS`` elements, or one pair of copies when a pair
     is larger, so memory grows with ``theta.size``, not with its square.
-    Raises ``ValueError`` unless ``step`` is finite and positive.
+    An empty ``theta`` gets an empty gradient of its shape, and ``fn`` is
+    not called.  Raises ``ValueError`` unless ``step`` is finite and
+    positive.
     """
     _check_step(step)
     shape = np.shape(theta)
     base = np.asarray(theta, dtype=np.float64).ravel()
     grad = np.empty(base.size)
-    per_call = max(1, FD_CHUNK_ELEMENTS // (2 * base.size))
+    per_call = max(1, FD_CHUNK_ELEMENTS // max(1, 2 * base.size))
     for start in range(0, base.size, per_call):
         idx = np.arange(start, min(start + per_call, base.size))
         k = idx.size

@@ -122,11 +122,24 @@ def binary_measures(counts: ConfusionCounts) -> MetricReport:
 
 
 def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient of two equal-length sequences."""
+    """Sample Pearson correlation coefficient of two equal-length sequences.
+
+    Each sequence is first scaled by the power of two that brings its
+    largest magnitude into [1/2, 1), so that its sums and squares cannot
+    overflow and tiny data keeps its variance.  Scaling by a power of two
+    is exact and the coefficient does not depend on scale, so data in the
+    normal range gets the bits of the unscaled formula.  Raises ``ValueError`` for
+    non-finite values, for sequences of unequal length or shorter than 2,
+    and for zero variance.
+    """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D sequences of length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("Pearson correlation needs finite values")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float((dx**2).sum())

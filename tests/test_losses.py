@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,20 @@ def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
         assert np.all(np.signbit(dz[z <= LOG_EPS]))
 
 
+def test_finite_differences_of_an_empty_array_are_empty_and_call_nothing():
+    def fn(stack):
+        raise AssertionError("fn must not be called")
+
+    for theta in (np.zeros(0), np.zeros((3, 0, 4))):
+        grad = finite_difference_gradient(fn, theta)
+        assert grad.shape == theta.shape and grad.dtype == np.float64
+
+
+def test_empty_pair_weights_are_rejected():
+    with pytest.raises(ValueError, match="pair weights need at least one class"):
+        PairWeights(np.zeros((0, 0)))
+
+
 def test_chunked_finite_differences_match_a_per_entry_loop():
     rng = np.random.default_rng(18)
     y = _random_one_hot(rng, (10, 10))
@@ -522,3 +538,70 @@ def test_pair_weights_must_match_the_channel_count(loss_id):
     logits = LogitField(rng.normal(size=(5, 4, 4)))
     with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
         evaluate_loss(loss_id, y, logits, PairWeights.default(3))
+
+
+@st.composite
+def _single_field_case(draw):
+    """A target, pair weights and three probability-like fields for the
+    single-field cores.  Field entries are seeded uniform draws, a drawn
+    share of them replaced by values at and below the clamp, just above it,
+    0 and 1.  A field may also sit at the target itself, where J's pair
+    terms reach ``a >= 1``, or at the target of another class, where they
+    fall to the clamp.  A class may be absent, and pair weights may be zero
+    or weighted."""
+    channels = draw(st.sampled_from([2, 3, 4, 6, 9]))  # 9: rows of numpy's pairwise sums
+    elements = draw(st.sampled_from([1, 12, 35]))
+    used = draw(st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.eye(channels)[rng.choice(used, size=elements)]
+    lam = rng.random((channels, channels)) * rng.choice([0.0, 1.0, 3.0], size=(channels, channels))
+    specials = [0.0, np.nextafter(LOG_EPS, 0.0), LOG_EPS, np.nextafter(LOG_EPS, 1.0), 1.0]
+    fields = []
+    for _ in range(3):
+        z = rng.random(y.shape)
+        swap = rng.random(y.shape) < draw(st.sampled_from([0.0, 0.2, 0.7]))
+        z[swap] = rng.choice(specials, size=np.count_nonzero(swap))
+        kind = draw(st.sampled_from(["drawn", "target", "above target", "other target"]))
+        if kind == "other target":
+            z = y[:, rng.permutation(channels)]
+        elif kind != "drawn":
+            z = y + (kind == "above target") * z * 1e-9
+        fields.append(z)
+    return y, PairWeights(lam), fields
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_single_field_case())
+def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
+    # A single (n, C) field runs each core's target-entry path, a stack of
+    # one runs the dense body; a workspace carries its arrays over the steps.
+    y, weights, fields = case
+    for loss_id in LOSS_IDS:
+        core = _CORES[loss_id](y, weights)
+        ws = Workspace()
+        for z in fields:
+            want_parts, want_dz = core(z[None])
+            for workspace in (None, ws):
+                for grad in (True, False):
+                    parts, dz = core(z, workspace, grad)
+                    assert parts.keys() == want_parts.keys()
+                    for name, value in parts.items():
+                        assert _same_bits(np.asarray(value), want_parts[name][0])
+                    assert dz is None if not grad else _same_bits(dz, want_dz[0])
+
+
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_a_step_on_a_workspace_makes_no_large_allocation(loss_id):
+    rng = np.random.default_rng(24)
+    y = _random_one_hot(rng, (96, 96))
+    core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
+    theta = rng.normal(0.0, 2.0, size=y.values.shape)
+    ws = Workspace()
+    _logit_gradient(core, theta, ws)  # the first step makes the arrays
+    tracemalloc.start()
+    try:
+        _logit_gradient(core, theta, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * theta.nbytes

@@ -119,6 +119,29 @@ def test_pearson_hand_value():
     assert want == pytest.approx(0.9933992677987828, abs=1e-12)
 
 
+def test_pearson_survives_values_whose_squares_overflow():
+    assert pearson([1e300, -1e300, 3e300], [1, 2, 3]) == pytest.approx(0.5, abs=1e-12)
+    assert pearson([1e-300, -1e-300, 3e-300], [1, 2, 3]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_pearson_keeps_its_bits_under_power_of_two_scaling():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = rng.normal(size=40)
+        y = 0.6 * x + rng.normal(size=40)
+        want = pearson(x, y)
+        for kx, ky in ((-900, 0), (0, 1000), (7, -3), (1000, -1000)):
+            assert _bits(pearson(np.ldexp(x, kx), np.ldexp(y, ky))) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_rejects_values_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pearson([1.0, bad, 3.0], [1, 2, 3])
+    with pytest.raises(ValueError, match="finite"):
+        pearson([1, 2, 3], [1.0, 2.0, bad])
+
+
 def test_pearson_errors():
     with pytest.raises(ValueError):
         pearson([1, 1, 1], [1, 2, 3])

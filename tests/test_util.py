@@ -1,6 +1,6 @@
-"""The shared helpers in ``jseg._util``: the thread map and the one CSV
-writer, checked against row-by-row reference writers for every CSV the
-package produces, and its one-pass form against separate writes."""
+"""The shared helpers in ``jseg._util``: the workspace, the thread map and
+the one CSV writer, checked against row-by-row reference writers for every
+CSV the package produces, and its one-pass form against separate writes."""
 
 import csv
 import struct
@@ -29,6 +29,20 @@ from jseg import (
 )
 from jseg import _util
 from jseg.cli import dispatch
+
+# -- workspace ----------------------------------------------------------------
+
+
+def test_a_filled_workspace_array_is_filled_once_and_then_kept():
+    ws = _util.Workspace()
+    made = ws.take("out", (3, 2), fill=-0.0)
+    assert np.all(made == 0.0) and np.all(np.signbit(made))
+    made[0, 0] = 7.0
+    again = ws.take("out", (3, 2), fill=-0.0)
+    assert again is made and again[0, 0] == 7.0 and np.signbit(again[1, 1])
+    fresh = _util.scratch(None, "out", made, fill=-0.0)
+    assert np.all(np.signbit(fresh)) and fresh.flags.c_contiguous
+
 
 # -- thread map ---------------------------------------------------------------
 
