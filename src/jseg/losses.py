@@ -17,32 +17,37 @@ boundaries.
 Each loss has one core on bare arrays, built per target:
 ``_CORES[id](y, weights)`` takes the ``(n, C)`` target with its spatial
 axes flattened, does the target-side work once (class counts, presence,
-``phi``, the pair mask, class weights) and returns ``core(z, ws=None,
-grad=True) -> (components, dL/dz)`` for ``(..., n, C)`` probabilities.
-With ``grad=False`` the same body stops after the components and returns
-``(components, None)``: the gradient arithmetic is skipped, and the
-components are the same bits.  Each core's docstring defines its loss.
-Cores reduce over the spatial axis only, so leading batch axes of ``z``
-give one value per item.  J uses the matrix form of its pair sum: with
-``phi_l = y_l / n_l``, ``S = phi^T z`` gives ``a_ik = 1/2 + (S_ii - S_ki)
-/ 2`` for every pair, and ``phi M`` the gradient.
+``phi``, the pair mask, class weights) and returns ``core(z, ws=None)``,
+which has two modes:
 
-A single ``(n, C)`` field, which every gradient caller passes, runs a
-body that uses what the target fixes; a stack (the value-only
-finite-difference and landscape stacks) keeps the dense body.  Both give
-the same bits, as tested.
+- an ``(n, C)`` field of probabilities gives ``(components, dL/dz)``: the
+  training step and every other gradient caller;
+- a ``(k, n, C)`` stack gives ``(components, None)``, each component a
+  vector of ``k`` values, one per item: the finite-difference and
+  landscape stacks, and probability input as a stack of one.
+
+An item's values are the bits of the same field's components.  Each
+core's docstring defines its loss.  J uses the matrix form of its pair
+sum: with ``phi_l = y_l / n_l``, ``S = phi^T z`` gives ``a_ik = 1/2 +
+(S_ii - S_ki) / 2`` for every pair, and ``phi M`` the gradient.  The cores
+use what the target fixes, and give the bits of the dense bodies that
+compute every term at every entry and every pair (kept in
+``tests/oracles.py`` as ``dense_core``, and tested against them):
+
 - **CE at the target entries** (ce and bwm, and the ce parts of dsc and
   jc).  Off the target the terms ``w y log z`` and ``dz`` are both
   ``-0.0``, so the core gathers ``z`` at the ``n`` target entries, found
-  once per target, and takes the clamp, log and division there.  Value
-  and ``dz`` go in turn into one array that holds ``-0.0`` off the target
-  (filled once, see :meth:`~jseg._util.Workspace.take`); the value is
-  summed over all of it.
-- **The J tail in scalars.**  After ``S = phi^T z`` the pair terms run on
-  the pair list, precomputed per target, in Python floats: the same IEEE
-  operations per pair as the matrix body.  The log is one ``np.log`` call
-  on the pair vector, and the value and the diagonal of ``M`` are numpy
-  sums over the matrix body's C x C layout, so their order is numpy's.
+  once per target (per item of a stack, at an offset computed per call),
+  and takes the clamp, log and division there.  Value and ``dz`` go in
+  turn into one array that holds ``-0.0`` off the target (filled once,
+  see :meth:`~jseg._util.Workspace.take`); the value is summed over all
+  of it.
+- **The J tail in scalars.**  On a field, after ``S = phi^T z`` the pair
+  terms run on the pair list, precomputed per target, in Python floats:
+  the same IEEE operations per pair as the matrix form, which a stack
+  runs for its values.  The log is one ``np.log`` call on the pair
+  vector, and the value and the diagonal of ``M`` are numpy sums over the
+  C x C layout of the matrix form, so their order is numpy's.
 - **JC's sum happens at the target entries.**  JC adds the CE gradient at
   the target entries into J's ``dz``, which J writes afresh each call;
   off the target CE's ``dz`` is ``-0.0`` and ``x + -0.0 == x``.  DSC
@@ -56,7 +61,7 @@ finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
 paths: ``_logit_gradient`` for one field with its logit gradient
 (softmax, core, softmax pull-back), and ``_stack_totals`` for the loss
-totals of a stack of fields, on the value path.  Only ``run_shrinkwrap``
+totals of a stack of fields.  Only ``run_shrinkwrap``
 runs cores its own way, as it needs the ce and j gradients apart from one
 softmax.
 
@@ -129,11 +134,15 @@ class PairWeights:
     Entry ``[i, k]`` weights the binary problem with ``i`` positive and
     ``k`` negative.  The diagonal never contributes: its pair term is the
     constant ``-w * log(1/2)`` with zero gradient, so it is skipped.
+    Raises ``ValueError`` unless the matrix is real, square, finite and
+    non-negative, with at least one class.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("pair weights must be real")
         m = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("pair weights must form a square matrix")
@@ -207,53 +216,41 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     """Mean (optionally class-weighted) negative log likelihood: the core
     ``z -> ({name: value}, dL/dz)`` for the target ``y``.
 
-    A single field runs at the target entries (see the module docstring):
-    off the target ``w y`` is +0.0 and the clamped ``z`` positive, so both
-    the terms and ``dz`` are ``-0.0`` there.  ``add_to``, a C-order array
-    shaped like ``z``, takes the gradient added into it in place, and is
-    returned as ``dz``.
+    It runs at the target entries (see the module docstring): off the
+    target ``w y`` is +0.0 and the clamped ``z`` positive, so the terms are
+    ``-0.0`` there, and so is ``dz``.  A stack gathers item ``b``'s entries
+    at ``b * n * C`` past the field's, computed per call.  ``add_to``, a
+    C-order array shaped like a field, takes a field's gradient added into
+    it in place, and is returned as ``dz``.
     """
     n = y.shape[0]
     wy = y if class_weights is None else class_weights * y
-    neg_wy = -wy
     at = np.flatnonzero(y.ravel())  # the flat index of each element's target entry
     wy_at = wy.ravel()[at]
-    neg_wy_at = neg_wy.ravel()[at]
+    neg_wy_at = -wy_at
     out_key = (name + ".out", object())  # this core's own array: -0.0 off its target
 
-    def dense(z, ws, grad):
-        clamped = np.maximum(z, LOG_EPS, out=scratch(ws, name + ".clamped", z))
-        terms = np.log(clamped, out=scratch(ws, name + ".dz", z))  # borrows dz's array
-        value = -np.multiply(wy, terms, out=terms).sum(axis=(-2, -1)) / n
-        if not grad:
-            return value, None
-        dz = np.divide(neg_wy, clamped, out=terms)
-        # Below the clamp the log is constant, so dz is zero there: -0.0, the
-        # sign of 0.0 times dz = -w y / LOG_EPS <= 0.
-        clamp = np.less_equal(z, LOG_EPS, out=scratch(ws, name + ".clamp", z, bool))
-        np.copyto(dz, -0.0, where=clamp)
-        dz /= n
-        return value, dz
-
-    def ce(z, ws=None, grad=True, add_to=None):
-        if z.ndim > 2:
-            value, dz = dense(z, ws, grad)
-            if add_to is not None:
-                dz = np.add(add_to, dz, out=add_to)
-            return {name: value}, dz
+    def ce(z, ws=None, add_to=None):
+        if z.ndim == 2:
+            idx, w = at, wy_at
+        else:
+            idx = (np.arange(len(z))[:, None] * y.size + at).ravel()
+            w = np.tile(wy_at, len(z))
         out = scratch(ws, out_key, z, fill=-0.0)
         flat = out.ravel()
         # The indices are in range; any mode but the default "raise" takes
         # straight into the buffer instead of through a copy.
-        gathered = np.take(z.ravel(), at, out=scratch(ws, name + ".at", at), mode="wrap")
+        gathered = np.take(z.ravel(), idx, out=scratch(ws, name + ".at", idx), mode="wrap")
         clamped = np.maximum(gathered, LOG_EPS, out=gathered)
-        terms = np.log(clamped, out=scratch(ws, name + ".terms", at))
-        flat[at] = np.multiply(wy_at, terms, out=terms)
+        terms = np.log(clamped, out=scratch(ws, name + ".terms", idx))
+        flat[idx] = np.multiply(w, terms, out=terms)
         value = -out.sum(axis=(-2, -1)) / n
-        if not grad:
+        if z.ndim > 2:
             return {name: value}, None
         dz = np.divide(neg_wy_at, clamped, out=terms)
-        # z <= LOG_EPS exactly where its clamp is LOG_EPS.
+        # Below the clamp the log is constant, so dz is zero there: -0.0, the
+        # sign of 0.0 times dz = -w y / LOG_EPS <= 0.  z <= LOG_EPS exactly
+        # where its clamp is LOG_EPS.
         clamp = np.less_equal(clamped, LOG_EPS, out=scratch(ws, name + ".clamp", at, bool))
         np.copyto(dz, -0.0, where=clamp)
         dz /= n
@@ -299,8 +296,8 @@ def _dsc_core(y, weights):
     share = present / np.count_nonzero(present)  # mean over present classes
     two_y = 2.0 * y
 
-    def core(z, ws=None, grad=True):
-        parts, dz = ce(z, ws, grad)
+    def core(z, ws=None):
+        parts, dz = ce(z, ws)
         product = scratch(ws, "dsc.product", z)
         inter = np.multiply(z, y, out=product).sum(axis=-2)[..., None, :]
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
@@ -308,7 +305,7 @@ def _dsc_core(y, weights):
         denom = np.where(present, squares + counts, 1.0)[..., None, :]
         dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
         parts = {**parts, "dice": dice}
-        if not grad:
+        if dz is None:  # a stack
             return parts, None
         # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
         term = np.multiply(two_y, denom, out=product)
@@ -337,23 +334,28 @@ def _j_core(y, weights):
     counts = y.sum(axis=0)
     present = counts > 0
     n = np.where(present, counts, 1.0)
-    n_col = n[:, None]
     phi_t = (y / n).T  # phi_l = y_l / n_l; absent classes keep all-zero columns
     pairs = (lam != 0.0) & present & present[:, None]
     np.fill_diagonal(pairs, False)
-    ch = np.arange(channels)
     half_lam = 0.5 * lam
-    # A single field runs the tail on the pair list in Python floats: per
-    # pair the same IEEE operations as the matrix body below.  The log and
-    # the two sums stay numpy calls, the sums over that body's C x C layout,
-    # held as flat lists; flat index i * C + k is entry [i, k].
+    # A field runs the tail on the pair list in Python floats: per pair the
+    # same IEEE operations as the matrix form over all C x C pairs, which a
+    # stack runs for its values (and ``dense_core`` in tests/oracles.py for
+    # the gradient too).  The log and the two sums stay numpy calls, the sums
+    # over that C x C layout, held as flat lists; flat index i * C + k is
+    # entry [i, k].
     size = channels * channels
     ik = [(int(i), int(k)) for i, k in zip(*np.nonzero(pairs))]
     value_p = [(i * channels + k, float(lam[i, k])) for i, k in ik]
     grad_p = [(i * channels + k, k * channels + i, float(half_lam[i, k]), float(n[i]), float(n[k]))
               for i, k in ik]
 
-    def single(z, ws, grad):
+    def core(z, ws=None):
+        if z.ndim > 2:
+            s = phi_t @ z  # s[..., l, m] = sum_p phi_l(p) z_m(p)
+            a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
+            log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
+            return {"j": -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))}, None
         s = (phi_t @ z).tolist()
         a = [0.5 + 0.5 * (s[i][i] - s[k][i]) for i, k in ik]
         # The clamp of np.minimum(np.maximum(a, LOG_EPS), 1.0), NaN included.
@@ -362,8 +364,9 @@ def _j_core(y, weights):
         for (at, w), log_v in zip(value_p, log_a):
             terms[at] = w * log_v
         value = -np.array(terms).reshape(channels, channels).sum(axis=(-2, -1))
-        if not grad:
-            return {"j": value}, None
+        # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
+        # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
+        # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
         m = [0.0] * size
         row_terms = [0.0] * size  # h_ik / n_i, summed over k below
         for (at, at_t, h, n_i, n_k), v in zip(grad_p, a):
@@ -372,27 +375,8 @@ def _j_core(y, weights):
                 row_terms[at] = h / (v * n_i)
         row_sums = np.array(row_terms).reshape(channels, channels).sum(axis=-1).tolist()
         for i, row_sum in enumerate(row_sums):
-            m[i * (channels + 1)] = 0.0 - row_sum  # the matrix body's diagonal starts at +0.0
+            m[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
         m = np.array(m).reshape(channels, channels)
-        return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
-
-    def core(z, ws=None, grad=True):
-        if z.ndim == 2:
-            return single(z, ws, grad)
-        s = phi_t @ z  # s[l, m] = sum_p phi_l(p) z_m(p)
-        a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., :, None] - np.swapaxes(s, -1, -2))
-        log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
-        value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
-        if not grad:
-            return {"j": value}, None
-        # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
-        # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
-        # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
-        active = pairs & (a > LOG_EPS) & (a < 1.0)
-        half = np.where(active, half_lam, 0.0)
-        a = np.where(active, a, 1.0)
-        m = np.swapaxes(half / (a * n), -1, -2).copy()  # C order for matmul; diagonal +0.0
-        m[..., ch, ch] -= (half / (a * n_col)).sum(axis=-1)
         return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
 
     return core
@@ -403,9 +387,9 @@ def _jc_core(y, weights):
     ce = _ce_core(y, None)
     j = _j_core(y, weights)
 
-    def core(z, ws=None, grad=True):
-        j_parts, j_dz = j(z, ws, grad)
-        ce_parts, dz = ce(z, ws, grad, add_to=j_dz)  # j writes its dz afresh each call
+    def core(z, ws=None):
+        j_parts, j_dz = j(z, ws)
+        ce_parts, dz = ce(z, ws, add_to=j_dz)  # j writes its dz afresh each call
         return {**ce_parts, **j_parts}, dz
 
     return core
@@ -431,7 +415,9 @@ def evaluate_loss(
     """Evaluate a loss by identifier: ce | j | jc | bwm | dsc.
 
     Each loss is defined on its core (``_ce_core``, ``_j_core``, ...).
-    ``weights`` applies to j and jc; the other losses ignore it.
+    ``weights`` applies to j and jc; the other losses ignore it.  Raises
+    ``TypeError`` for a target or prediction of the wrong container and
+    for ``weights`` that are neither None nor :class:`PairWeights`.
     """
     if not isinstance(target, ProbabilityField):
         raise TypeError("target must be a ProbabilityField")
@@ -439,14 +425,17 @@ def evaluate_loss(
         raise ValueError("target must be one-hot")
     if not isinstance(pred, (LogitField, ProbabilityField)):
         raise TypeError("prediction must be a LogitField or a ProbabilityField")
+    if weights is not None and not isinstance(weights, PairWeights):
+        raise TypeError(f"weights must be PairWeights or None, got {type(weights).__name__}")
     y = target.values
     if pred.values.shape != y.shape:
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
     core = _build_core(loss_id, y, weights)
     if isinstance(pred, LogitField):
         parts, gradient, _ = _logit_gradient(core, pred.values)
-    else:
-        parts, gradient = core(pred.values.reshape(-1, y.shape[-1]), grad=False)
+    else:  # a stack of one: its values, no gradient
+        stack_parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
+        parts = {name: value[0] for name, value in stack_parts.items()}
     components = {name: float(value) for name, value in parts.items()}
     return LossValue(total=sum(components.values()), components=components, gradient=gradient)
 
@@ -497,7 +486,7 @@ def _stack_totals(core):
 
     def totals(stack: np.ndarray) -> np.ndarray:
         z = softmax_values(stack.reshape(-1, stack.shape[-1]))
-        return sum(core(z.reshape(len(stack), -1, z.shape[-1]), grad=False)[0].values())
+        return sum(core(z.reshape(len(stack), -1, z.shape[-1]))[0].values())
 
     return totals
 

@@ -5,6 +5,7 @@ measures, on count arrays of any shape; :func:`binary_measures` applies it
 to one confusion matrix and the imbalance sweep to every trial at once.
 Measures with a zero denominator report 0 and flag the measure name in the
 report instead of raising, which keeps batch evaluation total and explicit.
+Both paths take counts through one check, :func:`_checked_counts`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .grids import InstanceLabelMap
 
 #: The binary measures, in the order of every table that lists them.
 MEASURES = ("j", "mcc", "jaccard", "f1", "tversky", "accuracy")
+
+#: Largest confusion count: every whole number up to it is a float64, and
+#: the product of four such sums in MCC stays finite.
+MAX_COUNT = 2**53
 
 __all__ = [
     "MEASURES",
@@ -39,8 +44,7 @@ class ConfusionCounts:
     tn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+        _checked_counts(self.tp, self.fp, self.fn, self.tn)
 
     @property
     def total(self) -> int:
@@ -76,6 +80,29 @@ class InstanceMatching:
     unmatched_pred: tuple[int, ...]
 
 
+def _checked_counts(*counts) -> tuple[np.ndarray, ...]:
+    """The counts as float64 arrays.  Raises ``ValueError`` unless every
+    count is a whole number in ``[0, MAX_COUNT]``, so NaN, infinities,
+    fractions and negative counts fail."""
+    out = []
+    for c in counts:
+        a = np.asarray(c)
+        try:  # kind O: Python ints beyond 64 bits
+            f = a.astype(np.float64) if a.dtype.kind in "biufO" else None
+        except (TypeError, ValueError, OverflowError):
+            f = None
+        # A NaN passes into the minimum and fails there.  The maximum is of
+        # the counts as given, so integers compare exactly: 2**53 + 1 rounds
+        # to 2**53 as a float.
+        if f is None or f.size and not (
+            f.min() >= 0 and a.max() <= MAX_COUNT
+            and (a.dtype.kind in "biu" or (np.floor(f) == f).all())
+        ):
+            raise ValueError(f"confusion counts must be whole numbers in [0, 2**53], got {c!r}")
+        out.append(f)
+    return tuple(out)
+
+
 def _ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
     """``num / den`` with 0 where ``den`` is zero, and the mask of those places."""
     zero = np.asarray(den) == 0
@@ -91,9 +118,10 @@ def confusion_measures(tp, fp, fn, tn) -> tuple[dict[str, np.ndarray], dict[str,
     masks of the entries whose denominator is zero (for J, that of either
     rate), where the value is 0.  J is sensitivity plus specificity minus
     one, so it sits at zero for any classifier independent of the truth, at
-    every imbalance ratio.
+    every imbalance ratio.  Raises ``ValueError`` for counts that
+    :func:`_checked_counts` rejects.
     """
-    tp, fp, fn, tn = (np.asarray(c, dtype=np.float64) for c in (tp, fp, fn, tn))
+    tp, fp, fn, tn = _checked_counts(tp, fp, fn, tn)
     tpr, no_pos = _ratio(tp, tp + fn)
     tnr, no_neg = _ratio(tn, tn + fp)
     j_zero = no_pos | no_neg

@@ -16,8 +16,8 @@ Three simulators:
   state repeats its norms;
 * a 2-D loss-landscape scan around a near-optimal logit field along two
   random, channel-normalized directions; after one checked loss call at
-  the centre, each row of the grid runs the value path of the loss core,
-  built once, on stacks of perturbed fields.
+  the centre, each row of the grid runs the loss core, built once, on
+  stacks of perturbed fields, which give values and no gradient.
 
 Everything is deterministic per seed, independent of thread count.
 """

@@ -23,8 +23,11 @@ from .transform import GAP
 
 __all__ = ["TrainConfig", "TrainRecord", "TrainTrace", "TrainDiverged", "train"]
 
-#: Adam's learning rate.
+#: Adam's learning rate, moment decay rates and denominator offset.
 _ADAM_LR = 1e-4
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 #: Post-processing behind the panoptic quality that training records.
 _MEASURE_POST = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
@@ -100,11 +103,11 @@ class TrainDiverged(RuntimeError):
 
 
 class _Adam:
-    """Adam for one run: its moments and its one scratch array are made at
-    the first step and updated in place after that."""
+    """Adam for one run, with the ``_ADAM_*`` settings: its moments and its
+    one scratch array are made at the first step and updated in place after
+    that."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self):
         self.m = self.v = self.scratch = None
         self.t = 0
 
@@ -117,17 +120,17 @@ class _Adam:
             self.v = np.zeros_like(grad)
             self.scratch = np.empty_like(grad)
         self.t += 1
-        self.m *= self.beta1
-        self.m += np.multiply(grad, 1 - self.beta1, out=self.scratch)
-        self.v *= self.beta2
+        self.m *= _ADAM_BETA1
+        self.m += np.multiply(grad, 1 - _ADAM_BETA1, out=self.scratch)
+        self.v *= _ADAM_BETA2
         np.square(grad, out=grad)
-        grad *= 1 - self.beta2
+        grad *= 1 - _ADAM_BETA2
         self.v += grad
-        step = np.divide(self.m, 1 - self.beta1**self.t, out=self.scratch)
-        step *= self.lr
-        root = np.divide(self.v, 1 - self.beta2**self.t, out=grad)
+        step = np.divide(self.m, 1 - _ADAM_BETA1**self.t, out=self.scratch)
+        step *= _ADAM_LR
+        root = np.divide(self.v, 1 - _ADAM_BETA2**self.t, out=grad)
         np.sqrt(root, out=root)
-        root += self.eps
+        root += _ADAM_EPS
         step /= root
         theta -= step
 
@@ -198,7 +201,7 @@ def train(
         theta += cfg.init_noise * rng.standard_normal(shape)
 
     gap_correct = _gap_check(target)
-    adam = _Adam(_ADAM_LR) if cfg.optimizer == "adam" else None
+    adam = _Adam() if cfg.optimizer == "adam" else None
     evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
     core = _build_core(cfg.loss, target.values, weights)
     ws = Workspace()

@@ -3,7 +3,9 @@
 Everything here is deliberately written with plain shifts, Python loops,
 first-principles set arithmetic or the scipy filters a library path has
 replaced, never with the code path under test, so the tests compare two
-genuinely different routes to the same definitions.
+genuinely different routes to the same definitions.  Some references are
+library paths that a faster one replaced, kept here so the tests can pin
+the new path to their bits: ``dense_core`` holds the dense loss bodies.
 """
 
 from __future__ import annotations
@@ -261,6 +263,75 @@ def pair_loop_j(y: np.ndarray, z: np.ndarray, lam: np.ndarray, log_eps: float = 
             if log_eps < a < 1.0:
                 dz[..., i] -= lam[i, k] * delta / a
     return total, dz
+
+
+def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
+    """The dense body of a ``jseg.losses`` core: ``z -> (parts, dL/dz)``
+    for ``(..., n, C)`` probabilities, one value per leading item.
+
+    ``y`` is the ``(n, C)`` one-hot target and ``lam`` the J pair weights
+    (used by j and jc).  Every term is taken at every entry and every pair,
+    in the matrix form, with the ufuncs of the library's cores in their
+    order, so the parts and ``dz`` are the cores' bits: CE as ``w y log z``
+    over the whole field, J with ``S = phi^T z`` and the gradient ``y @ m``
+    over the full C x C matrices.
+    """
+    n, channels = y.shape
+    counts = y.sum(axis=0)
+    present = counts > 0
+
+    def ce(z, class_weights=None):
+        wy = y if class_weights is None else class_weights * y
+        clamped = np.maximum(z, log_eps)
+        value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
+        dz = -wy / clamped
+        dz[z <= log_eps] = -0.0
+        return value, dz / n
+
+    def j(z):
+        n_l = np.where(present, counts, 1.0)
+        phi_t = (y / n_l).T
+        pairs = (lam != 0.0) & present & present[:, None]
+        np.fill_diagonal(pairs, False)
+        s = phi_t @ z
+        a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
+        log_a = np.log(np.minimum(np.maximum(a, log_eps), 1.0))
+        value = -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))
+        active = pairs & (a > log_eps) & (a < 1.0)
+        half = np.where(active, 0.5 * lam, 0.0)
+        a = np.where(active, a, 1.0)
+        m = np.swapaxes(half / (a * n_l), -1, -2).copy()
+        ch = np.arange(channels)
+        m[..., ch, ch] -= (half / (a * n_l[:, None])).sum(axis=-1)
+        return value, y @ m
+
+    def core(z):
+        if loss_id == "ce":
+            value, dz = ce(z)
+            return {"ce": value}, dz
+        if loss_id == "bwm":
+            w = np.divide(n, channels * counts, out=np.zeros(channels), where=present)
+            value, dz = ce(z, w)
+            return {"bwm": value}, dz
+        if loss_id == "j":
+            value, dz = j(z)
+            return {"j": value}, dz
+        if loss_id == "jc":
+            j_value, j_dz = j(z)
+            ce_value, ce_dz = ce(z)
+            return {"ce": ce_value, "j": j_value}, j_dz + ce_dz
+        ce_value, dz = ce(z)  # dsc
+        share = present / np.count_nonzero(present)
+        inter = (z * y).sum(axis=-2)[..., None, :]
+        denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
+        dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+        term = 2.0 * y * denom
+        term -= 4.0 * inter * z
+        term /= denom**2
+        term *= share
+        return {"ce": ce_value, "dice": dice}, dz - term
+
+    return core
 
 
 #: Extra clearance between blob surfaces, as in ``jseg.scenes``.

@@ -24,7 +24,7 @@ from jseg._util import Workspace, l2_norm
 from jseg.grids import softmax_values
 from jseg.losses import (_CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _logit_gradient,
                          _softmax_vjp, _stack_totals)
-from oracles import pair_loop_j
+from oracles import dense_core, pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
 
@@ -302,31 +302,35 @@ def test_j_gradient_stays_finite_for_a_weight_near_the_float_limit():
 
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_batched_cores_equal_per_item_cores(loss_id):
+    # A stack gets its items' values and no gradient.
     rng = np.random.default_rng(17)
     y = _random_one_hot(rng, (5, 3)).values.reshape(-1, 4)
     z = softmax_values(rng.normal(size=(3, 15, 4)))
     weights = PairWeights(rng.random((4, 4)))
     core = _CORES[loss_id](y, weights)
     parts, dz = core(z)
+    assert dz is None
     for b in range(len(z)):
-        item_parts, item_dz = core(z[b])
-        assert {name: value[b] for name, value in parts.items()} == item_parts
-        assert np.array_equal(dz[b], item_dz)
+        item_parts = core(z[b])[0]
+        assert parts.keys() == item_parts.keys()
+        for name, value in item_parts.items():
+            assert _same_bits(parts[name][b], value)
 
 
 @pytest.mark.parametrize("dims", [(5, 3), (3, 4, 2)], ids=["2d", "3d"])
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_value_path_equals_the_full_cores_parts(loss_id, dims):
+    # Probability input, which runs as a stack of one, gives the bits of
+    # the field's components.
     rng = np.random.default_rng(21)
-    y = _random_one_hot(rng, dims).values.reshape(-1, 4)
-    z = softmax_values(rng.normal(size=(6,) + dims + (4,))).reshape(6, -1, 4)
-    core = _CORES[loss_id](y, PairWeights(rng.random((4, 4))))
-    parts, dz = core(z)
-    values, no_dz = core(z, grad=False)
-    assert no_dz is None and dz.shape == z.shape
-    assert values.keys() == parts.keys()
+    y = _random_one_hot(rng, dims)
+    z = softmax_values(rng.normal(size=dims + (4,)))
+    weights = PairWeights(rng.random((4, 4)))
+    components = evaluate_loss(loss_id, y, ProbabilityField(z), weights).components
+    parts = _build_core(loss_id, y.values, weights)(z.reshape(-1, 4))[0]
+    assert components.keys() == parts.keys()
     for name, value in parts.items():
-        assert np.array_equal(values[name], value)
+        assert _same_bits(np.float64(components[name]), value)
 
 
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
@@ -431,6 +435,19 @@ def test_finite_differences_of_an_empty_array_are_empty_and_call_nothing():
 def test_empty_pair_weights_are_rejected():
     with pytest.raises(ValueError, match="pair weights need at least one class"):
         PairWeights(np.zeros((0, 0)))
+
+
+def test_complex_pair_weights_are_rejected():
+    with pytest.raises(ValueError, match="pair weights must be real"):
+        PairWeights(np.ones((2, 2), complex))
+
+
+def test_pair_weights_that_are_not_pair_weights_are_a_type_error():
+    rng = np.random.default_rng(25)
+    y = _random_one_hot(rng, (4, 4))
+    theta = LogitField(rng.normal(size=(4, 4, 4)))
+    with pytest.raises(TypeError, match="weights must be PairWeights or None, got ndarray"):
+        evaluate_loss("jc", y, theta, np.ones((4, 4)))
 
 
 def test_chunked_finite_differences_match_a_per_entry_loop():
@@ -573,21 +590,28 @@ def _single_field_case(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_single_field_case())
 def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
-    # A single (n, C) field runs each core's target-entry path, a stack of
-    # one runs the dense body; a workspace carries its arrays over the steps.
+    # Each core against the dense body it replaced: a field's parts and dz,
+    # fresh and in a workspace that carries its arrays over the steps, and
+    # the values of a stack of two.
     y, weights, fields = case
     for loss_id in LOSS_IDS:
         core = _CORES[loss_id](y, weights)
+        dense = dense_core(loss_id, y, weights.matrix)
         ws = Workspace()
         for z in fields:
-            want_parts, want_dz = core(z[None])
+            want_parts, want_dz = dense(z)
             for workspace in (None, ws):
-                for grad in (True, False):
-                    parts, dz = core(z, workspace, grad)
-                    assert parts.keys() == want_parts.keys()
-                    for name, value in parts.items():
-                        assert _same_bits(np.asarray(value), want_parts[name][0])
-                    assert dz is None if not grad else _same_bits(dz, want_dz[0])
+                parts, dz = core(z, workspace)
+                assert parts.keys() == want_parts.keys()
+                for name, value in parts.items():
+                    assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
+                assert _same_bits(dz, want_dz)
+        stack = np.stack(fields[:2])
+        want_parts = dense(stack)[0]
+        parts, dz = core(stack)
+        assert dz is None and parts.keys() == want_parts.keys()
+        for name, value in parts.items():
+            assert _same_bits(value, want_parts[name])
 
 
 @pytest.mark.parametrize("loss_id", LOSS_IDS)

@@ -64,6 +64,25 @@ def test_zero_total_is_an_error():
         binary_measures(ConfusionCounts(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("path", ["scalar", "vectorised"])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), 0.5, -1, 10**300, 2**53 + 1, 1e300],
+    ids=["nan", "inf", "fraction", "negative", "int-1e300", "above-2**53", "float-1e300"],
+)
+def test_both_paths_reject_counts_that_are_not_whole_numbers_in_range(path, bad):
+    with pytest.raises(ValueError, match="confusion counts must be whole numbers"):
+        if path == "scalar":
+            ConfusionCounts(1, 1, bad, 1)
+        else:
+            confusion_measures(np.array([1, 2]), 1, np.array([2, bad], dtype=object), 1)
+
+
+def test_the_largest_count_is_accepted():
+    values, _ = confusion_measures(2**53, 2**53, 2**53, 2**53)
+    assert values["mcc"] == 0.0 and values["accuracy"] == 0.5
+    assert binary_measures(ConfusionCounts(2**53, 0, 0, 2**53))["j"] == 1.0
+
+
 def test_zero_denominators_are_flagged():
     report = binary_measures(ConfusionCounts(tp=0, fp=0, fn=0, tn=10))
     assert "j" in report.flagged

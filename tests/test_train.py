@@ -237,6 +237,12 @@ def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
     assert made == []
 
 
+def test_pair_weights_as_a_bare_array_are_a_type_error():
+    g, y = _scene_target()
+    with pytest.raises(TypeError, match="weights must be PairWeights or None, got ndarray"):
+        train(y, g, TrainConfig(loss="jc", iterations=5), weights=np.ones((4, 4)))
+
+
 def test_gap_check_equals_the_argmax_rule_ties_included():
     # Logits from {0, 1, 2} tie often; the lowest index wins a tie, so a gap
     # element tied with a lower channel is wrong and with a higher one right.
