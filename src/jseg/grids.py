@@ -153,10 +153,6 @@ class LogitField:
     def __post_init__(self):
         object.__setattr__(self, "values", _field_copy(self.values, "logit"))
 
-    @property
-    def channels(self) -> int:
-        return int(self.values.shape[-1])
-
 
 def fold_channels(ufunc: np.ufunc, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``ufunc.reduce`` over the channel (last) axis, keeping that axis.

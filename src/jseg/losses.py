@@ -134,14 +134,15 @@ class PairWeights:
     Entry ``[i, k]`` weights the binary problem with ``i`` positive and
     ``k`` negative.  The diagonal never contributes: its pair term is the
     constant ``-w * log(1/2)`` with zero gradient, so it is skipped.
-    Raises ``ValueError`` unless the matrix is real, square, finite and
-    non-negative, with at least one class.
+    Raises ``ValueError`` unless the matrix is real (bool, integer or
+    floating dtype), square, finite and non-negative, with at least one
+    class.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.matrix):
+        if np.asarray(self.matrix).dtype.kind not in "biuf":
             raise ValueError("pair weights must be real")
         m = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -157,10 +158,6 @@ class PairWeights:
     def default(cls, channels: int) -> "PairWeights":
         """Weight 1 for every off-diagonal pair."""
         return cls(np.ones((channels, channels)) - np.eye(channels))
-
-    @property
-    def channels(self) -> int:
-        return int(self.matrix.shape[0])
 
 
 @dataclass(frozen=True)

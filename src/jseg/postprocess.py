@@ -2,7 +2,10 @@
 
 Three steps: a per-element MAP decision, reassignment of gap elements to
 one of the first three classes, and instance labelling of the cell
-components with iterative absorption of the touching band.
+components with iterative absorption of the touching band.  Each
+absorption round reads the band elements still unlabelled and their
+neighbours, not the whole grid; the band left when no element grows
+becomes background.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fold_windows
 from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, argmax_channels
 from .transform import CELL, GAP, TOUCHING, ball_footprint
 
@@ -60,18 +62,19 @@ def resolve_gaps(
     """Re-decide every gap element onto the first three classes.
 
     Non-gap elements pass through unchanged; the output never contains the
-    gap class.
+    gap class.  A map without gap elements is returned as it is, since
+    containers are immutable.
     """
     classes = semantic.classes
     if classes.shape != probs.values.shape[:-1]:
         raise ValueError("semantic map and probability field shapes differ")
-    out = classes.copy()
     gap = classes == GAP
     if not gap.any():
-        return SemanticLabelMap(out)
+        return semantic
     if probs.channels < 3:
         raise ValueError("gap resolution needs at least 3 channels")
 
+    out = classes.copy()
     first3 = probs.values[gap][:, :3]
     restricted, top = argmax_channels(first3)
     if cfg.gap_mode == MAP3:
@@ -97,9 +100,16 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
 
     Components of the cell class receive labels 1..m in scan order.  The
     touching elements are absorbed by repeated one-element label dilation:
-    each round assigns every still-unlabelled touching element adjacent to
-    a labelled element the smallest adjacent label, until nothing changes.
-    Touching elements no component can reach become background.
+    each round gives every still-unlabelled touching element adjacent to a
+    labelled element the smallest adjacent label, until nothing changes.
+
+    The rounds read the band only.  The labels live in one copy padded by
+    one element, where ``m + 1`` stands for "no label" on the border and on
+    unlabelled elements; the band is a list of flat indices into that copy,
+    and a round folds ``np.minimum`` over the band's neighbours one flat
+    offset at a time, writes the elements that found a label and drops them
+    from the band.  Whatever is left of the band when no element grows
+    becomes background.
     """
     # Imported here, not at module level, so that only the subcommands that
     # label instances pay for loading scipy.ndimage.
@@ -111,39 +121,40 @@ def to_instances(semantic: SemanticLabelMap, cfg: PostprocessConfig | None = Non
         raise ValueError("instance labelling expects gaps to be resolved first")
     d = classes.ndim
 
-    cells = classes == CELL
     structure = _structure(cfg.connectivity, d)
-    labels, m = ndimage.label(cells, structure=structure)
-    labels = labels.astype(np.int32)
-
-    touching = classes == TOUCHING
-    sentinel = np.int32(m + 1)
-    padded = np.full([n + 2 for n in labels.shape], sentinel)
-    interior = padded[(slice(1, -1),) * d]
-    best = np.empty_like(labels)
-    while True:
-        unassigned = touching & (labels == 0)
-        if not unassigned.any():
-            break
-        np.copyto(interior, np.where(labels > 0, labels, sentinel))
-        best.fill(sentinel)
-        # The centre window reads the unassigned element itself, a sentinel,
-        # so it changes no minimum where ``grow`` looks.
-        fold_windows(np.minimum, padded, structure, best)
-        grow = unassigned & (best <= m)
-        if not grow.any():
-            break  # remaining touching elements are unreachable
-        labels[grow] = best[grow]
-
-    return InstanceLabelMap(labels)
+    inner = (slice(1, -1),) * d
+    labels = np.zeros([n + 2 for n in classes.shape], dtype=np.int32)
+    m = ndimage.label(classes == CELL, structure=structure, output=labels[inner])
+    band = np.flatnonzero(classes == TOUCHING)
+    if m and band.size:
+        band = np.ravel_multi_index(np.add(np.unravel_index(band, classes.shape), 1), labels.shape)
+        flat = labels.reshape(-1)
+        flat[flat == 0] = m + 1
+        # Flat offsets of the neighbours; the centre's would read the band
+        # element itself, which has no label.
+        centre = np.ravel_multi_index((1,) * d, labels.shape)
+        offsets = np.ravel_multi_index(np.nonzero(structure), labels.shape) - centre
+        offsets = offsets[offsets != 0]
+        while band.size:
+            best = flat[band + offsets[0]]
+            for off in offsets[1:]:
+                np.minimum(best, flat[band + off], out=best)
+            grow = best <= m
+            if not grow.any():
+                break  # the rest of the band is unreachable
+            flat[band[grow]] = best[grow]
+            band = band[~grow]
+        flat[flat > m] = 0
+    return InstanceLabelMap(labels[inner])
 
 
 def instances_from_probs(
     probs: ProbabilityField, cfg: PostprocessConfig | None = None
 ) -> InstanceLabelMap:
-    """Full pipeline: MAP decision, gap resolution, instance labelling."""
+    """Full pipeline: MAP decision, gap resolution, instance labelling.
+
+    With fewer than four channels the decision holds no gap element, so
+    gap resolution returns it at once.
+    """
     cfg = cfg or PostprocessConfig()
-    decided = probs.argmax_classes()
-    if probs.channels >= 4:
-        decided = resolve_gaps(decided, probs, cfg)
-    return to_instances(decided, cfg)
+    return to_instances(resolve_gaps(probs.argmax_classes(), probs, cfg), cfg)

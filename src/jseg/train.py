@@ -10,16 +10,16 @@ element of the target is classified correctly under MAP.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import Workspace, child_rng, l2_norm
-from .grids import InstanceLabelMap, LogitField, ProbabilityField, argmax_channels
+from .grids import InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, argmax_channels
 from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
 from .metrics import panoptic
-from .postprocess import GAP_TO_BACKGROUND, PostprocessConfig, instances_from_probs
-from .transform import GAP
+from .postprocess import to_instances
+from .transform import BACKGROUND, GAP
 
 __all__ = ["TrainConfig", "TrainRecord", "TrainTrace", "TrainDiverged", "train"]
 
@@ -28,9 +28,6 @@ _ADAM_LR = 1e-4
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-#: Post-processing behind the panoptic quality that training records.
-_MEASURE_POST = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class TrainTrace:
     records: tuple[TrainRecord, ...]
     first_gap_correct: int | None
     final_pq: float
-    config: TrainConfig = field(repr=False, default=None)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -190,7 +186,12 @@ def train(
     alone, so post-processing and panoptic quality rerun only on log
     iterations where the map changed since the last one measured.  The
     measure reads the probabilities the step's softmax just wrote, before
-    the update, so it runs no softmax of its own.
+    the update, so it runs no softmax of its own, and takes their argmax
+    once: the map is the memo key, and on a re-measure it becomes the
+    semantic map after one line sets its gap elements to background, the
+    "background" gap mode of :func:`~jseg.postprocess.resolve_gaps`
+    repeated, since that function would need a probability field the mode
+    never reads.
     """
     if target.values.shape[:-1] != source.labels.shape:
         raise ValueError("target field and source instance map shapes differ")
@@ -209,9 +210,11 @@ def train(
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
     def measure_pq(probs: np.ndarray) -> float:
-        key = argmax_channels(probs)[0].tobytes()
+        decided = argmax_channels(probs)[0]
+        key = decided.tobytes()
         if key not in measured:
-            instances = instances_from_probs(ProbabilityField(probs.reshape(shape)), _MEASURE_POST)
+            decided[decided == GAP] = BACKGROUND  # the "background" gap mode
+            instances = to_instances(SemanticLabelMap(decided.reshape(shape[:-1])))
             measured.clear()
             measured[key] = panoptic(source, instances)["pq"]
         return measured[key]
@@ -224,7 +227,7 @@ def train(
         return TrainDiverged(
             f"{what} became non-finite at iteration {it} "
             f"(step {cfg.step_size}, optimizer {cfg.optimizer})",
-            TrainTrace(tuple(records), first_gap_correct, final_pq, cfg),
+            TrainTrace(tuple(records), first_gap_correct, final_pq),
         )
 
     for it in range(cfg.iterations + 1):
@@ -260,4 +263,4 @@ def train(
         if not np.isfinite(theta, out=ws.take("finite", theta.shape, bool)).all():
             raise diverged("logits", it)
 
-    return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)
+    return TrainTrace(tuple(records), first_gap_correct, final_pq)

@@ -616,7 +616,7 @@ def evaluate_loss_train(target, source, cfg, weights=None):
             theta = theta - cfg.step_size * grad
         if not np.isfinite(theta).all():
             break
-    return TrainTrace(tuple(records), first_gap_correct, final_pq, cfg)
+    return TrainTrace(tuple(records), first_gap_correct, final_pq)
 
 
 def landscape_values(loss_id, target, center, seed=0, resolution=41, span=1.0) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -381,3 +382,9 @@ def test_every_grid_the_writer_accepts_reads_back(fuzz_dir, case):
         assert np.array_equal(back.classes, grid.classes)
     else:
         assert np.array_equal(back.values, grid.values.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("grid", [np.zeros((2, 3), np.int32), None], ids=["ndarray", "None"])
+def test_named_errors(grid, tmp_path):
+    with pytest.raises(TypeError, match=f"cannot serialize {type(grid).__name__}"):
+        write_grid(grid, tmp_path / "grid.grd")

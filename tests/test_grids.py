@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,3 +241,23 @@ def test_is_one_hot_matches_the_ones_count_rule():
             field = ProbabilityField(values)
             assert field.is_one_hot() == reference(field.values)
     assert ProbabilityField(exact).is_one_hot()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: InstanceLabelMap(np.array([[0.0, 1.5]])), "instance labels must be integers"),
+        (lambda: SemanticLabelMap(np.array([[1.0, 2.0]])), "semantic classes must be integers"),
+        (lambda: LogitField(np.zeros((2, 3, 1))), "logit field needs at least 2 channels"),
+        (lambda: ProbabilityField(np.ones((2, 3, 1))), "probability field needs at least 2 channels"),
+        (lambda: one_hot(SemanticLabelMap(np.zeros((2, 3), np.int32)), 1),
+         "one-hot encoding needs at least 2 channels"),
+        (lambda: probs_to_logits(ProbabilityField(np.full((2, 2, 2), 0.5)), 0.0), "floor must lie in (0, 1)"),
+        (lambda: probs_to_logits(ProbabilityField(np.full((2, 2, 2), 0.5)), 1.0), "floor must lie in (0, 1)"),
+        (lambda: probs_to_logits(ProbabilityField(np.full((2, 2, 2), 0.5)), float("nan")),
+         "floor must lie in (0, 1)"),
+    ],
+)
+def test_named_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from jseg import (
     LogitField,
+    LossValue,
     PairWeights,
     ProbabilityField,
     SemanticLabelMap,
@@ -629,3 +631,36 @@ def test_a_step_on_a_workspace_makes_no_large_allocation(loss_id):
     finally:
         tracemalloc.stop()
     assert peak < 0.3 * theta.nbytes
+
+
+@pytest.mark.parametrize("matrix", [np.array([["1"]]), np.array([[b"1"]]), np.array([[1]], dtype=object)],
+                         ids=["str", "bytes", "object"])
+def test_non_numeric_pair_weights_are_rejected(matrix):
+    with pytest.raises(ValueError, match="pair weights must be real"):
+        PairWeights(matrix)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda y, z: PairWeights(np.ones((2, 3))), ValueError, "pair weights must form a square matrix"),
+        (lambda y, z: PairWeights(-np.ones((2, 2))), ValueError, "pair weights must be finite and non-negative"),
+        (lambda y, z: PairWeights(np.array([[0.0, np.nan], [1.0, 0.0]])), ValueError,
+         "pair weights must be finite and non-negative"),
+        (lambda y, z: PairWeights(np.array([[0.0, np.inf], [1.0, 0.0]])), ValueError,
+         "pair weights must be finite and non-negative"),
+        (lambda y, z: LossValue(total=1.0, components={"ce": 0.5}), ValueError,
+         "total must equal the sum of the components"),
+        (lambda y, z: evaluate_loss("mse", y, z), ValueError, "unknown loss 'mse'"),
+        (lambda y, z: evaluate_loss("ce", y.values, z), TypeError, "target must be a ProbabilityField"),
+        (lambda y, z: evaluate_loss("ce", y, z.values), TypeError,
+         "prediction must be a LogitField or a ProbabilityField"),
+        (lambda y, z: finite_difference_gradient(lambda stack: np.zeros(3), np.zeros(2)), ValueError,
+         "fn returned shape (3,) for a stack of 4 arrays"),
+    ],
+)
+def test_named_errors(make, error, message):
+    rng = np.random.default_rng(26)
+    y, z = _random_one_hot(rng, (3, 3)), LogitField(rng.normal(size=(3, 3, 4)))
+    with pytest.raises(error, match=re.escape(message)):
+        make(y, z)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -289,3 +290,17 @@ def test_shape_mismatch_rejected():
     b = InstanceLabelMap(np.zeros((4, 5), dtype=np.int32))
     with pytest.raises(ValueError):
         panoptic(a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConfusionCounts(10**400, 1, 1, 1),
+        lambda: confusion_measures(1, 10**400, 1, 1),
+    ],
+    ids=["ConfusionCounts", "confusion_measures"],
+)
+def test_named_errors(make):
+    # numpy holds 10**400 as an object and cannot cast it to float64.
+    with pytest.raises(ValueError, match=re.escape("confusion counts must be whole numbers in [0, 2**53]")):
+        make()

@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from jseg import (
@@ -164,6 +169,47 @@ def test_to_instances_equals_the_element_reference_and_the_shift_loop():
     assert unreachable > 10
 
 
+def _corridor(dims):
+    """A one-element touching corridor that snakes through the first plane
+    from a single cell at its corner: every other row is touching, joined
+    at alternate ends, so absorption needs a round per corridor element."""
+    classes = np.zeros(dims, np.int32)
+    plane = classes.reshape((-1,) + dims[-2:])[0]
+    plane[::2] = 2
+    for r in range(1, plane.shape[0], 2):
+        plane[r, -1 if r % 4 == 1 else 0] = 2
+    plane[0, 0] = 1
+    return classes
+
+
+@st.composite
+def _band_maps(draw):
+    """2-D maps of up to 9 elements per axis or 3-D ones of up to 5, either
+    drawn from a palette of classes (cells, touching and background; no
+    cell; all touching) or a touching corridor."""
+    d = draw(st.sampled_from([2, 3]))
+    dims = draw(st.tuples(*[st.integers(1, 9 if d == 2 else 5)] * d))
+    if draw(st.booleans()):
+        return _corridor(dims)
+    palette = draw(st.sampled_from([(0, 1, 2), (1, 2), (0, 2), (2,)]))
+    return draw(hnp.arrays(np.int32, dims, elements=st.sampled_from(palette)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_band_maps())
+@example(np.full((1, 7), 2, np.int32))
+@example(np.zeros((3, 1, 4), np.int32))
+@example(_corridor((9, 9)))
+@example(_corridor((5, 4, 5)))
+def test_band_rounds_equal_the_element_reference_and_the_shift_loop(classes):
+    for connectivity in (FACE, FULL):
+        got = to_instances(SemanticLabelMap(classes), PostprocessConfig(connectivity=connectivity)).labels
+        reference = shift_instances(classes, connectivity)
+        assert got.dtype == reference.dtype
+        assert got.tobytes() == reference.tobytes()
+        assert np.array_equal(got, brute_instances(classes, connectivity))
+
+
 def test_round_trip_recovers_scene():
     spec = SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=8, seed=0)
     g = generate_scene(spec)
@@ -241,3 +287,19 @@ def test_resolve_gaps_equals_numpy_reductions_with_ties():
                 got = resolve_gaps(decided, z, cfg).classes
                 want = _reference_resolve_gaps(decided.classes, z.values, cfg)
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: resolve_gaps(SemanticLabelMap(np.zeros((2, 2), np.int32)), one_hot(
+            SemanticLabelMap(np.zeros((2, 3), np.int32)), 4), PostprocessConfig()),
+         "semantic map and probability field shapes differ"),
+        (lambda: resolve_gaps(SemanticLabelMap(np.array([[3, 0]])), _field([[0.5, 0.5], [1.0, 0.0]]),
+                              PostprocessConfig()),
+         "gap resolution needs at least 3 channels"),
+    ],
+)
+def test_named_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -140,3 +141,15 @@ def test_blobs_equal_the_full_grid_reference_byte_for_byte():
 def test_blob_scenes_are_pinned(dims, n_blobs, cell_size, seed, digest):
     labels = _blobs(dims, n_blobs, cell_size, seed)
     assert hashlib.sha256(labels.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"cell_size": 0}, "cell_size must be >= 1"),
+        ({"n_blobs": 0}, "need at least one blob"),
+    ],
+)
+def test_named_errors(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SceneSpec(kind="random-blobs", dims=(20, 20), **fields)

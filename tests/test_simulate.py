@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -414,3 +415,26 @@ def test_landscape_validation():
     for span in (0.0, np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="span"):
             landscape_scan("jc", y, theta, span=span)
+
+
+def _degenerate_correlation():
+    # At this seed both trials draw the same confusion counts, so MCC and J
+    # each have zero variance at the one ratio.
+    cfg = ImbalanceSimConfig(pis=(0.01,), samples=100, trials=2, seed=3)
+    table = run_imbalance_sim(cfg)
+    assert len(set(table.per_pi(0.01, "mcc").tolist())) == 1
+    return mcc_j_correlation(cfg)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_degenerate_correlation,
+         "degenerate trials at pi=0.01: Pearson correlation is undefined for zero variance"),
+        (lambda: ShrinkwrapConfig(margin_start=0), "initial margin must be >= 1"),
+        (lambda: ShrinkwrapConfig(iters_per_margin_step=0), "iters_per_margin_step must be >= 1"),
+    ],
+)
+def test_named_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -1,10 +1,12 @@
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from jseg import (
+    InstanceLabelMap,
     LogitField,
     PairWeights,
     ProbabilityField,
@@ -275,3 +277,20 @@ def test_targets_without_a_gap_element_report_no_gap_iteration():
         trace = train(one_hot(semantic, channels), g, TrainConfig(loss="jc", iterations=20))
         assert trace.first_gap_correct is None
         assert len(trace.records) == 21
+
+
+def _mismatched_train():
+    source, target = _scene_target()
+    return train(target, InstanceLabelMap(source.labels[:-1]), TrainConfig(iterations=1))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TrainConfig(log_every=0), "log period must be >= 1"),
+        (_mismatched_train, "target field and source instance map shapes differ"),
+    ],
+)
+def test_named_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -209,3 +210,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransformConfig(mode="five-class")
     assert TransformConfig(mode=THREE_CLASS).channels == 3
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_named_errors(d):
+    with pytest.raises(ValueError, match=re.escape("structuring-element radius must be >= 1")):
+        ball_footprint(0, d)
