@@ -1,6 +1,6 @@
 """Small shared helpers: deterministic thread mapping, seed derivation, the
-per-run workspace of the step loops, a thread-count-independent norm, the
-window fold behind every morphology filter and the one CSV writer.
+per-run workspace of the step loops, a thread-count-independent norm and
+the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -99,23 +99,6 @@ def l2_norm(x: np.ndarray, ws: Workspace | None = None) -> float:
     dot of ``np.linalg.norm``, its last bit does not depend on the number of
     BLAS threads.  The squares go to ``ws``'s scratch array when given."""
     return float(np.sqrt(np.square(x, out=scratch(ws, "l2_norm", x)).sum()))
-
-
-def fold_windows(ufunc: np.ufunc, padded: np.ndarray, structure: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fold ``ufunc`` into ``out`` over one window of ``padded`` per true
-    element of the boolean ``structure``, in place.
-
-    The window at offset ``off`` is the block of ``out``'s shape that starts
-    at ``off`` in ``padded``, which is therefore ``structure.shape - 1``
-    larger than ``out`` along each axis.  So ``out[i]`` folds in
-    ``padded[i + off]`` for every ``off``: with ``padded`` the grid padded by
-    half the structure on each side, that is the structure read as a
-    neighbourhood centred on ``i``.  ``out`` holds the fold's starting value
-    on entry.  Each window is a view, so nothing is copied.
-    """
-    for off in np.argwhere(structure):
-        ufunc(out, padded[tuple(slice(o, o + n) for o, n in zip(off, out.shape))], out=out)
-    return out
 
 
 def _quote(cell: str) -> str:

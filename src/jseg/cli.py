@@ -2,8 +2,11 @@
 
 Each run writes its outputs plus a JSON manifest carrying the fully
 resolved configuration, the seed, and the tool version, so any output can
-be reproduced byte for byte from its manifest.  Exit codes: 0 success,
-1 usage error, 2 data error.  Diagnostics go to stderr only.
+be reproduced byte for byte from its manifest.  A run's output paths
+(``--out``, the summaries, ``--correlation-out`` and the manifest) must
+all name different files; a run whose paths collide writes nothing and
+exits 2.  Exit codes: 0 success, 1 usage error, 2 data error.
+Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -85,10 +88,19 @@ def _transform_from(args) -> TransformConfig:
     return TransformConfig(k=args.k, gap_radius=args.gap_radius, mode=mode)
 
 
-def _common_args(p: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, func, help: str, out_help: str | None = None,
+             summary: bool = False) -> _Parser:
+    """Add subcommand ``name``, run by ``func``, with the flags every
+    subcommand takes; ``summary`` adds ``--summary-out``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--out", required=True, help=out_help)
+    if summary:
+        p.add_argument("--summary-out", default=None)
     p.add_argument("--seed", type=int, default=None, help="auto-generated when omitted")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
+    p.set_defaults(func=func)
+    return p
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -97,58 +109,44 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args, inputs: list[str], outputs: list[str], started: float) -> None:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "manifest") and not callable(v)
-    }
+def _write_manifest(args, outputs: list[str], started: float) -> None:
+    """Write the manifest of a run whose ``_outputs_of`` are ``outputs``."""
+    *written, path = outputs
     manifest = {
         "tool": "jseg",
         "version": __version__,
         "subcommand": args.subcommand,
         "seed": args.seed,
-        "config": config,
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
+        "config": {k: v for k, v in sorted(vars(args).items())
+                   if k != "manifest" and not callable(v)},
+        "inputs": sorted(_inputs_of(args)),
+        "outputs": sorted(written),
         "wall_time_s": round(time.monotonic() - started, 6),
     }
-    path = args.manifest or (outputs[0] + ".manifest.json" if outputs else "run.manifest.json")
     _write_json(path, manifest)
-
-
-def _target_field(args):
-    semantic = read_grid(args.target, "semantic")
-    return one_hot(semantic, args.classes)
-
-
-def _pred_logits(args):
-    if args.logits:
-        return read_grid(args.logits, "logits")
-    probs = read_grid(args.probs, "probs")
-    return probs_to_logits(probs)
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_scene(args) -> list[str]:
+def _cmd_gen_scene(args) -> None:
     scene = generate_scene(_scene_from(args))
     write_grid(scene, args.out)
-    return [args.out]
 
 
-def _cmd_transform(args) -> list[str]:
+def _cmd_transform(args) -> None:
     instance = read_grid(getattr(args, "in"), "instance")
     semantic = to_semantic(instance, _transform_from(args))
     write_grid(semantic, args.out)
-    return [args.out]
 
 
-def _cmd_loss_eval(args) -> list[str]:
-    target = _target_field(args)
-    pred = _pred_logits(args)
+def _cmd_loss_eval(args) -> None:
+    target = one_hot(read_grid(args.target, "semantic"), args.classes)
+    if args.logits:
+        pred = read_grid(args.logits, "logits")
+    else:
+        pred = probs_to_logits(read_grid(args.probs, "probs"))
     value = evaluate_loss(args.loss, target, pred)
     payload = {
         "loss": value.total,
@@ -156,16 +154,14 @@ def _cmd_loss_eval(args) -> list[str]:
         "grad_norm": value.grad_norm,
     }
     _write_json(args.out, payload)
-    return [args.out]
 
 
-def _cmd_grad_check(args) -> list[str]:
+def _cmd_grad_check(args) -> None:
     report = gradient_check(args.loss, seed=args.seed, trials=args.trials, step=args.step)
     _write_json(args.out, report)
-    return [args.out]
 
 
-def _cmd_sim_imbalance(args) -> list[str]:
+def _cmd_sim_imbalance(args) -> None:
     pis = tuple(args.pis) if args.pis else default_pi_grid()
     cfg = ImbalanceSimConfig(
         classifier=args.classifier,
@@ -180,22 +176,14 @@ def _cmd_sim_imbalance(args) -> list[str]:
     if corr:
         # One pass writes both CSVs, formatting their shared columns once.
         corr.write_scatter_csv(args.correlation_out, table_path=args.out)
+        _write_json(_summary_path(args, "correlation_out"),
+                    {"pi": list(corr.pis), "pearson_r": list(corr.r_values)})
     else:
         table.write_csv(args.out)
-    summary_path = args.summary_out or args.out + ".summary.json"
-    _write_json(summary_path, {"classifier": cfg.classifier, "per_pi": table.summary()})
-    outputs = [args.out, summary_path]
-    if corr:
-        corr_json = args.correlation_out + ".summary.json"
-        _write_json(
-            corr_json,
-            {"pi": list(corr.pis), "pearson_r": list(corr.r_values)},
-        )
-        outputs += [args.correlation_out, corr_json]
-    return outputs
+    _write_json(_summary_path(args), {"classifier": cfg.classifier, "per_pi": table.summary()})
 
 
-def _cmd_sim_shrinkwrap(args) -> list[str]:
+def _cmd_sim_shrinkwrap(args) -> None:
     cfg = ShrinkwrapConfig(
         scene=_scene_from(args),
         iterations=args.iterations,
@@ -207,10 +195,9 @@ def _cmd_sim_shrinkwrap(args) -> list[str]:
     )
     trace = run_shrinkwrap(cfg)
     trace.write_csv(args.out)
-    return [args.out]
 
 
-def _cmd_landscape(args) -> list[str]:
+def _cmd_landscape(args) -> None:
     scene = generate_scene(_scene_from(args))
     transform = _transform_from(args)
     target = one_hot(to_semantic(scene, transform), transform.channels)
@@ -225,18 +212,16 @@ def _cmd_landscape(args) -> list[str]:
         threads=args.threads,
     )
     result.write_csv(args.out)
-    return [args.out]
 
 
-def _cmd_postprocess(args) -> list[str]:
+def _cmd_postprocess(args) -> None:
     probs = read_grid(getattr(args, "in"), "probs")
     cfg = PostprocessConfig(gap_mode=args.gap_mode, tau=args.tau, connectivity=args.connectivity)
     instances = instances_from_probs(probs, cfg)
     write_grid(instances, args.out)
-    return [args.out]
 
 
-def _cmd_evaluate(args) -> list[str]:
+def _cmd_evaluate(args) -> None:
     if len(args.gt) != len(args.pred):
         raise UsageError("--gt and --pred need the same number of paths")
     reports = [
@@ -245,13 +230,11 @@ def _cmd_evaluate(args) -> list[str]:
     ]
     columns = {m: [r[m] for r in reports] for m in ("p05", "rq", "sq", "pq")}
     write_csv(args.out, ["gt", "pred", *columns], [args.gt, args.pred, *columns.values()])
-    summary_path = args.summary_out or args.out + ".summary.json"
     means = {m: float(np.mean(col)) for m, col in columns.items()}
-    _write_json(summary_path, {"pairs": len(reports), "mean": means})
-    return [args.out, summary_path]
+    _write_json(_summary_path(args), {"pairs": len(reports), "mean": means})
 
 
-def _cmd_train_toy(args) -> list[str]:
+def _cmd_train_toy(args) -> None:
     scene = generate_scene(_scene_from(args))
     tcfg = _transform_from(args)
     semantic = to_semantic(scene, tcfg)
@@ -272,9 +255,8 @@ def _cmd_train_toy(args) -> list[str]:
         for r in trace.records
     ]
     write_csv(args.out, ["iteration", "total", *names, "grad_norm", "pq"], list(zip(*rows)))
-    summary_path = args.summary_out or args.out + ".summary.json"
     _write_json(
-        summary_path,
+        _summary_path(args),
         {
             "loss": cfg.loss,
             "iterations": cfg.iterations,
@@ -282,7 +264,6 @@ def _cmd_train_toy(args) -> list[str]:
             "final_pq": trace.final_pq,
         },
     )
-    return [args.out, summary_path]
 
 
 # --------------------------------------------------------------------------
@@ -295,50 +276,38 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"jseg {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen-scene", help="rasterize a synthetic instance scene")
+    p = _command(sub, "gen-scene", _cmd_gen_scene, "rasterize a synthetic instance scene")
     _scene_args(p)
-    p.add_argument("--out", required=True)
-    _common_args(p)
-    p.set_defaults(func=_cmd_gen_scene)
 
-    p = sub.add_parser("transform", help="instance map to semantic ground truth")
+    p = _command(sub, "transform", _cmd_transform, "instance map to semantic ground truth")
     p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
     _transform_args(p)
-    _common_args(p)
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("loss-eval", help="evaluate a loss on target/prediction grids")
+    p = _command(sub, "loss-eval", _cmd_loss_eval, "evaluate a loss on target/prediction grids",
+                 "JSON report path")
     p.add_argument("--loss", choices=LOSS_IDS, required=True)
     p.add_argument("--target", required=True, help="semantic ground-truth map (GRD1/PGM)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--logits", help="logit field (GRD1 f32)")
     group.add_argument("--probs", help="probability field (GRD1 f32)")
     p.add_argument("--classes", type=int, choices=[3, 4], default=4)
-    p.add_argument("--out", required=True, help="JSON report path")
-    _common_args(p)
-    p.set_defaults(func=_cmd_loss_eval)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of a loss gradient")
+    p = _command(sub, "grad-check", _cmd_grad_check, "finite-difference check of a loss gradient",
+                 "JSON report path")
     p.add_argument("--loss", choices=LOSS_IDS, required=True)
     p.add_argument("--trials", type=int, default=_default(gradient_check, "trials"))
     p.add_argument("--step", type=float, default=_default(gradient_check, "step"))
-    p.add_argument("--out", required=True, help="JSON report path")
-    _common_args(p)
-    p.set_defaults(func=_cmd_grad_check)
 
-    p = sub.add_parser("sim-imbalance", help="random-classifier imbalance sweep")
+    p = _command(sub, "sim-imbalance", _cmd_sim_imbalance, "random-classifier imbalance sweep",
+                 "per-trial CSV path", summary=True)
     p.add_argument("--classifier", choices=["c1", "c3"], default=ImbalanceSimConfig.classifier)
     p.add_argument("--pis", type=float, nargs="+", default=None)
     p.add_argument("--samples", type=int, default=ImbalanceSimConfig.samples)
     p.add_argument("--trials", type=int, default=ImbalanceSimConfig.trials)
-    p.add_argument("--out", required=True, help="per-trial CSV path")
-    p.add_argument("--summary-out", default=None)
     p.add_argument("--correlation-out", default=None, help="also emit MCC/J scatter CSV")
-    _common_args(p)
-    p.set_defaults(func=_cmd_sim_imbalance)
 
-    p = sub.add_parser("sim-shrinkwrap", help="prescribed shrinkwrap trajectory")
+    p = _command(sub, "sim-shrinkwrap", _cmd_sim_shrinkwrap, "prescribed shrinkwrap trajectory",
+                 "trajectory CSV path")
     _scene_args(p)
     p.set_defaults(kind=ShrinkwrapConfig.scene.kind, dims=list(ShrinkwrapConfig.scene.dims))
     p.add_argument("--iterations", type=int, default=ShrinkwrapConfig.iterations)
@@ -347,41 +316,30 @@ def _build_parser() -> _Parser:
     p.add_argument("--confidence-start", type=float, default=ShrinkwrapConfig.confidence_start)
     p.add_argument("--confidence-final", type=float, default=ShrinkwrapConfig.confidence_final)
     _transform_args(p)
-    p.add_argument("--out", required=True, help="trajectory CSV path")
-    _common_args(p)
-    p.set_defaults(func=_cmd_sim_shrinkwrap)
 
-    p = sub.add_parser("landscape", help="2-D loss landscape around a near-optimum")
+    p = _command(sub, "landscape", _cmd_landscape, "2-D loss landscape around a near-optimum")
     p.add_argument("--loss", choices=LOSS_IDS, default="jc")
     _scene_args(p)
     _transform_args(p)
     p.add_argument("--resolution", type=int, default=_default(landscape_scan, "resolution"))
     p.add_argument("--span", type=float, default=_default(landscape_scan, "span"))
     p.add_argument("--confidence-floor", type=float, default=1e-3)
-    p.add_argument("--out", required=True)
-    _common_args(p)
-    p.set_defaults(func=_cmd_landscape)
 
-    p = sub.add_parser("postprocess", help="probability field to instance map")
+    p = _command(sub, "postprocess", _cmd_postprocess, "probability field to instance map")
     p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument(
         "--gap-mode", choices=["map3", "background", "dubious"], default=PostprocessConfig.gap_mode
     )
     p.add_argument("--tau", type=float, default=PostprocessConfig.tau)
     p.add_argument("--connectivity", choices=["face", "full"], default=PostprocessConfig.connectivity)
-    _common_args(p)
-    p.set_defaults(func=_cmd_postprocess)
 
-    p = sub.add_parser("evaluate", help="panoptic metrics of predicted instance maps")
+    p = _command(sub, "evaluate", _cmd_evaluate, "panoptic metrics of predicted instance maps",
+                 "per-pair CSV path", summary=True)
     p.add_argument("--gt", nargs="+", required=True)
     p.add_argument("--pred", nargs="+", required=True)
-    p.add_argument("--out", required=True, help="per-pair CSV path")
-    p.add_argument("--summary-out", default=None)
-    _common_args(p)
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("train-toy", help="gradient descent on a logit field")
+    p = _command(sub, "train-toy", _cmd_train_toy, "gradient descent on a logit field",
+                 "trace CSV path", summary=True)
     _scene_args(p)
     _transform_args(p)
     losses = [loss for loss in LOSS_IDS if loss != "j"]
@@ -392,35 +350,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
     p.add_argument("--optimizer", choices=["gd", "adam"], default=TrainConfig.optimizer)
     p.add_argument("--init-noise", type=float, default=TrainConfig.init_noise)
-    p.add_argument("--out", required=True, help="trace CSV path")
-    p.add_argument("--summary-out", default=None)
-    _common_args(p)
-    p.set_defaults(func=_cmd_train_toy)
 
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
-    except UsageError as exc:
-        print(f"jseg: {exc}", file=sys.stderr)
-        return 1
-    started = time.monotonic()
-    if args.seed is None:
-        args.seed = int.from_bytes(os.urandom(4), "little")
-    try:
-        outputs = args.func(args)
+        outputs = _outputs_of(args)
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise ValueError("each output of a run needs its own path")
+        started = time.monotonic()
+        if args.seed is None:
+            args.seed = int.from_bytes(os.urandom(4), "little")
+        args.func(args)
+        _write_manifest(args, outputs, started)
     except UsageError as exc:
         print(f"jseg: {exc}", file=sys.stderr)
         return 1
     except (GridIOError, ValueError, OSError, RuntimeError) as exc:
         print(f"jseg: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(args, _inputs_of(args), outputs, started)
     return 0
 
 
@@ -435,6 +387,24 @@ def _inputs_of(args) -> list[str]:
         if value:
             paths.extend(value)
     return paths
+
+
+def _summary_path(args, key: str = "out") -> str:
+    """Where the summary JSON of output ``key`` goes: beside it, at
+    ``<path>.summary.json``, unless ``--summary-out`` names the main one's."""
+    if key == "out" and args.summary_out:
+        return args.summary_out
+    return getattr(args, key) + ".summary.json"
+
+
+def _outputs_of(args) -> list[str]:
+    """Every file the run writes, the manifest last."""
+    paths = [args.out]
+    if "summary_out" in args:
+        paths.append(_summary_path(args))
+    if getattr(args, "correlation_out", None):
+        paths += [args.correlation_out, _summary_path(args, "correlation_out")]
+    return paths + [args.manifest or args.out + ".manifest.json"]
 
 
 def main() -> None:

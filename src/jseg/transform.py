@@ -6,16 +6,16 @@ gap.  Gaps are the background elements filled by a morphological closing
 of the foreground; touching elements are foreground elements that see a
 different nonzero label within a Chebyshev-``k`` neighbourhood.  Both
 tests are folds of a ufunc over the windows of a padded grid, one window
-per offset of a structuring element (``_util.fold_windows``).
+per offset of a structuring element (``fold_windows``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fold_windows
 from .grids import InstanceLabelMap, SemanticLabelMap
 
 __all__ = [
@@ -62,9 +62,16 @@ class TransformConfig:
 
 
 def ball_footprint(radius: int, d: int) -> np.ndarray:
-    """Discrete hyper-sphere: offsets within Euclidean distance ``radius``."""
+    """Discrete hyper-sphere: offsets within Euclidean distance ``radius``.
+
+    ``radius`` must be an integer (``TypeError`` otherwise), at least 1, and
+    ``d`` at least 1.
+    """
+    radius = operator.index(radius)
     if radius < 1:
         raise ValueError("structuring-element radius must be >= 1")
+    if d < 1:
+        raise ValueError(f"a structuring element needs at least 1 axis, got d={d}")
     offsets = np.ogrid[(slice(-radius, radius + 1),) * d]
     return sum(o * o for o in offsets) <= radius * radius
 
@@ -101,6 +108,23 @@ def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:
     return closed
 
 
+def fold_windows(ufunc: np.ufunc, padded: np.ndarray, structure: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fold ``ufunc`` into ``out`` over one window of ``padded`` per true
+    element of the boolean ``structure``, in place.
+
+    The window at offset ``off`` is the block of ``out``'s shape that starts
+    at ``off`` in ``padded``, which is therefore ``structure.shape - 1``
+    larger than ``out`` along each axis.  So ``out[i]`` folds in
+    ``padded[i + off]`` for every ``off``: with ``padded`` the grid padded by
+    half the structure on each side, that is the structure read as a
+    neighbourhood centred on ``i``.  ``out`` holds the fold's starting value
+    on entry.  Each window is a view, so nothing is copied.
+    """
+    for off in np.argwhere(structure):
+        ufunc(out, padded[tuple(slice(o, o + n) for o, n in zip(off, out.shape))], out=out)
+    return out
+
+
 def _fold_ball(ufunc: np.ufunc, padded: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
     """``fold_windows(ufunc, padded, ball_footprint(radius, d), out)`` for
     ``np.logical_or`` or ``np.logical_and``, in fewer passes.
@@ -130,19 +154,24 @@ def _fold_box(ufunc: np.ufunc, values: np.ndarray, k: int, fill: int) -> np.ndar
     """``ufunc`` folded over the Chebyshev-``k`` box around every element,
     with ``fill`` beyond the grid.
 
-    The box is separable: one pass per axis folds the 2k+1 windows of a line
-    structure over the previous pass.  Every pass reads the same buffer,
-    padded by ``k`` with ``fill`` on all sides: it copies its input into the
-    interior and reads the view padded along its own axis only.
+    The box is separable: one pass per axis folds the 2r+1 windows of a line
+    structure over the previous pass, with ``r = min(k, n)`` on an axis of
+    length ``n``: offset ``n`` already reads ``fill`` from every element, and
+    folding ``fill`` in again changes no ``np.maximum`` or ``np.minimum``, so
+    a larger ``k`` gives the same box.  Every pass reads the same buffer,
+    padded by each axis's ``r`` with ``fill`` on all sides: it copies its
+    input into the interior and reads the view padded along its own axis
+    only.
     """
     d = values.ndim
-    padded = np.full([n + 2 * k for n in values.shape], fill, dtype=values.dtype)
-    inner = (slice(k, -k),) * d
+    radii = [min(k, n) for n in values.shape]
+    padded = np.full([n + 2 * r for n, r in zip(values.shape, radii)], fill, dtype=values.dtype)
+    inner = tuple(slice(r, r + n) for n, r in zip(values.shape, radii))
     out = np.empty_like(values)
     src = values
-    for axis in range(d):
+    for axis, r in enumerate(radii):
         padded[inner] = src
-        line = np.ones([2 * k + 1 if a == axis else 1 for a in range(d)], dtype=bool)
+        line = np.ones([2 * r + 1 if a == axis else 1 for a in range(d)], dtype=bool)
         out.fill(fill)
         fold_windows(ufunc, padded[inner[:axis] + (slice(None),) + inner[axis + 1 :]], line, out)
         src = out

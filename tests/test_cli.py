@@ -371,6 +371,27 @@ def test_one_path_for_both_sweep_csvs_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-scene", "--out", "{d}/a.grd", "--manifest", "{d}/a.grd"],
+        ["train-toy", "--iterations", "2", "--out", "{d}/t.csv", "--summary-out", "{d}/t.csv"],
+        ["evaluate", "--gt", "{d}/g.grd", "--pred", "{d}/g.grd", "--out", "{d}/e.csv",
+         "--summary-out", "{d}/e.csv"],
+        ["sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
+         "--out", "{d}/imb.csv", "--correlation-out", "{d}/mccj.csv",
+         "--summary-out", "{d}/mccj.csv.summary.json"],
+        ["gen-scene", "--out", "a.grd", "--manifest", "./a.grd"],
+    ],
+)
+def test_outputs_sharing_a_path_are_a_data_error(tmp_path, monkeypatch, capsys, argv):
+    # Each output would overwrite another, so the run writes nothing at all.
+    monkeypatch.chdir(tmp_path)
+    assert run(*(arg.format(d=tmp_path) for arg in argv), "--seed", "1") == 2
+    assert "each output of a run needs its own path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
     out = tmp_path / "imb.csv"
     assert run("sim-imbalance", "--classifier", "c1", "--pis", "0.01", "0.01", "--samples", "100",
@@ -507,3 +528,85 @@ def test_cli_defaults_equal_the_library_defaults_they_restate():
     scan = _param_defaults(landscape_scan)
     assert (ns.resolution, ns.span, ns.threads) == (scan["resolution"], scan["span"],
                                                     scan["threads"])
+
+
+_RUN_KEYS = {"out", "seed", "subcommand", "threads"}
+_SCENE_KEYS = {"blobs", "cell_size", "dims", "kind", "notch_length", "notch_width"}
+_TRANSFORM_KEYS = {"classes", "gap_radius", "k"}
+
+# The manifest config keys of every subcommand: replaying a manifest reads
+# them, so a change to how the parser is built must keep them.
+CONFIG_KEYS = {
+    "gen-scene": _RUN_KEYS | _SCENE_KEYS,
+    "transform": _RUN_KEYS | _TRANSFORM_KEYS | {"in"},
+    "loss-eval": _RUN_KEYS | {"classes", "logits", "loss", "probs", "target"},
+    "grad-check": _RUN_KEYS | {"loss", "step", "trials"},
+    "sim-imbalance": _RUN_KEYS | {"classifier", "correlation_out", "pis", "samples",
+                                  "summary_out", "trials"},
+    "sim-shrinkwrap": _RUN_KEYS | _SCENE_KEYS | _TRANSFORM_KEYS | {
+        "confidence_final", "confidence_start", "iterations", "iters_per_step", "margin"},
+    "landscape": _RUN_KEYS | _SCENE_KEYS | _TRANSFORM_KEYS | {
+        "confidence_floor", "loss", "resolution", "span"},
+    "postprocess": _RUN_KEYS | {"connectivity", "gap_mode", "in", "tau"},
+    "evaluate": _RUN_KEYS | {"gt", "pred", "summary_out"},
+    "train-toy": _RUN_KEYS | _SCENE_KEYS | _TRANSFORM_KEYS | {
+        "init_noise", "iterations", "log_every", "loss", "optimizer", "step", "summary_out"},
+}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.fixture(scope="module")
+def grids(tmp_path_factory):
+    """An instance map, its semantic map and that map's one-hot field."""
+    from jseg import one_hot
+
+    d = tmp_path_factory.mktemp("grids")
+    g, h, z = d / "g.grd", d / "h.grd", d / "z.grd"
+    assert run("gen-scene", "--dims", "20", "10", "--seed", "0", "--out", str(g)) == 0
+    assert run("transform", "--in", str(g), "--out", str(h), "--seed", "0") == 0
+    write_grid(one_hot(read_grid(h, "semantic"), 4), z)
+    return {"g": str(g), "h": str(h), "z": str(z)}
+
+
+_SMALL_RUNS = {
+    "gen-scene": ["--dims", "20", "10"],
+    "transform": ["--in", "{g}"],
+    "loss-eval": ["--loss", "ce", "--target", "{h}", "--probs", "{z}"],
+    "grad-check": ["--loss", "ce", "--trials", "1"],
+    "sim-imbalance": ["--pis", "0.5", "--samples", "100", "--trials", "2"],
+    "sim-shrinkwrap": ["--dims", "40", "28", "--margin", "2", "--iters-per-step", "1",
+                       "--iterations", "4"],
+    "landscape": ["--dims", "20", "12", "--cell-size", "6", "--notch-length", "3",
+                  "--resolution", "3"],
+    "postprocess": ["--in", "{z}"],
+    "evaluate": ["--gt", "{g}", "--pred", "{g}"],
+    "train-toy": ["--iterations", "2", "--log-every", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_KEYS))
+def test_manifest_config_keys_of_every_subcommand(tmp_path, grids, name):
+    assert set(_subparsers()) == set(CONFIG_KEYS) == set(_SMALL_RUNS)
+    out = tmp_path / "o"
+    argv = [arg.format(**grids) for arg in _SMALL_RUNS[name]]
+    assert run(name, *argv, "--seed", "0", "--out", str(out)) == 0
+    manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+    assert set(manifest["config"]) == CONFIG_KEYS[name]
+
+
+def test_summary_out_is_a_flag_of_the_summary_writers_only():
+    has = {name for name, p in _subparsers().items() if "--summary-out" in p._option_string_actions}
+    assert has == {"sim-imbalance", "evaluate", "train-toy"}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_KEYS))
+def test_help_exits_zero_for_every_subcommand(capsys, name):
+    with pytest.raises(SystemExit) as stop:
+        dispatch([name, "--help"])
+    assert stop.value.code == 0
+    assert "--out" in capsys.readouterr().out

@@ -193,6 +193,19 @@ def test_transform_matches_brute_force_3d(k):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dims", [(6, 6), (4, 4, 4)])
+def test_touching_radius_beyond_the_grid_gives_the_whole_grid_mask(dims):
+    # A radius past every axis reads the whole grid, and pads each axis by its
+    # own length: at 10**6 on 6x6 a padding of k would ask for terabytes.
+    rng = np.random.default_rng(len(dims))
+    labels = rng.integers(0, 4, size=dims).astype(np.int32)
+    whole = dims[0]  # the shift reference needs no offset longer than an axis
+    got = to_semantic(InstanceLabelMap(labels), TransformConfig(k=10**6, gap_radius=1)).classes
+    assert np.array_equal(got, to_semantic(InstanceLabelMap(labels),
+                                           TransformConfig(k=whole, gap_radius=1)).classes)
+    assert np.array_equal(got, brute_semantic(labels, whole, 1))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_ball_footprint_holds_the_offsets_within_the_radius(d):
     for radius in range(1, 12):
@@ -216,3 +229,8 @@ def test_config_validation():
 def test_named_errors(d):
     with pytest.raises(ValueError, match=re.escape("structuring-element radius must be >= 1")):
         ball_footprint(0, d)
+    with pytest.raises(TypeError):
+        ball_footprint(2.5, d)
+    for axes in (0, -1):
+        with pytest.raises(ValueError, match="at least 1 axis"):
+            ball_footprint(1, axes)
