@@ -1,6 +1,6 @@
 """Small shared helpers: deterministic thread mapping, seed derivation, the
-per-run workspace of the step loops, a thread-count-independent norm and
-the one CSV writer.
+per-run workspace of the step loops, a thread-count-independent norm, the
+column table of a step loop's trace and the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -9,6 +9,7 @@ for all of them."""
 
 from __future__ import annotations
 
+import operator
 import os
 from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,9 @@ def ordered_thread_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 
     Results come back in submission order and every item carries its own
     state (e.g. a child RNG), so the output is bitwise identical for any
     thread count.  The pool never gets more workers than there are items.
+    ``threads`` must be an integer: NaN or 2.5 raise ``TypeError``.
     """
+    threads = operator.index(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1 or len(items) <= 1:
@@ -147,6 +150,14 @@ def _rows(cells: Sequence[Sequence[str]]) -> str:
     else:
         lines = map(",".join, zip(*cells))
     return "\r\n".join(lines) + "\r\n"
+
+
+def columns(header: Sequence[str], rows: Sequence[tuple]) -> dict[str, np.ndarray]:
+    """The table of a step loop's trace: ``rows`` holds one tuple per step,
+    in the order of ``header``, and each name gets its column as an array.
+    A column of ints is int64, of floats float64, and of floats mixed with
+    None an object array.  No rows give no columns."""
+    return dict(zip(header, map(np.asarray, zip(*rows))))
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence, subsets: Sequence = ()) -> None:

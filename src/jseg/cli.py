@@ -5,7 +5,8 @@ resolved configuration, the seed, and the tool version, so any output can
 be reproduced byte for byte from its manifest.  A run's output paths
 (``--out``, the summaries, ``--correlation-out`` and the manifest) must
 all name different files; a run whose paths collide writes nothing and
-exits 2.  Exit codes: 0 success, 1 usage error, 2 data error.
+exits 2.  Exit codes: 0 success, 1 usage error, 2 data error or not
+enough memory.
 Diagnostics go to stderr only.
 """
 
@@ -249,12 +250,7 @@ def _cmd_train_toy(args) -> None:
         init_noise=args.init_noise,
     )
     trace = train(target, scene, cfg)
-    names = sorted(trace.records[0].components)
-    rows = [
-        (r.iteration, r.total, *(r.components[c] for c in names), r.grad_norm, r.pq)
-        for r in trace.records
-    ]
-    write_csv(args.out, ["iteration", "total", *names, "grad_norm", "pq"], list(zip(*rows)))
+    write_csv(args.out, list(trace.columns), list(trace.columns.values()))
     _write_json(
         _summary_path(args),
         {
@@ -372,6 +368,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return 1
     except (GridIOError, ValueError, OSError, RuntimeError) as exc:
         print(f"jseg: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"jseg: not enough memory: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -69,7 +69,9 @@ def _label_copy(values, what: str, top: int, bounds: str) -> np.ndarray:
 
 
 def _field_copy(values, what: str) -> np.ndarray:
-    """The one read-only float64 copy of a finite field with >= 2 channels."""
+    """The one read-only float64 copy of a finite real field with >= 2 channels."""
+    if np.asarray(values).dtype.kind not in "biuf":
+        raise ValueError(f"{what} values must be real numbers")
     out = np.array(values, dtype=np.float64, order="C", copy=True)
     if out.ndim not in (3, 4):
         raise ValueError(f"{what} field needs spatial dims plus a channel axis")

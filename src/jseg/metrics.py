@@ -92,10 +92,11 @@ def _checked_counts(*counts) -> tuple[np.ndarray, ...]:
         except (TypeError, ValueError, OverflowError):
             f = None
         # A NaN passes into the minimum and fails there.  The maximum is of
-        # the counts as given, so integers compare exactly: 2**53 + 1 rounds
-        # to 2**53 as a float.
+        # integer counts as given, so they compare exactly (2**53 + 1 rounds
+        # to 2**53 as a float), and of float counts as float64, which holds
+        # 2**53 where a float16 would overflow.
         if f is None or f.size and not (
-            f.min() >= 0 and a.max() <= MAX_COUNT
+            f.min() >= 0 and (f if a.dtype.kind == "f" else a).max() <= MAX_COUNT
             and (a.dtype.kind in "biu" or (np.floor(f) == f).all())
         ):
             raise ValueError(f"confusion counts must be whole numbers in [0, 2**53], got {c!r}")
@@ -157,11 +158,13 @@ def pearson(xs, ys) -> float:
     overflow and tiny data keeps its variance.  Scaling by a power of two
     is exact and the coefficient does not depend on scale, so data in the
     normal range gets the bits of the unscaled formula.  Raises ``ValueError`` for
-    non-finite values, for sequences of unequal length or shorter than 2,
-    and for zero variance.
+    values that are not real numbers or not finite, for sequences of unequal
+    length or shorter than 2, and for zero variance.
     """
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    x, y = np.asarray(xs), np.asarray(ys)
+    if x.dtype.kind not in "biuf" or y.dtype.kind not in "biuf":
+        raise ValueError("Pearson correlation needs real numbers")
+    x, y = x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length 1-D sequences of length >= 2")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

@@ -13,7 +13,8 @@ Three simulators:
   along the way; every margin's mask is a threshold of one squared
   distance field, a step's three gradients share one softmax and one run
   each of the ce and j cores, and a step that repeats the previous step's
-  state repeats its norms;
+  state repeats its norms; each step keeps one row tuple, and the trace
+  is the table of their columns;
 * a 2-D loss-landscape scan around a near-optimal logit field along two
   random, channel-normalized directions; after one checked loss call at
   the centre, each row of the grid runs the loss core, built once, on
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _util
-from ._util import Workspace, child_rng, l2_norm, ordered_thread_map
+from ._util import Workspace, child_rng, columns, l2_norm, ordered_thread_map
 from .grids import LogitField, ProbabilityField, logit_values, one_hot, softmax_values
 from .losses import FD_CHUNK_ELEMENTS, _build_core, _softmax_vjp, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
@@ -284,19 +285,20 @@ class ShrinkwrapConfig:
         return self.margin_start * self.iters_per_margin_step + 1
 
 
+#: Columns of the shrinkwrap CSV, in the order of a trace's rows.
+SHRINKWRAP_HEADER = ("iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc")
+
+
 @dataclass(frozen=True)
 class ShrinkwrapTrace:
-    """Per-iteration gradient norms with the shrinkwrap index marked."""
+    """Per-iteration gradient norms with the shrinkwrap index marked:
+    ``columns`` holds one array per name of :data:`SHRINKWRAP_HEADER`."""
 
-    records: tuple[dict, ...]
-    shrinkwrap_index: int  # position in records of the first margin-0 iteration
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([r[name] for r in self.records])
+    columns: dict[str, np.ndarray]
+    shrinkwrap_index: int  # row of the first margin-0 iteration
 
     def write_csv(self, path) -> None:
-        header = ["iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc"]
-        _util.write_csv(path, header, [self.column(name) for name in header])
+        _util.write_csv(path, list(self.columns), list(self.columns.values()))
 
 
 def _confidence_field(inside: np.ndarray, confidence: float, out: np.ndarray) -> np.ndarray:
@@ -361,9 +363,11 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     fields into the arrays of one :class:`~jseg._util.Workspace` made for
     the run.
 
-    A step's field depends only on its ``(margin, confidence, ramp)``.  A
-    step whose state equals the previous step's copies that step's three
-    norms and builds no field; at the defaults the confidence stays put
+    Each step keeps one tuple, its row of the CSV, and the trace holds
+    their columns (:func:`~jseg._util.columns`).  A step's field depends
+    only on its ``(margin, confidence, ramp)``.  A step whose state equals
+    the previous step's copies that step's row under its own iteration and
+    builds no field; at the defaults the confidence stays put
     and the margin holds for ``iters_per_margin_step`` steps, so 49 of the
     85 steps run the cores.  The shrinkwrap step itself is always built:
     the margin falls from 1 to 0 there.
@@ -383,7 +387,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
 
     ws = Workspace()
     z = ws.take("field", y.shape)
-    records = []
+    rows: list[tuple] = []  # one per step, in the order of SHRINKWRAP_HEADER
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
         if t <= t_shrink:
@@ -397,9 +401,9 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             margin = 0
             confidence = cfg.confidence_final
             ramp = (t - t_shrink) / ramp_len
-        state = {"margin": margin, "confidence": confidence, "ramp": ramp}
-        if records and state.items() <= records[-1].items():  # the previous step's state
-            records.append({**records[-1], "iteration": t})
+        state = (margin, confidence, ramp)
+        if rows and rows[-1][1:4] == state:  # the previous step's state
+            rows.append((t, *rows[-1][1:]))
             continue
 
         if t <= t_shrink:
@@ -413,12 +417,10 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
         ce_dz = ce_core(s, ws)[1]
         j_dz = j_core(s, ws)[1]
         jc_dz = np.add(ce_dz, j_dz, out=ws.take("jc.dz", y.shape))
-        record = {"iteration": t, **state}
-        for name, dz in (("grad_ce", ce_dz), ("grad_j", j_dz), ("grad_jc", jc_dz)):
-            record[name] = l2_norm(_softmax_vjp(s, dz, ws), ws)
-        records.append(record)
+        norms = (l2_norm(_softmax_vjp(s, dz, ws), ws) for dz in (ce_dz, j_dz, jc_dz))
+        rows.append((t, *state, *norms))
 
-    return ShrinkwrapTrace(records=tuple(records), shrinkwrap_index=t_shrink - 1)
+    return ShrinkwrapTrace(columns(SHRINKWRAP_HEADER, rows), shrinkwrap_index=t_shrink - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import Workspace, child_rng, l2_norm
+from ._util import Workspace, child_rng, columns, l2_norm
 from .grids import InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, argmax_channels
 from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
 from .transform import BACKGROUND, GAP
 
-__all__ = ["TrainConfig", "TrainRecord", "TrainTrace", "TrainDiverged", "train"]
+__all__ = ["TrainConfig", "TrainTrace", "TrainDiverged", "train"]
 
 #: Adam's learning rate, moment decay rates and denominator offset.
 _ADAM_LR = 1e-4
@@ -67,31 +67,22 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrainRecord:
-    iteration: int
-    total: float
-    components: dict[str, float]
-    grad_norm: float
-    pq: float | None  # populated on log iterations
-
-
-@dataclass(frozen=True)
 class TrainTrace:
-    """The records of a run.  ``first_gap_correct`` is the first iteration
-    at which MAP classifies every gap element of the target correctly, or
-    None when the target has no gap element or the run never fixes them."""
+    """The trace of a run.  ``columns`` holds one array per CSV column, in
+    CSV order: ``iteration``, ``total``, the loss's parts, ``grad_norm`` and
+    ``pq``, which is None on iterations that do not log.
+    ``first_gap_correct`` is the first iteration at which MAP classifies
+    every gap element of the target correctly, or None when the target has
+    no gap element or the run never fixes them."""
 
-    records: tuple[TrainRecord, ...]
+    columns: dict[str, np.ndarray]
     first_gap_correct: int | None
     final_pq: float
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
 
 class TrainDiverged(RuntimeError):
     """Raised when the loss or the updated logits stop being finite;
-    carries the partial trace."""
+    carries the trace of the iterations done (no columns before the first)."""
 
     def __init__(self, message: str, trace: TrainTrace):
         super().__init__(message)
@@ -166,7 +157,10 @@ def train(
 
     ``target`` is the one-hot semantic ground truth of ``source``; panoptic
     quality (via the full post-processing pipeline) is recorded against
-    ``source`` on every log iteration.  Deterministic per seed.
+    ``source`` on every log iteration.  Deterministic per seed.  Each
+    iteration keeps one plain tuple of its row; the returned
+    :class:`TrainTrace` turns them into columns once, at the end
+    (:func:`~jseg._util.columns`), as does a :class:`TrainDiverged`.
 
     One checked :func:`evaluate_loss` call before the loop checks the
     target, its shape against the logits and the pair weights; its value is
@@ -219,39 +213,34 @@ def train(
             measured[key] = panoptic(source, instances)["pq"]
         return measured[key]
 
-    records: list[TrainRecord] = []
+    rows: list[tuple] = []  # one per iteration, in the order of the columns
     first_gap_correct: int | None = None
     final_pq = float("nan")
+
+    def trace() -> TrainTrace:
+        header = ("iteration", "total", *parts, "grad_norm", "pq")
+        return TrainTrace(columns(header, rows), first_gap_correct, final_pq)
 
     def diverged(what: str, it: int) -> TrainDiverged:
         return TrainDiverged(
             f"{what} became non-finite at iteration {it} "
             f"(step {cfg.step_size}, optimizer {cfg.optimizer})",
-            TrainTrace(tuple(records), first_gap_correct, final_pq),
+            trace(),
         )
 
     for it in range(cfg.iterations + 1):
         parts, grad, probs = _logit_gradient(core, theta, ws)
-        components = {name: float(value) for name, value in parts.items()}
-        total = sum(components.values())
+        values = [float(value) for value in parts.values()]
+        total = sum(values)
         if not np.isfinite(total):
             raise diverged("loss", it)
         if first_gap_correct is None and gap_correct is not None and gap_correct(theta):
             first_gap_correct = it
 
-        log_now = it % cfg.log_every == 0 or it == cfg.iterations
-        pq = measure_pq(probs) if log_now else None
-        if log_now:
-            final_pq = pq
-        records.append(
-            TrainRecord(
-                iteration=it,
-                total=total,
-                components=components,
-                grad_norm=l2_norm(grad, ws),
-                pq=pq,
-            )
-        )
+        pq = None
+        if it % cfg.log_every == 0 or it == cfg.iterations:
+            pq = final_pq = measure_pq(probs)
+        rows.append((it, total, *values, l2_norm(grad, ws), pq))
         if it == cfg.iterations:
             break
         if adam is not None:
@@ -263,4 +252,4 @@ def train(
         if not np.isfinite(theta, out=ws.take("finite", theta.shape, bool)).all():
             raise diverged("logits", it)
 
-    return TrainTrace(tuple(records), first_gap_correct, final_pq)
+    return trace()

@@ -33,7 +33,7 @@ from jseg import (
 )
 from jseg._util import child_rng, l2_norm
 from jseg.postprocess import GAP_TO_BACKGROUND
-from jseg.train import TrainRecord, TrainTrace
+from jseg.train import TrainTrace
 from jseg.transform import CELL, GAP, ball_footprint
 
 
@@ -141,9 +141,12 @@ def brute_semantic(labels: np.ndarray, k: int, gap_radius: int, four_class: bool
 
 
 def _shift_int(arr: np.ndarray, offset: tuple[int, ...]) -> np.ndarray:
+    """``arr`` moved by ``offset``, zero where nothing moves in; an offset
+    as long as its axis or longer moves nothing in."""
     out = np.zeros_like(arr)
     src, dst = [], []
     for n, o in zip(arr.shape, offset):
+        o = max(-n, min(n, o))
         if o >= 0:
             src.append(slice(0, n - o))
             dst.append(slice(o, n))
@@ -526,8 +529,8 @@ def shift_instances(classes: np.ndarray, connectivity: str) -> np.ndarray:
     return labels
 
 
-def shrinkwrap_grad_norms(cfg) -> tuple[dict, ...]:
-    """The rows of ``jseg.simulate.run_shrinkwrap`` by the literal route.
+def shrinkwrap_grad_norms(cfg) -> dict[str, np.ndarray]:
+    """The columns of ``jseg.simulate.run_shrinkwrap`` by the literal route.
 
     Each margin's mask is ``ndimage.binary_dilation`` of the cells by the
     ball of that radius (the cells themselves at margin 0), and every step
@@ -565,11 +568,10 @@ def shrinkwrap_grad_norms(cfg) -> tuple[dict, ...]:
             ramp = (t - t_shrink) / (cfg.iterations - t_shrink)
             z = (1.0 - ramp) * z_at_shrinkwrap + ramp * target.values
         logits = probs_to_logits(ProbabilityField(z))
-        row = {"iteration": t, "margin": margin, "confidence": confidence, "ramp": ramp}
-        for loss_id in ("ce", "j", "jc"):
-            row[f"grad_{loss_id}"] = evaluate_loss(loss_id, target, logits).grad_norm
-        rows.append(row)
-    return tuple(rows)
+        norms = [evaluate_loss(loss_id, target, logits).grad_norm for loss_id in ("ce", "j", "jc")]
+        rows.append([t, margin, confidence, ramp, *norms])
+    header = ("iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc")
+    return {name: np.array([row[i] for row in rows]) for i, name in enumerate(header)}
 
 
 def evaluate_loss_train(target, source, cfg, weights=None):
@@ -589,7 +591,7 @@ def evaluate_loss_train(target, source, cfg, weights=None):
     post = PostprocessConfig(gap_mode=GAP_TO_BACKGROUND)
     m = v = np.zeros(theta.shape)
     lr, beta1, beta2, eps = 1e-4, 0.9, 0.999, 1e-8
-    records = []
+    rows = []
     first_gap_correct = None
     final_pq = float("nan")
     for it in range(cfg.iterations + 1):
@@ -603,7 +605,7 @@ def evaluate_loss_train(target, source, cfg, weights=None):
         pq = None
         if it % cfg.log_every == 0 or it == cfg.iterations:
             pq = final_pq = panoptic(source, instances_from_probs(softmax(logits), post))["pq"]
-        records.append(TrainRecord(it, value.total, dict(value.components), value.grad_norm, pq))
+        rows.append([it, value.total, *value.components.values(), value.grad_norm, pq])
         if it == cfg.iterations:
             break
         grad = value.gradient
@@ -616,7 +618,9 @@ def evaluate_loss_train(target, source, cfg, weights=None):
             theta = theta - cfg.step_size * grad
         if not np.isfinite(theta).all():
             break
-    return TrainTrace(tuple(records), first_gap_correct, final_pq)
+    header = ["iteration", "total", *value.components, "grad_norm", "pq"]
+    columns = {name: np.array([row[i] for row in rows]) for i, name in enumerate(header)}
+    return TrainTrace(columns if rows else {}, first_gap_correct, final_pq)
 
 
 def landscape_values(loss_id, target, center, seed=0, resolution=41, span=1.0) -> np.ndarray:

@@ -128,9 +128,9 @@ def test_criterion_06_shrinkwrap_dynamics():
     trace = run_shrinkwrap(ShrinkwrapConfig())
     elapsed = time.monotonic() - started
     idx = trace.shrinkwrap_index
-    ce = trace.column("grad_ce")
-    j = trace.column("grad_j")
-    jc = trace.column("grad_jc")
+    ce = trace.columns["grad_ce"]
+    j = trace.columns["grad_j"]
+    jc = trace.columns["grad_jc"]
     # peaks are taken over the trajectory up to the evaluation point
     ce_ratio = ce[idx] / ce[: idx + 1].max()
     j_ratio = j[idx] / j[: idx + 1].max()

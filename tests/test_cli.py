@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -230,22 +231,6 @@ def test_no_stray_files_written(tmp_path):
     run("gen-scene", "--out", str(out), "--seed", "0")
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == ["scene.grd", "scene.grd.manifest.json"]
-
-
-def test_rerun_from_manifest_reproduces_bytes(tmp_path):
-    out1 = tmp_path / "a.grd"
-    assert run("gen-scene", "--kind", "random-blobs", "--dims", "30", "26",
-               "--out", str(out1)) == 0
-    manifest = json.loads((tmp_path / "a.grd.manifest.json").read_text())
-    # replay the resolved config recorded in the manifest
-    cfg = manifest["config"]
-    out2 = tmp_path / "b.grd"
-    argv = ["gen-scene", "--kind", cfg["kind"], "--cell-size", str(cfg["cell_size"]),
-            "--blobs", str(cfg["blobs"]), "--seed", str(manifest["seed"]),
-            "--threads", str(cfg["threads"]), "--out", str(out2)]
-    argv += ["--dims"] + [str(n) for n in cfg["dims"]]
-    assert run(*argv) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_gen_scene_pgm_output(tmp_path):
@@ -589,6 +574,73 @@ _SMALL_RUNS = {
 }
 
 
+# Runs over every subcommand, both loss-eval inputs and every optional
+# output; "{d}" is the run's own directory.  The first run draws its seed.
+_REPLAYS = [
+    ["gen-scene", "--kind", "random-blobs", "--dims", "30", "26", "--out", "{d}/a.grd"],
+    ["transform", "--in", "{g}", "--k", "3", "--seed", "4", "--out", "{d}/h.grd"],
+    ["loss-eval", "--loss", "jc", "--target", "{h}", "--logits", "{t}", "--out", "{d}/l.json"],
+    ["loss-eval", "--loss", "dsc", "--target", "{h}", "--probs", "{z}", "--out", "{d}/l.json"],
+    ["grad-check", "--loss", "j", "--trials", "2", "--step", "1e-5", "--out", "{d}/g.json"],
+    ["sim-imbalance", "--classifier", "c1", "--pis", "0.1", "0.3", "--samples", "150",
+     "--trials", "12", "--summary-out", "{d}/s.json", "--out", "{d}/i.csv"],
+    ["sim-imbalance", "--pis", "0.5", "0.25", "--samples", "200", "--trials", "30",
+     "--threads", "2", "--correlation-out", "{d}/c.csv", "--out", "{d}/i.csv"],
+    ["sim-shrinkwrap", "--dims", "40", "28", "--margin", "4", "--iters-per-step", "2",
+     "--iterations", "14", "--confidence-start", "0.6", "--out", "{d}/w.csv"],
+    ["landscape", "--loss", "j", "--dims", "20", "12", "--cell-size", "6", "--notch-length", "3",
+     "--resolution", "5", "--span", "0.5", "--out", "{d}/s.csv"],
+    ["postprocess", "--in", "{z}", "--gap-mode", "map3", "--out", "{d}/p.grd"],
+    ["evaluate", "--gt", "{g}", "{g}", "--pred", "{g}", "{b}", "--out", "{d}/e.csv"],
+    ["train-toy", "--loss", "dsc", "--optimizer", "adam", "--iterations", "30", "--log-every", "7",
+     "--summary-out", "{d}/s.json", "--out", "{d}/t.csv"],
+]
+
+
+def _argv_of(manifest: dict) -> list[str]:
+    """The argv a manifest records: each config key as ``--key-with-dashes``
+    and its value or values, None left out."""
+    argv = [manifest["subcommand"]]
+    for key, value in manifest["config"].items():
+        if key != "subcommand" and value is not None:
+            argv.append("--" + key.replace("_", "-"))
+            argv += [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    return argv
+
+
+def _rebased(value, old: Path, new: Path):
+    """``value``, any JSON value, with every path under ``old`` moved to ``new``."""
+    return json.loads(json.dumps(value).replace(str(old), str(new)))
+
+
+def test_rerun_from_manifest_reproduces_bytes(tmp_path, grids):
+    from jseg import one_hot, probs_to_logits
+
+    inputs = {**grids, "t": str(tmp_path / "t.grd"), "b": str(tmp_path / "b.grd")}
+    write_grid(probs_to_logits(one_hot(read_grid(grids["h"], "semantic"), 4), floor=1e-3),
+               inputs["t"])
+    assert run("gen-scene", "--kind", "random-blobs", "--dims", "20", "10", "--blobs", "2",
+               "--cell-size", "4", "--seed", "3", "--out", inputs["b"]) == 0
+    for k, template in enumerate(_REPLAYS):
+        first, second = tmp_path / f"{k}.first", tmp_path / f"{k}.second"
+        first.mkdir()
+        second.mkdir()
+        argv = [arg.format(d=first, **inputs) for arg in template]
+        assert run(*argv) == 0, argv
+        out = argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert run(*_rebased(_argv_of(manifest), first, second)) == 0, argv
+        again = json.loads(Path(_rebased(out, first, second) + ".manifest.json").read_text())
+        for key in ("tool", "version", "subcommand", "seed", "inputs", "config", "outputs"):
+            assert again[key] == _rebased(manifest[key], first, second), (argv, key)
+        written = sorted(str(p) for p in first.iterdir())
+        assert written == sorted(manifest["outputs"] + [out + ".manifest.json"]), argv
+        for path in manifest["outputs"]:
+            want = Path(path).read_bytes()
+            assert Path(_rebased(path, first, second)).read_bytes() == want, (argv, path)
+    assert {argv[0] for argv in _REPLAYS} == set(_subparsers())
+
+
 @pytest.mark.parametrize("name", sorted(CONFIG_KEYS))
 def test_manifest_config_keys_of_every_subcommand(tmp_path, grids, name):
     assert set(_subparsers()) == set(CONFIG_KEYS) == set(_SMALL_RUNS)
@@ -610,3 +662,26 @@ def test_help_exits_zero_for_every_subcommand(capsys, name):
         dispatch([name, "--help"])
     assert stop.value.code == 0
     assert "--out" in capsys.readouterr().out
+
+
+def _cap_address_space(limit: int = 3 * 2**30) -> None:
+    """Lower this process's own address-space limit; run in the child only."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_running_out_of_memory_is_a_data_error_not_a_traceback(tmp_path):
+    # 100000 x 100000 int32 labels ask numpy for 37.3 GiB.  The cap makes
+    # that a MemoryError in the child alone, not work for the OOM killer.
+    out = tmp_path / "scene.grd"
+    done = subprocess.run(
+        [sys.executable, "-m", "jseg.cli", "gen-scene", "--dims", "100000", "100000",
+         "--seed", "0", "--out", str(out)],
+        env=_fresh_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("jseg: not enough memory: ")
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,8 @@ import pytest
 from jseg import (
     ConfusionCounts,
     InstanceLabelMap,
+    LogitField,
+    ProbabilityField,
     binary_measures,
     confusion_measures,
     match_instances,
@@ -304,3 +306,42 @@ def test_named_errors(make):
     # numpy holds 10**400 as an object and cannot cast it to float64.
     with pytest.raises(ValueError, match=re.escape("confusion counts must be whole numbers in [0, 2**53]")):
         make()
+
+
+_COUNTS = ([3, 0, 7], [1, 2, 0], [2, 5, 1], [4, 4, 9])
+
+
+def _float16_measures():
+    got, got_zero = confusion_measures(*(np.array(c, np.float16) for c in _COUNTS))
+    want, want_zero = confusion_measures(*_COUNTS)
+    for m in MEASURES:
+        assert np.array_equal(got[m], want[m]) and np.array_equal(got_zero[m], want_zero[m])
+
+
+def _complex_field(container):
+    return container(np.full((2, 3, 4), 0.25, complex))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _complex_field(ProbabilityField), "probability values must be real numbers"),
+        (lambda: _complex_field(LogitField), "logit values must be real numbers"),
+        (lambda: pearson(np.array([1, 2, 3], complex), [1, 2, 4]), "needs real numbers"),
+        (lambda: pearson([1, 2, 3], np.array([1, 2, 4], complex)), "needs real numbers"),
+        (lambda: confusion_measures(*(np.array(c, np.float16) for c in ([np.inf], [1], [1], [1]))),
+         "whole numbers"),
+        (_float16_measures, None),
+    ],
+    ids=["probability-complex", "logit-complex", "pearson-x-complex", "pearson-y-complex",
+         "float16-inf-count", "float16-counts"],
+)
+def test_odd_dtypes_give_a_result_or_a_named_error_never_a_warning(call, message):
+    # Complex input once raised ComplexWarning and float16 counts "overflow
+    # encountered in cast"; here any warning fails the test.
+    if message is None:
+        call()
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

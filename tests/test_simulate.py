@@ -179,21 +179,24 @@ def test_shrinkwrap_schedule_must_reach_zero_margin():
 def test_shrinkwrap_trace_structure():
     cfg = _fast_shrinkwrap()
     trace = run_shrinkwrap(cfg)
-    assert len(trace.records) == cfg.iterations
+    columns = trace.columns
+    assert list(columns) == ["iteration", "margin", "confidence", "ramp",
+                             "grad_ce", "grad_j", "grad_jc"]
+    assert columns["iteration"].tolist() == list(range(1, cfg.iterations + 1))
     idx = trace.shrinkwrap_index
-    assert trace.records[idx]["margin"] == 0
-    assert trace.records[idx]["ramp"] == 0.0
-    assert trace.records[idx - 1]["margin"] == 1
-    margins = trace.column("margin")
+    margins, ramp = columns["margin"], columns["ramp"]
+    assert margins[idx] == 0
+    assert ramp[idx] == 0.0
+    assert margins[idx - 1] == 1
     assert margins[0] == cfg.margin_start
     assert np.all(np.diff(margins) <= 0)
-    assert trace.records[-1]["ramp"] == 1.0
+    assert ramp[-1] == 1.0
 
 
 def test_shrinkwrap_ce_peaks_first_then_stalls():
     trace = run_shrinkwrap(ShrinkwrapConfig())
-    ce = trace.column("grad_ce")
-    j = trace.column("grad_j")
+    ce = trace.columns["grad_ce"]
+    j = trace.columns["grad_j"]
     idx = trace.shrinkwrap_index
     assert ce.argmax() == 0  # the very first iteration is CE's global peak
     assert ce[idx] < 0.2 * ce[: idx + 1].max()
@@ -203,7 +206,7 @@ def test_shrinkwrap_ce_peaks_first_then_stalls():
 def test_shrinkwrap_final_gradients_vanish():
     trace = run_shrinkwrap(ShrinkwrapConfig())
     for name in ("grad_ce", "grad_j", "grad_jc"):
-        col = trace.column(name)
+        col = trace.columns[name]
         assert col[-1] < 1e-6 * col.max()
 
 
@@ -272,7 +275,7 @@ def test_shrinkwrap_runs_the_cores_once_per_distinct_state(monkeypatch, cfg, run
 
     monkeypatch.setattr(jseg.simulate, "_build_core", counted)
     trace = run_shrinkwrap(cfg)
-    assert len(trace.records) == 85
+    assert len(trace.columns["iteration"]) == 85
     assert sorted(calls) == ["ce"] * runs + ["j"] * runs
 
 

@@ -33,6 +33,16 @@ def _scene_target(seed=0, spec=None):
     return g, one_hot(h, 4)
 
 
+def _assert_same_trace(got, want):
+    """Equal traces: the same columns, dtypes and values, in the same order."""
+    assert list(got.columns) == list(want.columns)
+    for name, column in got.columns.items():
+        assert column.dtype == want.columns[name].dtype, name
+        assert column.tolist() == want.columns[name].tolist(), name
+    assert got.first_gap_correct == want.first_gap_correct
+    assert got.final_pq == want.final_pq
+
+
 _BLOBS_3D = SceneSpec(kind="random-blobs", dims=(10, 12, 9), cell_size=5, n_blobs=4, seed=2)
 
 
@@ -40,16 +50,16 @@ def test_zero_iterations_gives_initial_uniform_loss():
     g, y = _scene_target()
     cfg = TrainConfig(loss="ce", iterations=0, init_noise=0.0)
     trace = train(y, g, cfg)
-    assert len(trace.records) == 1
+    assert len(trace.columns["iteration"]) == 1
     # uniform probabilities: CE = log(channels)
-    assert trace.records[0].total == pytest.approx(np.log(4.0), abs=1e-12)
+    assert trace.columns["total"][0] == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_loss_non_increasing_at_default_step():
     g, y = _scene_target()
     cfg = TrainConfig(loss="jc", iterations=300, log_every=50, seed=1)
     trace = train(y, g, cfg)
-    totals = trace.column("total")
+    totals = trace.columns["total"]
     assert np.all(np.diff(totals) <= 1e-12)
 
 
@@ -58,9 +68,9 @@ def test_trace_deterministic_per_seed():
     cfg = TrainConfig(loss="jc", iterations=100, seed=5)
     a = train(y, g, cfg)
     b = train(y, g, cfg)
-    assert np.array_equal(a.column("total"), b.column("total"))
+    assert np.array_equal(a.columns["total"], b.columns["total"])
     c = train(y, g, TrainConfig(loss="jc", iterations=100, seed=6))
-    assert not np.array_equal(a.column("total"), c.column("total"))
+    assert not np.array_equal(a.columns["total"], c.columns["total"])
 
 
 def test_jc_reaches_perfect_panoptic_quality():
@@ -84,7 +94,7 @@ def test_adam_optimizer_descends():
     g, y = _scene_target()
     cfg = TrainConfig(loss="jc", iterations=200, optimizer="adam", seed=2)
     trace = train(y, g, cfg)
-    assert trace.records[-1].total < trace.records[0].total
+    assert trace.columns["total"][-1] < trace.columns["total"][0]
 
 
 def test_config_validation():
@@ -105,9 +115,10 @@ def test_config_validation():
 def test_components_recorded():
     g, y = _scene_target()
     trace = train(y, g, TrainConfig(loss="jc", iterations=10, log_every=5))
-    assert set(trace.records[0].components) == {"ce", "j"}
-    logged = [r for r in trace.records if r.pq is not None]
-    assert [r.iteration for r in logged] == [0, 5, 10]
+    columns = trace.columns
+    assert list(columns) == ["iteration", "total", "ce", "j", "grad_norm", "pq"]
+    logged = [it for it, pq in zip(columns["iteration"], columns["pq"]) if pq is not None]
+    assert logged == [0, 5, 10]
 
 
 def test_overflowing_loss_raises_train_diverged_with_the_partial_trace():
@@ -119,7 +130,7 @@ def test_overflowing_loss_raises_train_diverged_with_the_partial_trace():
         with pytest.raises(TrainDiverged, match="iteration 0") as info:
             train(y, g, TrainConfig(loss="jc", iterations=5), weights=huge)
     assert value.components["j"] == np.inf
-    assert info.value.trace.records == ()
+    assert info.value.trace.columns == {}
 
 
 def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
@@ -129,8 +140,8 @@ def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(TrainDiverged, match="logits became non-finite at iteration 0") as info:
             train(y, g, TrainConfig(loss="jc", iterations=5, step_size=100.0), weights=huge)
-    (record,) = info.value.trace.records
-    assert record.iteration == 0 and np.isfinite(record.total)
+    columns = info.value.trace.columns
+    assert columns["iteration"].tolist() == [0] and np.isfinite(columns["total"]).all()
 
 
 def test_non_finite_gradient_raises_train_diverged(monkeypatch):
@@ -159,15 +170,8 @@ def test_train_equals_the_evaluate_loss_loop(loss, optimizer, spec):
     for weights in (None, random):
         got = train(y, g, cfg, weights)
         want = evaluate_loss_train(y, g, cfg, weights)
-        assert len(got.records) == len(want.records) == 61
-        for a, b in zip(got.records, want.records):
-            assert a.iteration == b.iteration
-            assert a.total == b.total
-            assert a.components == b.components
-            assert a.grad_norm == b.grad_norm
-            assert a.pq == b.pq
-        assert got.first_gap_correct == want.first_gap_correct
-        assert got.final_pq == want.final_pq
+        assert len(got.columns["iteration"]) == 61
+        _assert_same_trace(got, want)
 
 
 @pytest.mark.parametrize("optimizer", ["gd", "adam"])
@@ -179,7 +183,7 @@ def test_back_to_back_runs_give_equal_traces(optimizer):
     first = train(y, g, cfg)
     train(y, g, TrainConfig(loss="dsc", iterations=7, seed=5, optimizer=optimizer))
     again = train(y, g, cfg)
-    assert again == first
+    _assert_same_trace(again, first)
 
 
 def test_steady_state_steps_allocate_less_than_one_field(monkeypatch):
@@ -220,23 +224,23 @@ def test_train_checks_its_inputs_in_one_evaluate_loss_call(monkeypatch, iteratio
     monkeypatch.setattr(module, "evaluate_loss", counting)
     g, y = _scene_target()
     trace = train(y, g, TrainConfig(loss="jc", iterations=iterations, log_every=5))
-    assert len(trace.records) == iterations + 1
+    assert len(trace.columns["iteration"]) == iterations + 1
     assert calls == ["jc"]
 
 
 def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
     module = importlib.import_module("jseg.train")
-    record, made = module.TrainRecord, []
+    step, steps = module._logit_gradient, []
 
-    def recording(*args, **kwargs):
-        made.append(kwargs)
-        return record(*args, **kwargs)
+    def counting(*args, **kwargs):
+        steps.append(args)
+        return step(*args, **kwargs)
 
     g, y = _scene_target()
-    monkeypatch.setattr(module, "TrainRecord", recording)
+    monkeypatch.setattr(module, "_logit_gradient", counting)
     with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
         train(y, g, TrainConfig(loss="jc", iterations=5), weights=PairWeights.default(3))
-    assert made == []
+    assert steps == []
 
 
 def test_pair_weights_as_a_bare_array_are_a_type_error():
@@ -276,7 +280,7 @@ def test_targets_without_a_gap_element_report_no_gap_iteration():
     for channels in (3, 4):
         trace = train(one_hot(semantic, channels), g, TrainConfig(loss="jc", iterations=20))
         assert trace.first_gap_correct is None
-        assert len(trace.records) == 21
+        assert len(trace.columns["iteration"]) == 21
 
 
 def _mismatched_train():

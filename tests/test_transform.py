@@ -206,6 +206,17 @@ def test_touching_radius_beyond_the_grid_gives_the_whole_grid_mask(dims):
     assert np.array_equal(got, brute_semantic(labels, whole, 1))
 
 
+@pytest.mark.parametrize("dims", [(5, 3, 4), (7, 2), (3, 9)])
+@pytest.mark.parametrize("k", [5, 10**6])
+def test_touching_radius_past_the_shortest_axis_matches_the_reference(dims, k):
+    # Unequal axes: the radius passes the shortest one, so the reference
+    # shifts by offsets longer than that axis.
+    rng = np.random.default_rng(sum(dims))
+    labels = rng.integers(0, 4, size=dims).astype(np.int32)
+    got = to_semantic(InstanceLabelMap(labels), TransformConfig(k=k, gap_radius=1)).classes
+    assert np.array_equal(got, brute_semantic(labels, min(k, max(dims)), 1))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_ball_footprint_holds_the_offsets_within_the_radius(d):
     for radius in range(1, 12):

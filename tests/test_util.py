@@ -3,7 +3,10 @@ the one CSV writer, checked against row-by-row reference writers for every
 CSV the package produces, and its one-pass form against separate writes."""
 
 import csv
+import dataclasses
 import struct
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jseg import (
+    LOSS_IDS,
     ImbalanceSimConfig,
+    LogitField,
+    ProbabilityField,
     SceneSpec,
     ShrinkwrapConfig,
     TrainConfig,
     TransformConfig,
+    evaluate_loss,
     generate_scene,
+    gradient_check,
     landscape_scan,
     mcc_j_correlation,
     one_hot,
@@ -44,6 +52,95 @@ def test_a_filled_workspace_array_is_filled_once_and_then_kept():
     assert np.all(np.signbit(fresh)) and fresh.flags.c_contiguous
 
 
+class _PoisonedNumpy:
+    """numpy, except that ``empty`` fills each array it makes with poison:
+    NaN for floats, True for bools, the most negative value for integers."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, **kwargs):
+        array = np.empty(shape, dtype, **kwargs)
+        kind = array.dtype.kind
+        array.fill(np.nan if kind in "fc" else True if kind == "b" else np.iinfo(array.dtype).min)
+        return array
+
+
+@pytest.fixture
+def poisoned(monkeypatch):
+    """Call a function with every array that ``Workspace.take`` and
+    ``scratch`` make filled with poison, so a read before a write shows."""
+
+    def call(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(_util, "np", _PoisonedNumpy())
+            return fn()
+
+    return call
+
+
+def _bits(value):
+    """``value`` as nested tuples that are equal only for equal bits."""
+    if isinstance(value, np.ndarray):
+        body = tuple(map(_bits, value.tolist())) if value.dtype == object else value.tobytes()
+        return value.dtype.str, value.shape, body
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return tuple((key, _bits(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return value
+
+
+def test_the_poison_reaches_every_new_workspace_and_scratch_array(poisoned):
+    def made():
+        ws = _util.Workspace()
+        like = np.zeros((2, 3))
+        return (ws.take("f", (2, 3)), ws.take("b", (4,), bool), ws.take("i", (4,), np.int64),
+                _util.scratch(None, "f", like), _util.scratch(ws, "b", like, bool),
+                ws.take("z", (2,), fill=-0.0), _util.scratch(None, "z", like, fill=1.0))
+
+    floats, bools, ints, fresh, fresh_bools, filled, fresh_filled = poisoned(made)
+    assert np.isnan(floats).all() and np.isnan(fresh).all()
+    assert bools.all() and fresh_bools.all() and (ints == np.iinfo(np.int64).min).all()
+    assert (filled == 0).all() and np.signbit(filled).all() and (fresh_filled == 1.0).all()
+
+
+def _poison_runs():
+    """The step loops and loss paths that write into workspace arrays."""
+    g = generate_scene(SceneSpec(kind="two-squares-notch", dims=(24, 16), cell_size=8))
+    y = one_hot(to_semantic(g, TransformConfig()), 4)
+    center = probs_to_logits(y, floor=1e-3)
+    theta = LogitField(np.random.default_rng(6).normal(size=y.values.shape))
+    probs = ProbabilityField(0.9 * y.values + 0.025)
+    runs = []
+    for loss in LOSS_IDS:
+        runs += [
+            partial(evaluate_loss, loss, y, theta),
+            partial(evaluate_loss, loss, y, probs),
+            partial(gradient_check, loss, seed=3, trials=2),
+            partial(landscape_scan, loss, y, center, seed=2, resolution=5, span=2.0),
+        ]
+        for optimizer in ("gd", "adam") if loss != "j" else ():
+            cfg = TrainConfig(loss=loss, iterations=25, log_every=6, seed=8, optimizer=optimizer)
+            runs.append(partial(train, y, g, cfg))
+    sw = ShrinkwrapConfig(scene=SceneSpec(kind="two-squares-notch", dims=(40, 28), cell_size=8),
+                          iterations=14, margin_start=4, iters_per_margin_step=2)
+    return runs + [partial(run_shrinkwrap, sw),
+                   partial(run_shrinkwrap, dataclasses.replace(sw, confidence_start=0.6))]
+
+
+def test_poisoned_workspaces_change_no_bit_of_any_result(poisoned):
+    # Every array a step reads is written first in that step, or filled
+    # when made: poison in the new arrays reaches no output.
+    for run in _poison_runs():
+        assert _bits(poisoned(run)) == _bits(run()), run
+
+
 # -- thread map ---------------------------------------------------------------
 
 
@@ -51,6 +148,29 @@ def test_ordered_thread_map_rejects_fewer_than_one_thread():
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads"):
             _util.ordered_thread_map(abs, [1, 2], threads)
+
+
+@pytest.mark.parametrize("threads", [float("nan"), 2.5, 1.0, "2"])
+def test_ordered_thread_map_rejects_a_thread_count_that_is_not_an_integer(threads):
+    # NaN once fails both ``< 1`` and ``== 1`` and built a pool that never
+    # returned, so the call runs on a daemon thread: a regression fails here.
+    outcome = []
+
+    def call():
+        try:
+            _util.ordered_thread_map(abs, [1, 2], threads)
+        except TypeError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), f"threads={threads!r} hung"
+    assert len(outcome) == 1 and isinstance(outcome[0], TypeError)
+
+
+def test_ordered_thread_map_takes_numpy_integers():
+    assert _util.ordered_thread_map(abs, [-1, -2, -3], np.int64(2)) == [1, 2, 3]
 
 
 def test_ordered_thread_map_caps_workers_at_item_count(monkeypatch):
@@ -287,9 +407,8 @@ def test_shrinkwrap_csv_matches_row_by_row(tmp_path):
         tmp_path / "sw_ref.csv",
         ["iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc"],
         [
-            [r["iteration"], r["margin"], _g(r["confidence"]), _g(r["ramp"])]
-            + [_g(r[c]) for c in ("grad_ce", "grad_j", "grad_jc")]
-            for r in trace.records
+            [t, margin, _g(confidence), _g(ramp)] + [_g(norm) for norm in norms]
+            for t, margin, confidence, ramp, *norms in zip(*trace.columns.values())
         ],
     )
     assert (tmp_path / "sw.csv").read_bytes() == (tmp_path / "sw_ref.csv").read_bytes()
@@ -341,15 +460,13 @@ def test_train_toy_csv_matches_row_by_row(tmp_path):
     scene = generate_scene(SceneSpec(kind="two-squares-notch", dims=(24, 16), seed=3))
     target = one_hot(to_semantic(scene, TransformConfig()), 4)
     trace = train(target, scene, TrainConfig(loss="jc", iterations=40, log_every=15, seed=3))
-    names = sorted(trace.records[0].components)
+    assert list(trace.columns) == ["iteration", "total", "ce", "j", "grad_norm", "pq"]
     _reference_csv(
         tmp_path / "trace_ref.csv",
-        ["iteration", "total"] + names + ["grad_norm", "pq"],
+        list(trace.columns),
         [
-            [rec.iteration, _g(rec.total)]
-            + [_g(rec.components[c]) for c in names]
-            + [_g(rec.grad_norm), "" if rec.pq is None else _g(rec.pq)]
-            for rec in trace.records
+            [it, _g(total), _g(ce), _g(j), _g(grad_norm), "" if pq is None else _g(pq)]
+            for it, total, ce, j, grad_norm, pq in zip(*trace.columns.values())
         ],
     )
     assert out.read_bytes() == (tmp_path / "trace_ref.csv").read_bytes()
