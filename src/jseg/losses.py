@@ -48,11 +48,11 @@ compute every term at every entry and every pair (kept in
   runs for its values.  The log is one ``np.log`` call on the pair
   vector, and the value and the diagonal of ``M`` are numpy sums over the
   C x C layout of the matrix form, so their order is numpy's.
-- **JC's sum happens at the target entries.**  JC adds the CE gradient at
-  the target entries into J's ``dz``, which J writes afresh each call;
-  off the target CE's ``dz`` is ``-0.0`` and ``x + -0.0 == x``.  DSC
-  subtracts its Dice term into an array of its own, so the CE array is
-  written only by its core.
+- **JC adds its two gradients in one place.**  JC adds CE's gradient
+  into J's ``dz``, which J writes afresh each call, with one ``np.add``,
+  as ``run_shrinkwrap`` does; off the target CE's ``dz`` is ``-0.0`` and
+  ``x + -0.0 == x``.  DSC subtracts its Dice term into an array of its
+  own, so the CE array is written only by its core.
 
 A caller that evaluates one target many times builds its core once
 (``_build_core``) and reuses it: :func:`evaluate_loss` per call,
@@ -162,19 +162,21 @@ class PairWeights:
 
 @dataclass(frozen=True)
 class LossValue:
-    """Scalar loss, its named parts, and (optionally) the logit gradient."""
+    """A loss's named parts and (optionally) its logit gradient; the total
+    is the sum of the parts."""
 
-    total: float
     components: dict[str, float] = field(default_factory=dict)
     gradient: np.ndarray | None = None
 
     def __post_init__(self):
-        if abs(self.total - sum(self.components.values())) > 1e-12 * max(1.0, abs(self.total)):
-            raise ValueError("total must equal the sum of the components")
         if self.gradient is not None:
             g = np.array(self.gradient, dtype=np.float64, order="C", copy=True)
             g.setflags(write=False)
             object.__setattr__(self, "gradient", g)
+
+    @property
+    def total(self) -> float:
+        return sum(self.components.values())
 
     @property
     def grad_norm(self) -> float:
@@ -216,9 +218,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     It runs at the target entries (see the module docstring): off the
     target ``w y`` is +0.0 and the clamped ``z`` positive, so the terms are
     ``-0.0`` there, and so is ``dz``.  A stack gathers item ``b``'s entries
-    at ``b * n * C`` past the field's, computed per call.  ``add_to``, a
-    C-order array shaped like a field, takes a field's gradient added into
-    it in place, and is returned as ``dz``.
+    at ``b * n * C`` past the field's, computed per call.
     """
     n = y.shape[0]
     wy = y if class_weights is None else class_weights * y
@@ -227,7 +227,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     neg_wy_at = -wy_at
     out_key = (name + ".out", object())  # this core's own array: -0.0 off its target
 
-    def ce(z, ws=None, add_to=None):
+    def ce(z, ws=None):
         if z.ndim == 2:
             idx, w = at, wy_at
         else:
@@ -251,12 +251,8 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
         clamp = np.less_equal(clamped, LOG_EPS, out=scratch(ws, name + ".clamp", at, bool))
         np.copyto(dz, -0.0, where=clamp)
         dz /= n
-        if add_to is None:
-            flat[at] = dz
-            return {name: value}, out
-        into = add_to.ravel()
-        into[at] = np.add(np.take(into, at, out=clamped, mode="wrap"), dz, out=clamped)
-        return {name: value}, add_to
+        flat[at] = dz
+        return {name: value}, out
 
     return ce
 
@@ -309,7 +305,7 @@ def _dsc_core(y, weights):
         term -= np.multiply(4.0 * inter, z, out=scratch(ws, "dsc.cross", z))
         term /= denom**2
         term *= share
-        return parts, np.subtract(dz, term, out=term)  # dz may be the ce core's own array
+        return parts, np.subtract(dz, term, out=term)  # dz is the ce core's own array
 
     return core
 
@@ -386,7 +382,9 @@ def _jc_core(y, weights):
 
     def core(z, ws=None):
         j_parts, j_dz = j(z, ws)
-        ce_parts, dz = ce(z, ws, add_to=j_dz)  # j writes its dz afresh each call
+        ce_parts, ce_dz = ce(z, ws)
+        # J writes its dz afresh each call; off the target CE's is -0.0.
+        dz = None if j_dz is None else np.add(j_dz, ce_dz, out=j_dz)
         return {**ce_parts, **j_parts}, dz
 
     return core
@@ -431,10 +429,8 @@ def evaluate_loss(
     if isinstance(pred, LogitField):
         parts, gradient, _ = _logit_gradient(core, pred.values)
     else:  # a stack of one: its values, no gradient
-        stack_parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
-        parts = {name: value[0] for name, value in stack_parts.items()}
-    components = {name: float(value) for name, value in parts.items()}
-    return LossValue(total=sum(components.values()), components=components, gradient=gradient)
+        parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
+    return LossValue({name: value.item() for name, value in parts.items()}, gradient)
 
 
 def _check_step(step: float) -> None:

@@ -180,18 +180,32 @@ def pearson(xs, ys) -> float:
     return float((dx * dy).sum() / np.sqrt(sx * sy))
 
 
+def _ranked(labels: InstanceLabelMap) -> tuple[np.ndarray, np.ndarray]:
+    """The flat labels as int64 ranks whose bincount grows with the element
+    count, and the label of each rank.  A map whose largest label exceeds
+    its element count is ranked among its labels and 0, which keeps rank 0;
+    any other map's labels are their own ranks."""
+    flat = labels.labels.ravel().astype(np.int64)
+    if (m := labels.m) <= flat.size:
+        return flat, np.arange(m + 1)
+    names, ranks = np.unique(np.append(0, flat), return_inverse=True)
+    return ranks[1:], names
+
+
 def match_instances(gt: InstanceLabelMap, pred: InstanceLabelMap) -> InstanceMatching:
     """All instance pairs with IoU strictly above one half.
 
     Background (label 0) is not an instance.  Strict ``> 0.5`` inherits the
     uniqueness guarantee: no label can clear one half with two partners.
+    Memory grows with the element count, whatever the largest label: labels
+    are matched by rank (see :func:`_ranked`), which keeps their order.
     """
     if gt.labels.shape != pred.labels.shape:
         raise ValueError(
             f"shape mismatch: gt {gt.labels.shape} vs prediction {pred.labels.shape}"
         )
-    g = gt.labels.ravel().astype(np.int64)
-    p = pred.labels.ravel().astype(np.int64)
+    g, names_g = _ranked(gt)
+    p, names_p = _ranked(pred)
     areas_g = np.bincount(g, minlength=1)
     areas_p = np.bincount(p, minlength=1)
     stride = len(areas_p)
@@ -205,9 +219,9 @@ def match_instances(gt: InstanceLabelMap, pred: InstanceLabelMap) -> InstanceMat
     lg, lp = lg[hit], lp[hit]
     areas_g[lg] = areas_p[lp] = 0  # the labels that still have an area are unmatched
     return InstanceMatching(
-        matches=tuple(zip(lg.tolist(), lp.tolist(), iou[hit].tolist())),
-        unmatched_gt=tuple((np.flatnonzero(areas_g[1:]) + 1).tolist()),
-        unmatched_pred=tuple((np.flatnonzero(areas_p[1:]) + 1).tolist()),
+        matches=tuple(zip(names_g[lg].tolist(), names_p[lp].tolist(), iou[hit].tolist())),
+        unmatched_gt=tuple(names_g[np.flatnonzero(areas_g[1:]) + 1].tolist()),
+        unmatched_pred=tuple(names_p[np.flatnonzero(areas_p[1:]) + 1].tolist()),
     )
 
 

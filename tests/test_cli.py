@@ -4,7 +4,6 @@ import dataclasses
 import inspect
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from jseg import (
 )
 from jseg.cli import _build_parser, _scene_from, _transform_from, dispatch
 from jseg.simulate import default_pi_grid
+from children import fresh_env, run_capped
 
 
 def run(*argv):
@@ -61,7 +61,7 @@ def test_scipy_is_imported_only_inside_postprocess_functions():
 
 def test_import_cli_leaves_scipy_ndimage_unloaded():
     code = "import sys, jseg.cli; print('scipy.ndimage' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True, timeout=120,
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), check=True, timeout=120,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "False"
 
@@ -294,17 +294,10 @@ def test_landscape_output_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _fresh_env(**extra: str) -> dict:
-    """The environment of a new interpreter that imports this ``jseg``."""
-    src = str(Path(jseg.__file__).resolve().parent.parent)
-    return dict(os.environ, **extra,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def _run_fresh(blas_threads: str, *argv: str) -> None:
     """Run ``jseg`` in a new interpreter under an OpenBLAS thread count, which
     OpenBLAS reads once, when numpy loads."""
-    env = _fresh_env(OPENBLAS_NUM_THREADS=blas_threads)
+    env = fresh_env(OPENBLAS_NUM_THREADS=blas_threads)
     subprocess.run([sys.executable, "-m", "jseg.cli", *argv], env=env, check=True, timeout=300)
 
 
@@ -664,24 +657,25 @@ def test_help_exits_zero_for_every_subcommand(capsys, name):
     assert "--out" in capsys.readouterr().out
 
 
-def _cap_address_space(limit: int = 3 * 2**30) -> None:
-    """Lower this process's own address-space limit; run in the child only."""
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+_OUT_OF_MEMORY = {
+    # 100000 x 100000 int32 labels: 37.3 GiB.
+    "gen-scene": ["gen-scene", "--dims", "100000", "100000"],
+    # A 20 x 10 scene padded by twice a radius of 10**6: 14.6 TiB of bool.
+    "transform": ["transform", "--in", "{scene}", "--gap-radius", "1000000"],
+    # 40000 x 40000 int32 labels: 5.96 GiB.
+    "train-toy": ["train-toy", "--dims", "40000", "40000", "--iterations", "1"],
+}
 
 
-def test_running_out_of_memory_is_a_data_error_not_a_traceback(tmp_path):
-    # 100000 x 100000 int32 labels ask numpy for 37.3 GiB.  The cap makes
-    # that a MemoryError in the child alone, not work for the OOM killer.
-    out = tmp_path / "scene.grd"
-    done = subprocess.run(
-        [sys.executable, "-m", "jseg.cli", "gen-scene", "--dims", "100000", "100000",
-         "--seed", "0", "--out", str(out)],
-        env=_fresh_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=_cap_address_space,
-        capture_output=True, text=True, timeout=120,
-    )
+@pytest.mark.parametrize("probe", sorted(_OUT_OF_MEMORY))
+def test_running_out_of_memory_is_a_data_error_not_a_traceback(tmp_path, probe):
+    scene = tmp_path / "scene.grd"
+    if probe == "transform":
+        assert run("gen-scene", "--dims", "20", "10", "--seed", "0", "--out", str(scene)) == 0
+    before = set(tmp_path.iterdir())
+    argv = [arg.format(scene=scene) for arg in _OUT_OF_MEMORY[probe]]
+    done = run_capped("-m", "jseg.cli", *argv, "--seed", "0", "--out", str(tmp_path / "out"))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("jseg: not enough memory: ")
     assert "Traceback" not in done.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert set(tmp_path.iterdir()) == before

@@ -98,6 +98,25 @@ def test_jc_additivity_on_random_fields():
         assert total == pytest.approx(parts, abs=1e-12)
 
 
+def test_jc_core_gives_the_bits_of_j_plus_ce():
+    rng = np.random.default_rng(27)
+    for dims in ((4, 4), (6, 5), (3, 3, 3)):
+        y = _random_one_hot(rng, dims).values.reshape(-1, 4)
+        z = softmax_values(rng.normal(size=(y.shape[0], 4)))
+        parts, dz = _build_core("jc", y, None)(z)
+        ce_parts, ce_dz = _build_core("ce", y, None)(z)
+        j_parts, j_dz = _build_core("j", y, None)(z)
+        assert parts == {**ce_parts, **j_parts}
+        assert (j_dz + ce_dz).tobytes() == dz.tobytes()
+
+
+def test_loss_value_total_is_the_sum_of_its_components():
+    assert LossValue({"ce": 0.5, "j": 0.25}).total == 0.75
+    rng = np.random.default_rng(28)
+    value = evaluate_loss("dsc", _random_one_hot(rng, (5, 4)), LogitField(rng.normal(size=(5, 4, 4))))
+    assert value.total == value.components["ce"] + value.components["dice"]
+
+
 def test_bwm_equals_ce_when_balanced():
     y = _field([[1, 0], [0, 1], [1, 0], [0, 1]])
     rng = np.random.default_rng(4)
@@ -649,8 +668,6 @@ def test_non_numeric_pair_weights_are_rejected(matrix):
          "pair weights must be finite and non-negative"),
         (lambda y, z: PairWeights(np.array([[0.0, np.inf], [1.0, 0.0]])), ValueError,
          "pair weights must be finite and non-negative"),
-        (lambda y, z: LossValue(total=1.0, components={"ce": 0.5}), ValueError,
-         "total must equal the sum of the components"),
         (lambda y, z: evaluate_loss("mse", y, z), ValueError, "unknown loss 'mse'"),
         (lambda y, z: evaluate_loss("ce", y.values, z), TypeError, "target must be a ProbabilityField"),
         (lambda y, z: evaluate_loss("ce", y, z.values), TypeError,

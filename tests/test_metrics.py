@@ -7,6 +7,7 @@ import pytest
 from jseg import (
     ConfusionCounts,
     InstanceLabelMap,
+    InstanceMatching,
     LogitField,
     ProbabilityField,
     binary_measures,
@@ -16,6 +17,7 @@ from jseg import (
     pearson,
 )
 from jseg.metrics import MEASURES
+from children import run_capped
 from oracles import brute_iou_table, pair_loop_matching, scalar_binary_measures, trial_measures
 
 
@@ -263,6 +265,47 @@ def test_matching_equals_the_pair_loop(dims):
             seen_matches += len(got.matches)
             seen_unmatched += len(got.unmatched_gt) + len(got.unmatched_pred)
     assert seen_matches > 0 and seen_unmatched > 0
+
+
+def _check_matching_at_the_largest_labels() -> None:
+    # Maps numbered 0..5, and the same maps with labels up to 2**31 - 1 on
+    # either side.  Labels enter a matching only through equality and order,
+    # so the pair loop's matching of the small maps, renamed through the
+    # increasing map between the numberings, is the matching of the large
+    # ones; the pair loop itself would bincount up to the largest label.
+    rng = np.random.default_rng(9)
+    top = 2**31 - 1
+    a = InstanceLabelMap([[0, 1], [top, 1]])
+    assert panoptic(a, a)["pq"] == 1.0
+    for dims in ((12, 10), (6, 5, 4)):
+        for _ in range(20):
+            large = np.concatenate([[0], top - np.sort(rng.choice(10**9, 5, replace=False))[::-1]])
+            coarse = rng.integers(0, 6, size=tuple((n + 1) // 2 for n in dims))
+            for axis in range(len(dims)):
+                coarse = coarse.repeat(2, axis)
+            gt = coarse[tuple(slice(n) for n in dims)]
+            kept = np.where(rng.random(dims) < 0.7, gt, rng.integers(0, 6, size=dims))
+            for pred in (kept, np.zeros(dims, np.int64), gt):
+                small = pair_loop_matching(InstanceLabelMap(gt), InstanceLabelMap(pred))
+                for name_g, name_p in itertools.product([large, np.arange(6)], repeat=2):
+                    got = match_instances(InstanceLabelMap(name_g[gt]), InstanceLabelMap(name_p[pred]))
+                    assert got == InstanceMatching(
+                        tuple((int(name_g[g]), int(name_p[p]), iou) for g, p, iou in small.matches),
+                        tuple(int(name_g[l]) for l in small.unmatched_gt),
+                        tuple(int(name_p[l]) for l in small.unmatched_pred),
+                    )
+                    assert all(list(map(type, m)) == [int, int, float] for m in got.matches)
+                    assert all(type(l) is int for l in got.unmatched_gt + got.unmatched_pred)
+                    table = brute_iou_table(name_g[gt], name_p[pred])
+                    assert {(g, p): iou for g, p, iou in got.matches} == {
+                        pair: iou for pair, iou in table.items() if iou > 0.5}
+
+
+def test_matching_memory_follows_the_data_not_the_largest_label():
+    # In a child under a 3 GiB cap: bincounting labels up to 2**31 - 1 asks
+    # for 16 GiB, and fails there with a MemoryError.
+    done = run_capped("-c", "import test_metrics; test_metrics._check_matching_at_the_largest_labels()")
+    assert done.returncode == 0, done.stderr
 
 
 def test_labels_appear_in_at_most_one_match():
