@@ -1,6 +1,6 @@
-"""Small shared helpers: deterministic thread mapping, seed derivation, the
-per-run workspace of the step loops, a thread-count-independent norm, the
-column table of a step loop's trace and the one CSV writer.
+"""Small shared helpers: deterministic thread mapping, seed derivation, a
+thread-count-independent norm, the column table of a step loop's trace
+and the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import os
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import TypeVar
@@ -49,59 +49,12 @@ def child_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-class Workspace:
-    """The arrays one run of a step loop reuses on every step.
-
-    A step that is handed a workspace writes each of its large
-    intermediates into ``scratch(ws, key, like)``: the array made for
-    ``key`` (shaped like ``like``) on the first step, the same one on every
-    later step.  So a run allocates its buffers once, and a step computes
-    the same ufuncs, in the same order, as one without a workspace, which
-    gets a fresh C-order array from ``scratch`` per call.
-    A workspace belongs to one run on one thread; the functions that take
-    one keep no state of their own.
-    """
-
-    def __init__(self):
-        self._arrays: dict[tuple, np.ndarray] = {}
-
-    def take(
-        self, key: Hashable, shape: tuple[int, ...], dtype=np.float64, fill=None
-    ) -> np.ndarray:
-        """The array for ``key`` of this shape and dtype, made on first use.
-
-        With ``fill`` the array is filled with that value when it is made,
-        and only then: a caller that writes part of it on every step keeps
-        the rest as filled.  Such an array holds what one caller put there,
-        so its key must belong to that caller alone, e.g. a tuple holding
-        an ``object()`` of its own.
-        """
-        slot = (key, shape, dtype)
-        array = self._arrays.get(slot)
-        if array is None:
-            array = self._arrays[slot] = np.empty(shape, dtype)
-            if fill is not None:
-                array.fill(fill)
-        return array
-
-
-def scratch(ws: Workspace | None, key: Hashable, like: np.ndarray, dtype=np.float64,
-            fill=None) -> np.ndarray:
-    """``ws``'s array for ``key`` shaped like ``like``, or a fresh one
-    without a workspace: a C-order array either way, so that a ufunc
-    writing into it as ``out`` leaves C-order output, whatever its
-    ``order`` of iteration.  ``fill`` fills a fresh array, and a workspace
-    array when it is made (:meth:`Workspace.take`)."""
-    if ws is not None:
-        return ws.take(key, like.shape, dtype, fill)
-    return np.empty(like.shape, dtype) if fill is None else np.full(like.shape, fill, dtype)
-
-
-def l2_norm(x: np.ndarray, ws: Workspace | None = None) -> float:
+def l2_norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
     """Euclidean norm of all entries by numpy's pairwise sum; unlike the BLAS
     dot of ``np.linalg.norm``, its last bit does not depend on the number of
-    BLAS threads.  The squares go to ``ws``'s scratch array when given."""
-    return float(np.sqrt(np.square(x, out=scratch(ws, "l2_norm", x)).sum()))
+    BLAS threads.  The squares go to ``out`` when given, a C-order array
+    shaped like ``x``, and else to a fresh one."""
+    return float(np.sqrt(np.square(x, out=np.empty(x.shape) if out is None else out).sum()))
 
 
 def _quote(cell: str) -> str:

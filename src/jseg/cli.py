@@ -57,24 +57,27 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-def _scene_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=[TWO_SQUARES_NOTCH, RANDOM_BLOBS], default=TWO_SQUARES_NOTCH)
+def _scene_args(p: argparse.ArgumentParser, kinds: bool = True) -> None:
+    """The scene flags; without ``kinds``, only the two-squares-notch
+    scene's, leaving out ``--kind`` and ``--blobs``."""
+    if kinds:
+        p.add_argument("--kind", choices=[TWO_SQUARES_NOTCH, RANDOM_BLOBS], default=TWO_SQUARES_NOTCH)
+        p.add_argument("--blobs", type=int, default=SceneSpec.n_blobs)
     p.add_argument("--dims", type=int, nargs="+", default=[24, 16], help="grid extent per axis")
     p.add_argument("--cell-size", type=int, default=SceneSpec.cell_size)
     p.add_argument("--notch-width", type=int, default=SceneSpec.notch_width)
     p.add_argument("--notch-length", type=int, default=SceneSpec.notch_length)
-    p.add_argument("--blobs", type=int, default=SceneSpec.n_blobs)
 
 
 def _scene_from(args) -> SceneSpec:
     return SceneSpec(
-        kind=args.kind,
+        kind=vars(args).get("kind", TWO_SQUARES_NOTCH),
         dims=tuple(args.dims),
         cell_size=args.cell_size,
         notch_width=args.notch_width,
         notch_length=args.notch_length,
         seed=args.seed,
-        n_blobs=args.blobs,
+        n_blobs=vars(args).get("blobs", SceneSpec.n_blobs),
     )
 
 
@@ -304,8 +307,8 @@ def _build_parser() -> _Parser:
 
     p = _command(sub, "sim-shrinkwrap", _cmd_sim_shrinkwrap, "prescribed shrinkwrap trajectory",
                  "trajectory CSV path")
-    _scene_args(p)
-    p.set_defaults(kind=ShrinkwrapConfig.scene.kind, dims=list(ShrinkwrapConfig.scene.dims))
+    _scene_args(p, kinds=False)
+    p.set_defaults(dims=list(ShrinkwrapConfig.scene.dims))
     p.add_argument("--iterations", type=int, default=ShrinkwrapConfig.iterations)
     p.add_argument("--margin", type=int, default=ShrinkwrapConfig.margin_start)
     p.add_argument("--iters-per-step", type=int, default=ShrinkwrapConfig.iters_per_margin_step)

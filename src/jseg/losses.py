@@ -17,7 +17,7 @@ boundaries.
 Each loss has one core on bare arrays, built per target:
 ``_CORES[id](y, weights)`` takes the ``(n, C)`` target with its spatial
 axes flattened, does the target-side work once (class counts, presence,
-``phi``, the pair mask, class weights) and returns ``core(z, ws=None)``,
+``phi``, the pair mask, class weights) and returns ``core(z)``,
 which has two modes:
 
 - an ``(n, C)`` field of probabilities gives ``(components, dL/dz)``: the
@@ -39,9 +39,8 @@ compute every term at every entry and every pair (kept in
   ``-0.0``, so the core gathers ``z`` at the ``n`` target entries, found
   once per target (per item of a stack, at an offset computed per call),
   and takes the clamp, log and division there.  Value and ``dz`` go in
-  turn into one array that holds ``-0.0`` off the target (filled once,
-  see :meth:`~jseg._util.Workspace.take`); the value is summed over all
-  of it.
+  turn into one array that holds ``-0.0`` off the target (filled once
+  per core for a field, see below); the value is summed over all of it.
 - **The J tail in scalars.**  On a field, after ``S = phi^T z`` the pair
   terms run on the pair list, precomputed per target, in Python floats:
   the same IEEE operations per pair as the matrix form, which a stack
@@ -59,30 +58,33 @@ A caller that evaluates one target many times builds its core once
 :func:`gradient_check` per trial (for the analytic and the
 finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
-paths: ``_logit_gradient`` for one field with its logit gradient
-(softmax, core, softmax pull-back), and ``_stack_totals`` for the loss
-totals of a stack of fields.  Only ``run_shrinkwrap``
-runs cores its own way, as it needs the ce and j gradients apart from one
-softmax.
+paths: a ``_LogitStep`` for one field with its logit gradient (softmax,
+core, softmax pull-back), and ``_stack_totals`` for the loss totals of a
+stack of fields.  Only ``run_shrinkwrap`` runs cores its own way, between
+its step's softmax and pull-back, as it needs the ce and j gradients
+apart from one softmax.
 
-The step loops, ``train`` and ``run_shrinkwrap``, make one
-:class:`~jseg._util.Workspace` per run and pass it as ``ws`` to the
-softmax, the cores, the pull-back and the norm, which then write every
-element-sized intermediate into its arrays with ``out=`` and in-place
-ufuncs: the same ufuncs in the same order as without one, so the same
-bits, and no large allocation after the first step (tested at 96²: a
-step's peak is below 0.3 of one field).  Every other caller
-passes no workspace and gets fresh C-order arrays from ``scratch``, so
-every ``out`` is C-order either way.  The softmax and its pull-back rely
-on that: their lane operations, which broadcast one value per row over
-the channels, run on the flattened ``(rows, C)`` view that every caller
-passes and, on large fields, iterate down the rows (``order="F"``, see
-:func:`~jseg.grids.lane_order`).  That gives each element the same ufunc
-on the same operands, so the same bits, but left to allocate it would
-return F-order output, whose sums run in another order.  A core holds
-only its target-side arrays, which it never writes, so one core can run
-on several threads at once (``landscape_scan`` does); the buffers belong
-to the run.
+A ``_LogitStep`` is built once per logit array: per run by the step
+loops, ``train`` and ``run_shrinkwrap``, and per call by
+:func:`evaluate_loss` and per trial by :func:`gradient_check`.  It makes
+the softmax output, the pull-back array, their channel views, the norm's
+squares and the finiteness mask once, and each core makes its field
+mode's arrays when it is built: CE its ``-0.0``-filled output, the
+gather, the terms and the clamp mask, J its ``dz``, DSC its two arrays.
+So every step writes the same arrays with ``out=`` and in-place ufuncs:
+the same ufuncs in the same order on the same operands as on fresh
+arrays, so the same bits, and no large allocation after the first step
+(tested at 24×16 and 96²: a step's peak is below 0.3 of one field).  A
+stack runs on fresh arrays each call.  Every array is C-order, so every
+sum runs in one order, and the lane operations of the softmax and its
+pull-back, which apply one value per element to every channel, run one
+channel view at a time (:func:`~jseg.grids.lane_op`): per element the
+same ufunc on the same operands as a broadcast, so the same bits, with
+no buffer of numpy's own.  A core's field mode writes its own arrays, so
+a core runs one field at a time, and the gradient it returns holds until
+its next field call; its stack mode writes nothing the core holds, so
+one core can run stacks on several threads at once (``landscape_scan``
+does).
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
 and the size of the pair weights.  Building a core checks nothing but the
@@ -100,9 +102,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import Workspace, l2_norm, scratch
-from .grids import (LogitField, ProbabilityField, SemanticLabelMap, fold_channels, lane_order,
-                    one_hot, softmax_values)
+from ._util import l2_norm
+from .grids import (BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, channel_views,
+                    fold_views, lane_op, one_hot, softmax_values)
 
 __all__ = [
     "LOG_EPS",
@@ -185,30 +187,56 @@ class LossValue:
         return l2_norm(self.gradient)
 
 
-def _softmax_vjp(z: np.ndarray, dz: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """Pull a gradient in probabilities back through softmax to the logits:
-    ``z * (dz - sum_c dz_c z_c)``, in ``ws``'s arrays when given.
+class _LogitStep:
+    """One logit array's way through a prepared core, on arrays made once.
 
-    The lane operation ``dz - sum`` iterates in
-    :func:`~jseg.grids.lane_order` into a C-order ``out``: on the flattened
-    ``(rows, C)`` arrays its callers pass, the bits of numpy's default
-    order in about half the time at 96²."""
-    pulled = np.multiply(dz, z, out=scratch(ws, "vjp", z))
-    np.subtract(dz, fold_channels(np.add, pulled, scratch(ws, "vjp.sum", z[..., :1])),
-                out=pulled, order=lane_order(z))
-    return np.multiply(z, pulled, out=pulled)
+    ``theta`` is a C-order logit array, which the caller may change in
+    place between calls.  A call runs the softmax
+    (:class:`~jseg.grids.BoundSoftmax`), the core and the pull-back on the
+    flattened ``(n, C)`` view of ``theta`` and returns ``(parts,
+    dL/dtheta, z)``, ``z`` the softmax as ``(n, C)`` probabilities.  The
+    softmax output, the pull-back array and their channel views, the
+    norm's squares and the finiteness mask are made here, so every call
+    writes the same arrays: the returned gradient and ``z`` hold until the
+    next call.  A caller that runs its cores itself (``run_shrinkwrap``)
+    passes no core and calls :attr:`softmax` and :meth:`pull_back`.
+    """
 
+    def __init__(self, core, theta: np.ndarray):
+        self.core, self.theta = core, theta
+        flat = theta.reshape(-1, theta.shape[-1])
+        self.softmax = BoundSoftmax(flat)
+        self._pulled = np.empty(flat.shape)
+        self._pulled_views = channel_views(self._pulled)
+        self.gradient = self._pulled.reshape(theta.shape)
+        self._squares = np.empty(theta.shape)
+        self._finite = np.empty(theta.shape, bool)
 
-def _logit_gradient(
-    core, theta: np.ndarray, ws: Workspace | None = None
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Run a prepared core at bare logits: ``(parts, dL/dtheta, z)``,
-    through softmax, the core and the pull-back, all on the flattened
-    ``(n, C)`` view, with every intermediate in ``ws``'s arrays when given.
-    ``z`` is the softmax of ``theta`` as ``(n, C)`` probabilities."""
-    z = softmax_values(theta.reshape(-1, theta.shape[-1]), ws)
-    parts, dz = core(z, ws)
-    return parts, _softmax_vjp(z, dz, ws).reshape(theta.shape), z
+    def __call__(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        z = self.softmax()
+        parts, dz = self.core(z)
+        return parts, self.pull_back(dz), z
+
+    def pull_back(self, dz: np.ndarray) -> np.ndarray:
+        """Pull an ``(n, C)`` gradient in the last softmax's probabilities
+        back to the logits: ``z * (dz - sum_c dz_c z_c)``, into
+        :attr:`gradient`, with the lane operation ``dz - sum`` channel by
+        channel (:func:`~jseg.grids.lane_op`).  The sum goes to the
+        softmax's lane, which its output no longer needs."""
+        z, lane, views = self.softmax.out, self.softmax.lane, self._pulled_views
+        pulled = np.multiply(dz, z, out=self._pulled)
+        fold_views(np.add, views, lane)
+        lane_op(np.subtract, channel_views(dz), lane, views)
+        np.multiply(z, pulled, out=pulled)
+        return self.gradient
+
+    def norm(self, x: np.ndarray) -> float:
+        """:func:`~jseg._util.l2_norm` of a ``theta``-shaped array."""
+        return l2_norm(x, self._squares)
+
+    def logits_finite(self) -> bool:
+        """Whether every entry of ``theta`` is finite."""
+        return bool(np.isfinite(self.theta, out=self._finite).all())
 
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
@@ -225,21 +253,23 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     at = np.flatnonzero(y.ravel())  # the flat index of each element's target entry
     wy_at = wy.ravel()[at]
     neg_wy_at = -wy_at
-    out_key = (name + ".out", object())  # this core's own array: -0.0 off its target
+    out = np.full(y.shape, -0.0)  # the field's output: -0.0 off the target for good
+    field = out, out.ravel(), np.empty(n), np.empty(n), np.empty(n, bool)
 
-    def ce(z, ws=None):
+    def ce(z):
         if z.ndim == 2:
+            out, flat, gathered, terms, clamp = field
             idx, w = at, wy_at
         else:
             idx = (np.arange(len(z))[:, None] * y.size + at).ravel()
             w = np.tile(wy_at, len(z))
-        out = scratch(ws, out_key, z, fill=-0.0)
-        flat = out.ravel()
+            out = np.full(z.shape, -0.0)
+            flat, gathered, terms = out.ravel(), np.empty(idx.shape), np.empty(idx.shape)
         # The indices are in range; any mode but the default "raise" takes
         # straight into the buffer instead of through a copy.
-        gathered = np.take(z.ravel(), idx, out=scratch(ws, name + ".at", idx), mode="wrap")
+        np.take(z.ravel(), idx, out=gathered, mode="wrap")
         clamped = np.maximum(gathered, LOG_EPS, out=gathered)
-        terms = np.log(clamped, out=scratch(ws, name + ".terms", idx))
+        np.log(clamped, out=terms)
         flat[idx] = np.multiply(w, terms, out=terms)
         value = -out.sum(axis=(-2, -1)) / n
         if z.ndim > 2:
@@ -248,7 +278,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
         # Below the clamp the log is constant, so dz is zero there: -0.0, the
         # sign of 0.0 times dz = -w y / LOG_EPS <= 0.  z <= LOG_EPS exactly
         # where its clamp is LOG_EPS.
-        clamp = np.less_equal(clamped, LOG_EPS, out=scratch(ws, name + ".clamp", at, bool))
+        np.less_equal(clamped, LOG_EPS, out=clamp)
         np.copyto(dz, -0.0, where=clamp)
         dz /= n
         flat[at] = dz
@@ -288,10 +318,11 @@ def _dsc_core(y, weights):
     present = counts > 0
     share = present / np.count_nonzero(present)  # mean over present classes
     two_y = 2.0 * y
+    field = np.empty(y.shape), np.empty(y.shape)  # a field's product and cross terms
 
-    def core(z, ws=None):
-        parts, dz = ce(z, ws)
-        product = scratch(ws, "dsc.product", z)
+    def core(z):
+        parts, dz = ce(z)
+        product, cross = field if dz is not None else (np.empty(z.shape), None)
         inter = np.multiply(z, y, out=product).sum(axis=-2)[..., None, :]
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
         squares = np.multiply(z, z, out=product).sum(axis=-2)
@@ -302,7 +333,7 @@ def _dsc_core(y, weights):
             return parts, None
         # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
         term = np.multiply(two_y, denom, out=product)
-        term -= np.multiply(4.0 * inter, z, out=scratch(ws, "dsc.cross", z))
+        term -= np.multiply(4.0 * inter, z, out=cross)
         term /= denom**2
         term *= share
         return parts, np.subtract(dz, term, out=term)  # dz is the ce core's own array
@@ -342,8 +373,9 @@ def _j_core(y, weights):
     value_p = [(i * channels + k, float(lam[i, k])) for i, k in ik]
     grad_p = [(i * channels + k, k * channels + i, float(half_lam[i, k]), float(n[i]), float(n[k]))
               for i, k in ik]
+    dz = np.empty(y.shape)  # a field's gradient
 
-    def core(z, ws=None):
+    def core(z):
         if z.ndim > 2:
             s = phi_t @ z  # s[..., l, m] = sum_p phi_l(p) z_m(p)
             a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
@@ -370,7 +402,7 @@ def _j_core(y, weights):
         for i, row_sum in enumerate(row_sums):
             m[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
         m = np.array(m).reshape(channels, channels)
-        return {"j": value}, np.matmul(y, m, out=scratch(ws, "j.dz", z))
+        return {"j": value}, np.matmul(y, m, out=dz)
 
     return core
 
@@ -380,9 +412,9 @@ def _jc_core(y, weights):
     ce = _ce_core(y, None)
     j = _j_core(y, weights)
 
-    def core(z, ws=None):
-        j_parts, j_dz = j(z, ws)
-        ce_parts, ce_dz = ce(z, ws)
+    def core(z):
+        j_parts, j_dz = j(z)
+        ce_parts, ce_dz = ce(z)
         # J writes its dz afresh each call; off the target CE's is -0.0.
         dz = None if j_dz is None else np.add(j_dz, ce_dz, out=j_dz)
         return {**ce_parts, **j_parts}, dz
@@ -427,7 +459,7 @@ def evaluate_loss(
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
     core = _build_core(loss_id, y, weights)
     if isinstance(pred, LogitField):
-        parts, gradient, _ = _logit_gradient(core, pred.values)
+        parts, gradient, _ = _LogitStep(core, pred.values)()
     else:  # a stack of one: its values, no gradient
         parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
     return LossValue({name: value.item() for name, value in parts.items()}, gradient)
@@ -516,7 +548,7 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
         theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
 
         core = _build_core(loss_id, y, None)
-        analytic = _logit_gradient(core, theta)[1]
+        analytic = _LogitStep(core, theta)()[1]
         numeric = finite_difference_gradient(_stack_totals(core), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())

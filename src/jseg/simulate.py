@@ -25,14 +25,15 @@ Everything is deterministic per seed, independent of thread count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _util
-from ._util import Workspace, child_rng, columns, l2_norm, ordered_thread_map
-from .grids import LogitField, ProbabilityField, logit_values, one_hot, softmax_values
-from .losses import FD_CHUNK_ELEMENTS, _build_core, _softmax_vjp, _stack_totals, evaluate_loss
+from ._util import child_rng, columns, l2_norm, ordered_thread_map
+from .grids import LogitField, ProbabilityField, logit_values, one_hot
+from .losses import FD_CHUNK_ELEMENTS, _build_core, _LogitStep, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
 from .transform import CELL, TransformConfig, to_semantic
@@ -255,7 +256,9 @@ class ShrinkwrapConfig:
     mask, background outside), the remainder spread uniformly; ``c`` moves
     linearly from ``confidence_start`` to ``confidence_final``.  Once the
     margin hits zero the per-element probabilities move linearly to the
-    exact one-hot ground truth over the remaining iterations.
+    exact one-hot ground truth over the remaining iterations.  The three
+    integer settings must be integers (``operator.index``): 1.5 raises
+    ``TypeError``.
     """
 
     scene: SceneSpec = SceneSpec(kind=TWO_SQUARES_NOTCH, dims=(80, 56), cell_size=8, seed=0)
@@ -267,6 +270,8 @@ class ShrinkwrapConfig:
     transform: TransformConfig = TransformConfig()
 
     def __post_init__(self):
+        for name in ("iterations", "margin_start", "iters_per_margin_step"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.margin_start < 1:
             raise ValueError("initial margin must be >= 1")
         if not 0.25 < self.confidence_start <= self.confidence_final < 1.0:
@@ -360,8 +365,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
     softmax pull-back as the jc core sums it, so all three norms equal
     ``evaluate_loss(...).grad_norm`` bit for bit.  Every step writes its
-    fields into the arrays of one :class:`~jseg._util.Workspace` made for
-    the run.
+    fields into arrays made once for the run, and runs the softmax and
+    the three pull-backs on one ``_LogitStep`` built on the logit array.
 
     Each step keeps one tuple, its row of the CSV, and the trace holds
     their columns (:func:`~jseg._util.columns`).  A step's field depends
@@ -385,8 +390,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     t_shrink = cfg.shrink_iterations
     ramp_len = cfg.iterations - t_shrink
 
-    ws = Workspace()
-    z = ws.take("field", y.shape)
+    z, ramp_terms, jc_dz, logits = (np.empty(y.shape) for _ in range(4))
+    step = _LogitStep(None, logits)
     rows: list[tuple] = []  # one per step, in the order of SHRINKWRAP_HEADER
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
@@ -412,12 +417,12 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
                 z_at_shrinkwrap = z.copy()
         else:
             np.multiply(z_at_shrinkwrap, 1.0 - ramp, out=z)
-            z += np.multiply(y, ramp, out=ws.take("ramp", y.shape))
-        s = softmax_values(logit_values(z, ws=ws), ws)
-        ce_dz = ce_core(s, ws)[1]
-        j_dz = j_core(s, ws)[1]
-        jc_dz = np.add(ce_dz, j_dz, out=ws.take("jc.dz", y.shape))
-        norms = (l2_norm(_softmax_vjp(s, dz, ws), ws) for dz in (ce_dz, j_dz, jc_dz))
+            z += np.multiply(y, ramp, out=ramp_terms)
+        logit_values(z, out=logits)
+        s = step.softmax()
+        ce_dz, j_dz = ce_core(s)[1], j_core(s)[1]
+        np.add(ce_dz, j_dz, out=jc_dz)
+        norms = (step.norm(step.pull_back(dz)) for dz in (ce_dz, j_dz, jc_dz))
         rows.append((t, *state, *norms))
 
     return ShrinkwrapTrace(columns(SHRINKWRAP_HEADER, rows), shrinkwrap_index=t_shrink - 1)

@@ -9,14 +9,15 @@ element of the target is classified correctly under MAP.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import Workspace, child_rng, columns, l2_norm
+from ._util import child_rng, columns
 from .grids import InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, argmax_channels
-from .losses import LOSS_IDS, PairWeights, _build_core, _logit_gradient, evaluate_loss
+from .losses import LOSS_IDS, PairWeights, _build_core, _LogitStep, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
 from .transform import BACKGROUND, GAP
@@ -40,7 +41,8 @@ class TrainConfig:
     is exactly uniform and a single descent step already classifies every
     element correctly, which makes timing comparisons between losses
     degenerate; a small noise level gives every loss actual work to do and
-    gives the seed its role.
+    gives the seed its role.  ``iterations`` and ``log_every`` must be
+    integers (``operator.index``): 1.5 raises ``TypeError``.
     """
 
     loss: str = "jc"
@@ -52,6 +54,8 @@ class TrainConfig:
     init_noise: float = 0.5
 
     def __post_init__(self):
+        for name in ("iterations", "log_every"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not self.step_size > 0:  # written so that NaN fails too
@@ -90,22 +94,19 @@ class TrainDiverged(RuntimeError):
 
 
 class _Adam:
-    """Adam for one run, with the ``_ADAM_*`` settings: its moments and its
-    one scratch array are made at the first step and updated in place after
-    that."""
+    """Adam for one run on arrays shaped like ``like``, with the ``_ADAM_*``
+    settings: its moments and its one scratch array are made here and
+    updated in place by every step."""
 
-    def __init__(self):
-        self.m = self.v = self.scratch = None
+    def __init__(self, like: np.ndarray):
+        self.m, self.v = np.zeros_like(like), np.zeros_like(like)
+        self.scratch = np.empty_like(like)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """``theta -= lr * m_hat / (sqrt(v_hat) + eps)`` in place, after
         ``m = beta1 m + (1 - beta1) grad`` and ``v = beta2 v + (1 - beta2)
         grad**2``; ``grad`` is overwritten."""
-        if self.m is None:
-            self.m = np.zeros_like(grad)
-            self.v = np.zeros_like(grad)
-            self.scratch = np.empty_like(grad)
         self.t += 1
         self.m *= _ADAM_BETA1
         self.m += np.multiply(grad, 1 - _ADAM_BETA1, out=self.scratch)
@@ -164,13 +165,13 @@ def train(
 
     One checked :func:`evaluate_loss` call before the loop checks the
     target, its shape against the logits and the pair weights; its value is
-    not used.  Every iteration, the first included, then runs the loss core
-    built once for the target on the bare logit array (softmax, core,
-    softmax pull-back), with no container and no gradient copy; the logits
-    are checked for finiteness after every update instead.  Each step writes
-    its element-sized intermediates, the update of the logits in place
-    included, into the arrays of one :class:`~jseg._util.Workspace` made
-    for the run, so the steps allocate no large array.  The output is
+    not used.  Every iteration, the first included, then runs one
+    ``_LogitStep``, built once for the run from the target's loss core and
+    the logit array: softmax, core and softmax pull-back on the bare
+    logits, with no container and no gradient copy; the logits are checked
+    for finiteness after every update instead.  The step's arrays and
+    channel views are made once, and the update writes the logits in
+    place, so the steps allocate no large array.  The output is
     byte-identical to an :func:`evaluate_loss` call per iteration.
 
     The measurement pipeline sends gap elements straight to background:
@@ -196,10 +197,9 @@ def train(
         theta += cfg.init_noise * rng.standard_normal(shape)
 
     gap_correct = _gap_check(target)
-    adam = _Adam() if cfg.optimizer == "adam" else None
+    adam = _Adam(theta) if cfg.optimizer == "adam" else None
     evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
-    core = _build_core(cfg.loss, target.values, weights)
-    ws = Workspace()
+    step = _LogitStep(_build_core(cfg.loss, target.values, weights), theta)
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
@@ -229,7 +229,7 @@ def train(
         )
 
     for it in range(cfg.iterations + 1):
-        parts, grad, probs = _logit_gradient(core, theta, ws)
+        parts, grad, probs = step()
         values = [float(value) for value in parts.values()]
         total = sum(values)
         if not np.isfinite(total):
@@ -240,7 +240,7 @@ def train(
         pq = None
         if it % cfg.log_every == 0 or it == cfg.iterations:
             pq = final_pq = measure_pq(probs)
-        rows.append((it, total, *values, l2_norm(grad, ws), pq))
+        rows.append((it, total, *values, step.norm(grad), pq))
         if it == cfg.iterations:
             break
         if adam is not None:
@@ -249,7 +249,7 @@ def train(
             grad *= cfg.step_size
             theta -= grad
         # Catches a non-finite gradient, and a step that overflows a finite one.
-        if not np.isfinite(theta, out=ws.take("finite", theta.shape, bool)).all():
+        if not step.logits_finite():
             raise diverged("logits", it)
 
     return trace()

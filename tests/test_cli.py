@@ -205,6 +205,13 @@ def test_sim_shrinkwrap_csv(tmp_path):
     assert len(lines) == 21
 
 
+def test_sim_shrinkwrap_takes_no_scene_kind_or_blob_count(tmp_path, capsys):
+    for flags in (["--kind", "two-squares-notch"], ["--blobs", "3"]):
+        assert run("sim-shrinkwrap", *flags, "--seed", "0", "--out", str(tmp_path / "sw.csv")) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_landscape_csv(tmp_path):
     out = tmp_path / "land.csv"
     assert run("landscape", "--loss", "jc", "--dims", "20", "12", "--cell-size", "6",
@@ -509,7 +516,8 @@ def test_cli_defaults_equal_the_library_defaults_they_restate():
 
 
 _RUN_KEYS = {"out", "seed", "subcommand", "threads"}
-_SCENE_KEYS = {"blobs", "cell_size", "dims", "kind", "notch_length", "notch_width"}
+_NOTCH_KEYS = {"cell_size", "dims", "notch_length", "notch_width"}
+_SCENE_KEYS = _NOTCH_KEYS | {"blobs", "kind"}
 _TRANSFORM_KEYS = {"classes", "gap_radius", "k"}
 
 # The manifest config keys of every subcommand: replaying a manifest reads
@@ -521,7 +529,8 @@ CONFIG_KEYS = {
     "grad-check": _RUN_KEYS | {"loss", "step", "trials"},
     "sim-imbalance": _RUN_KEYS | {"classifier", "correlation_out", "pis", "samples",
                                   "summary_out", "trials"},
-    "sim-shrinkwrap": _RUN_KEYS | _SCENE_KEYS | _TRANSFORM_KEYS | {
+    # The shrinkwrap runs on the two-squares-notch scene only.
+    "sim-shrinkwrap": _RUN_KEYS | _NOTCH_KEYS | _TRANSFORM_KEYS | {
         "confidence_final", "confidence_start", "iterations", "iters_per_step", "margin"},
     "landscape": _RUN_KEYS | _SCENE_KEYS | _TRANSFORM_KEYS | {
         "confidence_floor", "loss", "resolution", "span"},
@@ -654,7 +663,10 @@ def test_help_exits_zero_for_every_subcommand(capsys, name):
     with pytest.raises(SystemExit) as stop:
         dispatch([name, "--help"])
     assert stop.value.code == 0
-    assert "--out" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--out" in out
+    for flag in ("--kind", "--blobs"):  # the flags of a choice of scene
+        assert (flag in out) == ("kind" in CONFIG_KEYS[name]), flag
 
 
 _OUT_OF_MEMORY = {

@@ -22,10 +22,10 @@ from jseg import (
     one_hot,
     probs_to_logits,
 )
-from jseg._util import Workspace, l2_norm
-from jseg.grids import softmax_values
-from jseg.losses import (_CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _logit_gradient,
-                         _softmax_vjp, _stack_totals)
+from jseg._util import l2_norm
+from jseg.grids import BoundSoftmax, softmax_values
+from jseg.losses import (_CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _LogitStep,
+                         _stack_totals)
 from oracles import dense_core, pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -358,15 +358,17 @@ def test_value_path_equals_the_full_cores_parts(loss_id, dims):
 def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
     rng = np.random.default_rng(22)
     y = _random_one_hot(rng, (7, 6, 3))
-    core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
-    ws = Workspace()
+    weights = PairWeights(rng.random((4, 4)))
+    theta = np.empty((7, 6, 3, 4))
+    step = _LogitStep(_build_core(loss_id, y.values, weights), theta)
     for _ in range(3):  # the same arrays serve every step
-        theta = rng.normal(0.0, 2.0, size=(7, 6, 3, 4))
-        parts, gradient, _ = _logit_gradient(core, theta, ws)
-        want_parts, want_gradient, _ = _logit_gradient(core, theta)
+        theta[...] = rng.normal(0.0, 2.0, size=theta.shape)
+        parts, gradient, _ = step()
+        fresh = _LogitStep(_build_core(loss_id, y.values, weights), theta.copy())
+        want_parts, want_gradient, _ = fresh()
         assert parts == want_parts
         assert np.array_equal(gradient, want_gradient)
-        assert l2_norm(gradient, ws) == l2_norm(want_gradient)
+        assert step.norm(gradient) == l2_norm(want_gradient)
 
 
 def _fold_in_order(ufunc, x):
@@ -398,22 +400,30 @@ def _same_bits(a, b):
     ids=["small2d", "2d", "3d", "stack2d", "stack3d"],
 )
 def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
-    # Down-the-rows iteration gives every element the same ufunc on the same
-    # operands as the default order, and writes C-order arrays.  Flattened as
-    # the callers pass them, all but the small field outgrow numpy's ufunc
-    # buffer, so their lanes run in F order; the N-D arrays keep the default.
+    # Lane operations one channel view at a time give every element the same
+    # ufunc on the same operands as the default order, and write C-order
+    # arrays.  The fields lie on both sides of numpy's ufunc buffer, and run
+    # flattened, as the callers pass them, and N-D; a step flattens its
+    # logits itself.
     rng = np.random.default_rng(23)
-    ws = Workspace()
-    for _ in range(2):  # the second step reuses the workspace's arrays
+    flats = ((-1, shape[-1]), shape)
+    thetas = [np.empty(shape).reshape(flat) for flat in flats]
+    softmaxes = [BoundSoftmax(theta) for theta in thetas]
+    steps = [_LogitStep(None, theta) for theta in thetas]
+    for _ in range(2):  # the second step reuses the bound arrays
         x = rng.normal(0.0, 3.0, size=shape)
         dz = rng.normal(size=shape)
         want_z = _default_order_softmax(x)
         want_pulled = _default_order_vjp(want_z, dz)
-        for flat in ((-1, shape[-1]), shape):
-            for workspace in (None, ws):
-                z = softmax_values(x.reshape(flat), workspace)
-                pulled = _softmax_vjp(z, dz.reshape(flat), workspace)
-                assert _same_bits(z, want_z.reshape(flat))
+        for flat, theta, softmax, step in zip(flats, thetas, softmaxes, steps):
+            theta[...] = x.reshape(flat)
+            fresh = _LogitStep(None, x.reshape(flat).copy())
+            for z in (softmax_values(x.reshape(flat)), softmax()):
+                assert _same_bits(z, want_z.reshape(flat)) and z.flags.c_contiguous
+            for bound in (fresh, step):
+                z = bound.softmax()
+                pulled = bound.pull_back(dz.reshape(-1, shape[-1]))
+                assert _same_bits(z, want_z.reshape(-1, shape[-1]))
                 assert _same_bits(pulled, want_pulled.reshape(flat))
                 assert z.flags.c_contiguous and pulled.flags.c_contiguous
 
@@ -438,8 +448,9 @@ def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
     want = -wy / np.maximum(z, LOG_EPS)
     want *= z > LOG_EPS
     want /= n
-    for ws in (None, Workspace()):
-        dz = _CORES[loss_id](y, None)(z, ws)[1]
+    core = _CORES[loss_id](y, None)
+    for _ in range(2):  # the second call reuses the core's arrays
+        dz = core(z)[1]
         assert _same_bits(dz, want)
         assert np.all(np.signbit(dz[z <= LOG_EPS]))
 
@@ -612,17 +623,16 @@ def _single_field_case(draw):
 @given(_single_field_case())
 def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
     # Each core against the dense body it replaced: a field's parts and dz,
-    # fresh and in a workspace that carries its arrays over the steps, and
-    # the values of a stack of two.
+    # from a fresh core and from one that carries its arrays over the steps,
+    # and the values of a stack of two.
     y, weights, fields = case
     for loss_id in LOSS_IDS:
         core = _CORES[loss_id](y, weights)
         dense = dense_core(loss_id, y, weights.matrix)
-        ws = Workspace()
         for z in fields:
             want_parts, want_dz = dense(z)
-            for workspace in (None, ws):
-                parts, dz = core(z, workspace)
+            for carried in (_CORES[loss_id](y, weights), core):
+                parts, dz = carried(z)
                 assert parts.keys() == want_parts.keys()
                 for name, value in parts.items():
                     assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
@@ -635,21 +645,79 @@ def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
             assert _same_bits(value, want_parts[name])
 
 
-@pytest.mark.parametrize("loss_id", LOSS_IDS)
-def test_a_step_on_a_workspace_makes_no_large_allocation(loss_id):
+def _second_step_peak(loss_id, dims) -> float:
+    """The traced peak of a step's second call, in logit fields."""
     rng = np.random.default_rng(24)
-    y = _random_one_hot(rng, (96, 96))
+    y = _random_one_hot(rng, dims)
     core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
     theta = rng.normal(0.0, 2.0, size=y.values.shape)
-    ws = Workspace()
-    _logit_gradient(core, theta, ws)  # the first step makes the arrays
+    step = _LogitStep(core, theta)
+    step()  # as a run's first iteration
     tracemalloc.start()
     try:
-        _logit_gradient(core, theta, ws)
+        step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.3 * theta.nbytes
+    return peak / theta.nbytes
+
+
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_a_step_on_a_workspace_makes_no_large_allocation(loss_id):
+    assert _second_step_peak(loss_id, (96, 96)) < 0.3
+
+
+@pytest.mark.parametrize("loss_id", ["jc", "ce"])
+def test_a_toy_step_makes_no_large_allocation(loss_id):
+    # 24x16x4 fits in numpy's ufunc buffer, which a broadcast over the
+    # field would fill: the step's lane operations run channel by channel.
+    assert _second_step_peak(loss_id, (24, 16)) < 0.3
+
+
+@st.composite
+def _bound_step_case(draw):
+    """A one-hot target, pair weights, start logits and a step size for
+    consecutive steps of one ``_LogitStep``: 2-D and 3-D grids with 3 or 4
+    channels, small ones and ones past numpy's ufunc buffer of 8192
+    elements (56 x 56 x 3 = 9408, 14**3 x 3 = 8232)."""
+    channels = draw(st.sampled_from([3, 4]))
+    dims = draw(st.sampled_from([(5, 7), (3, 4, 5), (56, 56), (14, 14, 14)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.eye(channels)[rng.integers(0, channels, size=dims)]
+    if draw(st.booleans()):
+        weights = PairWeights.default(channels)
+    else:
+        weights = PairWeights(rng.random((channels, channels)))
+    theta = rng.normal(0.0, 2.0, size=y.shape)
+    return y, weights, theta, draw(st.sampled_from([1.0, 24.0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_bound_step_case())
+def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
+    # Each step of one _LogitStep, with the logits updated in place between
+    # steps as ``train`` does, against the dense core after the
+    # default-order softmax, and the default-order pull-back.
+    y, weights, start, step_size = case
+    assert start.size > np.getbufsize() or start.size < 1000
+    flat = (-1, y.shape[-1])
+    for loss_id in LOSS_IDS:
+        theta = start.copy()
+        step = _LogitStep(_build_core(loss_id, y, weights), theta)
+        dense = dense_core(loss_id, y.reshape(flat), weights.matrix)
+        for _ in range(3):
+            want_z = _default_order_softmax(theta.reshape(flat))
+            want_parts, want_dz = dense(want_z)
+            want_gradient = _default_order_vjp(want_z, want_dz).reshape(theta.shape)
+            parts, gradient, z = step()
+            assert parts.keys() == want_parts.keys()
+            for name, value in parts.items():
+                assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
+            assert _same_bits(z, want_z)
+            assert _same_bits(gradient, want_gradient)
+            assert _same_bits(np.float64(step.norm(gradient)), np.float64(l2_norm(want_gradient)))
+            gradient *= step_size
+            theta -= gradient
 
 
 @pytest.mark.parametrize("matrix", [np.array([["1"]]), np.array([[b"1"]]), np.array([[1]], dtype=object)],

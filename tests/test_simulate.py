@@ -176,6 +176,17 @@ def test_shrinkwrap_schedule_must_reach_zero_margin():
         _fast_shrinkwrap(iterations=16)
 
 
+@pytest.mark.parametrize("name", ["iterations", "margin_start", "iters_per_margin_step"])
+def test_shrinkwrap_integer_settings_must_be_integers(name):
+    # 1.5 once ran with float margins, and 2.5 failed only mid-run.
+    base = ShrinkwrapConfig()
+    for value in (1.5, 2.5, float(getattr(base, name)), "3"):
+        with pytest.raises(TypeError):
+            ShrinkwrapConfig(**{name: value})
+    cfg = ShrinkwrapConfig(**{name: np.int64(getattr(base, name))})
+    assert type(getattr(cfg, name)) is int and cfg == base
+
+
 def test_shrinkwrap_trace_structure():
     cfg = _fast_shrinkwrap()
     trace = run_shrinkwrap(cfg)

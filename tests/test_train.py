@@ -21,6 +21,7 @@ from jseg import (
     train,
 )
 from jseg.grids import argmax_channels
+from jseg.losses import _LogitStep
 from jseg.train import _gap_check
 from jseg.transform import GAP
 from oracles import evaluate_loss_train
@@ -147,13 +148,15 @@ def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
 def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     g, y = _scene_target()
 
-    def finite_total_inf_gradient(core, theta, ws=None):
-        return {"ce": 1.0}, np.full(theta.shape, np.inf), np.full((theta.size // 4, 4), 0.25)
+    class FiniteTotalInfGradient(_LogitStep):
+        def __call__(self):
+            theta = self.theta
+            return {"ce": 1.0}, np.full(theta.shape, np.inf), np.full((theta.size // 4, 4), 0.25)
 
     # Every iteration, the first included, takes its loss and gradient from
-    # the step path that ``jseg.train`` binds as ``_logit_gradient``.
+    # the step that ``jseg.train`` binds as ``_LogitStep``.
     module = importlib.import_module("jseg.train")
-    monkeypatch.setattr(module, "_logit_gradient", finite_total_inf_gradient)
+    monkeypatch.setattr(module, "_LogitStep", FiniteTotalInfGradient)
     for optimizer in ("gd", "adam"):
         with np.errstate(all="ignore"), pytest.raises(TrainDiverged, match="iteration 0"):
             train(y, g, TrainConfig(loss="ce", iterations=3, optimizer=optimizer))
@@ -186,30 +189,44 @@ def test_back_to_back_runs_give_equal_traces(optimizer):
     _assert_same_trace(again, first)
 
 
-def test_steady_state_steps_allocate_less_than_one_field(monkeypatch):
-    # Between two records of a 96x96 run the traced peak rises by less than
-    # one logit field: every element-sized array of a step is reused.
-    spec = SceneSpec(kind="random-blobs", dims=(96, 96), cell_size=12, n_blobs=12, seed=81)
-    g, y = _scene_target(spec=spec)
-    module = importlib.import_module("jseg.train")
-    norm, seen = module.l2_norm, []
+def _steady_state_rises(monkeypatch, g, y, cfg) -> list[int]:
+    """How far the traced peak rises above the previous record's traced
+    memory between two records of a 12-iteration run, at records 2 to 11.
+    The step's norm runs once per iteration, for its record."""
+    norm, seen = _LogitStep.norm, []
 
-    def watching(*args, **kwargs):  # called once per iteration, for its record
+    def watching(*args, **kwargs):
         seen.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         return norm(*args, **kwargs)
 
-    monkeypatch.setattr(module, "l2_norm", watching)
-    cfg = TrainConfig(loss="jc", step_size=24.0, iterations=12, log_every=100, seed=81)
+    monkeypatch.setattr(_LogitStep, "norm", watching)
     tracemalloc.start()
     try:
         train(y, g, cfg)
     finally:
         tracemalloc.stop()
-    assert len(seen) == 13
-    # Iterations 0 and 1 make the buffers; iteration 12 measures PQ first.
-    rises = [peak - seen[k - 1][0] for k, (_, peak) in enumerate(seen) if 2 <= k <= 11]
-    assert max(rises) < y.values.nbytes
+    assert len(seen) == cfg.iterations + 1 == 13
+    # The run makes its arrays before the loop; iteration 12 measures PQ first.
+    return [peak - seen[k - 1][0] for k, (_, peak) in enumerate(seen) if 2 <= k <= 11]
+
+
+def test_steady_state_steps_allocate_less_than_one_field(monkeypatch):
+    # Between two records of a 96x96 run the traced peak rises by less than
+    # one logit field: every element-sized array of a step is reused.
+    spec = SceneSpec(kind="random-blobs", dims=(96, 96), cell_size=12, n_blobs=12, seed=81)
+    g, y = _scene_target(spec=spec)
+    cfg = TrainConfig(loss="jc", step_size=24.0, iterations=12, log_every=100, seed=81)
+    assert max(_steady_state_rises(monkeypatch, g, y, cfg)) < y.values.nbytes
+
+
+@pytest.mark.parametrize("loss", ["jc", "ce"])
+def test_steady_state_toy_steps_allocate_less_than_one_field(monkeypatch, loss):
+    # The same at 24x16, a field of 384 elements, which fits in numpy's
+    # ufunc buffer: no step op broadcasts into a buffer of numpy's own.
+    g, y = _scene_target(seed=81)
+    cfg = TrainConfig(loss=loss, iterations=12, log_every=100, seed=81)
+    assert max(_steady_state_rises(monkeypatch, g, y, cfg)) < y.values.nbytes
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 37])
@@ -230,14 +247,15 @@ def test_train_checks_its_inputs_in_one_evaluate_loss_call(monkeypatch, iteratio
 
 def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
     module = importlib.import_module("jseg.train")
-    step, steps = module._logit_gradient, []
+    steps = []
 
-    def counting(*args, **kwargs):
-        steps.append(args)
-        return step(*args, **kwargs)
+    class Counting(_LogitStep):
+        def __init__(self, *args):
+            steps.append(args)
+            super().__init__(*args)
 
     g, y = _scene_target()
-    monkeypatch.setattr(module, "_logit_gradient", counting)
+    monkeypatch.setattr(module, "_LogitStep", Counting)
     with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
         train(y, g, TrainConfig(loss="jc", iterations=5), weights=PairWeights.default(3))
     assert steps == []
@@ -247,6 +265,16 @@ def test_pair_weights_as_a_bare_array_are_a_type_error():
     g, y = _scene_target()
     with pytest.raises(TypeError, match="weights must be PairWeights or None, got ndarray"):
         train(y, g, TrainConfig(loss="jc", iterations=5), weights=np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("name", ["iterations", "log_every"])
+def test_train_integer_settings_must_be_integers(name):
+    # log_every=1.5 once logged at 0, 3 and 6 of 6 iterations.
+    for value in (1.5, 2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{name: value})
+    cfg = TrainConfig(**{name: np.int64(3)})
+    assert type(getattr(cfg, name)) is int and cfg == TrainConfig(**{name: 3})
 
 
 def test_gap_check_equals_the_argmax_rule_ties_included():

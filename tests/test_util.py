@@ -1,6 +1,8 @@
-"""The shared helpers in ``jseg._util``: the workspace, the thread map and
-the one CSV writer, checked against row-by-row reference writers for every
-CSV the package produces, and its one-pass form against separate writes."""
+"""The shared helpers in ``jseg._util``: the thread map and the one CSV
+writer, checked against row-by-row reference writers for every CSV the
+package produces, and its one-pass form against separate writes; and the
+arrays the step loops make once per run, which every step writes before
+it reads them."""
 
 import csv
 import dataclasses
@@ -35,21 +37,28 @@ from jseg import (
     to_semantic,
     train,
 )
-from jseg import _util
+from jseg import _util, grids, losses, simulate
 from jseg.cli import dispatch
+from jseg.losses import _build_core, _LogitStep
 
-# -- workspace ----------------------------------------------------------------
+# -- the step's arrays --------------------------------------------------------
+
+_TARGET = np.eye(4)[[0, 1, 2, 3, 0, 2]]
 
 
-def test_a_filled_workspace_array_is_filled_once_and_then_kept():
-    ws = _util.Workspace()
-    made = ws.take("out", (3, 2), fill=-0.0)
-    assert np.all(made == 0.0) and np.all(np.signbit(made))
-    made[0, 0] = 7.0
-    again = ws.take("out", (3, 2), fill=-0.0)
-    assert again is made and again[0, 0] == 7.0 and np.signbit(again[1, 1])
-    fresh = _util.scratch(None, "out", made, fill=-0.0)
-    assert np.all(np.signbit(fresh)) and fresh.flags.c_contiguous
+def test_the_ce_output_is_filled_once_and_then_kept():
+    # A core's field output holds -0.0 off the target from the start; each
+    # field call writes the target entries of the same array, and a stack
+    # runs on arrays of its own.
+    core = _build_core("ce", _TARGET, None)
+    off = _TARGET == 0.0
+    made = core(np.full(_TARGET.shape, 0.25))[1]
+    assert np.all(made == 0.0, where=off) and np.all(np.signbit(made[off]))
+    first = made[~off].copy()
+    again = core(np.full(_TARGET.shape, 0.25) + 0.5 * _TARGET - 0.125)[1]
+    assert again is made and np.signbit(again[off]).all() and not np.array_equal(again[~off], first)
+    stack = core(np.full((2,) + _TARGET.shape, 0.25))
+    assert stack[1] is None and made is core(np.full(_TARGET.shape, 0.25))[1]
 
 
 class _PoisonedNumpy:
@@ -69,12 +78,14 @@ class _PoisonedNumpy:
 
 @pytest.fixture
 def poisoned(monkeypatch):
-    """Call a function with every array that ``Workspace.take`` and
-    ``scratch`` make filled with poison, so a read before a write shows."""
+    """Call a function with every array that ``np.empty`` makes in the
+    modules of the step loops filled with poison, so a read before a write
+    shows."""
 
     def call(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(_util, "np", _PoisonedNumpy())
+            for module in (_util, grids, losses, simulate):
+                patch.setattr(module, "np", _PoisonedNumpy())
             return fn()
 
     return call
@@ -96,18 +107,17 @@ def _bits(value):
     return value
 
 
-def test_the_poison_reaches_every_new_workspace_and_scratch_array(poisoned):
+def test_the_poison_reaches_every_array_a_step_makes(poisoned):
     def made():
-        ws = _util.Workspace()
-        like = np.zeros((2, 3))
-        return (ws.take("f", (2, 3)), ws.take("b", (4,), bool), ws.take("i", (4,), np.int64),
-                _util.scratch(None, "f", like), _util.scratch(ws, "b", like, bool),
-                ws.take("z", (2,), fill=-0.0), _util.scratch(None, "z", like, fill=1.0))
+        step = _LogitStep(_build_core("ce", _TARGET, None), np.zeros((2, 3, 4)))
+        softmax = step.softmax
+        arrays = (softmax.out, softmax.lane, step.gradient, step._squares, step._finite)
+        return [a.copy() for a in arrays], step.core(softmax())[1]
 
-    floats, bools, ints, fresh, fresh_bools, filled, fresh_filled = poisoned(made)
-    assert np.isnan(floats).all() and np.isnan(fresh).all()
-    assert bools.all() and fresh_bools.all() and (ints == np.iinfo(np.int64).min).all()
-    assert (filled == 0).all() and np.signbit(filled).all() and (fresh_filled == 1.0).all()
+    (*floats, finite), ce_dz = poisoned(made)
+    assert all(np.isnan(a).all() for a in floats) and finite.all()
+    # The core's output is filled when made: -0.0 off the target, not poison.
+    assert not np.isnan(ce_dz).any() and np.signbit(ce_dz[_TARGET == 0.0]).all()
 
 
 def _poison_runs():
