@@ -63,8 +63,9 @@ def _label_copy(values, what: str, top: int, bounds: str) -> np.ndarray:
     return out
 
 
-def _field_copy(values, what: str) -> np.ndarray:
-    """The one read-only float64 copy of a finite real field with >= 2 channels."""
+def _field_copy(values, what: str, finite: bool = True) -> np.ndarray:
+    """The one read-only float64 copy of a real field with >= 2 channels,
+    scanned for non-finite values unless ``finite`` is false."""
     if np.asarray(values).dtype.kind not in "biuf":
         raise ValueError(f"{what} values must be real numbers")
     out = np.array(values, dtype=np.float64, order="C", copy=True)
@@ -73,7 +74,7 @@ def _field_copy(values, what: str) -> np.ndarray:
     _check_dims(out.shape[:-1])
     if out.shape[-1] < 2:
         raise ValueError(f"{what} field needs at least 2 channels")
-    if not np.all(np.isfinite(out)):
+    if finite and not np.all(np.isfinite(out)):
         raise ValueError(f"{what} values must be finite")
     out.setflags(write=False)
     return out
@@ -109,17 +110,24 @@ class SemanticLabelMap:
 
 @dataclass(frozen=True)
 class ProbabilityField:
-    """Per-element simplex vectors over the class channels (channel-last)."""
+    """Per-element simplex vectors over the class channels (channel-last).
+
+    NaN and ±inf fail the range test, which reads only the field's minimum
+    and maximum, so the field is scanned for them once; a non-finite
+    minimum or maximum then names them.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = _field_copy(self.values, "probability")
-        if values.min() < -PROB_ATOL or values.max() > 1.0 + PROB_ATOL:
+        values = _field_copy(self.values, "probability", finite=False)
+        low, high = values.min(), values.max()
+        if not (low >= -PROB_ATOL and high <= 1.0 + PROB_ATOL):
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValueError("probability values must be finite")
             raise ValueError("probabilities must lie in [0, 1]")
-        off = fold_channels(np.add, values)
-        off -= 1.0
-        worst = float(np.abs(off, out=off).max())
+        sums = fold_channels(np.add, values)
+        worst = float(max(sums.max() - 1.0, 1.0 - sums.min()))
         if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
         object.__setattr__(self, "values", values)
@@ -213,22 +221,26 @@ def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class BoundSoftmax:
     """Softmax over the last axis of one finite array ``x``, with
-    max-subtraction, on arrays made once: each call reads ``x`` as it is
-    then and writes the same C-order ``out``.
+    max-subtraction, and its pull-back, on arrays made once: each call
+    reads ``x`` as it is then and writes the same C-order ``out``, and
+    each :meth:`pull_back` writes the same C-order pull-back array.
 
     The subtraction keeps every exponent at or below 0, so nothing
     overflows and every output lies in [0, 1] with per-element sums of 1
     up to rounding: the result needs no ProbabilityField checks.  The
-    channel views of ``x`` and ``out`` are taken here; both channel folds
-    write ``lane``, shaped like ``x[..., 0]``, and both lane operations,
-    ``x - max`` and ``e / sum``, run channel by channel (:func:`lane_op`).
+    channel views of ``x``, ``out`` and the pull-back array are taken
+    here; every channel fold writes ``lane``, shaped like ``x[..., 0]``,
+    and every lane operation, ``x - max``, ``e / sum`` and ``dz - sum``,
+    runs channel by channel (:func:`lane_op`).
     """
 
     def __init__(self, x: np.ndarray):
         self.out = np.empty(x.shape)
         self.lane = np.empty(x.shape[:-1])
+        self._pulled = np.empty(x.shape)
         self._x_views = channel_views(x)
         self._out_views = channel_views(self.out)
+        self._pulled_views = channel_views(self._pulled)
 
     def __call__(self) -> np.ndarray:
         e, lane, views = self.out, self.lane, self._out_views
@@ -238,6 +250,18 @@ class BoundSoftmax:
         fold_views(np.add, views, lane)
         lane_op(np.divide, views, lane, views)
         return e
+
+    def pull_back(self, dz: np.ndarray) -> np.ndarray:
+        """Pull a gradient ``dz`` in the last call's probabilities, shaped
+        like ``x``, back to ``x``: ``z * (dz - sum_c dz_c z_c)``, into the
+        pull-back array, which holds until the next pull-back.  The sum
+        goes to ``lane``, which the output no longer needs."""
+        z, lane, views = self.out, self.lane, self._pulled_views
+        pulled = np.multiply(dz, z, out=self._pulled)
+        fold_views(np.add, views, lane)
+        lane_op(np.subtract, channel_views(dz), lane, views)
+        np.multiply(z, pulled, out=pulled)
+        return pulled
 
 
 def softmax_values(x: np.ndarray) -> np.ndarray:

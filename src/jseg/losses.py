@@ -58,33 +58,35 @@ A caller that evaluates one target many times builds its core once
 :func:`gradient_check` per trial (for the analytic and the
 finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
-paths: a ``_LogitStep`` for one field with its logit gradient (softmax,
-core, softmax pull-back), and ``_stack_totals`` for the loss totals of a
-stack of fields.  Only ``run_shrinkwrap`` runs cores its own way, between
-its step's softmax and pull-back, as it needs the ce and j gradients
-apart from one softmax.
+paths: a :class:`~jseg.grids.BoundSoftmax` of one field's flattened
+logits, whose output goes to the core and whose :meth:`pull_back
+<jseg.grids.BoundSoftmax.pull_back>` takes the core's ``dz`` back to the
+logits, and ``_stack_totals`` for the loss totals of a stack of fields.
+``run_shrinkwrap`` runs the ce and j cores on one softmax and pulls back
+three gradients, as it needs them apart.
 
-A ``_LogitStep`` is built once per logit array: per run by the step
-loops, ``train`` and ``run_shrinkwrap``, and per call by
-:func:`evaluate_loss` and per trial by :func:`gradient_check`.  It makes
-the softmax output, the pull-back array, their channel views, the norm's
-squares and the finiteness mask once, and each core makes its field
-mode's arrays when it is built: CE its ``-0.0``-filled output, the
-gather, the terms and the clamp mask, J its ``dz``, DSC its two arrays.
-So every step writes the same arrays with ``out=`` and in-place ufuncs:
-the same ufuncs in the same order on the same operands as on fresh
-arrays, so the same bits, and no large allocation after the first step
-(tested at 24×16 and 96²: a step's peak is below 0.3 of one field).  A
-stack runs on fresh arrays each call.  Every array is C-order, so every
-sum runs in one order, and the lane operations of the softmax and its
-pull-back, which apply one value per element to every channel, run one
-channel view at a time (:func:`~jseg.grids.lane_op`): per element the
-same ufunc on the same operands as a broadcast, so the same bits, with
-no buffer of numpy's own.  A core's field mode writes its own arrays, so
-a core runs one field at a time, and the gradient it returns holds until
-its next field call; its stack mode writes nothing the core holds, so
-one core can run stacks on several threads at once (``landscape_scan``
-does).
+The softmax is built once per logit array: per run by the step loops,
+``train`` and ``run_shrinkwrap``, and per call by :func:`evaluate_loss`
+and per trial by :func:`gradient_check`.  It makes its output, its lane,
+the pull-back array and their channel views once, and each core makes
+its field mode's arrays when it is built: CE its ``-0.0``-filled output,
+the gather, the terms and the clamp mask, J its ``dz``, DSC its two
+arrays.  So every step writes the same arrays with ``out=`` and in-place
+ufuncs: the same ufuncs in the same order on the same operands as on
+fresh arrays, so the same bits, and no large allocation after the first
+step.  As tested, a step's peak is below 0.3 of one field for every loss
+at 96² and for ce and jc at 24×16.  dsc at 24×16 is the exception, at
+1.17 fields: there its three broadcasts of a class row over the field
+run through a buffer of numpy's own.  A stack runs on fresh arrays each
+call.  Every array is C-order, so every sum runs in one order, and the
+lane operations of the softmax and its pull-back, which apply one value
+per element to every channel, run one channel view at a time
+(:func:`~jseg.grids.lane_op`): per element the same ufunc on the same
+operands as a broadcast, so the same bits, with no buffer of numpy's
+own.  A core's field mode writes its own arrays, so a core runs one
+field at a time, and the gradient it returns holds until its next field
+call; its stack mode writes nothing the core holds, so one core can run
+stacks on several threads at once (``landscape_scan`` does).
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
 and the size of the pair weights.  Building a core checks nothing but the
@@ -103,8 +105,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import l2_norm
-from .grids import (BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, channel_views,
-                    fold_views, lane_op, one_hot, softmax_values)
+from .grids import BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, softmax_values
 
 __all__ = [
     "LOG_EPS",
@@ -185,58 +186,6 @@ class LossValue:
         if self.gradient is None:
             raise ValueError("loss was evaluated without a gradient")
         return l2_norm(self.gradient)
-
-
-class _LogitStep:
-    """One logit array's way through a prepared core, on arrays made once.
-
-    ``theta`` is a C-order logit array, which the caller may change in
-    place between calls.  A call runs the softmax
-    (:class:`~jseg.grids.BoundSoftmax`), the core and the pull-back on the
-    flattened ``(n, C)`` view of ``theta`` and returns ``(parts,
-    dL/dtheta, z)``, ``z`` the softmax as ``(n, C)`` probabilities.  The
-    softmax output, the pull-back array and their channel views, the
-    norm's squares and the finiteness mask are made here, so every call
-    writes the same arrays: the returned gradient and ``z`` hold until the
-    next call.  A caller that runs its cores itself (``run_shrinkwrap``)
-    passes no core and calls :attr:`softmax` and :meth:`pull_back`.
-    """
-
-    def __init__(self, core, theta: np.ndarray):
-        self.core, self.theta = core, theta
-        flat = theta.reshape(-1, theta.shape[-1])
-        self.softmax = BoundSoftmax(flat)
-        self._pulled = np.empty(flat.shape)
-        self._pulled_views = channel_views(self._pulled)
-        self.gradient = self._pulled.reshape(theta.shape)
-        self._squares = np.empty(theta.shape)
-        self._finite = np.empty(theta.shape, bool)
-
-    def __call__(self) -> tuple[dict, np.ndarray, np.ndarray]:
-        z = self.softmax()
-        parts, dz = self.core(z)
-        return parts, self.pull_back(dz), z
-
-    def pull_back(self, dz: np.ndarray) -> np.ndarray:
-        """Pull an ``(n, C)`` gradient in the last softmax's probabilities
-        back to the logits: ``z * (dz - sum_c dz_c z_c)``, into
-        :attr:`gradient`, with the lane operation ``dz - sum`` channel by
-        channel (:func:`~jseg.grids.lane_op`).  The sum goes to the
-        softmax's lane, which its output no longer needs."""
-        z, lane, views = self.softmax.out, self.softmax.lane, self._pulled_views
-        pulled = np.multiply(dz, z, out=self._pulled)
-        fold_views(np.add, views, lane)
-        lane_op(np.subtract, channel_views(dz), lane, views)
-        np.multiply(z, pulled, out=pulled)
-        return self.gradient
-
-    def norm(self, x: np.ndarray) -> float:
-        """:func:`~jseg._util.l2_norm` of a ``theta``-shaped array."""
-        return l2_norm(x, self._squares)
-
-    def logits_finite(self) -> bool:
-        """Whether every entry of ``theta`` is finite."""
-        return bool(np.isfinite(self.theta, out=self._finite).all())
 
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
@@ -459,15 +408,12 @@ def evaluate_loss(
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
     core = _build_core(loss_id, y, weights)
     if isinstance(pred, LogitField):
-        parts, gradient, _ = _LogitStep(core, pred.values)()
+        softmax = BoundSoftmax(pred.values.reshape(-1, y.shape[-1]))
+        parts, dz = core(softmax())
+        gradient = softmax.pull_back(dz).reshape(y.shape)
     else:  # a stack of one: its values, no gradient
         parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
     return LossValue({name: value.item() for name, value in parts.items()}, gradient)
-
-
-def _check_step(step: float) -> None:
-    if not 0.0 < step < np.inf:  # written so that NaN fails too
-        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
 
 
 def finite_difference_gradient(
@@ -486,7 +432,8 @@ def finite_difference_gradient(
     not called.  Raises ``ValueError`` unless ``step`` is finite and
     positive.
     """
-    _check_step(step)
+    if not 0.0 < step < np.inf:  # written so that NaN fails too
+        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
     shape = np.shape(theta)
     base = np.asarray(theta, dtype=np.float64).ravel()
     grad = np.empty(base.size)
@@ -532,12 +479,12 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     Returns the maximum and mean over all trials; a NaN error in any trial
     makes both NaN.  Each trial builds one core for its target, used by
     the analytic and the finite-difference side.  Raises ``ValueError`` for
-    an unknown loss, for ``trials < 1`` and for a ``step`` that is not
-    finite and positive.
+    an unknown loss, for ``trials < 1`` and, from the first trial's
+    :func:`finite_difference_gradient`, for a ``step`` that is not finite
+    and positive.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs trials >= 1, got {trials}")
-    _check_step(step)
     rng = np.random.default_rng(seed)
     worst = 0.0
     total = 0.0
@@ -548,7 +495,8 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
         theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
 
         core = _build_core(loss_id, y, None)
-        analytic = _LogitStep(core, theta)()[1]
+        softmax = BoundSoftmax(theta.reshape(-1, _CHECK_CHANNELS))
+        analytic = softmax.pull_back(core(softmax())[1]).reshape(theta.shape)
         numeric = finite_difference_gradient(_stack_totals(core), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())

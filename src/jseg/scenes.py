@@ -84,7 +84,7 @@ def _two_squares_notch(spec: SceneSpec) -> InstanceLabelMap:
     # floor(w/2) from cell 2, running notch_length elements from one end of
     # the side (full depth along any third axis).
     w, length = spec.notch_width, spec.notch_length
-    if length > 0 and w > 0:
+    if length > 0:  # SceneSpec holds w >= 1
         lo = max(0, s - (w + 1) // 2)
         hi = min(2 * s, s + w // 2)
         body[(slice(lo, hi), slice(0, length)) + (slice(None),) * (len(dims) - 2)] = 0

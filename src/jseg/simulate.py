@@ -32,8 +32,8 @@ import numpy as np
 
 from . import _util
 from ._util import child_rng, columns, l2_norm, ordered_thread_map
-from .grids import LogitField, ProbabilityField, logit_values, one_hot
-from .losses import FD_CHUNK_ELEMENTS, _build_core, _LogitStep, _stack_totals, evaluate_loss
+from .grids import BoundSoftmax, LogitField, ProbabilityField, logit_values, one_hot
+from .losses import FD_CHUNK_ELEMENTS, _build_core, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
 from .transform import CELL, TransformConfig, to_semantic
@@ -365,8 +365,9 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
     softmax pull-back as the jc core sums it, so all three norms equal
     ``evaluate_loss(...).grad_norm`` bit for bit.  Every step writes its
-    fields into arrays made once for the run, and runs the softmax and
-    the three pull-backs on one ``_LogitStep`` built on the logit array.
+    fields and the norms' squares into arrays made once for the run, and
+    runs the softmax and the three pull-backs on one
+    :class:`~jseg.grids.BoundSoftmax` of the logit array.
 
     Each step keeps one tuple, its row of the CSV, and the trace holds
     their columns (:func:`~jseg._util.columns`).  A step's field depends
@@ -390,8 +391,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     t_shrink = cfg.shrink_iterations
     ramp_len = cfg.iterations - t_shrink
 
-    z, ramp_terms, jc_dz, logits = (np.empty(y.shape) for _ in range(4))
-    step = _LogitStep(None, logits)
+    z, ramp_terms, jc_dz, logits, squares = (np.empty(y.shape) for _ in range(5))
+    softmax = BoundSoftmax(logits)
     rows: list[tuple] = []  # one per step, in the order of SHRINKWRAP_HEADER
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
@@ -419,10 +420,10 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             np.multiply(z_at_shrinkwrap, 1.0 - ramp, out=z)
             z += np.multiply(y, ramp, out=ramp_terms)
         logit_values(z, out=logits)
-        s = step.softmax()
+        s = softmax()
         ce_dz, j_dz = ce_core(s)[1], j_core(s)[1]
         np.add(ce_dz, j_dz, out=jc_dz)
-        norms = (step.norm(step.pull_back(dz)) for dz in (ce_dz, j_dz, jc_dz))
+        norms = (l2_norm(softmax.pull_back(dz), squares) for dz in (ce_dz, j_dz, jc_dz))
         rows.append((t, *state, *norms))
 
     return ShrinkwrapTrace(columns(SHRINKWRAP_HEADER, rows), shrinkwrap_index=t_shrink - 1)

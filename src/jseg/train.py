@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import child_rng, columns
-from .grids import InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, argmax_channels
-from .losses import LOSS_IDS, PairWeights, _build_core, _LogitStep, evaluate_loss
+from ._util import child_rng, columns, l2_norm
+from .grids import (BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap,
+                    argmax_channels)
+from .losses import LOSS_IDS, PairWeights, _build_core, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
 from .transform import BACKGROUND, GAP
@@ -165,12 +166,13 @@ def train(
 
     One checked :func:`evaluate_loss` call before the loop checks the
     target, its shape against the logits and the pair weights; its value is
-    not used.  Every iteration, the first included, then runs one
-    ``_LogitStep``, built once for the run from the target's loss core and
-    the logit array: softmax, core and softmax pull-back on the bare
-    logits, with no container and no gradient copy; the logits are checked
-    for finiteness after every update instead.  The step's arrays and
-    channel views are made once, and the update writes the logits in
+    not used.  Every iteration, the first included, then runs the
+    target's loss core, built once for the run, between the softmax and
+    the softmax pull-back of one :class:`~jseg.grids.BoundSoftmax` of the
+    flattened logit array: on the bare logits, with no container and no
+    gradient copy; the logits are checked for finiteness after every
+    update instead.  The softmax's arrays, the norm's squares and the
+    finiteness mask are made once, and the update writes the logits in
     place, so the steps allocate no large array.  The output is
     byte-identical to an :func:`evaluate_loss` call per iteration.
 
@@ -199,7 +201,9 @@ def train(
     gap_correct = _gap_check(target)
     adam = _Adam(theta) if cfg.optimizer == "adam" else None
     evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
-    step = _LogitStep(_build_core(cfg.loss, target.values, weights), theta)
+    core = _build_core(cfg.loss, target.values, weights)
+    softmax = BoundSoftmax(theta.reshape(-1, shape[-1]))
+    squares, finite = np.empty(shape), np.empty(shape, bool)
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
@@ -229,7 +233,9 @@ def train(
         )
 
     for it in range(cfg.iterations + 1):
-        parts, grad, probs = step()
+        probs = softmax()
+        parts, dz = core(probs)
+        grad = softmax.pull_back(dz).reshape(shape)
         values = [float(value) for value in parts.values()]
         total = sum(values)
         if not np.isfinite(total):
@@ -240,7 +246,7 @@ def train(
         pq = None
         if it % cfg.log_every == 0 or it == cfg.iterations:
             pq = final_pq = measure_pq(probs)
-        rows.append((it, total, *values, step.norm(grad), pq))
+        rows.append((it, total, *values, l2_norm(grad, squares), pq))
         if it == cfg.iterations:
             break
         if adam is not None:
@@ -249,7 +255,7 @@ def train(
             grad *= cfg.step_size
             theta -= grad
         # Catches a non-finite gradient, and a step that overflows a finite one.
-        if not step.logits_finite():
+        if not np.isfinite(theta, out=finite).all():
             raise diverged("logits", it)
 
     return trace()

@@ -184,14 +184,16 @@ def _touching_mask(labels: np.ndarray, k: int) -> np.ndarray:
     A window maximum and a window minimum over nonzero labels decide the test:
     some other nonzero label exists in the window exactly when the window
     maximum exceeds the element's own label or the nonzero minimum undercuts
-    it.  The element itself never triggers (its label equals its own).
+    it.  On the foreground the window holds the element itself, so the
+    minimum is at most its label and the maximum at least, and the test is
+    the two differing.
     """
     fg = labels > 0
     win_max = _fold_box(np.maximum, labels, k, 0)
     # The int32 maximum is never below a label, so it stands in for +inf.
     top = np.iinfo(np.int32).max
     win_min = _fold_box(np.minimum, np.where(fg, labels, top), k, top)
-    return fg & ((win_max > labels) | (win_min < labels))
+    return fg & (win_max != win_min)
 
 
 def to_semantic(instance: InstanceLabelMap, cfg: TransformConfig) -> SemanticLabelMap:

@@ -24,8 +24,7 @@ from jseg import (
 )
 from jseg._util import l2_norm
 from jseg.grids import BoundSoftmax, softmax_values
-from jseg.losses import (_CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _LogitStep,
-                         _stack_totals)
+from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _stack_totals
 from oracles import dense_core, pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -354,21 +353,37 @@ def test_value_path_equals_the_full_cores_parts(loss_id, dims):
         assert _same_bits(np.float64(components[name]), value)
 
 
+def _logit_step(core, theta):
+    """A training step on the logit array ``theta``, as ``train`` runs it:
+    ``core`` between the softmax and the pull-back of one
+    :class:`BoundSoftmax` of the flattened logits.  Each call returns
+    ``(parts, dL/dtheta, z)``, written into the same arrays."""
+    softmax = BoundSoftmax(theta.reshape(-1, theta.shape[-1]))
+
+    def step():
+        z = softmax()
+        parts, dz = core(z)
+        return parts, softmax.pull_back(dz).reshape(theta.shape), z
+
+    return step
+
+
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
     rng = np.random.default_rng(22)
     y = _random_one_hot(rng, (7, 6, 3))
     weights = PairWeights(rng.random((4, 4)))
     theta = np.empty((7, 6, 3, 4))
-    step = _LogitStep(_build_core(loss_id, y.values, weights), theta)
+    step = _logit_step(_build_core(loss_id, y.values, weights), theta)
+    squares = np.empty(theta.shape)
     for _ in range(3):  # the same arrays serve every step
         theta[...] = rng.normal(0.0, 2.0, size=theta.shape)
         parts, gradient, _ = step()
-        fresh = _LogitStep(_build_core(loss_id, y.values, weights), theta.copy())
+        fresh = _logit_step(_build_core(loss_id, y.values, weights), theta.copy())
         want_parts, want_gradient, _ = fresh()
         assert parts == want_parts
         assert np.array_equal(gradient, want_gradient)
-        assert step.norm(gradient) == l2_norm(want_gradient)
+        assert l2_norm(gradient, squares) == l2_norm(want_gradient)
 
 
 def _fold_in_order(ufunc, x):
@@ -403,27 +418,24 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
     # Lane operations one channel view at a time give every element the same
     # ufunc on the same operands as the default order, and write C-order
     # arrays.  The fields lie on both sides of numpy's ufunc buffer, and run
-    # flattened, as the callers pass them, and N-D; a step flattens its
-    # logits itself.
+    # flattened, as the callers pass them, and N-D.
     rng = np.random.default_rng(23)
     flats = ((-1, shape[-1]), shape)
     thetas = [np.empty(shape).reshape(flat) for flat in flats]
     softmaxes = [BoundSoftmax(theta) for theta in thetas]
-    steps = [_LogitStep(None, theta) for theta in thetas]
     for _ in range(2):  # the second step reuses the bound arrays
         x = rng.normal(0.0, 3.0, size=shape)
         dz = rng.normal(size=shape)
         want_z = _default_order_softmax(x)
         want_pulled = _default_order_vjp(want_z, dz)
-        for flat, theta, softmax, step in zip(flats, thetas, softmaxes, steps):
+        for flat, theta, softmax in zip(flats, thetas, softmaxes):
             theta[...] = x.reshape(flat)
-            fresh = _LogitStep(None, x.reshape(flat).copy())
-            for z in (softmax_values(x.reshape(flat)), softmax()):
-                assert _same_bits(z, want_z.reshape(flat)) and z.flags.c_contiguous
-            for bound in (fresh, step):
-                z = bound.softmax()
-                pulled = bound.pull_back(dz.reshape(-1, shape[-1]))
-                assert _same_bits(z, want_z.reshape(-1, shape[-1]))
+            z = softmax_values(x.reshape(flat))
+            assert _same_bits(z, want_z.reshape(flat)) and z.flags.c_contiguous
+            for bound in (BoundSoftmax(x.reshape(flat).copy()), softmax):
+                z = bound()
+                pulled = bound.pull_back(dz.reshape(flat))
+                assert _same_bits(z, want_z.reshape(flat))
                 assert _same_bits(pulled, want_pulled.reshape(flat))
                 assert z.flags.c_contiguous and pulled.flags.c_contiguous
 
@@ -651,7 +663,7 @@ def _second_step_peak(loss_id, dims) -> float:
     y = _random_one_hot(rng, dims)
     core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
     theta = rng.normal(0.0, 2.0, size=y.values.shape)
-    step = _LogitStep(core, theta)
+    step = _logit_step(core, theta)
     step()  # as a run's first iteration
     tracemalloc.start()
     try:
@@ -677,7 +689,7 @@ def test_a_toy_step_makes_no_large_allocation(loss_id):
 @st.composite
 def _bound_step_case(draw):
     """A one-hot target, pair weights, start logits and a step size for
-    consecutive steps of one ``_LogitStep``: 2-D and 3-D grids with 3 or 4
+    consecutive steps of one ``_logit_step``: 2-D and 3-D grids with 3 or 4
     channels, small ones and ones past numpy's ufunc buffer of 8192
     elements (56 x 56 x 3 = 9408, 14**3 x 3 = 8232)."""
     channels = draw(st.sampled_from([3, 4]))
@@ -695,7 +707,7 @@ def _bound_step_case(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_bound_step_case())
 def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
-    # Each step of one _LogitStep, with the logits updated in place between
+    # Each step of one _logit_step, with the logits updated in place between
     # steps as ``train`` does, against the dense core after the
     # default-order softmax, and the default-order pull-back.
     y, weights, start, step_size = case
@@ -703,7 +715,8 @@ def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
     flat = (-1, y.shape[-1])
     for loss_id in LOSS_IDS:
         theta = start.copy()
-        step = _LogitStep(_build_core(loss_id, y, weights), theta)
+        step = _logit_step(_build_core(loss_id, y, weights), theta)
+        squares = np.empty(theta.shape)
         dense = dense_core(loss_id, y.reshape(flat), weights.matrix)
         for _ in range(3):
             want_z = _default_order_softmax(theta.reshape(flat))
@@ -715,7 +728,7 @@ def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
                 assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
             assert _same_bits(z, want_z)
             assert _same_bits(gradient, want_gradient)
-            assert _same_bits(np.float64(step.norm(gradient)), np.float64(l2_norm(want_gradient)))
+            assert _same_bits(np.float64(l2_norm(gradient, squares)), np.float64(l2_norm(want_gradient)))
             gradient *= step_size
             theta -= gradient
 

@@ -21,7 +21,6 @@ from jseg import (
     train,
 )
 from jseg.grids import argmax_channels
-from jseg.losses import _LogitStep
 from jseg.train import _gap_check
 from jseg.transform import GAP
 from oracles import evaluate_loss_train
@@ -148,15 +147,13 @@ def test_overflowing_update_raises_train_diverged_with_the_partial_trace():
 def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     g, y = _scene_target()
 
-    class FiniteTotalInfGradient(_LogitStep):
-        def __call__(self):
-            theta = self.theta
-            return {"ce": 1.0}, np.full(theta.shape, np.inf), np.full((theta.size // 4, 4), 0.25)
+    def finite_total_inf_gradient(loss_id, target, weights):
+        return lambda z: ({"ce": 1.0}, np.full(z.shape, np.inf))
 
     # Every iteration, the first included, takes its loss and gradient from
-    # the step that ``jseg.train`` binds as ``_LogitStep``.
+    # the core that ``jseg.train`` builds with ``_build_core``.
     module = importlib.import_module("jseg.train")
-    monkeypatch.setattr(module, "_LogitStep", FiniteTotalInfGradient)
+    monkeypatch.setattr(module, "_build_core", finite_total_inf_gradient)
     for optimizer in ("gd", "adam"):
         with np.errstate(all="ignore"), pytest.raises(TrainDiverged, match="iteration 0"):
             train(y, g, TrainConfig(loss="ce", iterations=3, optimizer=optimizer))
@@ -192,15 +189,16 @@ def test_back_to_back_runs_give_equal_traces(optimizer):
 def _steady_state_rises(monkeypatch, g, y, cfg) -> list[int]:
     """How far the traced peak rises above the previous record's traced
     memory between two records of a 12-iteration run, at records 2 to 11.
-    The step's norm runs once per iteration, for its record."""
-    norm, seen = _LogitStep.norm, []
+    The gradient's norm runs once per iteration, for its record."""
+    module = importlib.import_module("jseg.train")
+    norm, seen = module.l2_norm, []
 
     def watching(*args, **kwargs):
         seen.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         return norm(*args, **kwargs)
 
-    monkeypatch.setattr(_LogitStep, "norm", watching)
+    monkeypatch.setattr(module, "l2_norm", watching)
     tracemalloc.start()
     try:
         train(y, g, cfg)
@@ -247,18 +245,21 @@ def test_train_checks_its_inputs_in_one_evaluate_loss_call(monkeypatch, iteratio
 
 def test_pair_weights_of_the_wrong_size_fail_before_any_record(monkeypatch):
     module = importlib.import_module("jseg.train")
-    steps = []
+    built = []
 
-    class Counting(_LogitStep):
-        def __init__(self, *args):
-            steps.append(args)
-            super().__init__(*args)
+    def counting(make):
+        def build(*args):
+            built.append(make)
+            return make(*args)
+
+        return build
 
     g, y = _scene_target()
-    monkeypatch.setattr(module, "_LogitStep", Counting)
+    for name in ("_build_core", "BoundSoftmax"):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     with pytest.raises(ValueError, match="pair weights are 3x3, field has 4 channels"):
         train(y, g, TrainConfig(loss="jc", iterations=5), weights=PairWeights.default(3))
-    assert steps == []
+    assert built == []
 
 
 def test_pair_weights_as_a_bare_array_are_a_type_error():

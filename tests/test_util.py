@@ -6,6 +6,7 @@ it reads them."""
 
 import csv
 import dataclasses
+import importlib
 import struct
 import threading
 from functools import partial
@@ -39,7 +40,11 @@ from jseg import (
 )
 from jseg import _util, grids, losses, simulate
 from jseg.cli import dispatch
-from jseg.losses import _build_core, _LogitStep
+from jseg.grids import BoundSoftmax
+from jseg.losses import _build_core
+
+# ``jseg.train`` as a module: the package binds the name to the function.
+_train_module = importlib.import_module("jseg.train")
 
 # -- the step's arrays --------------------------------------------------------
 
@@ -84,7 +89,7 @@ def poisoned(monkeypatch):
 
     def call(fn):
         with monkeypatch.context() as patch:
-            for module in (_util, grids, losses, simulate):
+            for module in (_util, grids, losses, simulate, _train_module):
                 patch.setattr(module, "np", _PoisonedNumpy())
             return fn()
 
@@ -109,10 +114,11 @@ def _bits(value):
 
 def test_the_poison_reaches_every_array_a_step_makes(poisoned):
     def made():
-        step = _LogitStep(_build_core("ce", _TARGET, None), np.zeros((2, 3, 4)))
-        softmax = step.softmax
-        arrays = (softmax.out, softmax.lane, step.gradient, step._squares, step._finite)
-        return [a.copy() for a in arrays], step.core(softmax())[1]
+        softmax = BoundSoftmax(np.zeros(_TARGET.shape))
+        # ``train`` makes its norm's squares and finiteness mask like this.
+        squares, finite = _train_module.np.empty((2, 3, 4)), _train_module.np.empty((2, 3, 4), bool)
+        arrays = (softmax.out, softmax.lane, softmax._pulled, squares, finite)
+        return [a.copy() for a in arrays], _build_core("ce", _TARGET, None)(softmax())[1]
 
     (*floats, finite), ce_dz = poisoned(made)
     assert all(np.isnan(a).all() for a in floats) and finite.all()
