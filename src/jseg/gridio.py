@@ -1,12 +1,21 @@
 """Bit-exact file I/O for grids.
 
-Two formats are supported:
+Two formats are supported, picked by the path's extension in both
+directions: a path ending in ``.pgm`` (any case) is PGM, any other GRD1.
 
 * ``GRD1``: a single-line JSON header followed by the raw little-endian
   payload in C order, channel-last.  Integer maps are stored as ``u16``,
   real fields as ``f32``.
 * Binary PGM (``P5``, maxval 65535, big-endian two-byte samples), for 2-D
-  single-channel integer maps only.
+  single-channel integer maps only.  The header follows Netpbm's grammar:
+  ``P5`` at byte 0, then the width, the height and the maxval, each 1 to 10
+  ASCII digits after one or more separators, then exactly one whitespace
+  byte before the samples.  A separator is one whitespace byte or a ``#``
+  comment through the next ``\\n``.  So ``+2``, ``1_0`` and ``-1`` are not
+  sizes, and nothing may precede the magic.
+
+The header of either format lies within the file's first 64 KiB: a GRD1
+header line ends with its newline at byte 65 535 at the latest.
 
 Write-then-read round trips are bit exact for integer grids and exact to
 float32 representation for real fields.  The writer refuses, before it
@@ -18,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 
@@ -38,6 +48,17 @@ _U16_MAX = 65535
 
 #: Most elements of a real payload that :func:`write_grid` checks at once.
 _CHECK_ELEMENTS = 1 << 18
+
+#: Bytes from the start of a file within which its header must end.
+_HEADER_LIMIT = 1 << 16
+
+#: GRD1 dtype name -> payload dtype.
+_DTYPES = {"u16": np.dtype("<u2"), "f32": np.dtype("<f4")}
+_PGM_DTYPE = np.dtype(">u2")
+
+#: The P5 header of the module docstring; the digit bound keeps ``int`` within
+#: Python's limit on the length of an integer string.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
 
 
 class GridIOError(Exception):
@@ -69,12 +90,8 @@ _KINDS = {
 }
 
 
-def _payload_dtype(name: str) -> np.dtype:
-    if name == "u16":
-        return np.dtype("<u2")
-    if name == "f32":
-        return np.dtype("<f4")
-    raise MalformedHeaderError(f"unsupported dtype {name!r}")
+def _is_pgm(path) -> bool:
+    return str(path).lower().endswith(".pgm")
 
 
 def write_grid(grid, path: str | os.PathLike) -> None:
@@ -85,29 +102,27 @@ def write_grid(grid, path: str | os.PathLike) -> None:
     would not read back: labels past u16, or a real field whose float32
     values no longer form a valid container of its kind.
     """
-    if str(path).lower().endswith(".pgm"):
-        _write_pgm(grid, path)
+    found = [spec for spec in _KINDS.values() if isinstance(grid, spec[0])]
+    if not found:
+        raise TypeError(f"cannot serialize {type(grid).__name__}")
+    _, attr, name, channels = found[0]
+    arr = getattr(grid, attr)
+    if name == "u16" and arr.max(initial=0) > _U16_MAX:
+        raise ValueError("labels exceed the 16-bit range of grid files")
+    if _is_pgm(path):
+        if name != "u16" or arr.ndim != 2:
+            raise ValueError("PGM holds 2-D single-channel integer maps only")
+        header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{_U16_MAX}\n".encode("ascii")
+        dtype = _PGM_DTYPE
     else:
-        _write_grd(grid, path)
-
-
-def _split(grid) -> tuple[np.ndarray, str, int]:
-    for container, attr, dtype, channels in _KINDS.values():
-        if isinstance(grid, container):
-            arr = getattr(grid, attr)
-            return arr, dtype, channels or arr.shape[-1]
-    raise TypeError(f"cannot serialize {type(grid).__name__}")
-
-
-def _write_grd(grid, path) -> None:
-    arr, dtype, channels = _split(grid)
-    dims = list(arr.shape[:-1]) if channels > 1 else list(arr.shape)
-    if dtype == "u16" and arr.max(initial=0) > _U16_MAX:
-        raise ValueError("labels exceed the u16 range of the container")
-    header = {"magic": MAGIC, "dims": dims, "channels": channels, "dtype": dtype, "order": "C"}
+        dims = list(arr.shape) if channels == 1 else list(arr.shape[:-1])
+        fields = {"magic": MAGIC, "dims": dims, "channels": channels or arr.shape[-1],
+                  "dtype": name, "order": "C"}
+        header = json.dumps(fields, sort_keys=True).encode("ascii") + b"\n"
+        dtype = _DTYPES[name]
     with np.errstate(over="ignore"):  # a value past the f32 range is rejected below
-        payload = np.ascontiguousarray(arr).astype(_payload_dtype(dtype))
-    if dtype == "f32":
+        payload = np.ascontiguousarray(arr, dtype)
+    if name == "f32":
         # Rounding to f32 can carry a valid field out of its container's range,
         # such as a probability sum just inside the tolerance, or a logit to inf.
         # The container checks each element on its own, so slabs along the
@@ -119,30 +134,24 @@ def _write_grd(grid, path) -> None:
         except ValueError as exc:
             raise ValueError(f"the float32 payload would not read back: {exc}") from exc
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(payload.tobytes(order="C"))
-
-
-def _write_pgm(grid, path) -> None:
-    arr, dtype, channels = _split(grid)
-    if dtype != "u16" or channels != 1 or arr.ndim != 2:
-        raise ValueError("PGM holds 2-D single-channel integer maps only")
-    if arr.max(initial=0) > _U16_MAX:
-        raise ValueError("labels exceed the PGM 16-bit range")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{_U16_MAX}\n".encode("ascii"))
-        fh.write(arr.astype(">u2").tobytes(order="C"))
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_grid(path: str | os.PathLike, kind: str):
     """Read a grid of the given ``kind``: instance | semantic | probs | logits."""
     if kind not in _KINDS:
         raise ValueError(f"unknown grid kind {kind!r}")
-    if str(path).lower().endswith(".pgm"):
-        arr, channels = _read_pgm(path), 1
-    else:
-        arr, channels = _read_grd(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    shape, channels, dtype, offset = (_pgm_header if _is_pgm(path) else _grd_header)(data)
+    payload = memoryview(data)[offset:]
+    expected = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap
+    if len(payload) != expected:
+        raise TruncatedPayloadError(
+            f"payload holds {len(payload)} bytes, header declares {expected}"
+        )
+    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     container, _, want_dtype, want_channels = _KINDS[kind]
     if want_channels == 1 and channels != 1:
         raise DimMismatchError(f"{kind} map must be single-channel, file has {channels}")
@@ -160,78 +169,49 @@ def read_grid(path: str | os.PathLike, kind: str):
         raise InvalidValuesError(str(exc)) from exc
 
 
-def _read_grd(path) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as fh:
-        line = fh.readline(65536)
-        if not line.endswith(b"\n"):
-            raise MalformedHeaderError("header line missing or unterminated")
-        try:
-            header = json.loads(line.decode("ascii"))
-        # ValueError also covers over-long integers; RecursionError, deep nesting.
-        except (ValueError, RecursionError) as exc:
-            raise MalformedHeaderError(f"header is not single-line JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("magic") != MAGIC:
-            raise MalformedHeaderError("missing GRD1 magic")
-        for key in ("dims", "channels", "dtype", "order"):
-            if key not in header:
-                raise MalformedHeaderError(f"header lacks {key!r}")
-        if header["order"] != "C":
-            raise MalformedHeaderError(f"unsupported order {header['order']!r}")
-        # JSON true/false parse as bool, a subclass of int: test the exact type.
-        dims = header["dims"]
-        if (
-            not isinstance(dims, list)
-            or len(dims) not in (2, 3)
-            or not all(type(n) is int and n >= 1 for n in dims)
-        ):
-            raise DimMismatchError(f"dims must be 2 or 3 positive integers, got {dims!r}")
-        channels = header["channels"]
-        if type(channels) is not int or channels < 1:
-            raise MalformedHeaderError(f"bad channel count {channels!r}")
-        dtype = _payload_dtype(header["dtype"])
-        count = math.prod(dims) * channels  # exact: no int64 wrap
-        payload = fh.read()
-        expected = count * dtype.itemsize
-        if len(payload) != expected:
-            raise TruncatedPayloadError(
-                f"payload holds {len(payload)} bytes, header declares {expected}"
-            )
-        shape = tuple(dims) + ((channels,) if channels > 1 else ())
-        return np.frombuffer(payload, dtype=dtype).reshape(shape), channels
-
-
-def _read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":  # comment line
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedHeaderError("PGM header ended early")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise MalformedHeaderError(f"not a binary PGM: magic {fields[0]!r}")
+def _grd_header(data: bytes) -> tuple[tuple[int, ...], int, np.dtype, int]:
+    """The payload's shape, channel count, dtype and offset in a GRD1 file."""
+    end = data.find(b"\n", 0, _HEADER_LIMIT) + 1
+    if not end:
+        raise MalformedHeaderError("header line missing or unterminated")
     try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError as exc:
-        raise MalformedHeaderError("PGM header fields must be integers") from exc
+        header = json.loads(data[:end].decode("ascii"))
+    # ValueError also covers over-long integers; RecursionError, deep nesting.
+    except (ValueError, RecursionError) as exc:
+        raise MalformedHeaderError(f"header is not single-line JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
+        raise MalformedHeaderError("missing GRD1 magic")
+    for key in ("dims", "channels", "dtype", "order"):
+        if key not in header:
+            raise MalformedHeaderError(f"header lacks {key!r}")
+    if header["order"] != "C":
+        raise MalformedHeaderError(f"unsupported order {header['order']!r}")
+    # JSON true/false parse as bool, a subclass of int: test the exact type.
+    dims = header["dims"]
+    if (
+        not isinstance(dims, list)
+        or len(dims) not in (2, 3)
+        or not all(type(n) is int and n >= 1 for n in dims)
+    ):
+        raise DimMismatchError(f"dims must be 2 or 3 positive integers, got {dims!r}")
+    channels = header["channels"]
+    if type(channels) is not int or channels < 1:
+        raise MalformedHeaderError(f"bad channel count {channels!r}")
+    name = header["dtype"]
+    if type(name) is not str or name not in _DTYPES:  # a JSON list is unhashable
+        raise MalformedHeaderError(f"unsupported dtype {name!r}")
+    shape = tuple(dims) + ((channels,) if channels > 1 else ())
+    return shape, channels, _DTYPES[name], end
+
+
+def _pgm_header(data: bytes) -> tuple[tuple[int, int], int, np.dtype, int]:
+    """The payload's shape, channel count, dtype and offset in a PGM file."""
+    match = _PGM_HEADER.match(data, 0, _HEADER_LIMIT)
+    if match is None:
+        raise MalformedHeaderError(f"not a binary PGM header: {data[:32]!r}")
+    w, h, maxval = map(int, match.groups())
     if w < 1 or h < 1:
         raise DimMismatchError(f"PGM size {w}x{h} is not a grid")
     if maxval != _U16_MAX:
         raise MalformedHeaderError(f"expected maxval {_U16_MAX}, got {maxval}")
-    payload = data[pos:]
-    if len(payload) != w * h * 2:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes, header declares {w * h * 2}"
-        )
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w)
+    return (h, w), 1, _PGM_DTYPE, match.end()

@@ -126,7 +126,7 @@ class ProbabilityField:
             if not (np.isfinite(low) and np.isfinite(high)):
                 raise ValueError("probability values must be finite")
             raise ValueError("probabilities must lie in [0, 1]")
-        sums = fold_channels(np.add, values)
+        sums = fold_views(np.add, channel_views(values))
         worst = float(max(sums.max() - 1.0, 1.0 - sums.min()))
         if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
@@ -167,7 +167,14 @@ def channel_views(x: np.ndarray) -> list[np.ndarray]:
 def fold_views(ufunc: np.ufunc, views: list[np.ndarray], out: np.ndarray | None = None):
     """Fold ``ufunc`` over ``views`` in order (at least two): the first step
     writes the result, into ``out`` when given, and the rest fold into it,
-    so no view is written and no other array is made."""
+    so no view is written and no other array is made.
+
+    Folded over ``channel_views(x)``, it gives the same result as
+    ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels (bar the sign of
+    an all-negative-zero sum), where numpy folds in order too, at a
+    fraction of the cost, since numpy's reduction over a short last axis
+    pays a loop overhead per element.
+    """
     acc = ufunc(views[0], views[1], out=out)
     for view in views[2:]:
         ufunc(acc, view, out=acc)
@@ -188,19 +195,6 @@ def lane_op(ufunc: np.ufunc, views: list, lane: np.ndarray, outs: list) -> None:
     """
     for view, out in zip(views, outs):
         ufunc(view, lane, out=out)
-
-
-def fold_channels(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` over the channel (last) axis, keeping that axis.
-
-    Folds one channel slice at a time, in order (:func:`fold_views`): the
-    same result as ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels
-    (bar the sign of an all-negative-zero sum), where numpy folds in order
-    too, at a fraction of the cost, since numpy's reduction over a short
-    last axis pays a loop overhead per element.  ``x`` needs at least 2
-    channels.
-    """
-    return fold_views(ufunc, channel_views(x))[..., None]
 
 
 def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

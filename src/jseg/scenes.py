@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class SceneSpec:
     n_blobs: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         if self.kind not in (TWO_SQUARES_NOTCH, RANDOM_BLOBS):
             raise ValueError(f"unknown scene kind {self.kind!r}")
         _check_dims(self.dims)
@@ -84,10 +85,9 @@ def _two_squares_notch(spec: SceneSpec) -> InstanceLabelMap:
     # floor(w/2) from cell 2, running notch_length elements from one end of
     # the side (full depth along any third axis).
     w, length = spec.notch_width, spec.notch_length
-    if length > 0:  # SceneSpec holds w >= 1
-        lo = max(0, s - (w + 1) // 2)
-        hi = min(2 * s, s + w // 2)
-        body[(slice(lo, hi), slice(0, length)) + (slice(None),) * (len(dims) - 2)] = 0
+    lo = max(0, s - (w + 1) // 2)
+    hi = min(2 * s, s + w // 2)
+    body[(slice(lo, hi), slice(0, length)) + (slice(None),) * (len(dims) - 2)] = 0
 
     labels[inner] = body
     return InstanceLabelMap(labels)

@@ -152,6 +152,58 @@ def test_pgm_writer_rejections(tmp_path):
     assert not path.exists()
 
 
+_TEN = bytes(20)  # ten big-endian samples, all 0
+
+# Netpbm's P5 header: the magic at byte 0, three fields of 1 to 10 ASCII
+# digits after whitespace or ``#`` comments, one whitespace byte, samples.
+_PGM_FILES = {
+    "minimal": (b"P5 10 1 65535 " + _TEN, None),
+    "comment between fields": (b"P5\n5 # width, then height\n2\n65535\n" + _TEN, None),
+    "comment after the magic": (b"P5#c\n10 1\n65535\n" + _TEN, None),
+    # Python's int() reads 1_0 as 10 and +2 as 2.
+    "underscore in width": (b"P5\n1_0 1\n65535\n" + _TEN, MalformedHeaderError),
+    "plus sign in width": (b"P5\n+2 5\n65535\n" + _TEN, MalformedHeaderError),
+    "space before the magic": (b" P5\n10 1\n65535\n" + _TEN, MalformedHeaderError),
+    "comment before the magic": (b"#c\nP5\n10 1\n65535\n" + _TEN, MalformedHeaderError),
+    "negative width": (b"P5\n-1 1\n65535\n" + _TEN, MalformedHeaderError),
+    "no byte after maxval": (b"P5\n10 1\n65535", MalformedHeaderError),
+    "ASCII PGM": (b"P2\n10 1\n65535\n" + _TEN, MalformedHeaderError),
+    "maxval 255": (b"P5\n10 1\n255\n" + bytes(10), MalformedHeaderError),
+    "5000-digit width": (b"P5\n" + b"9" * 5000 + b" 1\n65535\n" + _TEN, MalformedHeaderError),
+    "header past 64 KiB": (b"P5" + b" " * 70000 + b"10 1\n65535\n" + _TEN, MalformedHeaderError),
+    "zero width": (b"P5\n0 1\n65535\n", DimMismatchError),
+}
+
+
+@pytest.mark.parametrize("name", list(_PGM_FILES))
+def test_pgm_header_grammar(tmp_path, name):
+    data, error = _PGM_FILES[name]
+    path = tmp_path / "g.pgm"
+    path.write_bytes(data)
+    if error is None:
+        labels = read_grid(path, "instance").labels
+        assert labels.size == 10 and not labels.any()
+    else:
+        with pytest.raises(error):
+            read_grid(path, "instance")
+
+
+def _grd1_line_ending_at(index: int) -> bytes:
+    """A valid 1x1 instance file whose header line has its newline at ``index``."""
+    header = json.dumps({"magic": "GRD1", "dims": [1, 1], "channels": 1, "dtype": "u16",
+                         "order": "C"}).encode()
+    return header + b" " * (index - len(header)) + b"\n\x07\x00"
+
+
+def test_grd1_header_line_ends_within_64_kib(tmp_path):
+    path = tmp_path / "g.grd"
+    path.write_bytes(_grd1_line_ending_at(65535))
+    assert read_grid(path, "instance").labels.tolist() == [[7]]
+    path.write_bytes(_grd1_line_ending_at(65536))
+    with pytest.raises(MalformedHeaderError, match="unterminated"):
+        read_grid(path, "instance")
+
+
 def test_read_grid_checks_kind_channels_dtype_and_order(tmp_path):
     def grd(name, channels, dtype, payload):
         path = tmp_path / name
@@ -301,12 +353,15 @@ def fuzz_dir(tmp_path_factory):
     b"\x00\x00\x00\x00\x01\x00\x81\x7f",
     "logits",
 ))
+@example((_grd1_line_ending_at(65535), "instance"))  # the last newline the header bound admits
+@example((_grd1_line_ending_at(65536), "instance"))  # one byte past it
 def test_grd1_reader_survives_arbitrary_bytes(fuzz_dir, case):
     _read_or_reject(fuzz_dir / "fuzz.grd", *case)
 
 
 @_FUZZ
 @given(st.one_of(_pgm_bytes(), st.binary(max_size=96)), st.sampled_from(["instance", "semantic"]))
+@example(b"P5\n" + b"9" * 5000 + b" 1\n65535\n", "instance")  # int() refuses 5000 digits
 def test_pgm_reader_survives_arbitrary_bytes(fuzz_dir, data, kind):
     _read_or_reject(fuzz_dir / "fuzz.pgm", data, kind)
 

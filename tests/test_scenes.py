@@ -153,3 +153,16 @@ def test_blob_scenes_are_pinned(dims, n_blobs, cell_size, seed, digest):
 def test_named_errors(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SceneSpec(kind="random-blobs", dims=(20, 20), **fields)
+
+
+@pytest.mark.parametrize("dims", [(24.7, 16), ("24", "16")], ids=["float", "str"])
+def test_dims_must_be_integers(dims):
+    # int() would truncate 24.7 to 24 and parse "24".
+    with pytest.raises(TypeError):
+        SceneSpec(kind="two-squares-notch", dims=dims)
+
+
+def test_dims_take_numpy_integers():
+    spec = SceneSpec(kind="two-squares-notch", dims=(np.int64(24), np.uint8(16)))
+    assert spec.dims == (24, 16) and all(type(n) is int for n in spec.dims)
+    assert generate_scene(spec).labels.shape == (24, 16)

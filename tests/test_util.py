@@ -66,26 +66,34 @@ def test_the_ce_output_is_filled_once_and_then_kept():
     assert stack[1] is None and made is core(np.full(_TARGET.shape, 0.25))[1]
 
 
+def _poison(array):
+    kind = array.dtype.kind
+    array.fill(np.nan if kind in "fc" else True if kind == "b" else np.iinfo(array.dtype).min)
+    return array
+
+
 class _PoisonedNumpy:
-    """numpy, except that ``empty`` fills each array it makes with poison:
-    NaN for floats, True for bools, the most negative value for integers."""
+    """numpy, except that ``empty`` and ``empty_like`` fill each array they
+    make with poison: NaN for floats, True for bools, the most negative value
+    for integers."""
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     @staticmethod
-    def empty(shape, dtype=float, **kwargs):
-        array = np.empty(shape, dtype, **kwargs)
-        kind = array.dtype.kind
-        array.fill(np.nan if kind in "fc" else True if kind == "b" else np.iinfo(array.dtype).min)
-        return array
+    def empty(*args, **kwargs):
+        return _poison(np.empty(*args, **kwargs))
+
+    @staticmethod
+    def empty_like(*args, **kwargs):
+        return _poison(np.empty_like(*args, **kwargs))
 
 
 @pytest.fixture
 def poisoned(monkeypatch):
-    """Call a function with every array that ``np.empty`` makes in the
-    modules of the step loops filled with poison, so a read before a write
-    shows."""
+    """Call a function with every array that ``np.empty`` or
+    ``np.empty_like`` makes in the modules of the step loops filled with
+    poison, so a read before a write shows."""
 
     def call(fn):
         with monkeypatch.context() as patch:
@@ -117,7 +125,8 @@ def test_the_poison_reaches_every_array_a_step_makes(poisoned):
         softmax = BoundSoftmax(np.zeros(_TARGET.shape))
         # ``train`` makes its norm's squares and finiteness mask like this.
         squares, finite = _train_module.np.empty((2, 3, 4)), _train_module.np.empty((2, 3, 4), bool)
-        arrays = (softmax.out, softmax.lane, softmax._pulled, squares, finite)
+        adam = _train_module._Adam(np.zeros((2, 3, 4)))
+        arrays = (softmax.out, softmax.lane, softmax._pulled, adam.scratch, squares, finite)
         return [a.copy() for a in arrays], _build_core("ce", _TARGET, None)(softmax())[1]
 
     (*floats, finite), ce_dz = poisoned(made)
