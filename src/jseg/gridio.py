@@ -28,6 +28,7 @@ import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -139,19 +140,31 @@ def write_grid(grid, path: str | os.PathLike) -> None:
 
 
 def read_grid(path: str | os.PathLike, kind: str):
-    """Read a grid of the given ``kind``: instance | semantic | probs | logits."""
+    """Read a grid of the given ``kind``: instance | semantic | probs | logits.
+
+    The reader takes the header from the file's first 64 KiB and checks the
+    payload size it declares against the file's size before it allocates
+    anything; then it reads the payload straight into one array, the one
+    the container casts.  So a file that is no grid costs at most 64 KiB
+    to reject, whatever its size or its header declares.  A pipe or device
+    has no size to check, so only a regular file is read.
+    """
     if kind not in _KINDS:
         raise ValueError(f"unknown grid kind {kind!r}")
     with open(path, "rb") as fh:
-        data = fh.read()
-    shape, channels, dtype, offset = (_pgm_header if _is_pgm(path) else _grd_header)(data)
-    payload = memoryview(data)[offset:]
-    expected = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes, header declares {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise GridIOError(f"{os.fspath(path)} is not a regular file")
+        header = _pgm_header if _is_pgm(path) else _grd_header
+        shape, channels, dtype, offset = header(fh.read(_HEADER_LIMIT))
+        expected = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap
+        held = info.st_size - offset
+        if held == expected:
+            arr = np.empty(shape, dtype)
+            fh.seek(offset)
+            held = fh.readinto(arr)  # fewer bytes only if the file shrank meanwhile
+    if held != expected:
+        raise TruncatedPayloadError(f"payload holds {held} bytes, header declares {expected}")
     container, _, want_dtype, want_channels = _KINDS[kind]
     if want_channels == 1 and channels != 1:
         raise DimMismatchError(f"{kind} map must be single-channel, file has {channels}")
@@ -170,8 +183,9 @@ def read_grid(path: str | os.PathLike, kind: str):
 
 
 def _grd_header(data: bytes) -> tuple[tuple[int, ...], int, np.dtype, int]:
-    """The payload's shape, channel count, dtype and offset in a GRD1 file."""
-    end = data.find(b"\n", 0, _HEADER_LIMIT) + 1
+    """The payload's shape, channel count, dtype and offset in a GRD1 file
+    whose first 64 KiB (or all, if shorter) are ``data``."""
+    end = data.find(b"\n") + 1
     if not end:
         raise MalformedHeaderError("header line missing or unterminated")
     try:
@@ -205,8 +219,9 @@ def _grd_header(data: bytes) -> tuple[tuple[int, ...], int, np.dtype, int]:
 
 
 def _pgm_header(data: bytes) -> tuple[tuple[int, int], int, np.dtype, int]:
-    """The payload's shape, channel count, dtype and offset in a PGM file."""
-    match = _PGM_HEADER.match(data, 0, _HEADER_LIMIT)
+    """The payload's shape, channel count, dtype and offset in a PGM file
+    whose first 64 KiB (or all, if shorter) are ``data``."""
+    match = _PGM_HEADER.match(data)
     if match is None:
         raise MalformedHeaderError(f"not a binary PGM header: {data[:32]!r}")
     w, h, maxval = map(int, match.groups())

@@ -2,17 +2,27 @@
 
 Instance label maps, semantic class maps, probability fields and logit
 fields over 2-D or 3-D element grids, plus the softmax / one-hot bridges
-between them.  Arrays are stored C-order with the class channel last and
-are marked read-only once a container is built, so instances can move
-between threads freely.  All reductions run in a fixed order (numpy's
-pairwise summation, or an in-order fold over the channels), which keeps
-results independent of worker count.
+between them.  Container arrays are stored C-order with the class channel
+last and are marked read-only once a container is built, so instances
+can move between threads freely.  All reductions run in a fixed order
+(numpy's pairwise summation, or an in-order fold over the channels),
+which keeps results independent of worker count.
 
 Each construction checks its input once and makes exactly one copy, in
 the container's dtype (int32 for maps, float64 for fields), so no caller
 array is ever aliased or frozen.  Callers therefore hand over arrays as
 they have them: the grid readers pass the raw file payload (``<u2``,
 ``>u2`` or ``<f4``) and the container does the cast.
+
+The step loops of training, the shrinkwrap run and the loss layer work
+on bare planar arrays instead: ``(C, n)``, one contiguous row (plane) of
+``n`` elements per channel, the grid flattened in C order, or ``(k, C,
+n)`` for a stack of ``k`` fields.  :func:`planar` makes that copy of a
+channel-last array; callers transpose once, at the API boundary.  On
+planes every channel fold is one reduction over the channel axis and
+every lane operation, which applies one value per element to every
+channel, runs one contiguous plane at a time (:func:`lane_op`), so no
+operation reads a stride-C view.
 """
 
 from __future__ import annotations
@@ -164,10 +174,10 @@ def channel_views(x: np.ndarray) -> list[np.ndarray]:
     return [x[..., c] for c in range(x.shape[-1])]
 
 
-def fold_views(ufunc: np.ufunc, views: list[np.ndarray], out: np.ndarray | None = None):
+def fold_views(ufunc: np.ufunc, views: list[np.ndarray]):
     """Fold ``ufunc`` over ``views`` in order (at least two): the first step
-    writes the result, into ``out`` when given, and the rest fold into it,
-    so no view is written and no other array is made.
+    writes the result and the rest fold into it, so no view is written and
+    no other array is made.
 
     Folded over ``channel_views(x)``, it gives the same result as
     ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels (bar the sign of
@@ -175,26 +185,37 @@ def fold_views(ufunc: np.ufunc, views: list[np.ndarray], out: np.ndarray | None 
     fraction of the cost, since numpy's reduction over a short last axis
     pays a loop overhead per element.
     """
-    acc = ufunc(views[0], views[1], out=out)
+    acc = ufunc(views[0], views[1])
     for view in views[2:]:
         ufunc(acc, view, out=acc)
     return acc
 
 
-def lane_op(ufunc: np.ufunc, views: list, lane: np.ndarray, outs: list) -> None:
-    """``ufunc(view, lane)`` into each of ``outs``, one channel view at a
-    time: the lane operation that applies one value per element to every
-    channel.
+def planar(x: np.ndarray) -> np.ndarray:
+    """The planar ``(C, n)`` copy of a channel-last array ``x``: row ``c``
+    holds channel ``c`` of every element, in the C order of ``x``'s grid."""
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+
+
+def channel_planes(x: np.ndarray) -> list[np.ndarray]:
+    """The channel planes of a planar ``(..., C, n)`` array, in order: the
+    rows of a ``(C, n)`` field, contiguous."""
+    return [x[..., c, :] for c in range(x.shape[-2])]
+
+
+def lane_op(ufunc: np.ufunc, planes: list, lane: np.ndarray, outs: list) -> None:
+    """``ufunc(plane, lane)`` into each of ``outs``, one channel plane of a
+    planar array at a time, for a ``(..., n)`` lane: the lane operation
+    that applies one value per element to every channel.
 
     Per element it is the same ufunc on the same operands as a broadcast
-    of ``lane[..., None]`` over the channels, so the same bits.  On a
-    flattened ``(rows, C)`` field each call runs down the rows: at 96² in
-    two thirds of the time of a broadcast in numpy's default order (34 µs
-    against 52), and at 24×16 as fast (2.7 µs), where the broadcast goes
-    through numpy's ufunc buffer, a field-sized allocation per call.
+    of ``lane[..., None, :]`` over the channel axis, so the same bits.  The
+    broadcast is as fast at 96², but over an array that fits in numpy's
+    ufunc buffer (8192 elements) it goes through a buffer of numpy's own: a
+    field-sized allocation per call at 24×16.
     """
-    for view, out in zip(views, outs):
-        ufunc(view, lane, out=out)
+    for plane, out in zip(planes, outs):
+        ufunc(plane, lane, out=out)
 
 
 def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,35 +235,40 @@ def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class BoundSoftmax:
-    """Softmax over the last axis of one finite array ``x``, with
-    max-subtraction, and its pull-back, on arrays made once: each call
-    reads ``x`` as it is then and writes the same C-order ``out``, and
-    each :meth:`pull_back` writes the same C-order pull-back array.
+    """Softmax over the channel axis of one finite planar array ``x``,
+    ``(..., C, n)``, with max-subtraction, and its pull-back, on arrays made
+    once: each call reads ``x`` as it is then and writes the same C-order
+    ``out``, and each :meth:`pull_back` writes the same C-order pull-back
+    array.
 
     The subtraction keeps every exponent at or below 0, so nothing
     overflows and every output lies in [0, 1] with per-element sums of 1
-    up to rounding: the result needs no ProbabilityField checks.  The
-    channel views of ``x``, ``out`` and the pull-back array are taken
-    here; every channel fold writes ``lane``, shaped like ``x[..., 0]``,
-    and every lane operation, ``x - max``, ``e / sum`` and ``dz - sum``,
-    runs channel by channel (:func:`lane_op`).
+    up to rounding: the result needs no ProbabilityField checks.  Each
+    channel fold is one ``reduce`` over the channel axis into ``lane``,
+    shaped ``(..., n)``; numpy folds the planes in order there, as a loop
+    over the channels would (bar a single element with more than 8
+    channels, which numpy sums pairwise).  Each lane operation, ``x -
+    max``, ``e / sum`` and ``dz - sum``, runs plane by plane
+    (:func:`lane_op`), on the planes of ``x``, ``out`` and the pull-back
+    array taken here: at 24×16, taking them per call cost a tenth of the
+    softmax.
     """
 
     def __init__(self, x: np.ndarray):
+        self._x = x
         self.out = np.empty(x.shape)
-        self.lane = np.empty(x.shape[:-1])
+        self.lane = np.empty(x.shape[:-2] + x.shape[-1:])
         self._pulled = np.empty(x.shape)
-        self._x_views = channel_views(x)
-        self._out_views = channel_views(self.out)
-        self._pulled_views = channel_views(self._pulled)
+        self._planes = [channel_planes(a) for a in (x, self.out, self._pulled)]
 
     def __call__(self) -> np.ndarray:
-        e, lane, views = self.out, self.lane, self._out_views
-        fold_views(np.maximum, self._x_views, lane)
-        lane_op(np.subtract, self._x_views, lane, views)
+        e, lane = self.out, self.lane
+        x_planes, e_planes, _ = self._planes
+        np.maximum.reduce(self._x, axis=-2, out=lane)
+        lane_op(np.subtract, x_planes, lane, e_planes)
         np.exp(e, out=e)
-        fold_views(np.add, views, lane)
-        lane_op(np.divide, views, lane, views)
+        np.add.reduce(e, axis=-2, out=lane)
+        lane_op(np.divide, e_planes, lane, e_planes)
         return e
 
     def pull_back(self, dz: np.ndarray) -> np.ndarray:
@@ -250,16 +276,17 @@ class BoundSoftmax:
         like ``x``, back to ``x``: ``z * (dz - sum_c dz_c z_c)``, into the
         pull-back array, which holds until the next pull-back.  The sum
         goes to ``lane``, which the output no longer needs."""
-        z, lane, views = self.out, self.lane, self._pulled_views
+        z, lane = self.out, self.lane
         pulled = np.multiply(dz, z, out=self._pulled)
-        fold_views(np.add, views, lane)
-        lane_op(np.subtract, channel_views(dz), lane, views)
+        np.add.reduce(pulled, axis=-2, out=lane)
+        lane_op(np.subtract, channel_planes(dz), lane, self._planes[2])
         np.multiply(z, pulled, out=pulled)
         return pulled
 
 
 def softmax_values(x: np.ndarray) -> np.ndarray:
-    """The softmax of ``x`` (:class:`BoundSoftmax`) in a fresh C-order array."""
+    """The softmax of a planar ``x`` (:class:`BoundSoftmax`) in a fresh
+    C-order array."""
     return BoundSoftmax(x)()
 
 
@@ -270,7 +297,7 @@ def softmax(logits: LogitField) -> ProbabilityField:
     output shift-invariant per element.
     """
     x = logits.values
-    return ProbabilityField(softmax_values(x.reshape(-1, x.shape[-1])).reshape(x.shape))
+    return ProbabilityField(softmax_values(planar(x)).T.reshape(x.shape))
 
 
 def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:

@@ -14,25 +14,26 @@ gradients are the exact gradients of the clamped forward functions, so
 they match central finite differences away from the (measure-zero) clamp
 boundaries.
 
-Each loss has one core on bare arrays, built per target:
-``_CORES[id](y, weights)`` takes the ``(n, C)`` target with its spatial
-axes flattened, does the target-side work once (class counts, presence,
-``phi``, the pair mask, class weights) and returns ``core(z)``,
-which has two modes:
+Each loss has one core on bare planar arrays (see :mod:`jseg.grids`),
+built per target: ``_CORES[id](y, weights)`` takes the ``(C, n)`` target,
+one row of ``n`` elements per class, does the target-side work once
+(class counts, presence, ``phi``, the pair mask, class weights) and
+returns ``core(z)``, which has two modes:
 
-- an ``(n, C)`` field of probabilities gives ``(components, dL/dz)``: the
+- a ``(C, n)`` field of probabilities gives ``(components, dL/dz)``: the
   training step and every other gradient caller;
-- a ``(k, n, C)`` stack gives ``(components, None)``, each component a
+- a ``(k, C, n)`` stack gives ``(components, None)``, each component a
   vector of ``k`` values, one per item: the finite-difference and
   landscape stacks, and probability input as a stack of one.
 
 An item's values are the bits of the same field's components.  Each
 core's docstring defines its loss.  J uses the matrix form of its pair
-sum: with ``phi_l = y_l / n_l``, ``S = phi^T z`` gives ``a_ik = 1/2 +
-(S_ii - S_ki) / 2`` for every pair, and ``phi M`` the gradient.  The cores
-use what the target fixes, and give the bits of the dense bodies that
-compute every term at every entry and every pair (kept in
-``tests/oracles.py`` as ``dense_core``, and tested against them):
+sum: with ``phi_l = y_l / n_l``, ``S = phi z^T`` gives ``a_ik = 1/2 +
+(S_ii - S_ki) / 2`` for every pair, and ``M^T y`` the gradient.  Per
+class, DSC's sums are row sums.  The cores use what the target fixes,
+and give the bits of the dense bodies that compute every term at every
+entry and every pair (kept in ``tests/oracles.py`` as ``dense_core``, and
+tested against them):
 
 - **CE at the target entries** (ce and bwm, and the ce parts of dsc and
   jc).  Off the target the terms ``w y log z`` and ``dz`` are both
@@ -41,12 +42,13 @@ compute every term at every entry and every pair (kept in
   and takes the clamp, log and division there.  Value and ``dz`` go in
   turn into one array that holds ``-0.0`` off the target (filled once
   per core for a field, see below); the value is summed over all of it.
-- **The J tail in scalars.**  On a field, after ``S = phi^T z`` the pair
+- **The J tail in scalars.**  On a field, after ``S = phi z^T`` the pair
   terms run on the pair list, precomputed per target, in Python floats:
   the same IEEE operations per pair as the matrix form, which a stack
   runs for its values.  The log is one ``np.log`` call on the pair
-  vector, and the value and the diagonal of ``M`` are numpy sums over the
-  C x C layout of the matrix form, so their order is numpy's.
+  vector, the diagonal of ``M`` a numpy sum over the C x C layout of the
+  matrix form, so its order is numpy's, and the value the exactly rounded
+  sum of the pair terms (``math.fsum``) in both modes.
 - **JC adds its two gradients in one place.**  JC adds CE's gradient
   into J's ``dz``, which J writes afresh each call, with one ``np.add``,
   as ``run_shrinkwrap`` does; off the target CE's ``dz`` is ``-0.0`` and
@@ -58,57 +60,64 @@ A caller that evaluates one target many times builds its core once
 :func:`gradient_check` per trial (for the analytic and the
 finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
-paths: a :class:`~jseg.grids.BoundSoftmax` of one field's flattened
-logits, whose output goes to the core and whose :meth:`pull_back
+paths: a :class:`~jseg.grids.BoundSoftmax` of one planar logit array,
+whose output goes to the core and whose :meth:`pull_back
 <jseg.grids.BoundSoftmax.pull_back>` takes the core's ``dz`` back to the
 logits, and ``_stack_totals`` for the loss totals of a stack of fields.
 ``run_shrinkwrap`` runs the ce and j cores on one softmax and pulls back
 three gradients, as it needs them apart.
 
-The softmax is built once per logit array: per run by the step loops,
-``train`` and ``run_shrinkwrap``, and per call by :func:`evaluate_loss`
-and per trial by :func:`gradient_check`.  It makes its output, its lane,
-the pull-back array and their channel views once, and each core makes
-its field mode's arrays when it is built: CE its ``-0.0``-filled output,
-the gather, the terms and the clamp mask, J its ``dz``, DSC its two
-arrays.  So every step writes the same arrays with ``out=`` and in-place
-ufuncs: the same ufuncs in the same order on the same operands as on
-fresh arrays, so the same bits, and no large allocation after the first
-step.  As tested, a step's peak is below 0.3 of one field for every loss
-at 96² and for ce and jc at 24×16.  dsc at 24×16 is the exception, at
-1.17 fields: there its three broadcasts of a class row over the field
-run through a buffer of numpy's own.  A stack runs on fresh arrays each
-call.  Every array is C-order, so every sum runs in one order, and the
-lane operations of the softmax and its pull-back, which apply one value
-per element to every channel, run one channel view at a time
-(:func:`~jseg.grids.lane_op`): per element the same ufunc on the same
-operands as a broadcast, so the same bits, with no buffer of numpy's
-own.  A core's field mode writes its own arrays, so a core runs one
-field at a time, and the gradient it returns holds until its next field
-call; its stack mode writes nothing the core holds, so one core can run
-stacks on several threads at once (``landscape_scan`` does).
+Each caller transposes once, at the API boundary (:func:`~jseg.grids.planar`):
+``train`` and ``run_shrinkwrap`` per run, :func:`evaluate_loss` per call
+(its gradient goes back to channel-last), :func:`gradient_check` per
+trial, whose finite-difference stacks are ``(2k, C, n)``, and
+``landscape_scan`` per scan.  The softmax makes its output, its lane and
+the pull-back array once, and each core makes its field mode's arrays
+when it is built: CE its ``-0.0``-filled output, the gather, the terms
+and the clamp mask, J its ``dz``, DSC its two arrays.  So every step
+writes the same arrays with ``out=`` and in-place ufuncs: the same ufuncs
+in the same order on the same operands as on fresh arrays, so the same
+bits, and no large allocation after the first step.  Each operation that
+applies one value per element or per class to every entry runs one
+contiguous plane at a time, with no buffer of numpy's own: the softmax's
+lane operations (:func:`~jseg.grids.lane_op`) and DSC's class terms.  As
+tested, a step's peak is below 0.3 of one field for every loss at 96²
+and at 24×16.  A stack runs on fresh arrays each call.  A core's field
+mode writes its own arrays, so a core runs one field at a time, and the
+gradient it returns holds until its next field call; its stack mode
+writes nothing the core holds, so one core can run stacks on several
+threads at once (``landscape_scan`` does).
+
+Elementwise results are the bits of the channel-last layout the step
+loops used before, but spatial sums now run along the planes: CE's
+value, ``S``, DSC's class sums and the gradient norm.  They agree with
+that layout within ``SUM_ORDER_RTOL``, as tested against the channel-last
+step kept in ``tests/oracles.py``.
 
 Only :func:`evaluate_loss` checks inputs: types, shapes, a one-hot target
 and the size of the pair weights.  Building a core checks nothing but the
 loss id and the pair weights' size, and running one checks nothing; the
 callers above pass targets and logits that are checked or derived by the
-library.  Sums run in a fixed order (pairwise over the field, in order
+library.  Sums run in a fixed order (pairwise along a plane, in order
 over the channels); training output is byte-identical with one and two
 OpenBLAS threads, as tested.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._util import l2_norm
-from .grids import BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, softmax_values
+from .grids import (BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, planar,
+                    softmax_values)
 
 __all__ = [
     "LOG_EPS",
+    "SUM_ORDER_RTOL",
     "FD_CHUNK_ELEMENTS",
     "GRAD_CHECK_FLOOR",
     "PairWeights",
@@ -121,6 +130,11 @@ __all__ = [
 
 #: Clamp applied to every logarithm argument.
 LOG_EPS = 1e-7
+
+#: Relative tolerance between a spatial sum of the planar step arrays and the
+#: same sum taken over the channel-last layout: the sums differ only in their
+#: order (CE's value, J's ``S``, DSC's class sums and the gradient norm).
+SUM_ORDER_RTOL = 1e-12
 
 #: Most array elements one batched call of the function handed to
 #: :func:`finite_difference_gradient` receives (2 MiB of float64).
@@ -183,9 +197,12 @@ class LossValue:
 
     @property
     def grad_norm(self) -> float:
+        """The gradient's Euclidean norm, its squares summed channel plane
+        by channel plane: the order of the step loops' norms, which equal
+        it bit for bit."""
         if self.gradient is None:
             raise ValueError("loss was evaluated without a gradient")
-        return l2_norm(self.gradient)
+        return l2_norm(np.moveaxis(self.gradient, -1, 0))
 
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
@@ -195,10 +212,10 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     It runs at the target entries (see the module docstring): off the
     target ``w y`` is +0.0 and the clamped ``z`` positive, so the terms are
     ``-0.0`` there, and so is ``dz``.  A stack gathers item ``b``'s entries
-    at ``b * n * C`` past the field's, computed per call.
+    at ``b * C * n`` past the field's, computed per call.
     """
-    n = y.shape[0]
-    wy = y if class_weights is None else class_weights * y
+    n = y.shape[-1]
+    wy = y if class_weights is None else class_weights[:, None] * y
     at = np.flatnonzero(y.ravel())  # the flat index of each element's target entry
     wy_at = wy.ravel()[at]
     neg_wy_at = -wy_at
@@ -251,9 +268,9 @@ def _bwm_core(y, weights):
     Absent classes get weight zero.  With perfectly balanced targets every
     weight collapses to one and the loss equals plain cross entropy.
     """
-    counts = y.sum(axis=0)
-    channels = y.shape[-1]
-    w = np.divide(y.shape[0], channels * counts, out=np.zeros(channels), where=counts > 0)
+    counts = y.sum(axis=-1)
+    channels = len(y)
+    w = np.divide(y.shape[-1], channels * counts, out=np.zeros(channels), where=counts > 0)
     return _weighted_ce(y, w, "bwm")
 
 
@@ -261,9 +278,11 @@ def _dsc_core(y, weights):
     """DSC: cross entropy plus one minus the mean soft Dice over present classes.
 
     Soft Dice of class l is ``2 * sum(z_l y_l) / (sum(z_l^2) + sum(y_l^2))``.
+    Its gradient applies each class's terms to that class's plane, one plane
+    at a time, with no buffer of numpy's own.
     """
     ce = _ce_core(y, None)
-    counts = y.sum(axis=0)
+    counts = y.sum(axis=-1)
     present = counts > 0
     share = present / np.count_nonzero(present)  # mean over present classes
     two_y = 2.0 * y
@@ -272,22 +291,34 @@ def _dsc_core(y, weights):
     def core(z):
         parts, dz = ce(z)
         product, cross = field if dz is not None else (np.empty(z.shape), None)
-        inter = np.multiply(z, y, out=product).sum(axis=-2)[..., None, :]
+        inter = np.multiply(z, y, out=product).sum(axis=-1)
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
-        squares = np.multiply(z, z, out=product).sum(axis=-2)
-        denom = np.where(present, squares + counts, 1.0)[..., None, :]
-        dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+        squares = np.multiply(z, z, out=product).sum(axis=-1)
+        denom = np.where(present, squares + counts, 1.0)
+        dice = 1.0 - (2.0 * inter / denom * share).sum(axis=-1)
         parts = {**parts, "dice": dice}
         if dz is None:  # a stack
             return parts, None
-        # d dice_l / d z_l = (2 y_l denom - 4 inter z_l) / denom^2
-        term = np.multiply(two_y, denom, out=product)
-        term -= np.multiply(4.0 * inter, z, out=cross)
-        term /= denom**2
-        term *= share
-        return parts, np.subtract(dz, term, out=term)  # dz is the ce core's own array
+        # d dice_l / d z_l = (2 y_l denom_l - 4 inter_l z_l) / denom_l^2, times share_l
+        classes = zip(product, cross, two_y, z, denom.tolist(), (4.0 * inter).tolist(), share.tolist())
+        for term, cross_l, two_y_l, z_l, denom_l, four_inter_l, share_l in classes:
+            np.multiply(two_y_l, denom_l, out=term)
+            term -= np.multiply(four_inter_l, z_l, out=cross_l)
+            term /= denom_l * denom_l
+            term *= share_l
+        return parts, np.subtract(dz, product, out=product)  # dz is the ce core's own array
 
     return core
+
+
+def _pair_sum(terms: list[float]) -> float:
+    """The exactly rounded sum of J's pair terms (``math.fsum``).  Every
+    term is at most 0 (or NaN), so a sum past the float range is -inf:
+    numpy's sum gives it, with numpy's overflow warning."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return float(np.sum(terms))
 
 
 def _j_core(y, weights):
@@ -298,60 +329,60 @@ def _j_core(y, weights):
     ``-w[i,k] * log(1/2 + sum_p z_i(p) * (phi_i(p) - phi_k(p)) / 2)`` with
     ``phi_l = y_l / n_l``.  Pairs with an absent class contribute exactly
     zero, and the diagonal is skipped.  ``weights`` None means
-    :meth:`PairWeights.default`.
+    :meth:`PairWeights.default`.  The pair terms are summed exactly rounded
+    (``math.fsum``), so the value's round-off stays far below what central
+    differences resolve at :func:`gradient_check`'s floor.
     """
-    channels = y.shape[-1]
+    channels = len(y)
     lam = (PairWeights.default(channels) if weights is None else weights).matrix
     if len(lam) != channels:
         raise ValueError(f"pair weights are {len(lam)}x{len(lam)}, field has {channels} channels")
-    counts = y.sum(axis=0)
+    counts = y.sum(axis=-1)
     present = counts > 0
     n = np.where(present, counts, 1.0)
-    phi_t = (y / n).T  # phi_l = y_l / n_l; absent classes keep all-zero columns
+    phi = y / n[:, None]  # phi_l = y_l / n_l; absent classes keep all-zero rows
     pairs = (lam != 0.0) & present & present[:, None]
     np.fill_diagonal(pairs, False)
     half_lam = 0.5 * lam
     # A field runs the tail on the pair list in Python floats: per pair the
     # same IEEE operations as the matrix form over all C x C pairs, which a
     # stack runs for its values (and ``dense_core`` in tests/oracles.py for
-    # the gradient too).  The log and the two sums stay numpy calls, the sums
-    # over that C x C layout, held as flat lists; flat index i * C + k is
+    # the gradient too).  The log and the row sums of M stay numpy calls, the
+    # sums over that C x C layout, held as flat lists; flat index i * C + k is
     # entry [i, k].
     size = channels * channels
     ik = [(int(i), int(k)) for i, k in zip(*np.nonzero(pairs))]
-    value_p = [(i * channels + k, float(lam[i, k])) for i, k in ik]
-    grad_p = [(i * channels + k, k * channels + i, float(half_lam[i, k]), float(n[i]), float(n[k]))
-              for i, k in ik]
+    lam_p = [float(lam[i, k]) for i, k in ik]
+    grad_p = [(i * channels + k, float(half_lam[i, k]), float(n[i]), float(n[k])) for i, k in ik]
     dz = np.empty(y.shape)  # a field's gradient
 
     def core(z):
         if z.ndim > 2:
-            s = phi_t @ z  # s[..., l, m] = sum_p phi_l(p) z_m(p)
+            s = phi @ np.swapaxes(z, -1, -2)  # s[..., l, m] = sum_p phi_l(p) z_m(p)
             a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
             log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
-            return {"j": -np.where(pairs, lam * log_a, 0.0).sum(axis=(-2, -1))}, None
-        s = (phi_t @ z).tolist()
+            terms = (lam * log_a)[..., pairs].tolist()  # one row of pair terms per item
+            return {"j": -np.array([_pair_sum(row) for row in terms])}, None
+        s = (phi @ z.T).tolist()
         a = [0.5 + 0.5 * (s[i][i] - s[k][i]) for i, k in ik]
         # The clamp of np.minimum(np.maximum(a, LOG_EPS), 1.0), NaN included.
         log_a = np.log([LOG_EPS if v < LOG_EPS else 1.0 if v > 1.0 else v for v in a]).tolist()
-        terms = [0.0] * size
-        for (at, w), log_v in zip(value_p, log_a):
-            terms[at] = w * log_v
-        value = -np.array(terms).reshape(channels, channels).sum(axis=(-2, -1))
+        value = -np.float64(_pair_sum([w * log_v for w, log_v in zip(lam_p, log_a)]))
         # dL/dz_i = -sum_k h_ik (phi_i - phi_k) with h = lam / (2a) on pairs inside
-        # the clamp: dz = phi @ M = y @ m, with m[l, i] = h_il / n_l for l != i and
-        # m[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps m finite where dz is.
-        m = [0.0] * size
+        # the clamp: dz = M^T phi = mt @ y, with mt[i, k] = h_ik / n_k for k != i
+        # and mt[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps mt finite
+        # where dz is.
+        mt = [0.0] * size
         row_terms = [0.0] * size  # h_ik / n_i, summed over k below
-        for (at, at_t, h, n_i, n_k), v in zip(grad_p, a):
+        for (at, h, n_i, n_k), v in zip(grad_p, a):
             if LOG_EPS < v < 1.0:
-                m[at_t] = h / (v * n_k)
+                mt[at] = h / (v * n_k)
                 row_terms[at] = h / (v * n_i)
         row_sums = np.array(row_terms).reshape(channels, channels).sum(axis=-1).tolist()
         for i, row_sum in enumerate(row_sums):
-            m[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
-        m = np.array(m).reshape(channels, channels)
-        return {"j": value}, np.matmul(y, m, out=dz)
+            mt[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
+        mt = np.array(mt).reshape(channels, channels)
+        return {"j": value}, np.matmul(mt, y, out=dz)
 
     return core
 
@@ -378,11 +409,11 @@ LOSS_IDS = tuple(_CORES)
 
 
 def _build_core(loss_id: str, y: np.ndarray, weights: PairWeights | None):
-    """The core of ``loss_id`` for the one-hot target array ``y``, whose
-    spatial axes it flattens.  Raises ``ValueError`` for an unknown id."""
+    """The core of ``loss_id`` for the planar ``(C, n)`` one-hot target
+    array ``y``.  Raises ``ValueError`` for an unknown id."""
     if loss_id not in _CORES:
         raise ValueError(f"unknown loss {loss_id!r}; expected one of {sorted(_CORES)}")
-    return _CORES[loss_id](y.reshape(-1, y.shape[-1]), weights)
+    return _CORES[loss_id](y, weights)
 
 
 def evaluate_loss(
@@ -406,13 +437,13 @@ def evaluate_loss(
     y = target.values
     if pred.values.shape != y.shape:
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
-    core = _build_core(loss_id, y, weights)
+    core = _build_core(loss_id, planar(y), weights)
     if isinstance(pred, LogitField):
-        softmax = BoundSoftmax(pred.values.reshape(-1, y.shape[-1]))
+        softmax = BoundSoftmax(planar(pred.values))
         parts, dz = core(softmax())
-        gradient = softmax.pull_back(dz).reshape(y.shape)
+        gradient = softmax.pull_back(dz).T.reshape(y.shape)  # LossValue copies it C-order
     else:  # a stack of one: its values, no gradient
-        parts, gradient = core(pred.values.reshape(1, -1, y.shape[-1]))
+        parts, gradient = core(planar(pred.values)[None])
     return LossValue({name: value.item() for name, value in parts.items()}, gradient)
 
 
@@ -452,13 +483,12 @@ def finite_difference_gradient(
 
 
 def _stack_totals(core):
-    """The loss total of a prepared core at each logit array of a stack:
-    ``fn`` for :func:`finite_difference_gradient`, and the landscape
-    scan's evaluator of stacked grid cells."""
+    """The loss total of a prepared core at each planar logit array of a
+    ``(k, C, n)`` stack: ``fn`` for :func:`finite_difference_gradient`, and
+    the landscape scan's evaluator of stacked grid cells."""
 
     def totals(stack: np.ndarray) -> np.ndarray:
-        z = softmax_values(stack.reshape(-1, stack.shape[-1]))
-        return sum(core(z.reshape(len(stack), -1, z.shape[-1]))[0].values())
+        return sum(core(softmax_values(stack))[0].values())
 
     return totals
 
@@ -478,10 +508,11 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     compared at the floor scale.  J pairs carry the default weights.
     Returns the maximum and mean over all trials; a NaN error in any trial
     makes both NaN.  Each trial builds one core for its target, used by
-    the analytic and the finite-difference side.  Raises ``ValueError`` for
-    an unknown loss, for ``trials < 1`` and, from the first trial's
-    :func:`finite_difference_gradient`, for a ``step`` that is not finite
-    and positive.
+    the analytic and the finite-difference side, on the trial's planar
+    logits, so the finite-difference stacks are ``(2k, C, n)``.  Raises
+    ``ValueError`` for an unknown loss, for ``trials < 1`` and, from the
+    first trial's :func:`finite_difference_gradient`, for a ``step`` that
+    is not finite and positive.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs trials >= 1, got {trials}")
@@ -491,12 +522,12 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     for trial in range(trials):
         dims = _CHECK_SHAPES[trial % len(_CHECK_SHAPES)]
         classes = rng.integers(0, _CHECK_CHANNELS, size=dims).astype(np.int32)
-        y = one_hot(SemanticLabelMap(classes), _CHECK_CHANNELS).values
-        theta = rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,))
+        y = planar(one_hot(SemanticLabelMap(classes), _CHECK_CHANNELS).values)
+        theta = planar(rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,)))
 
         core = _build_core(loss_id, y, None)
-        softmax = BoundSoftmax(theta.reshape(-1, _CHECK_CHANNELS))
-        analytic = softmax.pull_back(core(softmax())[1]).reshape(theta.shape)
+        softmax = BoundSoftmax(theta)
+        analytic = softmax.pull_back(core(softmax())[1])
         numeric = finite_difference_gradient(_stack_totals(core), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _util
 from ._util import child_rng, columns, l2_norm, ordered_thread_map
-from .grids import BoundSoftmax, LogitField, ProbabilityField, logit_values, one_hot
+from .grids import BoundSoftmax, LogitField, ProbabilityField, logit_values, one_hot, planar
 from .losses import FD_CHUNK_ELEMENTS, _build_core, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
 from .scenes import TWO_SQUARES_NOTCH, SceneSpec, generate_scene
@@ -307,11 +307,12 @@ class ShrinkwrapTrace:
 
 
 def _confidence_field(inside: np.ndarray, confidence: float, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the field that holds ``confidence`` on CELL where
-    ``inside`` holds and on background elsewhere, the rest spread evenly."""
-    out.fill((1.0 - confidence) / (out.shape[-1] - 1))
-    np.copyto(out[..., CELL], confidence, where=inside)
-    np.copyto(out[..., 0], confidence, where=~inside)
+    """Write into the planar ``(C, n)`` array ``out`` the field that holds
+    ``confidence`` on CELL where ``inside`` holds and on background
+    elsewhere, the rest spread evenly."""
+    out.fill((1.0 - confidence) / (len(out) - 1))
+    np.copyto(out[CELL], confidence, where=inside)
+    np.copyto(out[0], confidence, where=~inside)
     return out
 
 
@@ -364,10 +365,13 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     ce and j cores once each on one softmax and pulls back each gradient
     itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
     softmax pull-back as the jc core sums it, so all three norms equal
-    ``evaluate_loss(...).grad_norm`` bit for bit.  Every step writes its
-    fields and the norms' squares into arrays made once for the run, and
-    runs the softmax and the three pull-backs on one
-    :class:`~jseg.grids.BoundSoftmax` of the logit array.
+    ``evaluate_loss(...).grad_norm`` bit for bit.  The target and every
+    field are planar, ``(C, n)`` (:func:`~jseg.grids.planar`): the target
+    is transposed once, and each field is written planar in the first
+    place.  Every step writes its fields and the norms' squares into
+    arrays made once for the run, and runs the softmax and the three
+    pull-backs on one :class:`~jseg.grids.BoundSoftmax` of the logit
+    array.
 
     Each step keeps one tuple, its row of the CSV, and the trace holds
     their columns (:func:`~jseg._util.columns`).  A step's field depends
@@ -383,7 +387,7 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     scene = generate_scene(cfg.scene)
     semantic = to_semantic(scene, cfg.transform)
     channels = cfg.transform.channels
-    y = one_hot(semantic, channels).values.reshape(-1, channels)
+    y = planar(one_hot(semantic, channels).values)
     ce_core = _build_core("ce", y, None)
     j_core = _build_core("j", y, None)
     d2 = _squared_distance(scene.labels > 0, cfg.margin_start).ravel()
@@ -462,13 +466,15 @@ def landscape_scan(
     channel to the norm of the matching centre channel, so the axes are
     comparable across channels of very different magnitude.  One checked
     :func:`evaluate_loss` call at the centre checks the inputs; the loss
-    core is then built once and runs on stacks of perturbed fields, each
-    row of the grid in chunks of at most ``FD_CHUNK_ELEMENTS`` elements
-    (one field when a field is larger).  Every value equals the
-    ``evaluate_loss`` total of its perturbed field bit for bit.  Raises
-    what :func:`evaluate_loss` raises for bad inputs, and ``ValueError``
-    for a bad resolution, for a span that is not positive or whose grid
-    width ``2 * span`` overflows, and when a perturbed logit is not finite.
+    core is then built once and runs on ``(k, C, n)`` stacks of planar
+    perturbed fields (the centre and the directions are transposed once
+    per scan), each row of the grid in chunks of at most
+    ``FD_CHUNK_ELEMENTS`` elements (one field when a field is larger).
+    Every value equals the ``evaluate_loss`` total of its perturbed field
+    bit for bit.  Raises what :func:`evaluate_loss` raises for bad inputs,
+    and ``ValueError`` for a bad resolution, for a span that is not
+    positive or whose grid width ``2 * span`` overflows, and when a
+    perturbed logit is not finite.
     """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd number >= 3 so the centre lies on the grid")
@@ -476,16 +482,16 @@ def landscape_scan(
     if not 0 < span <= np.finfo(np.float64).max / 2:
         raise ValueError(f"span must be positive, with a finite grid width 2 * span; got {span}")
     evaluate_loss(loss_id, target, center)
-    totals = _stack_totals(_build_core(loss_id, target.values, None))
+    totals = _stack_totals(_build_core(loss_id, planar(target.values), None))
     rng = np.random.default_rng(seed)
-    theta = center.values
+    theta = planar(center.values)
 
     def direction() -> np.ndarray:
-        delta = rng.standard_normal(theta.shape)
-        for c in range(theta.shape[-1]):
-            ref = l2_norm(theta[..., c])
-            norm = l2_norm(delta[..., c])
-            delta[..., c] *= ref / norm if norm > 0 else 0.0
+        delta = planar(rng.standard_normal(center.values.shape))
+        for row, ref_row in zip(delta, theta):
+            ref = l2_norm(ref_row)
+            norm = l2_norm(row)
+            row *= ref / norm if norm > 0 else 0.0
         return delta
 
     d1 = direction()
@@ -493,13 +499,12 @@ def landscape_scan(
     alphas = np.linspace(-span, span, resolution)
     betas = np.linspace(-span, span, resolution)
     per_call = max(1, FD_CHUNK_ELEMENTS // theta.size)
-    beta_axes = (slice(None),) + (None,) * theta.ndim
 
     def scan_row(i: int) -> np.ndarray:
         row = theta + alphas[i] * d1
         values = []
         for start in range(0, resolution, per_call):
-            stack = row + betas[start : start + per_call][beta_axes] * d2
+            stack = row + betas[start : start + per_call, None, None] * d2
             if not np.isfinite(stack).all():
                 raise ValueError("logit values must be finite")
             values.append(totals(stack))

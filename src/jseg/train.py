@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import child_rng, columns, l2_norm
 from .grids import (BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap,
-                    argmax_channels)
+                    argmax_channels, planar)
 from .losses import LOSS_IDS, PairWeights, _build_core, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
@@ -126,25 +126,25 @@ class _Adam:
 
 def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
     """Whether MAP classifies every gap element of ``target`` as GAP, as a
-    function of the logits; None when ``target`` has no gap element.
+    function of the planar ``(C, n)`` logits; None when ``target`` has no
+    gap element.
 
     :func:`argmax_channels` sends ties to the lowest index, so an element
     is classed GAP exactly when its GAP logit is strictly greater than every
     lower channel and no smaller than any higher one.  The gap elements'
-    rows are found once, here; each call gathers them and compares.  With
+    columns are found once, here; each call gathers them and compares.  With
     the four-class transform GAP is the last channel, so that is one
     comparison.
     """
-    flat = (-1, target.channels)
     has_gap = target.channels > GAP
-    rows = np.flatnonzero(target.values.reshape(flat)[:, GAP] == 1.0) if has_gap else []
-    if len(rows) == 0:
+    cols = np.flatnonzero(target.values[..., GAP] == 1.0) if has_gap else []
+    if len(cols) == 0:
         return None
 
     def check(theta: np.ndarray) -> bool:
-        g = theta.reshape(flat)[rows]
-        top = g[:, GAP, None]
-        return bool((g[:, :GAP] < top).all() and (g[:, GAP + 1 :] <= top).all())
+        g = theta[:, cols]
+        top = g[GAP]
+        return bool((g[:GAP] < top).all() and (g[GAP + 1 :] <= top).all())
 
     return check
 
@@ -166,15 +166,18 @@ def train(
 
     One checked :func:`evaluate_loss` call before the loop checks the
     target, its shape against the logits and the pair weights; its value is
-    not used.  Every iteration, the first included, then runs the
-    target's loss core, built once for the run, between the softmax and
-    the softmax pull-back of one :class:`~jseg.grids.BoundSoftmax` of the
-    flattened logit array: on the bare logits, with no container and no
-    gradient copy; the logits are checked for finiteness after every
-    update instead.  The softmax's arrays, the norm's squares and the
-    finiteness mask are made once, and the update writes the logits in
-    place, so the steps allocate no large array.  The output is
-    byte-identical to an :func:`evaluate_loss` call per iteration.
+    not used.  The run then holds its logits and target planar, ``(C, n)``
+    (:func:`~jseg.grids.planar`), transposed once here.  Every iteration,
+    the first included, runs the target's loss core, built once for the
+    run, between the softmax and the softmax pull-back of one
+    :class:`~jseg.grids.BoundSoftmax` of the planar logits: on the bare
+    logits, with no container and no gradient copy; the logits are checked
+    for finiteness after every update instead.  The softmax's arrays, the
+    norm's squares, the finiteness mask and Adam's moments are made once,
+    planar, and the update writes the logits in place, so the steps
+    allocate no large array.  The output is byte-identical to an
+    :func:`evaluate_loss` call per iteration, whose gradient norm sums in
+    the same planar order.
 
     The measurement pipeline sends gap elements straight to background:
     per-element logits leave the runner-up ordering at a confident gap
@@ -199,16 +202,17 @@ def train(
         theta += cfg.init_noise * rng.standard_normal(shape)
 
     gap_correct = _gap_check(target)
-    adam = _Adam(theta) if cfg.optimizer == "adam" else None
     evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
-    core = _build_core(cfg.loss, target.values, weights)
-    softmax = BoundSoftmax(theta.reshape(-1, shape[-1]))
-    squares, finite = np.empty(shape), np.empty(shape, bool)
+    theta = planar(theta)
+    adam = _Adam(theta) if cfg.optimizer == "adam" else None
+    core = _build_core(cfg.loss, planar(target.values), weights)
+    softmax = BoundSoftmax(theta)
+    squares, finite = np.empty(theta.shape), np.empty(theta.shape, bool)
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
     def measure_pq(probs: np.ndarray) -> float:
-        decided = argmax_channels(probs)[0]
+        decided = argmax_channels(probs.T)[0]
         key = decided.tobytes()
         if key not in measured:
             decided[decided == GAP] = BACKGROUND  # the "background" gap mode
@@ -235,7 +239,7 @@ def train(
     for it in range(cfg.iterations + 1):
         probs = softmax()
         parts, dz = core(probs)
-        grad = softmax.pull_back(dz).reshape(shape)
+        grad = softmax.pull_back(dz)
         values = [float(value) for value in parts.values()]
         total = sum(values)
         if not np.isfinite(total):

@@ -5,13 +5,17 @@ first-principles set arithmetic or the scipy filters a library path has
 replaced, never with the code path under test, so the tests compare two
 genuinely different routes to the same definitions.  Some references are
 library paths that a faster one replaced, kept here so the tests can pin
-the new path to their bits: ``dense_core`` holds the dense loss bodies.
+the new path to their bits: ``dense_core`` holds the dense loss bodies on
+planar arrays, and ``channel_last_loss`` the channel-last step that the
+planar one replaced, which the step loops' traces must match within the
+summation-order tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import ndimage
@@ -20,6 +24,7 @@ from jseg import (
     InstanceLabelMap,
     InstanceMatching,
     LogitField,
+    PairWeights,
     PostprocessConfig,
     ProbabilityField,
     evaluate_loss,
@@ -268,16 +273,111 @@ def pair_loop_j(y: np.ndarray, z: np.ndarray, lam: np.ndarray, log_eps: float = 
     return total, dz
 
 
+def fold_in_order(ufunc, x, axis):
+    """``ufunc`` over the channel axis ``axis`` of ``x``, one channel at a
+    time, keeping the axis."""
+    channels = np.moveaxis(x, axis, 0)
+    acc = channels[0]
+    for channel in channels[1:]:
+        acc = ufunc(acc, channel)
+    return np.expand_dims(acc, axis)
+
+
+def default_order_softmax(x, axis):
+    """The softmax over the channel axis ``axis`` as broadcast expressions
+    in numpy's default order."""
+    e = np.exp(x - fold_in_order(np.maximum, x, axis))
+    return e / fold_in_order(np.add, e, axis)
+
+
+def default_order_pull_back(z, dz, axis):
+    """The softmax pull-back as broadcast expressions in numpy's default order."""
+    return z * (dz - fold_in_order(np.add, dz * z, axis))
+
+
+def _fsum_items(terms: np.ndarray) -> np.ndarray:
+    """The exactly rounded sum over the last axis, per leading item."""
+    rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1]).tolist()
+    return np.array([math.fsum(row) for row in rows]).reshape(terms.shape[:-1])
+
+
 def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
     """The dense body of a ``jseg.losses`` core: ``z -> (parts, dL/dz)``
-    for ``(..., n, C)`` probabilities, one value per leading item.
+    for planar ``(..., C, n)`` probabilities, one value per leading item.
 
-    ``y`` is the ``(n, C)`` one-hot target and ``lam`` the J pair weights
-    (used by j and jc).  Every term is taken at every entry and every pair,
-    in the matrix form, with the ufuncs of the library's cores in their
-    order, so the parts and ``dz`` are the cores' bits: CE as ``w y log z``
-    over the whole field, J with ``S = phi^T z`` and the gradient ``y @ m``
-    over the full C x C matrices.
+    ``y`` is the planar ``(C, n)`` one-hot target and ``lam`` the J pair
+    weights (used by j and jc).  Every term is taken at every entry and
+    every pair, in the matrix form, with the ufuncs of the library's cores
+    in their order, so the parts and ``dz`` are the cores' bits: CE as ``w
+    y log z`` over the whole field, J with ``S = phi z^T``, the exactly
+    rounded sum of the pair terms and the gradient ``M^T y`` over the full
+    C x C matrices.
+    """
+    channels, n = y.shape
+    counts = y.sum(axis=-1)
+    present = counts > 0
+
+    def ce(z, class_weights=None):
+        wy = y if class_weights is None else class_weights[:, None] * y
+        clamped = np.maximum(z, log_eps)
+        value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
+        dz = -wy / clamped
+        dz[z <= log_eps] = -0.0
+        return value, dz / n
+
+    def j(z):
+        n_l = np.where(present, counts, 1.0)
+        phi = y / n_l[:, None]
+        pairs = (lam != 0.0) & present & present[:, None]
+        np.fill_diagonal(pairs, False)
+        s = phi @ np.swapaxes(z, -1, -2)
+        a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
+        log_a = np.log(np.minimum(np.maximum(a, log_eps), 1.0))
+        value = -_fsum_items((lam * log_a)[..., pairs])
+        active = pairs & (a > log_eps) & (a < 1.0)
+        half = np.where(active, 0.5 * lam, 0.0)
+        a = np.where(active, a, 1.0)
+        mt = half / (a * n_l)
+        ch = np.arange(channels)
+        mt[..., ch, ch] -= (half / (a * n_l[:, None])).sum(axis=-1)
+        return value, mt @ y
+
+    def core(z):
+        if loss_id == "ce":
+            value, dz = ce(z)
+            return {"ce": value}, dz
+        if loss_id == "bwm":
+            w = np.divide(n, channels * counts, out=np.zeros(channels), where=present)
+            value, dz = ce(z, w)
+            return {"bwm": value}, dz
+        if loss_id == "j":
+            value, dz = j(z)
+            return {"j": value}, dz
+        if loss_id == "jc":
+            j_value, j_dz = j(z)
+            ce_value, ce_dz = ce(z)
+            return {"ce": ce_value, "j": j_value}, j_dz + ce_dz
+        ce_value, dz = ce(z)  # dsc
+        share = (present / np.count_nonzero(present))[:, None]
+        inter = (z * y).sum(axis=-1)[..., None]
+        denom = np.where(present, (z * z).sum(axis=-1) + counts, 1.0)[..., None]
+        dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
+        term = 2.0 * y * denom
+        term -= 4.0 * inter * z
+        term /= denom * denom
+        term *= share
+        return {"ce": ce_value, "dice": dice}, dz - term
+
+    return core
+
+
+def channel_last_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
+    """The dense loss body on channel-last arrays, as the library ran it
+    before its step arrays went planar: ``z -> (parts, dL/dz)`` for ``(...,
+    n, C)`` probabilities and the ``(n, C)`` target ``y``.  Its sums run
+    over the interleaved layout (CE's value, ``S = phi^T z`` and DSC's
+    class sums along the element axis) and J's pair terms are a numpy sum,
+    so its bits are that layout's, not the planar cores'.
     """
     n, channels = y.shape
     counts = y.sum(axis=0)
@@ -335,6 +435,26 @@ def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e
         return {"ce": ce_value, "dice": dice}, dz - term
 
     return core
+
+
+def channel_last_loss(loss_id, target, logits, weights=None) -> SimpleNamespace:
+    """The loss and logit gradient by the channel-last step that the planar
+    step loops replaced: the default-order softmax over the last axis,
+    ``channel_last_core`` and the default-order pull-back, on the flattened
+    ``(n, C)`` arrays, and the gradient's norm summed in that order.  An
+    ``evaluate_loss`` stand-in for ``evaluate_loss_train`` and
+    ``shrinkwrap_grad_norms``: the result has the ``LossValue`` attributes
+    they read.
+    """
+    y = target.values
+    flat = (-1, y.shape[-1])
+    lam = (PairWeights.default(y.shape[-1]) if weights is None else weights).matrix
+    z = default_order_softmax(logits.values.reshape(flat), -1)
+    parts, dz = channel_last_core(loss_id, y.reshape(flat), lam)(z)
+    gradient = default_order_pull_back(z, dz, -1).reshape(y.shape)
+    components = {name: float(value) for name, value in parts.items()}
+    return SimpleNamespace(components=components, total=sum(components.values()), gradient=gradient,
+                           grad_norm=l2_norm(gradient))
 
 
 #: Extra clearance between blob surfaces, as in ``jseg.scenes``.
@@ -529,14 +649,15 @@ def shift_instances(classes: np.ndarray, connectivity: str) -> np.ndarray:
     return labels
 
 
-def shrinkwrap_grad_norms(cfg) -> dict[str, np.ndarray]:
+def shrinkwrap_grad_norms(cfg, loss=evaluate_loss) -> dict[str, np.ndarray]:
     """The columns of ``jseg.simulate.run_shrinkwrap`` by the literal route.
 
     Each margin's mask is ``ndimage.binary_dilation`` of the cells by the
     ball of that radius (the cells themselves at margin 0), and every step
-    makes three checked ``evaluate_loss`` calls, one per loss, on the
-    logits of its prescribed probabilities.  The schedule of margins,
-    confidences and ramp is spelled out step by step.
+    makes three checked ``loss`` calls (``evaluate_loss``, or
+    ``channel_last_loss``), one per loss, on the logits of its prescribed
+    probabilities.  The schedule of margins, confidences and ramp is spelled
+    out step by step.
     """
     scene = generate_scene(cfg.scene)
     channels = cfg.transform.channels
@@ -568,17 +689,18 @@ def shrinkwrap_grad_norms(cfg) -> dict[str, np.ndarray]:
             ramp = (t - t_shrink) / (cfg.iterations - t_shrink)
             z = (1.0 - ramp) * z_at_shrinkwrap + ramp * target.values
         logits = probs_to_logits(ProbabilityField(z))
-        norms = [evaluate_loss(loss_id, target, logits).grad_norm for loss_id in ("ce", "j", "jc")]
+        norms = [loss(loss_id, target, logits).grad_norm for loss_id in ("ce", "j", "jc")]
         rows.append([t, margin, confidence, ramp, *norms])
     header = ("iteration", "margin", "confidence", "ramp", "grad_ce", "grad_j", "grad_jc")
     return {name: np.array([row[i] for row in rows]) for i, name in enumerate(header)}
 
 
-def evaluate_loss_train(target, source, cfg, weights=None):
+def evaluate_loss_train(target, source, cfg, weights=None, loss=evaluate_loss):
     """The trace of ``jseg.train.train`` by the literal route.
 
     Every iteration builds a ``LogitField`` of the logits and makes one
-    checked ``evaluate_loss`` call, and every log iteration runs softmax,
+    ``loss`` call (a checked ``evaluate_loss``, or ``channel_last_loss``),
+    and every log iteration runs softmax,
     the full post-processing pipeline (gap elements to background) and
     panoptic quality, with no memo.  Adam's update is spelled out step by
     step.  Stops quietly where ``train`` would raise ``TrainDiverged``.
@@ -596,7 +718,7 @@ def evaluate_loss_train(target, source, cfg, weights=None):
     final_pq = float("nan")
     for it in range(cfg.iterations + 1):
         logits = LogitField(theta)
-        value = evaluate_loss(cfg.loss, target, logits, weights)
+        value = loss(cfg.loss, target, logits, weights)
         if not np.isfinite(value.total):
             break
         fixed = gap.any() and np.all(np.argmax(theta[gap], axis=-1) == GAP)

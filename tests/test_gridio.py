@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 
@@ -202,6 +203,54 @@ def test_grd1_header_line_ends_within_64_kib(tmp_path):
     path.write_bytes(_grd1_line_ending_at(65536))
     with pytest.raises(MalformedHeaderError, match="unterminated"):
         read_grid(path, "instance")
+
+
+def _read_peak(path, kind):
+    """The error ``read_grid`` raises for ``path``, and its traced peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridIOError) as info:
+            read_grid(path, kind)
+        return info.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_costs_no_more_than_the_header_bound_until_the_payload_size_holds(tmp_path):
+    # A header that declares 100000 x 100000 (20 GB of u16), in a GRD1 file
+    # and a PGM file of a few bytes, is rejected before any allocation.
+    huge = tmp_path / "huge.grd"
+    header = {"magic": "GRD1", "dims": [100000, 100000], "channels": 1, "dtype": "u16", "order": "C"}
+    huge.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
+    huge_pgm = tmp_path / "huge.pgm"
+    huge_pgm.write_bytes(b"P5 100000 100000 65535\n" + b"\x00" * 8)
+    for path in (huge, huge_pgm):
+        error, peak = _read_peak(path, "instance")
+        assert isinstance(error, TruncatedPayloadError)
+        assert str(error) == "payload holds 8 bytes, header declares 20000000000"
+        assert peak < 1 << 18
+    # A 64 MiB file of zero bytes has no header line within the first 64 KiB:
+    # it is rejected after reading those, not the whole file.
+    junk = tmp_path / "junk.grd"
+    with open(junk, "wb") as fh:
+        fh.truncate(64 << 20)
+    error, peak = _read_peak(junk, "instance")
+    assert isinstance(error, MalformedHeaderError) and "unterminated" in str(error)
+    assert peak < 1 << 18
+
+
+def test_only_regular_files_are_read(tmp_path):
+    # A pipe has no size to check the header against before reading.
+    path = tmp_path / "g.grd"
+    write_grid(InstanceLabelMap(np.ones((3, 4), np.int32)), path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        with pytest.raises(GridIOError, match="is not a regular file"):
+            read_grid(f"/dev/fd/{read_end}", "instance")
+    finally:
+        os.close(read_end)
 
 
 def test_read_grid_checks_kind_channels_dtype_and_order(tmp_path):

@@ -23,9 +23,9 @@ from jseg import (
     probs_to_logits,
 )
 from jseg._util import l2_norm
-from jseg.grids import BoundSoftmax, softmax_values
+from jseg.grids import BoundSoftmax, planar, softmax_values
 from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _stack_totals
-from oracles import dense_core, pair_loop_j
+from oracles import default_order_pull_back, default_order_softmax, dense_core, pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
 
@@ -100,8 +100,8 @@ def test_jc_additivity_on_random_fields():
 def test_jc_core_gives_the_bits_of_j_plus_ce():
     rng = np.random.default_rng(27)
     for dims in ((4, 4), (6, 5), (3, 3, 3)):
-        y = _random_one_hot(rng, dims).values.reshape(-1, 4)
-        z = softmax_values(rng.normal(size=(y.shape[0], 4)))
+        y = planar(_random_one_hot(rng, dims).values)
+        z = softmax_values(rng.normal(size=y.shape))
         parts, dz = _build_core("jc", y, None)(z)
         ce_parts, ce_dz = _build_core("ce", y, None)(z)
         j_parts, j_dz = _build_core("j", y, None)(z)
@@ -189,9 +189,10 @@ def test_gradient_check_covers_2d_and_3d():
     rng = np.random.default_rng(7)
     y = _random_one_hot(rng, (3, 3, 3))
     theta = rng.normal(size=(3, 3, 3, 4))
-    analytic = evaluate_loss("jc", y, LogitField(theta)).gradient
+    analytic = planar(evaluate_loss("jc", y, LogitField(theta)).gradient)
     w = PairWeights.default(4)
-    numeric = finite_difference_gradient(_stack_totals(_build_core("jc", y.values, w)), theta)
+    totals = _stack_totals(_build_core("jc", planar(y.values), w))
+    numeric = finite_difference_gradient(totals, planar(theta))
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     assert (np.abs(analytic - numeric) / scale).max() < 1e-4
 
@@ -202,7 +203,7 @@ def test_fast_forward_matches_public_api():
     theta = rng.normal(size=(4, 4, 4))
     w = PairWeights.default(4)
     for loss_id in ("ce", "j", "jc", "bwm", "dsc"):
-        fast = _stack_totals(_build_core(loss_id, y.values, w))(theta[None])[0]
+        fast = _stack_totals(_build_core(loss_id, planar(y.values), w))(planar(theta)[None])[0]
         full = evaluate_loss(loss_id, y, LogitField(theta), w).total
         assert fast == pytest.approx(full, abs=0)
 
@@ -302,12 +303,12 @@ def test_j_core_matches_the_pair_loop_oracle(dims):
     for present in ([0, 1, 2, 3], [0, 2, 3], [1, 3]):
         classes = rng.choice(present, size=dims).astype(np.int32)
         y = one_hot(SemanticLabelMap(classes), 4).values
-        z = softmax_values(rng.normal(0.0, 2.0, size=dims + (4,)))
+        z = softmax_values(rng.normal(0.0, 2.0, size=(4, y[..., 0].size)))
         lam = rng.random((4, 4)) * (rng.random((4, 4)) > 0.2)
-        want, want_dz = pair_loop_j(y, z, lam)
-        parts, dz = _CORES["j"](y.reshape(-1, 4), PairWeights(lam))(z.reshape(-1, 4))
+        want, want_dz = pair_loop_j(y, z.T.reshape(y.shape), lam)
+        parts, dz = _CORES["j"](planar(y), PairWeights(lam))(z)
         assert parts["j"] == pytest.approx(want, rel=1e-12, abs=0)
-        np.testing.assert_allclose(dz.reshape(z.shape), want_dz, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dz, planar(want_dz), rtol=1e-12, atol=0)
 
 
 def test_j_gradient_stays_finite_for_a_weight_near_the_float_limit():
@@ -324,8 +325,8 @@ def test_j_gradient_stays_finite_for_a_weight_near_the_float_limit():
 def test_batched_cores_equal_per_item_cores(loss_id):
     # A stack gets its items' values and no gradient.
     rng = np.random.default_rng(17)
-    y = _random_one_hot(rng, (5, 3)).values.reshape(-1, 4)
-    z = softmax_values(rng.normal(size=(3, 15, 4)))
+    y = planar(_random_one_hot(rng, (5, 3)).values)
+    z = softmax_values(rng.normal(size=(3, 4, 15)))
     weights = PairWeights(rng.random((4, 4)))
     core = _CORES[loss_id](y, weights)
     parts, dz = core(z)
@@ -344,26 +345,27 @@ def test_value_path_equals_the_full_cores_parts(loss_id, dims):
     # the field's components.
     rng = np.random.default_rng(21)
     y = _random_one_hot(rng, dims)
-    z = softmax_values(rng.normal(size=dims + (4,)))
+    z = softmax_values(rng.normal(size=(4, y.values[..., 0].size)))
     weights = PairWeights(rng.random((4, 4)))
-    components = evaluate_loss(loss_id, y, ProbabilityField(z), weights).components
-    parts = _build_core(loss_id, y.values, weights)(z.reshape(-1, 4))[0]
+    probs = ProbabilityField(z.T.reshape(y.values.shape))
+    components = evaluate_loss(loss_id, y, probs, weights).components
+    parts = _build_core(loss_id, planar(y.values), weights)(z)[0]
     assert components.keys() == parts.keys()
     for name, value in parts.items():
         assert _same_bits(np.float64(components[name]), value)
 
 
 def _logit_step(core, theta):
-    """A training step on the logit array ``theta``, as ``train`` runs it:
-    ``core`` between the softmax and the pull-back of one
-    :class:`BoundSoftmax` of the flattened logits.  Each call returns
-    ``(parts, dL/dtheta, z)``, written into the same arrays."""
-    softmax = BoundSoftmax(theta.reshape(-1, theta.shape[-1]))
+    """A training step on the planar logit array ``theta``, as ``train``
+    runs it: ``core`` between the softmax and the pull-back of one
+    :class:`BoundSoftmax` of the logits.  Each call returns ``(parts,
+    dL/dtheta, z)``, written into the same arrays."""
+    softmax = BoundSoftmax(theta)
 
     def step():
         z = softmax()
         parts, dz = core(z)
-        return parts, softmax.pull_back(dz).reshape(theta.shape), z
+        return parts, softmax.pull_back(dz), z
 
     return step
 
@@ -371,38 +373,19 @@ def _logit_step(core, theta):
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
     rng = np.random.default_rng(22)
-    y = _random_one_hot(rng, (7, 6, 3))
+    y = planar(_random_one_hot(rng, (7, 6, 3)).values)
     weights = PairWeights(rng.random((4, 4)))
-    theta = np.empty((7, 6, 3, 4))
-    step = _logit_step(_build_core(loss_id, y.values, weights), theta)
+    theta = np.empty(y.shape)
+    step = _logit_step(_build_core(loss_id, y, weights), theta)
     squares = np.empty(theta.shape)
     for _ in range(3):  # the same arrays serve every step
         theta[...] = rng.normal(0.0, 2.0, size=theta.shape)
         parts, gradient, _ = step()
-        fresh = _logit_step(_build_core(loss_id, y.values, weights), theta.copy())
+        fresh = _logit_step(_build_core(loss_id, y, weights), theta.copy())
         want_parts, want_gradient, _ = fresh()
         assert parts == want_parts
         assert np.array_equal(gradient, want_gradient)
         assert l2_norm(gradient, squares) == l2_norm(want_gradient)
-
-
-def _fold_in_order(ufunc, x):
-    """``ufunc`` over the channel axis, one channel at a time, keeping the axis."""
-    acc = x[..., 0]
-    for c in range(1, x.shape[-1]):
-        acc = ufunc(acc, x[..., c])
-    return acc[..., None]
-
-
-def _default_order_softmax(x):
-    """The softmax as broadcast expressions in numpy's default order."""
-    e = np.exp(x - _fold_in_order(np.maximum, x))
-    return e / _fold_in_order(np.add, e)
-
-
-def _default_order_vjp(z, dz):
-    """The softmax pull-back as broadcast expressions in numpy's default order."""
-    return z * (dz - _fold_in_order(np.add, dz * z))
 
 
 def _same_bits(a, b):
@@ -411,52 +394,50 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize(
     "shape",
-    [(9, 7, 4), (48, 48, 4), (12, 14, 13, 4), (3, 32, 32, 4), (2, 10, 12, 10, 4)],
+    [(4, 63), (4, 48 * 48), (4, 12 * 14 * 13), (3, 4, 32 * 32), (2, 4, 10 * 12 * 10)],
     ids=["small2d", "2d", "3d", "stack2d", "stack3d"],
 )
 def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
-    # Lane operations one channel view at a time give every element the same
-    # ufunc on the same operands as the default order, and write C-order
-    # arrays.  The fields lie on both sides of numpy's ufunc buffer, and run
-    # flattened, as the callers pass them, and N-D.
+    # One reduce over the channel axis per fold and lane operations one plane
+    # at a time give every element the same ufunc on the same operands as the
+    # default order over that axis, and write C-order arrays.  The fields lie
+    # on both sides of numpy's ufunc buffer, and run alone and in stacks.
     rng = np.random.default_rng(23)
-    flats = ((-1, shape[-1]), shape)
-    thetas = [np.empty(shape).reshape(flat) for flat in flats]
-    softmaxes = [BoundSoftmax(theta) for theta in thetas]
+    theta = np.empty(shape)
+    softmax = BoundSoftmax(theta)
     for _ in range(2):  # the second step reuses the bound arrays
         x = rng.normal(0.0, 3.0, size=shape)
         dz = rng.normal(size=shape)
-        want_z = _default_order_softmax(x)
-        want_pulled = _default_order_vjp(want_z, dz)
-        for flat, theta, softmax in zip(flats, thetas, softmaxes):
-            theta[...] = x.reshape(flat)
-            z = softmax_values(x.reshape(flat))
-            assert _same_bits(z, want_z.reshape(flat)) and z.flags.c_contiguous
-            for bound in (BoundSoftmax(x.reshape(flat).copy()), softmax):
-                z = bound()
-                pulled = bound.pull_back(dz.reshape(flat))
-                assert _same_bits(z, want_z.reshape(flat))
-                assert _same_bits(pulled, want_pulled.reshape(flat))
-                assert z.flags.c_contiguous and pulled.flags.c_contiguous
+        want_z = default_order_softmax(x, -2)
+        want_pulled = default_order_pull_back(want_z, dz, -2)
+        theta[...] = x
+        z = softmax_values(x)
+        assert _same_bits(z, want_z) and z.flags.c_contiguous
+        for bound in (BoundSoftmax(x.copy()), softmax):
+            z = bound()
+            pulled = bound.pull_back(dz)
+            assert _same_bits(z, want_z)
+            assert _same_bits(pulled, want_pulled)
+            assert z.flags.c_contiguous and pulled.flags.c_contiguous
 
 
 @pytest.mark.parametrize("loss_id", ["ce", "bwm"])
 def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
     # At and below LOG_EPS the gradient is the old ``dz *= z > LOG_EPS``: -0.0.
-    y = np.eye(4)[[0, 1, 2, 0, 1, 2]]  # class 3 absent: bwm weights it 0
+    y = planar(np.eye(4)[[0, 1, 2, 0, 1, 2]])  # class 3 absent: bwm weights it 0
     above = np.nextafter(LOG_EPS, 1.0)
-    z = np.array([  # the target class at 0, at LOG_EPS and just above it
+    z = planar(np.array([  # the target class at 0, at LOG_EPS and just above it
         [0.0, 0.5, 0.5, 0.0],
         [0.5, LOG_EPS, 0.5 - LOG_EPS, 0.0],
         [0.5, LOG_EPS, above, 0.5 - LOG_EPS - above],
         [1.0, 0.0, 0.0, 0.0],
         [0.25, 0.25, LOG_EPS, 0.5 - LOG_EPS],
         [0.3, 0.3, 0.4, 0.0],
-    ])
-    n = len(y)
-    counts = y.sum(axis=0)
+    ]))
+    n = y.shape[-1]
+    counts = y.sum(axis=-1)
     w = np.divide(n, 4 * counts, out=np.zeros(4), where=counts > 0)
-    wy = y if loss_id == "ce" else w * y
+    wy = y if loss_id == "ce" else w[:, None] * y
     want = -wy / np.maximum(z, LOG_EPS)
     want *= z > LOG_EPS
     want /= n
@@ -497,8 +478,8 @@ def test_pair_weights_that_are_not_pair_weights_are_a_type_error():
 def test_chunked_finite_differences_match_a_per_entry_loop():
     rng = np.random.default_rng(18)
     y = _random_one_hot(rng, (10, 10))
-    theta = rng.normal(size=(10, 10, 4))
-    fn = _stack_totals(_build_core("jc", y.values, PairWeights.default(4)))
+    theta = planar(rng.normal(size=(10, 10, 4)))
+    fn = _stack_totals(_build_core("jc", planar(y.values), PairWeights.default(4)))
     stacks = []
 
     def recorded(stack):
@@ -529,7 +510,7 @@ def test_each_caller_builds_one_core_per_target(monkeypatch):
     builds.clear()
     y = _random_one_hot(np.random.default_rng(20), (6, 5))
     landscape_scan("dsc", y, LogitField(np.random.default_rng(21).normal(size=(6, 5, 4))))
-    assert builds == [(30, 4)] * 2  # the centre's checked evaluate_loss call, then the scan's
+    assert builds == [(4, 30)] * 2  # the centre's checked evaluate_loss call, then the scan's
 
 
 @st.composite
@@ -603,8 +584,9 @@ def test_pair_weights_must_match_the_channel_count(loss_id):
 
 @st.composite
 def _single_field_case(draw):
-    """A target, pair weights and three probability-like fields for the
-    single-field cores.  Field entries are seeded uniform draws, a drawn
+    """A planar target, pair weights and three probability-like planar
+    fields for the single-field cores.  Field entries are seeded uniform
+    draws, a drawn
     share of them replaced by values at and below the clamp, just above it,
     0 and 1.  A field may also sit at the target itself, where J's pair
     terms reach ``a >= 1``, or at the target of another class, where they
@@ -614,7 +596,7 @@ def _single_field_case(draw):
     elements = draw(st.sampled_from([1, 12, 35]))
     used = draw(st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = np.eye(channels)[rng.choice(used, size=elements)]
+    y = planar(np.eye(channels)[rng.choice(used, size=elements)])
     lam = rng.random((channels, channels)) * rng.choice([0.0, 1.0, 3.0], size=(channels, channels))
     specials = [0.0, np.nextafter(LOG_EPS, 0.0), LOG_EPS, np.nextafter(LOG_EPS, 1.0), 1.0]
     fields = []
@@ -624,7 +606,7 @@ def _single_field_case(draw):
         z[swap] = rng.choice(specials, size=np.count_nonzero(swap))
         kind = draw(st.sampled_from(["drawn", "target", "above target", "other target"]))
         if kind == "other target":
-            z = y[:, rng.permutation(channels)]
+            z = y[rng.permutation(channels)]
         elif kind != "drawn":
             z = y + (kind == "above target") * z * 1e-9
         fields.append(z)
@@ -660,9 +642,9 @@ def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
 def _second_step_peak(loss_id, dims) -> float:
     """The traced peak of a step's second call, in logit fields."""
     rng = np.random.default_rng(24)
-    y = _random_one_hot(rng, dims)
-    core = _build_core(loss_id, y.values, PairWeights(rng.random((4, 4))))
-    theta = rng.normal(0.0, 2.0, size=y.values.shape)
+    y = planar(_random_one_hot(rng, dims).values)
+    core = _build_core(loss_id, y, PairWeights(rng.random((4, 4))))
+    theta = rng.normal(0.0, 2.0, size=y.shape)
     step = _logit_step(core, theta)
     step()  # as a run's first iteration
     tracemalloc.start()
@@ -679,23 +661,24 @@ def test_a_step_on_a_workspace_makes_no_large_allocation(loss_id):
     assert _second_step_peak(loss_id, (96, 96)) < 0.3
 
 
-@pytest.mark.parametrize("loss_id", ["jc", "ce"])
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_a_toy_step_makes_no_large_allocation(loss_id):
     # 24x16x4 fits in numpy's ufunc buffer, which a broadcast over the
-    # field would fill: the step's lane operations run channel by channel.
+    # field would fill: the softmax's lane operations and DSC's class terms
+    # run plane by plane.
     assert _second_step_peak(loss_id, (24, 16)) < 0.3
 
 
 @st.composite
 def _bound_step_case(draw):
-    """A one-hot target, pair weights, start logits and a step size for
-    consecutive steps of one ``_logit_step``: 2-D and 3-D grids with 3 or 4
-    channels, small ones and ones past numpy's ufunc buffer of 8192
-    elements (56 x 56 x 3 = 9408, 14**3 x 3 = 8232)."""
+    """A planar one-hot target, pair weights, planar start logits and a step
+    size for consecutive steps of one ``_logit_step``: 2-D and 3-D grids
+    with 3 or 4 channels, small ones and ones past numpy's ufunc buffer of
+    8192 elements (56 x 56 x 3 = 9408, 14**3 x 3 = 8232)."""
     channels = draw(st.sampled_from([3, 4]))
     dims = draw(st.sampled_from([(5, 7), (3, 4, 5), (56, 56), (14, 14, 14)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    y = np.eye(channels)[rng.integers(0, channels, size=dims)]
+    y = planar(np.eye(channels)[rng.integers(0, channels, size=dims)])
     if draw(st.booleans()):
         weights = PairWeights.default(channels)
     else:
@@ -712,16 +695,15 @@ def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
     # default-order softmax, and the default-order pull-back.
     y, weights, start, step_size = case
     assert start.size > np.getbufsize() or start.size < 1000
-    flat = (-1, y.shape[-1])
     for loss_id in LOSS_IDS:
         theta = start.copy()
         step = _logit_step(_build_core(loss_id, y, weights), theta)
         squares = np.empty(theta.shape)
-        dense = dense_core(loss_id, y.reshape(flat), weights.matrix)
+        dense = dense_core(loss_id, y, weights.matrix)
         for _ in range(3):
-            want_z = _default_order_softmax(theta.reshape(flat))
+            want_z = default_order_softmax(theta, -2)
             want_parts, want_dz = dense(want_z)
-            want_gradient = _default_order_vjp(want_z, want_dz).reshape(theta.shape)
+            want_gradient = default_order_pull_back(want_z, want_dz, -2)
             parts, gradient, z = step()
             assert parts.keys() == want_parts.keys()
             for name, value in parts.items():

@@ -29,7 +29,9 @@ from jseg import (
 )
 from jseg.simulate import _squared_distance
 from jseg.transform import ball_footprint
-from oracles import bernoulli_trials, landscape_values, shrinkwrap_grad_norms, trial_measures
+from jseg.losses import SUM_ORDER_RTOL
+from oracles import (bernoulli_trials, channel_last_loss, landscape_values, shrinkwrap_grad_norms,
+                     trial_measures)
 
 
 def _small_cfg(**kw):
@@ -235,7 +237,7 @@ def test_shrinkwrap_confidence_invariants():
         _fast_shrinkwrap(confidence_start=0.9, confidence_final=0.8)
 
 
-@pytest.mark.parametrize(
+_SHRINKWRAP_CASES = pytest.mark.parametrize(
     "cfg",
     [
         ShrinkwrapConfig(),
@@ -255,11 +257,25 @@ def test_shrinkwrap_confidence_invariants():
     ],
     ids=["default", "3d", "margin-past-diagonal", "rising-confidence", "one-step-per-margin"],
 )
+
+
+@_SHRINKWRAP_CASES
 def test_shrinkwrap_csv_equals_the_dilation_and_evaluate_loss_oracle(cfg, tmp_path):
     run_shrinkwrap(cfg).write_csv(tmp_path / "run.csv")
     oracle = ShrinkwrapTrace(shrinkwrap_grad_norms(cfg), cfg.shrink_iterations - 1)
     oracle.write_csv(tmp_path / "oracle.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@_SHRINKWRAP_CASES
+def test_shrinkwrap_equals_the_channel_last_step_within_the_sum_order_tolerance(cfg):
+    got = run_shrinkwrap(cfg).columns
+    want = shrinkwrap_grad_norms(cfg, loss=channel_last_loss)
+    assert list(got) == list(want)
+    for name in ("iteration", "margin", "confidence", "ramp"):
+        assert got[name].tolist() == want[name].tolist(), name
+    for name in ("grad_ce", "grad_j", "grad_jc"):
+        np.testing.assert_allclose(got[name], want[name], rtol=SUM_ORDER_RTOL, atol=0)
 
 
 @pytest.mark.parametrize(

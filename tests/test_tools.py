@@ -37,3 +37,17 @@ def test_code_lines_print_each_file_and_the_total(tmp_path, capsys):
     code_lines.main([str(p) for p in paths])
     assert capsys.readouterr().out.split("\n") == [
         f"     6 {paths[0]}", f"     1 {paths[1]}", "     7 total", ""]
+
+
+_STEP_COST_PATH = Path(__file__).resolve().parent.parent / "tools" / "step_cost.py"
+_STEP_COST_SPEC = importlib.util.spec_from_file_location("step_cost", _STEP_COST_PATH)
+step_cost = importlib.util.module_from_spec(_STEP_COST_SPEC)
+_STEP_COST_SPEC.loader.exec_module(step_cost)
+
+
+def test_step_cost_prints_one_row_per_grid_and_one_column_per_loss(capsys):
+    step_cost.main(["--grids", "24x16", "--losses", "jc", "dsc", "--steps", "3", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| grid | jc | dsc |", "|---|---|---|"]
+    assert len(lines) == 3 and lines[2].startswith("| 24x16 (T(3), min of 1) | ")
+    assert all(cell.endswith(("µs", "ms")) for cell in lines[2].strip("| ").split(" | ")[1:])

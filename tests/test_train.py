@@ -20,10 +20,11 @@ from jseg import (
     to_semantic,
     train,
 )
-from jseg.grids import argmax_channels
+from jseg.grids import argmax_channels, planar
+from jseg.losses import SUM_ORDER_RTOL
 from jseg.train import _gap_check
 from jseg.transform import GAP
-from oracles import evaluate_loss_train
+from oracles import channel_last_loss, evaluate_loss_train
 
 
 def _scene_target(seed=0, spec=None):
@@ -174,6 +175,28 @@ def test_train_equals_the_evaluate_loss_loop(loss, optimizer, spec):
         _assert_same_trace(got, want)
 
 
+@pytest.mark.parametrize("spec", [None, _BLOBS_3D], ids=["toy", "blobs3d"])
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+@pytest.mark.parametrize("loss", ["ce", "j", "jc", "bwm", "dsc"])
+def test_train_equals_the_channel_last_step_within_the_sum_order_tolerance(loss, optimizer, spec):
+    # The planar step against the channel-last step it replaced: the same
+    # iterations, PQ, first gap iteration and final PQ, and every float
+    # column within the tolerance of a change of summation order.
+    g, y = _scene_target(spec=spec)
+    cfg = TrainConfig(loss=loss, iterations=150, log_every=10, seed=9, optimizer=optimizer)
+    for weights in (None, PairWeights(np.random.default_rng(4).random((4, 4)))):
+        got = train(y, g, cfg, weights)
+        want = evaluate_loss_train(y, g, cfg, weights, loss=channel_last_loss)
+        assert list(got.columns) == list(want.columns)
+        for name, column in got.columns.items():
+            if column.dtype == object or name == "iteration":
+                assert column.tolist() == want.columns[name].tolist(), name
+            else:
+                np.testing.assert_allclose(column, want.columns[name], rtol=SUM_ORDER_RTOL, atol=0)
+        assert got.first_gap_correct == want.first_gap_correct
+        assert got.final_pq == want.final_pq
+
+
 @pytest.mark.parametrize("optimizer", ["gd", "adam"])
 def test_back_to_back_runs_give_equal_traces(optimizer):
     # Each run has its own buffers: a run in between, on another loss,
@@ -295,7 +318,7 @@ def test_gap_check_equals_the_argmax_rule_ties_included():
             outcomes.add((channels, None))
             continue
         want = bool(np.all(argmax_channels(theta[gap])[0] == GAP))
-        assert check(theta) == want
+        assert check(planar(theta)) == want
         outcomes.add((channels, want))
     assert outcomes == {
         (3, None), (4, None), (4, True), (4, False), (5, None), (5, True), (5, False)

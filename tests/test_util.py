@@ -48,7 +48,7 @@ _train_module = importlib.import_module("jseg.train")
 
 # -- the step's arrays --------------------------------------------------------
 
-_TARGET = np.eye(4)[[0, 1, 2, 3, 0, 2]]
+_TARGET = grids.planar(np.eye(4)[[0, 1, 2, 3, 0, 2]])
 
 
 def test_the_ce_output_is_filled_once_and_then_kept():
