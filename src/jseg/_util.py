@@ -9,6 +9,7 @@ for all of them."""
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections.abc import Callable, Sequence
@@ -54,7 +55,8 @@ def l2_norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
     dot of ``np.linalg.norm``, its last bit does not depend on the number of
     BLAS threads.  The squares go to ``out`` when given, a C-order array
     shaped like ``x``, and else to a fresh one."""
-    return float(np.sqrt(np.square(x, out=np.empty(x.shape) if out is None else out).sum()))
+    squares = np.square(x, out=np.empty(x.shape) if out is None else out)
+    return math.sqrt(np.add.reduce(squares, axis=None))
 
 
 def _quote(cell: str) -> str:

@@ -4,9 +4,10 @@ Each run writes its outputs plus a JSON manifest carrying the fully
 resolved configuration, the seed, and the tool version, so any output can
 be reproduced byte for byte from its manifest.  A run's output paths
 (``--out``, the summaries, ``--correlation-out`` and the manifest) must
-all name different files; a run whose paths collide writes nothing and
-exits 2.  Exit codes: 0 success, 1 usage error, 2 data error or not
-enough memory.
+all name different files, in directories that exist; a run whose paths
+collide, or whose output is a directory or lies in a missing one, writes
+nothing and exits 2.  Exit codes: 0 success, 1 usage error, 2 data error
+or not enough memory.
 Diagnostics go to stderr only.
 """
 
@@ -361,6 +362,11 @@ def dispatch(argv: list[str] | None = None) -> int:
         outputs = _outputs_of(args)
         if len({os.path.realpath(path) for path in outputs}) < len(outputs):
             raise ValueError("each output of a run needs its own path")
+        for path in outputs:
+            if os.path.isdir(path):
+                raise ValueError(f"output {path} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"the directory of output {path} does not exist")
         started = time.monotonic()
         if args.seed is None:
             args.seed = int.from_bytes(os.urandom(4), "little")

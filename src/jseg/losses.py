@@ -20,10 +20,14 @@ one row of ``n`` elements per class, does the target-side work once
 (class counts, presence, ``phi``, the pair mask, class weights) and
 returns ``core(z)``, which has two modes:
 
-- a ``(C, n)`` field of probabilities gives ``(components, dL/dz)``: the
-  training step and every other gradient caller;
-- a ``(k, C, n)`` stack gives ``(components, None)``, each component a
-  vector of ``k`` values, one per item: the finite-difference and
+- a ``(C, n)`` field of probabilities gives ``(components, dz, c)``, the
+  loss's gradient in two parts: ``dz``, a ``(C, n)`` gradient in the
+  probabilities for the chain rule (J's, DSC's Dice term, None for ce and
+  bwm), and ``c``, cross entropy's coefficient per element (None for j),
+  which the softmax pull-back takes in closed form: the training step and
+  every other gradient caller;
+- a ``(k, C, n)`` stack gives ``(components, None, None)``, each component
+  a vector of ``k`` values, one per item: the finite-difference and
   landscape stacks, and probability input as a stack of one.
 
 An item's values are the bits of the same field's components.  Each
@@ -35,13 +39,21 @@ and give the bits of the dense bodies that compute every term at every
 entry and every pair (kept in ``tests/oracles.py`` as ``dense_core``, and
 tested against them):
 
-- **CE at the target entries** (ce and bwm, and the ce parts of dsc and
-  jc).  Off the target the terms ``w y log z`` and ``dz`` are both
-  ``-0.0``, so the core gathers ``z`` at the ``n`` target entries, found
-  once per target (per item of a stack, at an offset computed per call),
-  and takes the clamp, log and division there.  Value and ``dz`` go in
-  turn into one array that holds ``-0.0`` off the target (filled once
-  per core for a field, see below); the value is summed over all of it.
+- **CE at the target entries, pulled back in closed form** (ce and bwm,
+  and the ce parts of dsc and jc).  Off the target the terms ``w y log
+  z`` are ``-0.0``, so the core gathers ``z`` at the ``n`` target entries,
+  found once per target in element order (per item of a stack, at an
+  offset computed per call), takes the clamp and log there and sums the
+  ``n`` terms.  It keeps no ``(C, n)`` array.  For the gradient it gives
+  ``c = w_t / n`` per element, 0 where ``z_t <= LOG_EPS`` (the clamped
+  term is constant): through the softmax, ``dL/dz = -w y / (n z)`` pulls
+  back to ``c * (z - y)``, which
+  :meth:`~jseg.grids.BoundSoftmax.pull_back` computes with no reduction
+  and without the chain rule's cancellation as ``z_t`` nears 1.  It
+  differs from the chain rule by at most ``CLOSED_FORM_RTOL`` of the
+  gradient's largest entry on softmax fields, as tested, and is the
+  closer of the two to an extended-precision evaluation where every
+  target is confident.
 - **The J tail in scalars.**  On a field, after ``S = phi z^T`` the pair
   terms run on the pair list, precomputed per target, in Python floats:
   the same IEEE operations per pair as the matrix form, which a stack
@@ -49,32 +61,33 @@ tested against them):
   vector, the diagonal of ``M`` a numpy sum over the C x C layout of the
   matrix form, so its order is numpy's, and the value the exactly rounded
   sum of the pair terms (``math.fsum``) in both modes.
-- **JC adds its two gradients in one place.**  JC adds CE's gradient
-  into J's ``dz``, which J writes afresh each call, with one ``np.add``,
-  as ``run_shrinkwrap`` does; off the target CE's ``dz`` is ``-0.0`` and
-  ``x + -0.0 == x``.  DSC subtracts its Dice term into an array of its
-  own, so the CE array is written only by its core.
+- **JC and DSC hand on the two parts.**  JC gives J's ``dz`` and CE's
+  ``c``, DSC its negated Dice gradient and CE's ``c``; the pull-back adds
+  ``z * (dz - sum_c dz_c z_c)`` and ``c * (z - y)``.  So no core adds a
+  CE gradient into another array, and JC's logit gradient is J's plus
+  CE's, bit for bit.
 
 A caller that evaluates one target many times builds its core once
 (``_build_core``) and reuses it: :func:`evaluate_loss` per call,
 :func:`gradient_check` per trial (for the analytic and the
 finite-difference side), ``train`` per run, ``landscape_scan`` per scan
 and ``run_shrinkwrap`` per trajectory.  Logits reach a core by one of two
-paths: a :class:`~jseg.grids.BoundSoftmax` of one planar logit array,
-whose output goes to the core and whose :meth:`pull_back
-<jseg.grids.BoundSoftmax.pull_back>` takes the core's ``dz`` back to the
-logits, and ``_stack_totals`` for the loss totals of a stack of fields.
-``run_shrinkwrap`` runs the ce and j cores on one softmax and pulls back
-three gradients, as it needs them apart.
+paths: a :class:`~jseg.grids.BoundSoftmax` of one planar logit array
+and the target, whose output goes to the core and whose
+:meth:`pull_back <jseg.grids.BoundSoftmax.pull_back>` takes the core's
+``dz`` and ``c`` back to the logits, and ``_stack_totals`` for the loss
+totals of a stack of fields.  ``run_shrinkwrap`` runs the ce and j cores
+on one softmax and pulls back three gradients, as it needs them apart.
 
 Each caller transposes once, at the API boundary (:func:`~jseg.grids.planar`):
 ``train`` and ``run_shrinkwrap`` per run, :func:`evaluate_loss` per call
 (its gradient goes back to channel-last), :func:`gradient_check` per
 trial, whose finite-difference stacks are ``(2k, C, n)``, and
-``landscape_scan`` per scan.  The softmax makes its output, its lane and
-the pull-back array once, and each core makes its field mode's arrays
-when it is built: CE its ``-0.0``-filled output, the gather, the terms
-and the clamp mask, J its ``dz``, DSC its two arrays.  So every step
+``landscape_scan`` per scan.  The softmax makes its output, its lane, the
+pull-back array and the array of CE's part beside a ``dz`` once, and each
+core makes its field mode's arrays when it is built: CE the gather, the
+terms, the coefficient lane for clamped targets and its mask, J its
+``dz``, DSC its two arrays.  So every step
 writes the same arrays with ``out=`` and in-place ufuncs: the same ufuncs
 in the same order on the same operands as on fresh arrays, so the same
 bits, and no large allocation after the first step.  Each operation that
@@ -89,8 +102,9 @@ writes nothing the core holds, so one core can run stacks on several
 threads at once (``landscape_scan`` does).
 
 Elementwise results are the bits of the channel-last layout the step
-loops used before, but spatial sums now run along the planes: CE's
-value, ``S``, DSC's class sums and the gradient norm.  They agree with
+loops used before, with CE pulled back in closed form there too, but
+spatial sums now run along the planes: CE's value (over its ``n``
+terms), ``S``, DSC's class sums and the gradient norm.  They agree with
 that layout within ``SUM_ORDER_RTOL``, as tested against the channel-last
 step kept in ``tests/oracles.py``.
 
@@ -118,6 +132,7 @@ from .grids import (BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap
 __all__ = [
     "LOG_EPS",
     "SUM_ORDER_RTOL",
+    "CLOSED_FORM_RTOL",
     "FD_CHUNK_ELEMENTS",
     "GRAD_CHECK_FLOOR",
     "PairWeights",
@@ -135,6 +150,14 @@ LOG_EPS = 1e-7
 #: same sum taken over the channel-last layout: the sums differ only in their
 #: order (CE's value, J's ``S``, DSC's class sums and the gradient norm).
 SUM_ORDER_RTOL = 1e-12
+
+#: Largest difference between a logit gradient with cross entropy pulled back
+#: in closed form, ``c * (z - y)``, and the same gradient by the chain rule
+#: through ``dL/dz = -w y / (n z)``, relative to the gradient's largest entry.
+#: The forms are equal in exact arithmetic; the chain rule cancels ``z_t c``
+#: against ``c`` where ``z_t`` nears 1, so on fields whose every target is
+#: that confident the chain rule, not the closed form, strays further.
+CLOSED_FORM_RTOL = 1e-13
 
 #: Most array elements one batched call of the function handed to
 #: :func:`finite_difference_gradient` receives (2 MiB of float64).
@@ -207,48 +230,50 @@ class LossValue:
 
 def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "ce"):
     """Mean (optionally class-weighted) negative log likelihood: the core
-    ``z -> ({name: value}, dL/dz)`` for the target ``y``.
+    ``z -> ({name: value}, None, c)`` for the target ``y``.
 
     It runs at the target entries (see the module docstring): off the
-    target ``w y`` is +0.0 and the clamped ``z`` positive, so the terms are
-    ``-0.0`` there, and so is ``dz``.  A stack gathers item ``b``'s entries
-    at ``b * C * n`` past the field's, computed per call.
+    target ``w y log z`` is ``-0.0``, so the value is the sum of the ``n``
+    gathered terms.  A stack gathers item ``b``'s entries at ``b * C * n``
+    past the field's, computed per call.  A field's gradient is the
+    coefficient ``c`` per element, ``w_t / n``, whose pull-back is
+    ``c * (z - y)`` (:meth:`~jseg.grids.BoundSoftmax.pull_back`); at and
+    below ``LOG_EPS`` the clamped term is constant, so ``c`` is 0 there.
     """
     n = y.shape[-1]
-    wy = y if class_weights is None else class_weights[:, None] * y
-    at = np.flatnonzero(y.ravel())  # the flat index of each element's target entry
-    wy_at = wy.ravel()[at]
-    neg_wy_at = -wy_at
-    out = np.full(y.shape, -0.0)  # the field's output: -0.0 off the target for good
-    field = out, out.ravel(), np.empty(n), np.empty(n), np.empty(n, bool)
+    classes = np.argmax(y, axis=0)  # each element's target class
+    at = classes * n + np.arange(n)  # the flat index of each element's target entry
+    w_at = None if class_weights is None else class_weights[classes]  # None: weight 1
+    unclamped = np.full(n, 1.0 / n) if w_at is None else w_at / n  # c while no z_t is clamped
+    unclamped.setflags(write=False)
+    field = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
 
     def ce(z):
         if z.ndim == 2:
-            out, flat, gathered, terms, clamp = field
-            idx, w = at, wy_at
+            gathered, terms, c, clamp = field
+            idx, w = at, w_at
         else:
             idx = (np.arange(len(z))[:, None] * y.size + at).ravel()
-            w = np.tile(wy_at, len(z))
-            out = np.full(z.shape, -0.0)
-            flat, gathered, terms = out.ravel(), np.empty(idx.shape), np.empty(idx.shape)
+            w = None if w_at is None else np.tile(w_at, len(z))
+            gathered, terms = np.empty(idx.shape), np.empty(idx.shape)
         # The indices are in range; any mode but the default "raise" takes
         # straight into the buffer instead of through a copy.
-        np.take(z.ravel(), idx, out=gathered, mode="wrap")
-        clamped = np.maximum(gathered, LOG_EPS, out=gathered)
-        np.log(clamped, out=terms)
-        flat[idx] = np.multiply(w, terms, out=terms)
-        value = -out.sum(axis=(-2, -1)) / n
+        z.ravel().take(idx, out=gathered, mode="wrap")
+        clamps = not gathered.min() > LOG_EPS  # a NaN counts; the clamp passes it on
+        if clamps:  # else the clamp would change no bit
+            np.maximum(gathered, LOG_EPS, out=gathered)
+        np.log(gathered, out=terms)
+        if w is not None:  # a weight of 1 would change no bit
+            np.multiply(w, terms, out=terms)
+        value = -np.add.reduce(terms.reshape(z.shape[:-2] + (n,)), axis=-1) / n
         if z.ndim > 2:
-            return {name: value}, None
-        dz = np.divide(neg_wy_at, clamped, out=terms)
-        # Below the clamp the log is constant, so dz is zero there: -0.0, the
-        # sign of 0.0 times dz = -w y / LOG_EPS <= 0.  z <= LOG_EPS exactly
-        # where its clamp is LOG_EPS.
-        np.less_equal(clamped, LOG_EPS, out=clamp)
-        np.copyto(dz, -0.0, where=clamp)
-        dz /= n
-        flat[at] = dz
-        return {name: value}, out
+            return {name: value}, None, None
+        if not clamps:
+            return {name: value}, None, unclamped
+        # z <= LOG_EPS exactly where its clamp is LOG_EPS.
+        np.copyto(c, unclamped)
+        np.copyto(c, 0.0, where=np.less_equal(gathered, LOG_EPS, out=clamp))
+        return {name: value}, None, c
 
     return ce
 
@@ -289,24 +314,24 @@ def _dsc_core(y, weights):
     field = np.empty(y.shape), np.empty(y.shape)  # a field's product and cross terms
 
     def core(z):
-        parts, dz = ce(z)
-        product, cross = field if dz is not None else (np.empty(z.shape), None)
+        parts, _, c = ce(z)
+        product, cross = field if z.ndim == 2 else (np.empty(z.shape), None)
         inter = np.multiply(z, y, out=product).sum(axis=-1)
         # sum(y_l^2) = n_l; absent classes get a unit denominator and no share.
         squares = np.multiply(z, z, out=product).sum(axis=-1)
         denom = np.where(present, squares + counts, 1.0)
         dice = 1.0 - (2.0 * inter / denom * share).sum(axis=-1)
         parts = {**parts, "dice": dice}
-        if dz is None:  # a stack
-            return parts, None
-        # d dice_l / d z_l = (2 y_l denom_l - 4 inter_l z_l) / denom_l^2, times share_l
+        if z.ndim > 2:
+            return parts, None, None
+        # -d dice_l / d z_l = (4 inter_l z_l - 2 y_l denom_l) / denom_l^2, times share_l
         classes = zip(product, cross, two_y, z, denom.tolist(), (4.0 * inter).tolist(), share.tolist())
         for term, cross_l, two_y_l, z_l, denom_l, four_inter_l, share_l in classes:
-            np.multiply(two_y_l, denom_l, out=term)
-            term -= np.multiply(four_inter_l, z_l, out=cross_l)
+            np.multiply(four_inter_l, z_l, out=term)
+            term -= np.multiply(two_y_l, denom_l, out=cross_l)
             term /= denom_l * denom_l
             term *= share_l
-        return parts, np.subtract(dz, product, out=product)  # dz is the ce core's own array
+        return parts, product, c
 
     return core
 
@@ -362,7 +387,7 @@ def _j_core(y, weights):
             a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
             log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
             terms = (lam * log_a)[..., pairs].tolist()  # one row of pair terms per item
-            return {"j": -np.array([_pair_sum(row) for row in terms])}, None
+            return {"j": -np.array([_pair_sum(row) for row in terms])}, None, None
         s = (phi @ z.T).tolist()
         a = [0.5 + 0.5 * (s[i][i] - s[k][i]) for i, k in ik]
         # The clamp of np.minimum(np.maximum(a, LOG_EPS), 1.0), NaN included.
@@ -382,7 +407,7 @@ def _j_core(y, weights):
         for i, row_sum in enumerate(row_sums):
             mt[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
         mt = np.array(mt).reshape(channels, channels)
-        return {"j": value}, np.matmul(mt, y, out=dz)
+        return {"j": value}, np.matmul(mt, y, out=dz), None
 
     return core
 
@@ -393,11 +418,9 @@ def _jc_core(y, weights):
     j = _j_core(y, weights)
 
     def core(z):
-        j_parts, j_dz = j(z)
-        ce_parts, ce_dz = ce(z)
-        # J writes its dz afresh each call; off the target CE's is -0.0.
-        dz = None if j_dz is None else np.add(j_dz, ce_dz, out=j_dz)
-        return {**ce_parts, **j_parts}, dz
+        j_parts, j_dz, _ = j(z)
+        ce_parts, _, c = ce(z)
+        return {**ce_parts, **j_parts}, j_dz, c
 
     return core
 
@@ -437,13 +460,14 @@ def evaluate_loss(
     y = target.values
     if pred.values.shape != y.shape:
         raise ValueError(f"shape mismatch: target {y.shape}, prediction {pred.values.shape}")
-    core = _build_core(loss_id, planar(y), weights)
+    y_planar = planar(y)
+    core = _build_core(loss_id, y_planar, weights)
     if isinstance(pred, LogitField):
-        softmax = BoundSoftmax(planar(pred.values))
-        parts, dz = core(softmax())
-        gradient = softmax.pull_back(dz).T.reshape(y.shape)  # LossValue copies it C-order
+        softmax = BoundSoftmax(planar(pred.values), y_planar)
+        parts, dz, c = core(softmax())
+        gradient = softmax.pull_back(dz, c).T.reshape(y.shape)  # LossValue copies it C-order
     else:  # a stack of one: its values, no gradient
-        parts, gradient = core(planar(pred.values)[None])
+        parts, gradient = core(planar(pred.values)[None])[0], None
     return LossValue({name: value.item() for name, value in parts.items()}, gradient)
 
 
@@ -526,8 +550,8 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
         theta = planar(rng.normal(0.0, 1.5, size=dims + (_CHECK_CHANNELS,)))
 
         core = _build_core(loss_id, y, None)
-        softmax = BoundSoftmax(theta)
-        analytic = softmax.pull_back(core(softmax())[1])
+        softmax = BoundSoftmax(theta, y)
+        analytic = softmax.pull_back(*core(softmax())[1:])
         numeric = finite_difference_gradient(_stack_totals(core), theta, step=step)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), GRAD_CHECK_FLOOR)
         rel = float((np.abs(analytic - numeric) / scale).max())

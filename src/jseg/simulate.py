@@ -363,15 +363,16 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     before the loop.  A step needs the ce, j and jc gradients of one
     field, so rather than the losses module's one-loss path it runs the
     ce and j cores once each on one softmax and pulls back each gradient
-    itself; the jc gradient pulls back ``ce_dz + j_dz``, summed before the
-    softmax pull-back as the jc core sums it, so all three norms equal
+    itself: ce's coefficient ``c`` alone, in closed form with no
+    reduction, J's ``j_dz`` alone, and for jc ``j_dz`` with ``c``, the
+    two parts the jc core hands on, so all three norms equal
     ``evaluate_loss(...).grad_norm`` bit for bit.  The target and every
     field are planar, ``(C, n)`` (:func:`~jseg.grids.planar`): the target
     is transposed once, and each field is written planar in the first
     place.  Every step writes its fields and the norms' squares into
     arrays made once for the run, and runs the softmax and the three
     pull-backs on one :class:`~jseg.grids.BoundSoftmax` of the logit
-    array.
+    array and the target.
 
     Each step keeps one tuple, its row of the CSV, and the trace holds
     their columns (:func:`~jseg._util.columns`).  A step's field depends
@@ -395,8 +396,8 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     t_shrink = cfg.shrink_iterations
     ramp_len = cfg.iterations - t_shrink
 
-    z, ramp_terms, jc_dz, logits, squares = (np.empty(y.shape) for _ in range(5))
-    softmax = BoundSoftmax(logits)
+    z, ramp_terms, logits, squares = (np.empty(y.shape) for _ in range(4))
+    softmax = BoundSoftmax(logits, y)
     rows: list[tuple] = []  # one per step, in the order of SHRINKWRAP_HEADER
     z_at_shrinkwrap: np.ndarray | None = None
     for t in range(1, cfg.iterations + 1):
@@ -425,9 +426,9 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
             z += np.multiply(y, ramp, out=ramp_terms)
         logit_values(z, out=logits)
         s = softmax()
-        ce_dz, j_dz = ce_core(s)[1], j_core(s)[1]
-        np.add(ce_dz, j_dz, out=jc_dz)
-        norms = (l2_norm(softmax.pull_back(dz), squares) for dz in (ce_dz, j_dz, jc_dz))
+        c, j_dz = ce_core(s)[2], j_core(s)[1]
+        grads = ((None, c), (j_dz, None), (j_dz, c))  # ce, j and jc: (dz, c)
+        norms = (l2_norm(softmax.pull_back(*grad), squares) for grad in grads)
         rows.append((t, *state, *norms))
 
     return ShrinkwrapTrace(columns(SHRINKWRAP_HEADER, rows), shrinkwrap_index=t_shrink - 1)

@@ -9,6 +9,7 @@ element of the target is classified correctly under MAP.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -170,14 +171,17 @@ def train(
     (:func:`~jseg.grids.planar`), transposed once here.  Every iteration,
     the first included, runs the target's loss core, built once for the
     run, between the softmax and the softmax pull-back of one
-    :class:`~jseg.grids.BoundSoftmax` of the planar logits: on the bare
-    logits, with no container and no gradient copy; the logits are checked
-    for finiteness after every update instead.  The softmax's arrays, the
-    norm's squares, the finiteness mask and Adam's moments are made once,
-    planar, and the update writes the logits in place, so the steps
-    allocate no large array.  The output is byte-identical to an
-    :func:`evaluate_loss` call per iteration, whose gradient norm sums in
-    the same planar order.
+    :class:`~jseg.grids.BoundSoftmax` of the planar logits and target: on
+    the bare logits, with no container and no gradient copy; the logits
+    are checked for finiteness after every update instead.  The core hands
+    the pull-back the part of its gradient that needs the chain rule and
+    cross entropy's coefficient, which the pull-back takes in closed form
+    (see :mod:`jseg.losses`).  The softmax's arrays, the norm's squares,
+    the finiteness mask and Adam's moments are made once, planar, and the
+    update writes the logits in place, so the steps allocate no large
+    array.  The output is byte-identical to an :func:`evaluate_loss` call
+    per iteration, which runs the same core and pull-back and whose
+    gradient norm sums in the same planar order.
 
     The measurement pipeline sends gap elements straight to background:
     per-element logits leave the runner-up ordering at a confident gap
@@ -203,10 +207,10 @@ def train(
 
     gap_correct = _gap_check(target)
     evaluate_loss(cfg.loss, target, LogitField(theta), weights)  # checks the inputs
-    theta = planar(theta)
+    theta, y = planar(theta), planar(target.values)
     adam = _Adam(theta) if cfg.optimizer == "adam" else None
-    core = _build_core(cfg.loss, planar(target.values), weights)
-    softmax = BoundSoftmax(theta)
+    core = _build_core(cfg.loss, y, weights)
+    softmax = BoundSoftmax(theta, y)
     squares, finite = np.empty(theta.shape), np.empty(theta.shape, bool)
 
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
@@ -238,11 +242,11 @@ def train(
 
     for it in range(cfg.iterations + 1):
         probs = softmax()
-        parts, dz = core(probs)
-        grad = softmax.pull_back(dz)
+        parts, dz, c = core(probs)
+        grad = softmax.pull_back(dz, c)
         values = [float(value) for value in parts.values()]
         total = sum(values)
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise diverged("loss", it)
         if first_gap_correct is None and gap_correct is not None and gap_correct(theta):
             first_gap_correct = it

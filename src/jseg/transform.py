@@ -11,6 +11,7 @@ per offset of a structuring element (``fold_windows``).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -64,16 +65,24 @@ class TransformConfig:
 def ball_footprint(radius: int, d: int) -> np.ndarray:
     """Discrete hyper-sphere: offsets within Euclidean distance ``radius``.
 
-    ``radius`` must be an integer (``TypeError`` otherwise), at least 1, and
-    ``d`` at least 1.
+    ``radius`` and ``d`` must be integers (``TypeError`` otherwise), at
+    least 1.  The array is read-only and made once per ``(radius, d)`` of
+    the last few used: scene generation asks for one ball per blob, from a
+    handful of radii.
     """
-    radius = operator.index(radius)
+    return _ball(operator.index(radius), operator.index(d))
+
+
+@functools.lru_cache(maxsize=16)
+def _ball(radius: int, d: int) -> np.ndarray:
     if radius < 1:
         raise ValueError("structuring-element radius must be >= 1")
     if d < 1:
         raise ValueError(f"a structuring element needs at least 1 axis, got d={d}")
     offsets = np.ogrid[(slice(-radius, radius + 1),) * d]
-    return sum(o * o for o in offsets) <= radius * radius
+    ball = sum(o * o for o in offsets) <= radius * radius
+    ball.setflags(write=False)
+    return ball
 
 
 def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:

@@ -8,7 +8,9 @@ library paths that a faster one replaced, kept here so the tests can pin
 the new path to their bits: ``dense_core`` holds the dense loss bodies on
 planar arrays, and ``channel_last_loss`` the channel-last step that the
 planar one replaced, which the step loops' traces must match within the
-summation-order tolerance.
+summation-order tolerance.  Both pull cross entropy back in closed form,
+as the library does; ``dense_core(..., chain_rule=True)`` keeps the chain
+rule it replaced, the reference for the closed form's tolerance.
 """
 
 from __future__ import annotations
@@ -290,9 +292,16 @@ def default_order_softmax(x, axis):
     return e / fold_in_order(np.add, e, axis)
 
 
-def default_order_pull_back(z, dz, axis):
-    """The softmax pull-back as broadcast expressions in numpy's default order."""
-    return z * (dz - fold_in_order(np.add, dz * z, axis))
+def default_order_pull_back(z, dz, axis, c=None, y=None):
+    """The softmax pull-back as broadcast expressions in numpy's default
+    order: ``z * (dz - sum(dz * z))`` for a gradient ``dz`` in ``z`` (or
+    None), plus ``(z - y) * c`` for a cross-entropy coefficient ``c`` per
+    element (or None) and the one-hot target ``y``."""
+    ce = None if c is None else (z - y) * np.expand_dims(c, axis)
+    if dz is None:
+        return ce
+    pulled = z * (dz - fold_in_order(np.add, dz * z, axis))
+    return pulled if ce is None else pulled + ce
 
 
 def _fsum_items(terms: np.ndarray) -> np.ndarray:
@@ -301,17 +310,25 @@ def _fsum_items(terms: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in rows]).reshape(terms.shape[:-1])
 
 
-def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
-    """The dense body of a ``jseg.losses`` core: ``z -> (parts, dL/dz)``
+def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7,
+               chain_rule: bool = False):
+    """The dense body of a ``jseg.losses`` core: ``z -> (parts, dz, c)``
     for planar ``(..., C, n)`` probabilities, one value per leading item.
 
     ``y`` is the planar ``(C, n)`` one-hot target and ``lam`` the J pair
     weights (used by j and jc).  Every term is taken at every entry and
     every pair, in the matrix form, with the ufuncs of the library's cores
-    in their order, so the parts and ``dz`` are the cores' bits: CE as ``w
-    y log z`` over the whole field, J with ``S = phi z^T``, the exactly
+    in their order, so the parts, ``dz`` and ``c`` are the cores' bits: CE
+    as ``w y log z`` over the whole field, summed over the channels and
+    then over the elements, and its coefficient ``c = w_t / n`` per element
+    (0 where ``z_t <= log_eps``), J with ``S = phi z^T``, the exactly
     rounded sum of the pair terms and the gradient ``M^T y`` over the full
-    C x C matrices.
+    C x C matrices, DSC's ``dz`` the negated Dice gradient.
+
+    With ``chain_rule``, CE gives no ``c`` but its gradient in ``z``,
+    ``-w y / (n z)`` (``-0.0`` where clamped), added into ``dz``: the
+    pull-back the library ran before its closed form, kept as the
+    reference for it.
     """
     channels, n = y.shape
     counts = y.sum(axis=-1)
@@ -320,10 +337,13 @@ def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e
     def ce(z, class_weights=None):
         wy = y if class_weights is None else class_weights[:, None] * y
         clamped = np.maximum(z, log_eps)
-        value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
-        dz = -wy / clamped
-        dz[z <= log_eps] = -0.0
-        return value, dz / n
+        value = -np.add.reduce(wy * np.log(clamped), axis=-2).sum(axis=-1) / n
+        if chain_rule:
+            dz = -wy / clamped
+            dz[z <= log_eps] = -0.0
+            return value, dz / n, None
+        z_t = np.add.reduce(z * y, axis=-2)
+        return value, None, np.where(z_t <= log_eps, 0.0, np.add.reduce(wy, axis=-2) / n)
 
     def j(z):
         n_l = np.where(present, counts, 1.0)
@@ -342,42 +362,47 @@ def dense_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e
         mt[..., ch, ch] -= (half / (a * n_l[:, None])).sum(axis=-1)
         return value, mt @ y
 
+    def plus(dz, ce_dz):
+        return dz if ce_dz is None else dz + ce_dz
+
     def core(z):
         if loss_id == "ce":
-            value, dz = ce(z)
-            return {"ce": value}, dz
+            value, dz, c = ce(z)
+            return {"ce": value}, dz, c
         if loss_id == "bwm":
             w = np.divide(n, channels * counts, out=np.zeros(channels), where=present)
-            value, dz = ce(z, w)
-            return {"bwm": value}, dz
+            value, dz, c = ce(z, w)
+            return {"bwm": value}, dz, c
         if loss_id == "j":
             value, dz = j(z)
-            return {"j": value}, dz
+            return {"j": value}, dz, None
         if loss_id == "jc":
             j_value, j_dz = j(z)
-            ce_value, ce_dz = ce(z)
-            return {"ce": ce_value, "j": j_value}, j_dz + ce_dz
-        ce_value, dz = ce(z)  # dsc
+            ce_value, ce_dz, c = ce(z)
+            return {"ce": ce_value, "j": j_value}, plus(j_dz, ce_dz), c
+        ce_value, ce_dz, c = ce(z)  # dsc
         share = (present / np.count_nonzero(present))[:, None]
         inter = (z * y).sum(axis=-1)[..., None]
         denom = np.where(present, (z * z).sum(axis=-1) + counts, 1.0)[..., None]
         dice = 1.0 - (2.0 * inter / denom * share).sum(axis=(-2, -1))
-        term = 2.0 * y * denom
-        term -= 4.0 * inter * z
+        term = 4.0 * inter * z
+        term -= 2.0 * y * denom
         term /= denom * denom
         term *= share
-        return {"ce": ce_value, "dice": dice}, dz - term
+        return {"ce": ce_value, "dice": dice}, plus(term, ce_dz), c
 
     return core
 
 
 def channel_last_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: float = 1e-7):
     """The dense loss body on channel-last arrays, as the library ran it
-    before its step arrays went planar: ``z -> (parts, dL/dz)`` for ``(...,
-    n, C)`` probabilities and the ``(n, C)`` target ``y``.  Its sums run
-    over the interleaved layout (CE's value, ``S = phi^T z`` and DSC's
-    class sums along the element axis) and J's pair terms are a numpy sum,
-    so its bits are that layout's, not the planar cores'.
+    before its step arrays went planar, with CE's gradient as the planar
+    cores give it: ``z -> (parts, dz, c)`` for ``(..., n, C)``
+    probabilities and the ``(n, C)`` target ``y``, ``c`` the CE coefficient
+    per element.  Its sums run over the interleaved layout (CE's value,
+    ``S = phi^T z`` and DSC's class sums along the element axis) and J's
+    pair terms are a numpy sum, so its bits are that layout's, not the
+    planar cores'.
     """
     n, channels = y.shape
     counts = y.sum(axis=0)
@@ -387,9 +412,7 @@ def channel_last_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: flo
         wy = y if class_weights is None else class_weights * y
         clamped = np.maximum(z, log_eps)
         value = -(wy * np.log(clamped)).sum(axis=(-2, -1)) / n
-        dz = -wy / clamped
-        dz[z <= log_eps] = -0.0
-        return value, dz / n
+        return value, np.where((z * y).sum(axis=-1) <= log_eps, 0.0, wy.sum(axis=-1) / n)
 
     def j(z):
         n_l = np.where(present, counts, 1.0)
@@ -410,20 +433,20 @@ def channel_last_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: flo
 
     def core(z):
         if loss_id == "ce":
-            value, dz = ce(z)
-            return {"ce": value}, dz
+            value, c = ce(z)
+            return {"ce": value}, None, c
         if loss_id == "bwm":
             w = np.divide(n, channels * counts, out=np.zeros(channels), where=present)
-            value, dz = ce(z, w)
-            return {"bwm": value}, dz
+            value, c = ce(z, w)
+            return {"bwm": value}, None, c
         if loss_id == "j":
             value, dz = j(z)
-            return {"j": value}, dz
+            return {"j": value}, dz, None
         if loss_id == "jc":
             j_value, j_dz = j(z)
-            ce_value, ce_dz = ce(z)
-            return {"ce": ce_value, "j": j_value}, j_dz + ce_dz
-        ce_value, dz = ce(z)  # dsc
+            ce_value, c = ce(z)
+            return {"ce": ce_value, "j": j_value}, j_dz, c
+        ce_value, c = ce(z)  # dsc
         share = present / np.count_nonzero(present)
         inter = (z * y).sum(axis=-2)[..., None, :]
         denom = np.where(present, (z * z).sum(axis=-2) + counts, 1.0)[..., None, :]
@@ -432,7 +455,7 @@ def channel_last_core(loss_id: str, y: np.ndarray, lam: np.ndarray, log_eps: flo
         term -= 4.0 * inter * z
         term /= denom**2
         term *= share
-        return {"ce": ce_value, "dice": dice}, dz - term
+        return {"ce": ce_value, "dice": dice}, -term, c
 
     return core
 
@@ -450,8 +473,8 @@ def channel_last_loss(loss_id, target, logits, weights=None) -> SimpleNamespace:
     flat = (-1, y.shape[-1])
     lam = (PairWeights.default(y.shape[-1]) if weights is None else weights).matrix
     z = default_order_softmax(logits.values.reshape(flat), -1)
-    parts, dz = channel_last_core(loss_id, y.reshape(flat), lam)(z)
-    gradient = default_order_pull_back(z, dz, -1).reshape(y.shape)
+    parts, dz, c = channel_last_core(loss_id, y.reshape(flat), lam)(z)
+    gradient = default_order_pull_back(z, dz, -1, c, y.reshape(flat)).reshape(y.shape)
     components = {name: float(value) for name, value in parts.items()}
     return SimpleNamespace(components=components, total=sum(components.values()), gradient=gradient,
                            grad_norm=l2_norm(gradient))

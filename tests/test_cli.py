@@ -377,6 +377,35 @@ def test_outputs_sharing_a_path_are_a_data_error(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train-toy", "--iterations", "2", "--summary-out", "{d}/missing/s.json"],
+         "the directory of output {d}/missing/s.json does not exist"),
+        (["sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
+          "--correlation-out", "{d}/missing/c.csv"],
+         "the directory of output {d}/missing/c.csv does not exist"),
+        (["sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
+          "--correlation-out", "{d}/sub"], "output {d}/sub is a directory"),
+        (["train-toy", "--iterations", "2", "--manifest", "{d}/sub"], "output {d}/sub is a directory"),
+    ],
+    ids=["summary-in-missing-dir", "correlation-in-missing-dir", "correlation-is-dir", "manifest-is-dir"],
+)
+def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_path, capsys, argv,
+                                                                           message):
+    # A run with an output in a missing directory, or at a directory, exits
+    # 2 before it runs: a good --out from an earlier run stays as it was.
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier run's output\n")
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    assert run(*argv, "--out", str(out), "--seed", "1") == 2
+    assert capsys.readouterr().err == f"jseg: {message.format(d=tmp_path)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out.read_bytes() == b"an earlier run's output\n"
+
+
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
     out = tmp_path / "imb.csv"
     assert run("sim-imbalance", "--classifier", "c1", "--pis", "0.01", "0.01", "--samples", "100",

@@ -24,7 +24,8 @@ from jseg import (
 )
 from jseg._util import l2_norm
 from jseg.grids import BoundSoftmax, planar, softmax_values
-from jseg.losses import _CORES, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core, _stack_totals
+from jseg.losses import (_CORES, CLOSED_FORM_RTOL, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core,
+                         _stack_totals)
 from oracles import default_order_pull_back, default_order_softmax, dense_core, pair_loop_j
 
 LOSS_IDS = ("ce", "j", "jc", "bwm", "dsc")
@@ -98,15 +99,21 @@ def test_jc_additivity_on_random_fields():
 
 
 def test_jc_core_gives_the_bits_of_j_plus_ce():
+    # JC hands on J's dz and CE's coefficient, so its logit gradient is the
+    # sum of the two pulled back apart.
     rng = np.random.default_rng(27)
     for dims in ((4, 4), (6, 5), (3, 3, 3)):
         y = planar(_random_one_hot(rng, dims).values)
-        z = softmax_values(rng.normal(size=y.shape))
-        parts, dz = _build_core("jc", y, None)(z)
-        ce_parts, ce_dz = _build_core("ce", y, None)(z)
-        j_parts, j_dz = _build_core("j", y, None)(z)
+        softmax = BoundSoftmax(rng.normal(size=y.shape), y)
+        z = softmax()
+        parts, dz, c = _build_core("jc", y, None)(z)
+        ce_parts, ce_dz, ce_c = _build_core("ce", y, None)(z)
+        j_parts, j_dz, j_c = _build_core("j", y, None)(z)
         assert parts == {**ce_parts, **j_parts}
-        assert (j_dz + ce_dz).tobytes() == dz.tobytes()
+        assert ce_dz is None and j_c is None
+        assert dz.tobytes() == j_dz.tobytes() and c.tobytes() == ce_c.tobytes()
+        apart = softmax.pull_back(j_dz).copy() + softmax.pull_back(None, c)  # one pull-back array
+        assert softmax.pull_back(dz, c).tobytes() == apart.tobytes()
 
 
 def test_loss_value_total_is_the_sum_of_its_components():
@@ -306,7 +313,7 @@ def test_j_core_matches_the_pair_loop_oracle(dims):
         z = softmax_values(rng.normal(0.0, 2.0, size=(4, y[..., 0].size)))
         lam = rng.random((4, 4)) * (rng.random((4, 4)) > 0.2)
         want, want_dz = pair_loop_j(y, z.T.reshape(y.shape), lam)
-        parts, dz = _CORES["j"](planar(y), PairWeights(lam))(z)
+        parts, dz, _ = _CORES["j"](planar(y), PairWeights(lam))(z)
         assert parts["j"] == pytest.approx(want, rel=1e-12, abs=0)
         np.testing.assert_allclose(dz, planar(want_dz), rtol=1e-12, atol=0)
 
@@ -329,8 +336,8 @@ def test_batched_cores_equal_per_item_cores(loss_id):
     z = softmax_values(rng.normal(size=(3, 4, 15)))
     weights = PairWeights(rng.random((4, 4)))
     core = _CORES[loss_id](y, weights)
-    parts, dz = core(z)
-    assert dz is None
+    parts, dz, c = core(z)
+    assert dz is None and c is None
     for b in range(len(z)):
         item_parts = core(z[b])[0]
         assert parts.keys() == item_parts.keys()
@@ -355,17 +362,17 @@ def test_value_path_equals_the_full_cores_parts(loss_id, dims):
         assert _same_bits(np.float64(components[name]), value)
 
 
-def _logit_step(core, theta):
+def _logit_step(core, theta, y):
     """A training step on the planar logit array ``theta``, as ``train``
     runs it: ``core`` between the softmax and the pull-back of one
-    :class:`BoundSoftmax` of the logits.  Each call returns ``(parts,
-    dL/dtheta, z)``, written into the same arrays."""
-    softmax = BoundSoftmax(theta)
+    :class:`BoundSoftmax` of the logits and the target ``y``.  Each call
+    returns ``(parts, dL/dtheta, z)``, written into the same arrays."""
+    softmax = BoundSoftmax(theta, y)
 
     def step():
         z = softmax()
-        parts, dz = core(z)
-        return parts, softmax.pull_back(dz), z
+        parts, dz, c = core(z)
+        return parts, softmax.pull_back(dz, c), z
 
     return step
 
@@ -376,12 +383,12 @@ def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(loss_id):
     y = planar(_random_one_hot(rng, (7, 6, 3)).values)
     weights = PairWeights(rng.random((4, 4)))
     theta = np.empty(y.shape)
-    step = _logit_step(_build_core(loss_id, y, weights), theta)
+    step = _logit_step(_build_core(loss_id, y, weights), theta, y)
     squares = np.empty(theta.shape)
     for _ in range(3):  # the same arrays serve every step
         theta[...] = rng.normal(0.0, 2.0, size=theta.shape)
         parts, gradient, _ = step()
-        fresh = _logit_step(_build_core(loss_id, y, weights), theta.copy())
+        fresh = _logit_step(_build_core(loss_id, y, weights), theta.copy(), y)
         want_parts, want_gradient, _ = fresh()
         assert parts == want_parts
         assert np.array_equal(gradient, want_gradient)
@@ -402,28 +409,33 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
     # at a time give every element the same ufunc on the same operands as the
     # default order over that axis, and write C-order arrays.  The fields lie
     # on both sides of numpy's ufunc buffer, and run alone and in stacks.
+    # The pull-back takes a dz, a CE coefficient or both.
     rng = np.random.default_rng(23)
     theta = np.empty(shape)
-    softmax = BoundSoftmax(theta)
+    y = np.eye(shape[-2])[rng.integers(0, shape[-2], size=shape[-1])].T.copy()
+    softmax = BoundSoftmax(theta, y)
     for _ in range(2):  # the second step reuses the bound arrays
         x = rng.normal(0.0, 3.0, size=shape)
         dz = rng.normal(size=shape)
+        c = rng.random(shape[:-2] + shape[-1:])
         want_z = default_order_softmax(x, -2)
-        want_pulled = default_order_pull_back(want_z, dz, -2)
         theta[...] = x
         z = softmax_values(x)
         assert _same_bits(z, want_z) and z.flags.c_contiguous
-        for bound in (BoundSoftmax(x.copy()), softmax):
+        for bound in (BoundSoftmax(x.copy(), y), softmax):
             z = bound()
-            pulled = bound.pull_back(dz)
-            assert _same_bits(z, want_z)
-            assert _same_bits(pulled, want_pulled)
-            assert z.flags.c_contiguous and pulled.flags.c_contiguous
+            assert _same_bits(z, want_z) and z.flags.c_contiguous
+            for part_dz, part_c in ((dz, None), (None, c), (dz, c)):
+                pulled = bound.pull_back(part_dz, part_c)
+                assert _same_bits(pulled, default_order_pull_back(want_z, part_dz, -2, part_c, y))
+                assert pulled.flags.c_contiguous
 
 
 @pytest.mark.parametrize("loss_id", ["ce", "bwm"])
-def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
-    # At and below LOG_EPS the gradient is the old ``dz *= z > LOG_EPS``: -0.0.
+def test_clamped_elements_get_no_ce_contribution(loss_id):
+    # At and below LOG_EPS the clamped term is constant: CE's coefficient is
+    # 0 there, so every logit of such an element gets a zero gradient, and
+    # every other element gets w_t (z - y) / n.
     y = planar(np.eye(4)[[0, 1, 2, 0, 1, 2]])  # class 3 absent: bwm weights it 0
     above = np.nextafter(LOG_EPS, 1.0)
     z = planar(np.array([  # the target class at 0, at LOG_EPS and just above it
@@ -436,16 +448,99 @@ def test_clamped_entries_of_the_ce_gradient_are_negative_zero(loss_id):
     ]))
     n = y.shape[-1]
     counts = y.sum(axis=-1)
-    w = np.divide(n, 4 * counts, out=np.zeros(4), where=counts > 0)
-    wy = y if loss_id == "ce" else w[:, None] * y
-    want = -wy / np.maximum(z, LOG_EPS)
-    want *= z > LOG_EPS
-    want /= n
+    w = np.ones(4) if loss_id == "ce" else np.divide(n, 4 * counts, out=np.zeros(4), where=counts > 0)
     core = _CORES[loss_id](y, None)
     for _ in range(2):  # the second call reuses the core's arrays
-        dz = core(z)[1]
-        assert _same_bits(dz, want)
-        assert np.all(np.signbit(dz[z <= LOG_EPS]))
+        parts, dz, c = core(z)
+        assert dz is None
+        assert _same_bits(c, np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]) * (w @ y / n))
+    # Through the softmax: targets pushed far below the clamp, and not.
+    theta = np.where(y == 1.0, [[-40.0, 0.0, 1.0, -40.0, 2.0, 0.5]], 0.0)
+    softmax = BoundSoftmax(theta, y)
+    for _ in range(2):
+        z = softmax()
+        clamped = (z * y).sum(axis=0) <= LOG_EPS
+        assert clamped.tolist() == [True, False, False, True, False, False]
+        gradient = softmax.pull_back(*core(z)[1:])
+        assert np.all(gradient[:, clamped] == 0.0)
+        want = (w @ y / n) * (z - y)
+        assert _same_bits(gradient[:, ~clamped], want[:, ~clamped])
+
+
+def _closed_and_chain_rule(loss_id, y, weights, theta):
+    """The logit gradient of a core at ``theta`` with CE in closed form,
+    the chain-rule gradient of the same softmax output, and that output."""
+    softmax = BoundSoftmax(theta, y)
+    z = softmax()
+    closed = softmax.pull_back(*_build_core(loss_id, y, weights)(z)[1:])
+    dz = dense_core(loss_id, y, weights.matrix, chain_rule=True)(z)[1]
+    return closed, default_order_pull_back(z, dz, -2), z
+
+
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_the_closed_form_equals_the_chain_rule_within_its_tolerance(loss_id):
+    # Softmax fields of logits from N(0, 0.5) to N(0, 10), whose targets
+    # run from far below the clamp to within 1e-12 of 1.
+    rng = np.random.default_rng(29)
+    for sigma in (0.5, 2.0, 10.0):
+        for channels, n in ((3, 35), (4, 384), (4, 3136)):
+            y = np.eye(channels)[rng.integers(0, channels, size=n)].T.copy()
+            weights = PairWeights(rng.random((channels, channels)))
+            closed, chain, _ = _closed_and_chain_rule(loss_id, y, weights, rng.normal(0.0, sigma, y.shape))
+            np.testing.assert_allclose(closed, chain, rtol=0, atol=CLOSED_FORM_RTOL * np.abs(chain).max())
+
+
+def _confident_or_clamped(rng, channels, n, clamped):
+    """A planar one-hot target and logits whose softmax puts every target
+    entry within 1e-9 of 1, or, if ``clamped``, at or below ``LOG_EPS``."""
+    y = np.eye(channels)[rng.integers(0, channels, size=n)].T.copy()
+    if not clamped:  # the target logit is 0, the others put 1e-12..1e-10 each
+        return y, np.where(y == 1.0, 0.0, np.log(rng.uniform(1e-12, 1e-10, size=y.shape)))
+    theta = rng.normal(size=y.shape)
+    rest = np.logaddexp.reduce(np.where(y == 1.0, -np.inf, theta), axis=0)
+    # z_t = share * LOG_EPS / (1 + share * LOG_EPS); -800 more underflows to 0.
+    share = rng.choice([1.0, 0.5, 1e-5, 0.0], size=n)
+    target = rest + np.log(np.where(share > 0.0, share, 1.0) * LOG_EPS) - 800.0 * (share == 0.0)
+    return y, np.where(y == 1.0, target, theta)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble has no more precision than float64 here")
+@pytest.mark.parametrize("loss_id", ["ce", "bwm", "jc", "dsc"])
+def test_the_closed_form_is_at_least_as_accurate_as_the_chain_rule(loss_id):
+    # Against the extended-precision pull-back of the same softmax output:
+    # the float64 dz that needs the chain rule (J's or the Dice term) taken
+    # as exact, plus CE's exact c (z - y).  Where z_t nears 1 the chain rule
+    # cancels z_t c against c; the closed form does not.  Where z_t is
+    # clamped CE adds nothing in either form.  jc runs at pair weights of
+    # 1e-3: at unit weights J's own pull-back, which cancels the same way in
+    # either form, sets both errors at about 1e-7 of the largest entry, and
+    # which one is smaller is a toss-up.
+    rng = np.random.default_rng(30)
+    wide = np.longdouble
+    for trial in range(24):
+        channels, n, clamped = (3, 4)[trial % 2], (12, 35, 384)[trial % 3], trial % 4 > 1
+        y, theta = _confident_or_clamped(rng, channels, n, clamped)
+        weights = PairWeights(1e-3 * PairWeights.default(channels).matrix)
+        closed, chain, z = _closed_and_chain_rule(loss_id, y, weights, theta)
+        z_t = (z * y).sum(axis=0)
+        assert np.all(z_t <= LOG_EPS) if clamped else np.all(z_t > 1.0 - 1e-9)
+        counts = y.sum(axis=-1)
+        w = np.ones(channels)  # bwm's balance weights as its core has them, taken as exact
+        if loss_id == "bwm":
+            w = np.divide(n, channels * counts, out=np.zeros(channels), where=counts > 0)
+        c = np.where(z_t <= LOG_EPS, 0.0, (w.astype(wide) @ y) / n)
+        dz = dense_core(loss_id, y, weights.matrix)(z)[1]
+        zw = z.astype(wide)
+        exact = c * (zw - y)
+        if dz is not None:
+            dzw = dz.astype(wide)
+            exact += zw * (dzw - (dzw * zw).sum(axis=0))
+        closed_error = float(np.abs(closed - exact).max())
+        chain_error = float(np.abs(chain - exact).max())
+        assert closed_error <= chain_error, (trial, closed_error, chain_error)
+        if dz is None:  # ce, bwm: rounding of c, z - y and their product alone
+            assert closed_error <= 2 * np.finfo(np.float64).eps * float(np.abs(exact).max())
 
 
 def test_finite_differences_of_an_empty_array_are_empty_and_call_nothing():
@@ -624,17 +719,18 @@ def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
         core = _CORES[loss_id](y, weights)
         dense = dense_core(loss_id, y, weights.matrix)
         for z in fields:
-            want_parts, want_dz = dense(z)
+            want_parts, want_dz, want_c = dense(z)
             for carried in (_CORES[loss_id](y, weights), core):
-                parts, dz = carried(z)
+                parts, dz, c = carried(z)
                 assert parts.keys() == want_parts.keys()
                 for name, value in parts.items():
                     assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
-                assert _same_bits(dz, want_dz)
+                for got, want in ((dz, want_dz), (c, want_c)):
+                    assert got is None if want is None else _same_bits(got, want)
         stack = np.stack(fields[:2])
         want_parts = dense(stack)[0]
-        parts, dz = core(stack)
-        assert dz is None and parts.keys() == want_parts.keys()
+        parts, dz, c = core(stack)
+        assert dz is None and c is None and parts.keys() == want_parts.keys()
         for name, value in parts.items():
             assert _same_bits(value, want_parts[name])
 
@@ -645,7 +741,7 @@ def _second_step_peak(loss_id, dims) -> float:
     y = planar(_random_one_hot(rng, dims).values)
     core = _build_core(loss_id, y, PairWeights(rng.random((4, 4))))
     theta = rng.normal(0.0, 2.0, size=y.shape)
-    step = _logit_step(core, theta)
+    step = _logit_step(core, theta, y)
     step()  # as a run's first iteration
     tracemalloc.start()
     try:
@@ -697,13 +793,13 @@ def test_consecutive_steps_of_one_step_equal_the_dense_path_bit_for_bit(case):
     assert start.size > np.getbufsize() or start.size < 1000
     for loss_id in LOSS_IDS:
         theta = start.copy()
-        step = _logit_step(_build_core(loss_id, y, weights), theta)
+        step = _logit_step(_build_core(loss_id, y, weights), theta, y)
         squares = np.empty(theta.shape)
         dense = dense_core(loss_id, y, weights.matrix)
         for _ in range(3):
             want_z = default_order_softmax(theta, -2)
-            want_parts, want_dz = dense(want_z)
-            want_gradient = default_order_pull_back(want_z, want_dz, -2)
+            want_parts, want_dz, want_c = dense(want_z)
+            want_gradient = default_order_pull_back(want_z, want_dz, -2, want_c, y)
             parts, gradient, z = step()
             assert parts.keys() == want_parts.keys()
             for name, value in parts.items():

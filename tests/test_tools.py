@@ -46,8 +46,11 @@ _STEP_COST_SPEC.loader.exec_module(step_cost)
 
 
 def test_step_cost_prints_one_row_per_grid_and_one_column_per_loss(capsys):
-    step_cost.main(["--grids", "24x16", "--losses", "jc", "dsc", "--steps", "3", "--repeats", "1"])
+    step_cost.main(["--grids", "24x16", "--steps", "3", "--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["| grid | jc | dsc |", "|---|---|---|"]
+    assert lines[:2] == ["| grid | ce | j | jc | bwm | dsc |", "|---|---|---|---|---|---|"]
     assert len(lines) == 3 and lines[2].startswith("| 24x16 (T(3), min of 1) | ")
-    assert all(cell.endswith(("µs", "ms")) for cell in lines[2].strip("| ").split(" | ")[1:])
+    cells = lines[2].strip("| ").split(" | ")[1:]
+    assert len(cells) == 5 and all(cell.endswith(("µs", "ms")) for cell in cells)
+    step_cost.main(["--grids", "24x16", "--losses", "jc", "dsc", "--steps", "3", "--repeats", "1"])
+    assert capsys.readouterr().out.splitlines()[0] == "| grid | jc | dsc |"

@@ -149,7 +149,7 @@ def test_non_finite_gradient_raises_train_diverged(monkeypatch):
     g, y = _scene_target()
 
     def finite_total_inf_gradient(loss_id, target, weights):
-        return lambda z: ({"ce": 1.0}, np.full(z.shape, np.inf))
+        return lambda z: ({"ce": 1.0}, np.full(z.shape, np.inf), None)
 
     # Every iteration, the first included, takes its loss and gradient from
     # the core that ``jseg.train`` builds with ``_build_core``.

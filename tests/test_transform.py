@@ -218,6 +218,17 @@ def test_touching_radius_past_the_shortest_axis_matches_the_reference(dims, k):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_ball_footprint_is_one_read_only_array_per_radius_and_axis_count(d):
+    ball = ball_footprint(np.int64(3), d)
+    assert not ball.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ball[0, 0] = True
+    assert ball_footprint(3, np.int32(d)) is ball and ball_footprint(2, d) is not ball
+    got = sorted(tuple(int(i) - 3 for i in idx) for idx in zip(*np.nonzero(ball)))
+    assert got == sorted(ball_offsets(3, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_ball_footprint_holds_the_offsets_within_the_radius(d):
     for radius in range(1, 12):
         ball = ball_footprint(radius, d)
@@ -240,8 +251,11 @@ def test_config_validation():
 def test_named_errors(d):
     with pytest.raises(ValueError, match=re.escape("structuring-element radius must be >= 1")):
         ball_footprint(0, d)
+    for radius in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            ball_footprint(radius, d)
     with pytest.raises(TypeError):
-        ball_footprint(2.5, d)
+        ball_footprint(2, float(d))
     for axes in (0, -1):
         with pytest.raises(ValueError, match="at least 1 axis"):
             ball_footprint(1, axes)

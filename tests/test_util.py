@@ -50,20 +50,24 @@ _train_module = importlib.import_module("jseg.train")
 
 _TARGET = grids.planar(np.eye(4)[[0, 1, 2, 3, 0, 2]])
 
+# The first three elements' targets at 0, below CE's clamp; the rest at 0.4.
+_PARTLY_CLAMPED = np.where(_TARGET == 1.0, [[0.0, 0.0, 0.0, 0.4, 0.4, 0.4]], 0.2)
 
-def test_the_ce_output_is_filled_once_and_then_kept():
-    # A core's field output holds -0.0 off the target from the start; each
-    # field call writes the target entries of the same array, and a stack
-    # runs on arrays of its own.
+
+def test_the_ce_core_keeps_no_field_array():
+    # CE's field mode gives no (C, n) array, only its coefficient per
+    # element: the read-only constant w_t / n while no target entry is
+    # clamped, else a lane of the core's own, written each call.  A stack
+    # gives neither.
     core = _build_core("ce", _TARGET, None)
-    off = _TARGET == 0.0
-    made = core(np.full(_TARGET.shape, 0.25))[1]
-    assert np.all(made == 0.0, where=off) and np.all(np.signbit(made[off]))
-    first = made[~off].copy()
-    again = core(np.full(_TARGET.shape, 0.25) + 0.5 * _TARGET - 0.125)[1]
-    assert again is made and np.signbit(again[off]).all() and not np.array_equal(again[~off], first)
-    stack = core(np.full((2,) + _TARGET.shape, 0.25))
-    assert stack[1] is None and made is core(np.full(_TARGET.shape, 0.25))[1]
+    n = _TARGET.shape[-1]
+    parts, dz, c = core(np.full(_TARGET.shape, 0.25))
+    assert dz is None and c.shape == (n,) and not c.flags.writeable and np.all(c == 1.0 / n)
+    assert core(np.full(_TARGET.shape, 0.25) + 0.5 * _TARGET - 0.125)[2] is c
+    lane = core(_PARTLY_CLAMPED)[2]
+    assert lane is not c and lane.flags.writeable and lane.tolist() == [0.0] * 3 + [1.0 / n] * 3
+    assert core(_PARTLY_CLAMPED)[2] is lane
+    assert core(np.full((2,) + _TARGET.shape, 0.25))[1:] == (None, None)
 
 
 def _poison(array):
@@ -122,17 +126,17 @@ def _bits(value):
 
 def test_the_poison_reaches_every_array_a_step_makes(poisoned):
     def made():
-        softmax = BoundSoftmax(np.zeros(_TARGET.shape))
+        softmax = BoundSoftmax(np.zeros(_TARGET.shape), _TARGET)
         # ``train`` makes its norm's squares and finiteness mask like this.
         squares, finite = _train_module.np.empty((2, 3, 4)), _train_module.np.empty((2, 3, 4), bool)
         adam = _train_module._Adam(np.zeros((2, 3, 4)))
-        arrays = (softmax.out, softmax.lane, softmax._pulled, adam.scratch, squares, finite)
-        return [a.copy() for a in arrays], _build_core("ce", _TARGET, None)(softmax())[1]
+        arrays = (softmax.out, softmax.lane, softmax._pulled, softmax._ce[0], adam.scratch, squares, finite)
+        return [a.copy() for a in arrays], _build_core("ce", _TARGET, None)(_PARTLY_CLAMPED)[2]
 
-    (*floats, finite), ce_dz = poisoned(made)
+    (*floats, finite), c = poisoned(made)
     assert all(np.isnan(a).all() for a in floats) and finite.all()
-    # The core's output is filled when made: -0.0 off the target, not poison.
-    assert not np.isnan(ce_dz).any() and np.signbit(ce_dz[_TARGET == 0.0]).all()
+    # CE's lane for clamped targets is written whole before it is masked.
+    assert c.tolist() == [0.0] * 3 + [1.0 / 6.0] * 3
 
 
 def _poison_runs():

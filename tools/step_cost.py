@@ -10,9 +10,10 @@ scene, its transform and the target are made once per grid, outside the
 timing.
 
 Usage: ``python tools/step_cost.py`` prints a markdown table with one row
-per grid (24x16, 96x96, 512x512, 64x64x64) and one column per loss (jc,
-ce, dsc).  ``--grids``, ``--losses``, ``--steps`` and ``--repeats`` pick a
-part of it or change the run lengths.
+per grid (24x16, 96x96, 512x512, 64x64x64) and one column per loss (ce,
+j, jc, bwm, dsc; j runs no cross entropy, so it is the control when
+only the cross-entropy path changes).  ``--grids``, ``--losses``,
+``--steps`` and ``--repeats`` pick a part of it or change the run lengths.
 """
 
 import argparse
@@ -22,8 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jseg import (SceneSpec, TrainConfig, TransformConfig, generate_scene, one_hot,  # noqa: E402
-                  to_semantic, train)
+from jseg import (LOSS_IDS, SceneSpec, TrainConfig, TransformConfig, generate_scene,  # noqa: E402
+                  one_hot, to_semantic, train)
 
 #: name -> (scene, iterations n of T(n), runs per T)
 GRIDS = {
@@ -35,7 +36,7 @@ GRIDS = {
                  20, 3),
 }
 
-LOSSES = ("jc", "ce", "dsc")
+LOSSES = LOSS_IDS
 
 
 def step_cost(spec: SceneSpec, loss: str, steps: int, repeats: int) -> float:
