@@ -13,7 +13,6 @@ import math
 import operator
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import TypeVar
 
@@ -35,12 +34,16 @@ def ordered_thread_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 
     state (e.g. a child RNG), so the output is bitwise identical for any
     thread count.  The pool never gets more workers than there are items.
     ``threads`` must be an integer: NaN or 2.5 raise ``TypeError``.
+    ``concurrent.futures`` is imported only when a pool runs, so a launch
+    that maps on one thread does not load it.
     """
     threads = operator.index(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 

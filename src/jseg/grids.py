@@ -239,8 +239,9 @@ class BoundSoftmax:
     ``(..., C, n)``, with max-subtraction, and its pull-back, on arrays made
     once: each call reads ``x`` as it is then and writes the same C-order
     ``out``, and each :meth:`pull_back` writes the same C-order pull-back
-    array.  ``y``, the planar one-hot target, is needed only to pull back
-    cross entropy in closed form.
+    array, made at the first pull-back, so a softmax that is never pulled
+    back (:func:`softmax_values`) makes none.  ``y``, the planar one-hot
+    target, is needed only to pull back cross entropy in closed form.
 
     The subtraction keeps every exponent at or below 0, so nothing
     overflows and every output lies in [0, 1] with per-element sums of 1
@@ -249,27 +250,27 @@ class BoundSoftmax:
     shaped ``(..., n)``; numpy folds the planes in order there, as a loop
     over the channels would (bar a single element with more than 8
     channels, which numpy sums pairwise).  Each lane operation, ``x -
-    max``, ``e / sum``, ``dz - sum`` and ``(z - y) * c``, runs plane by
-    plane (:func:`lane_op`), on planes taken once: those of ``x``, ``out``,
-    the pull-back array and the cross-entropy array here, and those of a
-    ``dz`` when it is first pulled back (a core writes one ``dz`` array
-    each call).  At 24×16, taking them per call cost a tenth of the
-    softmax.
+    max``, ``e / sum``, ``dz - sum`` and ``(z - y) * c`` for a lane ``c``,
+    runs plane by plane (:func:`lane_op`), on planes taken once: those of
+    ``x``, ``out`` and the cross-entropy array here, those of the pull-back
+    array when it is made, and those of a ``dz`` when it is first pulled
+    back (a core writes one ``dz`` array each call).  At 24×16, taking them
+    per call cost a tenth of the softmax.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray | None = None):
         self._x, self._y = x, y
         self.out = np.empty(x.shape)
         self.lane = np.empty(x.shape[:-2] + x.shape[-1:])
-        self._pulled = np.empty(x.shape)
-        self._planes = [channel_planes(a) for a in (x, self.out, self._pulled)]
+        self._planes = channel_planes(x), channel_planes(self.out)
+        self._pulled = self._pulled_planes = None
         ce = None if y is None else np.empty(x.shape)  # c * (z - y), beside a dz
         self._ce = ce, None if ce is None else channel_planes(ce)
         self._dz = self._dz_planes = None
 
     def __call__(self) -> np.ndarray:
         e, lane = self.out, self.lane
-        x_planes, e_planes, _ = self._planes
+        x_planes, e_planes = self._planes
         np.maximum.reduce(self._x, axis=-2, out=lane)
         lane_op(np.subtract, x_planes, lane, e_planes)
         np.exp(e, out=e)
@@ -277,20 +278,26 @@ class BoundSoftmax:
         lane_op(np.divide, e_planes, lane, e_planes)
         return e
 
-    def pull_back(self, dz: np.ndarray | None = None, c: np.ndarray | None = None) -> np.ndarray:
+    def pull_back(self, dz: np.ndarray | None = None,
+                  c: float | np.ndarray | None = None) -> np.ndarray:
         """Pull a loss's gradient in the last call's probabilities ``z`` back
         to ``x``, into the pull-back array, which holds until the next
         pull-back; at least one part must be given.
 
         ``dz``, shaped like ``x``, goes through the chain rule: ``z * (dz -
         sum_c dz_c z_c)``, the sum in ``lane``, which the output no longer
-        needs.  ``c``, shaped like ``lane``, is cross entropy's coefficient
-        per element (``w_t / n``, or 0 where its term is clamped), whose
-        pull-back is ``c * (z - y)`` in closed form: no reduction, and no
-        cancellation of ``z_t c`` against ``c`` as ``z_t`` nears 1.  With
-        both, the result is ``z * (dz - sum_c dz_c z_c) + c * (z - y)``."""
+        needs.  ``c`` is cross entropy's coefficient per element (``w_t /
+        n``, or 0 where its term is clamped): a lane, shaped like ``lane``,
+        or a float that every element shares.  Its pull-back is ``c * (z -
+        y)`` in closed form: no reduction, and no cancellation of ``z_t c``
+        against ``c`` as ``z_t`` nears 1.  A float scales ``z - y`` in one
+        multiply, the same operands per element as its lane.  With both
+        parts, the result is ``z * (dz - sum_c dz_c z_c) + c * (z - y)``."""
+        if self._pulled is None:
+            self._pulled = np.empty(self.out.shape)
+            self._pulled_planes = channel_planes(self._pulled)
         z, lane, pulled = self.out, self.lane, self._pulled
-        ce, ce_planes = pulled, self._planes[2]
+        ce, ce_planes = pulled, self._pulled_planes
         if dz is not None:
             if dz is not self._dz:
                 self._dz, self._dz_planes = dz, channel_planes(dz)
@@ -301,7 +308,10 @@ class BoundSoftmax:
             ce, ce_planes = self._ce
         if c is not None:
             np.subtract(z, self._y, out=ce)
-            lane_op(np.multiply, ce_planes, c, ce_planes)
+            if isinstance(c, float):
+                np.multiply(ce, c, out=ce)
+            else:
+                lane_op(np.multiply, ce_planes, c, ce_planes)
             if ce is not pulled:
                 pulled += ce
         return pulled

@@ -23,9 +23,10 @@ returns ``core(z)``, which has two modes:
 - a ``(C, n)`` field of probabilities gives ``(components, dz, c)``, the
   loss's gradient in two parts: ``dz``, a ``(C, n)`` gradient in the
   probabilities for the chain rule (J's, DSC's Dice term, None for ce and
-  bwm), and ``c``, cross entropy's coefficient per element (None for j),
-  which the softmax pull-back takes in closed form: the training step and
-  every other gradient caller;
+  bwm), and ``c``, cross entropy's coefficient per element (None for j):
+  a float that every element shares or a lane of ``n`` values, which the
+  softmax pull-back takes in closed form: the training step and every
+  other gradient caller;
 - a ``(k, C, n)`` stack gives ``(components, None, None)``, each component
   a vector of ``k`` values, one per item: the finite-difference and
   landscape stacks, and probability input as a stack of one.
@@ -46,7 +47,8 @@ tested against them):
   offset computed per call), takes the clamp and log there and sums the
   ``n`` terms.  It keeps no ``(C, n)`` array.  For the gradient it gives
   ``c = w_t / n`` per element, 0 where ``z_t <= LOG_EPS`` (the clamped
-  term is constant): through the softmax, ``dL/dz = -w y / (n z)`` pulls
+  term is constant), as the float ``1 / n`` while the weights are 1 and no
+  term is clamped: through the softmax, ``dL/dz = -w y / (n z)`` pulls
   back to ``c * (z - y)``, which
   :meth:`~jseg.grids.BoundSoftmax.pull_back` computes with no reduction
   and without the chain rule's cancellation as ``z_t`` nears 1.  It
@@ -58,9 +60,11 @@ tested against them):
   terms run on the pair list, precomputed per target, in Python floats:
   the same IEEE operations per pair as the matrix form, which a stack
   runs for its values.  The log is one ``np.log`` call on the pair
-  vector, the diagonal of ``M`` a numpy sum over the C x C layout of the
-  matrix form, so its order is numpy's, and the value the exactly rounded
-  sum of the pair terms (``math.fsum``) in both modes.
+  vector, and the value the exactly rounded sum of the pair terms
+  (``math.fsum``) in both modes.  The diagonal of ``M`` sums each row in
+  numpy's order: below 8 channels, where numpy sums a row in order, the
+  pair loop adds each term to its row's sum in Python floats; from 8 on,
+  where numpy sums pairwise, it is a numpy sum over the C x C layout.
 - **JC and DSC hand on the two parts.**  JC gives J's ``dz`` and CE's
   ``c``, DSC its negated Dice gradient and CE's ``c``; the pull-back adds
   ``z * (dz - sum_c dz_c z_c)`` and ``c * (z - y)``.  So no core adds a
@@ -83,12 +87,12 @@ Each caller transposes once, at the API boundary (:func:`~jseg.grids.planar`):
 ``train`` and ``run_shrinkwrap`` per run, :func:`evaluate_loss` per call
 (its gradient goes back to channel-last), :func:`gradient_check` per
 trial, whose finite-difference stacks are ``(2k, C, n)``, and
-``landscape_scan`` per scan.  The softmax makes its output, its lane, the
-pull-back array and the array of CE's part beside a ``dz`` once, and each
-core makes its field mode's arrays when it is built: CE the gather, the
-terms, the coefficient lane for clamped targets and its mask, J its
-``dz``, DSC its two arrays.  So every step
-writes the same arrays with ``out=`` and in-place ufuncs: the same ufuncs
+``landscape_scan`` per scan.  The softmax makes its output, its lane and
+the array of CE's part beside a ``dz`` once, and the pull-back array at
+its first pull-back; each core makes its field mode's arrays when it is
+built: CE the gather, the terms, the coefficient lane for clamped targets
+and its mask, J its ``dz``, DSC its two arrays.  So every step writes the
+same arrays with ``out=`` and in-place ufuncs: the same ufuncs
 in the same order on the same operands as on fresh arrays, so the same
 bits, and no large allocation after the first step.  Each operation that
 applies one value per element or per class to every entry runs one
@@ -239,6 +243,9 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     coefficient ``c`` per element, ``w_t / n``, whose pull-back is
     ``c * (z - y)`` (:meth:`~jseg.grids.BoundSoftmax.pull_back`); at and
     below ``LOG_EPS`` the clamped term is constant, so ``c`` is 0 there.
+    While no ``z_t`` is clamped and the weights are 1, every element has the
+    same ``c``, and the core hands on the Python float ``1 / n``; else ``c``
+    is a lane of ``n`` values.
     """
     n = y.shape[-1]
     classes = np.argmax(y, axis=0)  # each element's target class
@@ -246,6 +253,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     w_at = None if class_weights is None else class_weights[classes]  # None: weight 1
     unclamped = np.full(n, 1.0 / n) if w_at is None else w_at / n  # c while no z_t is clamped
     unclamped.setflags(write=False)
+    c_unclamped = 1.0 / n if w_at is None else unclamped  # handed on: at weight 1, one float
     field = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
 
     def ce(z):
@@ -269,7 +277,7 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
         if z.ndim > 2:
             return {name: value}, None, None
         if not clamps:
-            return {name: value}, None, unclamped
+            return {name: value}, None, c_unclamped
         # z <= LOG_EPS exactly where its clamp is LOG_EPS.
         np.copyto(c, unclamped)
         np.copyto(c, 0.0, where=np.less_equal(gathered, LOG_EPS, out=clamp))
@@ -372,13 +380,19 @@ def _j_core(y, weights):
     # A field runs the tail on the pair list in Python floats: per pair the
     # same IEEE operations as the matrix form over all C x C pairs, which a
     # stack runs for its values (and ``dense_core`` in tests/oracles.py for
-    # the gradient too).  The log and the row sums of M stay numpy calls, the
-    # sums over that C x C layout, held as flat lists; flat index i * C + k is
-    # entry [i, k].
+    # the gradient too).  The log stays one numpy call.  M is held as a flat
+    # list; flat index i * C + k is entry [i, k].  numpy sums a row of fewer
+    # than 8 terms in order, so below 8 channels each pair adds its term to
+    # its row's sum (slot i) as the pair loop meets it, in row order; the
+    # terms are >= 0, so the skipped zeros change no bit.  From 8 on numpy
+    # sums pairwise, and the terms go to a C x C list (slot i * C + k) that
+    # one numpy sum reduces.
     size = channels * channels
+    in_order = channels < 8
     ik = [(int(i), int(k)) for i, k in zip(*np.nonzero(pairs))]
     lam_p = [float(lam[i, k]) for i, k in ik]
-    grad_p = [(i * channels + k, float(half_lam[i, k]), float(n[i]), float(n[k])) for i, k in ik]
+    grad_p = [(i * channels + k, i if in_order else i * channels + k, float(half_lam[i, k]),
+               float(n[i]), float(n[k])) for i, k in ik]
     dz = np.empty(y.shape)  # a field's gradient
 
     def core(z):
@@ -398,12 +412,13 @@ def _j_core(y, weights):
         # and mt[i, i] = -sum_k h_ik / n_i.  Dividing by n first keeps mt finite
         # where dz is.
         mt = [0.0] * size
-        row_terms = [0.0] * size  # h_ik / n_i, summed over k below
-        for (at, h, n_i, n_k), v in zip(grad_p, a):
+        row_sums = [0.0] * (channels if in_order else size)  # of h_ik / n_i over k
+        for (at, slot, h, n_i, n_k), v in zip(grad_p, a):
             if LOG_EPS < v < 1.0:
                 mt[at] = h / (v * n_k)
-                row_terms[at] = h / (v * n_i)
-        row_sums = np.array(row_terms).reshape(channels, channels).sum(axis=-1).tolist()
+                row_sums[slot] += h / (v * n_i)
+        if not in_order:
+            row_sums = np.array(row_sums).reshape(channels, channels).sum(axis=-1).tolist()
         for i, row_sum in enumerate(row_sums):
             mt[i * (channels + 1)] = 0.0 - row_sum  # the matrix form's diagonal starts at +0.0
         mt = np.array(mt).reshape(channels, channels)

@@ -79,7 +79,8 @@ class ImbalanceSimConfig:
     """Protocol for the random-classifier sweeps.
 
     C1 predicts positive with the ground-truth ratio pi, C3 with one half.
-    ``samples`` lies in [100, MAX_SAMPLES].
+    ``samples`` lies in [100, MAX_SAMPLES].  ``samples`` and ``trials``
+    must be integers (``operator.index``): 150.0 raises ``TypeError``.
     """
 
     classifier: str = C3
@@ -90,6 +91,8 @@ class ImbalanceSimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pis", tuple(float(p) for p in self.pis))
+        for name in ("samples", "trials"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.classifier not in (C1, C3):
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if not self.pis or any(not 0.0 < p <= 0.5 for p in self.pis):
@@ -137,7 +140,9 @@ class ImbalanceTable:
         _util.write_csv(path, TABLE_HEADER, [self.rows[name] for name in TABLE_HEADER])
 
 
-def _simulate_pi(args) -> tuple[np.ndarray, int]:
+def _simulate_pi(args) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+    """The ``(pos, ppos, tp)`` counts of one ratio's trials and the number
+    of degenerate trials redrawn."""
     cfg, pi_index = args
     pi = cfg.pis[pi_index]
     rng = child_rng(cfg.seed, pi_index)
@@ -163,16 +168,7 @@ def _simulate_pi(args) -> tuple[np.ndarray, int]:
     # Given both totals, the predicted positives are a uniform subset of
     # size ppos, so the positives among them are hypergeometric.
     tp = rng.hypergeometric(pos, samples - pos, ppos)
-    values, _ = confusion_measures(tp, ppos - tp, pos - tp, samples - pos - ppos + tp)
-    rows = np.zeros(
-        trials,
-        dtype=[("pi", "f8"), ("trial", "i8")] + [(m, "f8") for m in MEASURES],
-    )
-    rows["pi"] = pi
-    rows["trial"] = np.arange(trials)
-    for name in MEASURES:
-        rows[name] = values[name]
-    return rows, resampled
+    return (pos, ppos, tp), resampled
 
 
 def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTable:
@@ -187,12 +183,22 @@ def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTab
     class is entirely absent (``pos`` or ``ppos`` is 0 or ``samples``) are
     redrawn and counted, for at most ``MAX_REDRAW_ROUNDS`` rounds, and then
     raise ``ValueError``.  Each ratio draws from its own child generator, so
-    the table is the same for any thread count.
+    the table is the same for any thread count.  The measures are
+    elementwise, so they run once, on the counts of every ratio.
     """
     results = ordered_thread_map(
         _simulate_pi, [(cfg, i) for i in range(len(cfg.pis))], threads
     )
-    rows = np.concatenate([r for r, _ in results])
+    pos, ppos, tp = (np.concatenate(counts) for counts in zip(*(r for r, _ in results)))
+    values, _ = confusion_measures(tp, ppos - tp, pos - tp, cfg.samples - pos - ppos + tp)
+    rows = np.zeros(
+        len(tp),
+        dtype=[("pi", "f8"), ("trial", "i8")] + [(m, "f8") for m in MEASURES],
+    )
+    rows["pi"] = np.repeat(cfg.pis, cfg.trials)
+    rows["trial"] = np.tile(np.arange(cfg.trials), len(cfg.pis))
+    for name in MEASURES:
+        rows[name] = values[name]
     resampled = {pi: n for pi, (_, n) in zip(cfg.pis, results)}
     return ImbalanceTable(classifier=cfg.classifier, pis=cfg.pis, rows=rows, resampled=resampled)
 

@@ -178,10 +178,11 @@ def train(
     cross entropy's coefficient, which the pull-back takes in closed form
     (see :mod:`jseg.losses`).  The softmax's arrays, the norm's squares,
     the finiteness mask and Adam's moments are made once, planar, and the
-    update writes the logits in place, so the steps allocate no large
-    array.  The output is byte-identical to an :func:`evaluate_loss` call
-    per iteration, which runs the same core and pull-back and whose
-    gradient norm sums in the same planar order.
+    update writes the logits in place (gradient descent with a unit step,
+    the default, skips the multiply by 1.0, which would change no bit), so
+    the steps allocate no large array.  The output is byte-identical to an
+    :func:`evaluate_loss` call per iteration, which runs the same core and
+    pull-back and whose gradient norm sums in the same planar order.
 
     The measurement pipeline sends gap elements straight to background:
     per-element logits leave the runner-up ordering at a confident gap
@@ -260,7 +261,8 @@ def train(
         if adam is not None:
             adam.step(theta, grad)
         else:
-            grad *= cfg.step_size
+            if cfg.step_size != 1.0:  # a unit step would change no bit
+                grad *= cfg.step_size
             theta -= grad
         # Catches a non-finite gradient, and a step that overflows a finite one.
         if not np.isfinite(theta, out=finite).all():

@@ -60,10 +60,12 @@ def test_scipy_is_imported_only_inside_postprocess_functions():
 
 
 def test_import_cli_leaves_scipy_ndimage_unloaded():
-    code = "import sys, jseg.cli; print('scipy.ndimage' in sys.modules)"
+    # concurrent.futures loads only when a thread pool runs.
+    code = ("import sys, jseg.cli; "
+            "print([m in sys.modules for m in ('scipy.ndimage', 'concurrent.futures')])")
     done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), check=True, timeout=120,
                           capture_output=True, text=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -13,7 +13,7 @@ from jseg import (
     probs_to_logits,
     softmax,
 )
-from jseg.grids import PROB_ATOL, argmax_channels, channel_views, fold_views
+from jseg.grids import PROB_ATOL, argmax_channels, channel_views, fold_views, softmax_values
 
 
 def _each_kind(dims, rng):
@@ -107,6 +107,21 @@ def test_probability_field_checks_the_simplex_without_full_temporaries():
     # The stored copy plus one channel-sum array (a quarter of the field);
     # a second per-element temporary in the check would reach 1.5x.
     assert z.nbytes <= peak < 1.3 * z.nbytes
+
+
+def test_a_softmax_that_is_never_pulled_back_makes_no_pull_back_array():
+    # The finite-difference and landscape stacks take values only.
+    stack = np.random.default_rng(4).normal(size=(512, 4, 64))
+    tracemalloc.start()
+    try:
+        out = softmax_values(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output, its lane (a quarter of it) and numpy's ufunc buffers for
+    # the strided planes of a stack (128 KiB, an eighth): 1.38 of the
+    # output.  A pull-back array would add a whole output.
+    assert peak < 1.5 * out.nbytes
 
 
 def test_softmax_uniform_on_equal_logits():

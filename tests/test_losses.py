@@ -111,7 +111,8 @@ def test_jc_core_gives_the_bits_of_j_plus_ce():
         j_parts, j_dz, j_c = _build_core("j", y, None)(z)
         assert parts == {**ce_parts, **j_parts}
         assert ce_dz is None and j_c is None
-        assert dz.tobytes() == j_dz.tobytes() and c.tobytes() == ce_c.tobytes()
+        want_c = dense_core("ce", y, None)(z)[2]
+        assert dz.tobytes() == j_dz.tobytes() and _same_c(c, want_c) and _same_c(ce_c, want_c)
         apart = softmax.pull_back(j_dz).copy() + softmax.pull_back(None, c)  # one pull-back array
         assert softmax.pull_back(dz, c).tobytes() == apart.tobytes()
 
@@ -399,6 +400,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _same_c(c, want):
+    """CE's coefficient ``c``, a float that every element shares or a lane,
+    against the dense body's lane ``want``: the float broadcast over the
+    lane, bit for bit."""
+    return _same_bits(np.broadcast_to(c, want.shape) if type(c) is float else c, want)
+
+
 @pytest.mark.parametrize(
     "shape",
     [(4, 63), (4, 48 * 48), (4, 12 * 14 * 13), (3, 4, 32 * 32), (2, 4, 10 * 12 * 10)],
@@ -409,7 +417,7 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
     # at a time give every element the same ufunc on the same operands as the
     # default order over that axis, and write C-order arrays.  The fields lie
     # on both sides of numpy's ufunc buffer, and run alone and in stacks.
-    # The pull-back takes a dz, a CE coefficient or both.
+    # The pull-back takes a dz, a CE coefficient (a lane or a float) or both.
     rng = np.random.default_rng(23)
     theta = np.empty(shape)
     y = np.eye(shape[-2])[rng.integers(0, shape[-2], size=shape[-1])].T.copy()
@@ -418,6 +426,7 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
         x = rng.normal(0.0, 3.0, size=shape)
         dz = rng.normal(size=shape)
         c = rng.random(shape[:-2] + shape[-1:])
+        uniform = float(rng.random())
         want_z = default_order_softmax(x, -2)
         theta[...] = x
         z = softmax_values(x)
@@ -425,9 +434,10 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
         for bound in (BoundSoftmax(x.copy(), y), softmax):
             z = bound()
             assert _same_bits(z, want_z) and z.flags.c_contiguous
-            for part_dz, part_c in ((dz, None), (None, c), (dz, c)):
+            for part_dz, part_c in ((dz, None), (None, c), (dz, c), (None, uniform), (dz, uniform)):
                 pulled = bound.pull_back(part_dz, part_c)
-                assert _same_bits(pulled, default_order_pull_back(want_z, part_dz, -2, part_c, y))
+                lane_c = None if part_c is None else np.broadcast_to(part_c, c.shape)
+                assert _same_bits(pulled, default_order_pull_back(want_z, part_dz, -2, lane_c, y))
                 assert pulled.flags.c_contiguous
 
 
@@ -687,7 +697,8 @@ def _single_field_case(draw):
     terms reach ``a >= 1``, or at the target of another class, where they
     fall to the clamp.  A class may be absent, and pair weights may be zero
     or weighted."""
-    channels = draw(st.sampled_from([2, 3, 4, 6, 9]))  # 9: rows of numpy's pairwise sums
+    # numpy sums a row of 7 terms in order and one of 8 or 9 pairwise.
+    channels = draw(st.sampled_from([2, 3, 4, 6, 7, 8, 9]))
     elements = draw(st.sampled_from([1, 12, 35]))
     used = draw(st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -725,8 +736,8 @@ def test_single_field_cores_equal_their_dense_body_bit_for_bit(case):
                 assert parts.keys() == want_parts.keys()
                 for name, value in parts.items():
                     assert _same_bits(np.asarray(value), np.asarray(want_parts[name]))
-                for got, want in ((dz, want_dz), (c, want_c)):
-                    assert got is None if want is None else _same_bits(got, want)
+                assert dz is None if want_dz is None else _same_bits(dz, want_dz)
+                assert c is None if want_c is None else _same_c(c, want_c)
         stack = np.stack(fields[:2])
         want_parts = dense(stack)[0]
         parts, dz, c = core(stack)

@@ -158,6 +158,16 @@ def test_imbalance_config_validation():
             _small_cfg(pis=pis)
 
 
+@pytest.mark.parametrize("name", ["samples", "trials"])
+def test_imbalance_counts_must_be_integers(name):
+    # 150.0 samples and 20.5 trials once passed the config and failed inside numpy.
+    for value in (150.0, 20.5, "150"):
+        with pytest.raises(TypeError):
+            _small_cfg(**{name: value})
+    cfg = _small_cfg(**{name: np.int64(150)})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 150
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ package produces, and its one-pass form against separate writes; and the
 arrays the step loops make once per run, which every step writes before
 it reads them."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import importlib
@@ -42,6 +43,7 @@ from jseg import _util, grids, losses, simulate
 from jseg.cli import dispatch
 from jseg.grids import BoundSoftmax
 from jseg.losses import _build_core
+from oracles import dense_core
 
 # ``jseg.train`` as a module: the package binds the name to the function.
 _train_module = importlib.import_module("jseg.train")
@@ -56,14 +58,15 @@ _PARTLY_CLAMPED = np.where(_TARGET == 1.0, [[0.0, 0.0, 0.0, 0.4, 0.4, 0.4]], 0.2
 
 def test_the_ce_core_keeps_no_field_array():
     # CE's field mode gives no (C, n) array, only its coefficient per
-    # element: the read-only constant w_t / n while no target entry is
-    # clamped, else a lane of the core's own, written each call.  A stack
-    # gives neither.
+    # element: the float 1 / n, the bits of the dense body's lane, while no
+    # target entry is clamped, else a lane of the core's own, written each
+    # call.  A stack gives neither.
     core = _build_core("ce", _TARGET, None)
     n = _TARGET.shape[-1]
     parts, dz, c = core(np.full(_TARGET.shape, 0.25))
-    assert dz is None and c.shape == (n,) and not c.flags.writeable and np.all(c == 1.0 / n)
-    assert core(np.full(_TARGET.shape, 0.25) + 0.5 * _TARGET - 0.125)[2] is c
+    want = dense_core("ce", _TARGET, None)(np.full(_TARGET.shape, 0.25))[2]
+    assert dz is None and type(c) is float and np.full(n, c).tobytes() == want.tobytes()
+    assert core(np.full(_TARGET.shape, 0.25) + 0.5 * _TARGET - 0.125)[2] == c
     lane = core(_PARTLY_CLAMPED)[2]
     assert lane is not c and lane.flags.writeable and lane.tolist() == [0.0] * 3 + [1.0 / n] * 3
     assert core(_PARTLY_CLAMPED)[2] is lane
@@ -130,7 +133,9 @@ def test_the_poison_reaches_every_array_a_step_makes(poisoned):
         # ``train`` makes its norm's squares and finiteness mask like this.
         squares, finite = _train_module.np.empty((2, 3, 4)), _train_module.np.empty((2, 3, 4), bool)
         adam = _train_module._Adam(np.zeros((2, 3, 4)))
-        arrays = (softmax.out, softmax.lane, softmax._pulled, softmax._ce[0], adam.scratch, squares, finite)
+        # The pull-back array is made at the first pull-back, which writes it whole.
+        assert softmax._pulled is None
+        arrays = (softmax.out, softmax.lane, softmax._ce[0], adam.scratch, squares, finite)
         return [a.copy() for a in arrays], _build_core("ce", _TARGET, None)(_PARTLY_CLAMPED)[2]
 
     (*floats, finite), c = poisoned(made)
@@ -218,7 +223,8 @@ def test_ordered_thread_map_caps_workers_at_item_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(_util, "ThreadPoolExecutor", SerialPool)
+    # ordered_thread_map imports the pool class from its module at each threaded call.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     assert _util.ordered_thread_map(lambda x: -x, [1, 2, 3], threads=64) == [-1, -2, -3]
     assert _util.ordered_thread_map(lambda x: -x, list(range(10)), threads=4) == [
         -x for x in range(10)
