@@ -5,10 +5,26 @@ resolved configuration, the seed, and the tool version, so any output can
 be reproduced byte for byte from its manifest.  A run's output paths
 (``--out``, the summaries, ``--correlation-out`` and the manifest) must
 all name different files, in directories that exist; a run whose paths
-collide, or whose output is a directory or lies in a missing one, writes
-nothing and exits 2.  Exit codes: 0 success, 1 usage error, 2 data error
-or not enough memory.
+collide, or whose output lies in a missing directory or is a directory or
+any other file that is not a regular one, writes nothing and exits 2.
+Exit codes: 0 success, 1 usage error, 2 data error or not enough memory.
 Diagnostics go to stderr only.
+
+``_outputs_of`` is the one place that names a run's files; each handler
+takes its output paths as parameters and never derives one.  A run's files
+appear all together or not at all, the manifest last.  ``dispatch`` names
+one temporary per output, runs the handler on those paths and writes the
+manifest into the last; only then does it move each temporary over its
+output with ``os.replace``, the manifest last.  On any error, an interrupt
+included, it removes every temporary, so a failed run leaves the directory
+as it found it.  A temporary is named ``.<16 random hex digits>.<name>``,
+where ``<name>`` is the output's basename as given, so a writer that picks
+its format by suffix (``.pgm``) picks the one the output asks for.  It lies
+in the directory of the output's real path, so the rename stays on one
+filesystem and a symlinked output is written through, the link kept.  The
+writer's own ``open`` creates it, with the mode a plain ``open`` gives: 64
+random bits name no file that exists, and a file made beforehand would be
+truncated by that ``open``, which on ext4 starts writing it back at close.
 """
 
 from __future__ import annotations
@@ -114,39 +130,22 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args, outputs: list[str], started: float) -> None:
-    """Write the manifest of a run whose ``_outputs_of`` are ``outputs``."""
-    *written, path = outputs
-    manifest = {
-        "tool": "jseg",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "config": {k: v for k, v in sorted(vars(args).items())
-                   if k != "manifest" and not callable(v)},
-        "inputs": sorted(_inputs_of(args)),
-        "outputs": sorted(written),
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    _write_json(path, manifest)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_scene(args) -> None:
+def _cmd_gen_scene(args, out) -> None:
     scene = generate_scene(_scene_from(args))
-    write_grid(scene, args.out)
+    write_grid(scene, out)
 
 
-def _cmd_transform(args) -> None:
+def _cmd_transform(args, out) -> None:
     instance = read_grid(getattr(args, "in"), "instance")
     semantic = to_semantic(instance, _transform_from(args))
-    write_grid(semantic, args.out)
+    write_grid(semantic, out)
 
 
-def _cmd_loss_eval(args) -> None:
+def _cmd_loss_eval(args, out) -> None:
     target = one_hot(read_grid(args.target, "semantic"), args.classes)
     if args.logits:
         pred = read_grid(args.logits, "logits")
@@ -158,15 +157,15 @@ def _cmd_loss_eval(args) -> None:
         "components": value.components,
         "grad_norm": value.grad_norm,
     }
-    _write_json(args.out, payload)
+    _write_json(out, payload)
 
 
-def _cmd_grad_check(args) -> None:
+def _cmd_grad_check(args, out) -> None:
     report = gradient_check(args.loss, seed=args.seed, trials=args.trials, step=args.step)
-    _write_json(args.out, report)
+    _write_json(out, report)
 
 
-def _cmd_sim_imbalance(args) -> None:
+def _cmd_sim_imbalance(args, out, summary, corr_out=None, corr_summary=None) -> None:
     pis = tuple(args.pis) if args.pis else default_pi_grid()
     cfg = ImbalanceSimConfig(
         classifier=args.classifier,
@@ -176,19 +175,18 @@ def _cmd_sim_imbalance(args) -> None:
         seed=args.seed,
     )
     # The correlation runs the sweep itself; its table is the one written here.
-    corr = mcc_j_correlation(cfg, threads=args.threads) if args.correlation_out else None
+    corr = mcc_j_correlation(cfg, threads=args.threads) if corr_out else None
     table = corr.table if corr else run_imbalance_sim(cfg, threads=args.threads)
     if corr:
         # One pass writes both CSVs, formatting their shared columns once.
-        corr.write_scatter_csv(args.correlation_out, table_path=args.out)
-        _write_json(_summary_path(args, "correlation_out"),
-                    {"pi": list(corr.pis), "pearson_r": list(corr.r_values)})
+        corr.write_scatter_csv(corr_out, out)
+        _write_json(corr_summary, {"pi": list(corr.pis), "pearson_r": list(corr.r_values)})
     else:
-        table.write_csv(args.out)
-    _write_json(_summary_path(args), {"classifier": cfg.classifier, "per_pi": table.summary()})
+        table.write_csv(out)
+    _write_json(summary, {"classifier": cfg.classifier, "per_pi": table.summary()})
 
 
-def _cmd_sim_shrinkwrap(args) -> None:
+def _cmd_sim_shrinkwrap(args, out) -> None:
     cfg = ShrinkwrapConfig(
         scene=_scene_from(args),
         iterations=args.iterations,
@@ -199,10 +197,10 @@ def _cmd_sim_shrinkwrap(args) -> None:
         transform=_transform_from(args),
     )
     trace = run_shrinkwrap(cfg)
-    trace.write_csv(args.out)
+    trace.write_csv(out)
 
 
-def _cmd_landscape(args) -> None:
+def _cmd_landscape(args, out) -> None:
     scene = generate_scene(_scene_from(args))
     transform = _transform_from(args)
     target = one_hot(to_semantic(scene, transform), transform.channels)
@@ -216,17 +214,17 @@ def _cmd_landscape(args) -> None:
         span=args.span,
         threads=args.threads,
     )
-    result.write_csv(args.out)
+    result.write_csv(out)
 
 
-def _cmd_postprocess(args) -> None:
+def _cmd_postprocess(args, out) -> None:
     probs = read_grid(getattr(args, "in"), "probs")
     cfg = PostprocessConfig(gap_mode=args.gap_mode, tau=args.tau, connectivity=args.connectivity)
     instances = instances_from_probs(probs, cfg)
-    write_grid(instances, args.out)
+    write_grid(instances, out)
 
 
-def _cmd_evaluate(args) -> None:
+def _cmd_evaluate(args, out, summary) -> None:
     if len(args.gt) != len(args.pred):
         raise UsageError("--gt and --pred need the same number of paths")
     reports = [
@@ -234,12 +232,12 @@ def _cmd_evaluate(args) -> None:
         for gt_path, pred_path in zip(args.gt, args.pred)
     ]
     columns = {m: [r[m] for r in reports] for m in ("p05", "rq", "sq", "pq")}
-    write_csv(args.out, ["gt", "pred", *columns], [args.gt, args.pred, *columns.values()])
+    write_csv(out, ["gt", "pred", *columns], [args.gt, args.pred, *columns.values()])
     means = {m: float(np.mean(col)) for m, col in columns.items()}
-    _write_json(_summary_path(args), {"pairs": len(reports), "mean": means})
+    _write_json(summary, {"pairs": len(reports), "mean": means})
 
 
-def _cmd_train_toy(args) -> None:
+def _cmd_train_toy(args, out, summary) -> None:
     scene = generate_scene(_scene_from(args))
     tcfg = _transform_from(args)
     semantic = to_semantic(scene, tcfg)
@@ -254,9 +252,9 @@ def _cmd_train_toy(args) -> None:
         init_noise=args.init_noise,
     )
     trace = train(target, scene, cfg)
-    write_csv(args.out, list(trace.columns), list(trace.columns.values()))
+    write_csv(out, list(trace.columns), list(trace.columns.values()))
     _write_json(
-        _summary_path(args),
+        summary,
         {
             "loss": cfg.loss,
             "iterations": cfg.iterations,
@@ -360,18 +358,19 @@ def dispatch(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {args.threads}")
         outputs = _outputs_of(args)
-        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        targets = [os.path.realpath(path) for path in outputs]
+        if len(set(targets)) < len(targets):
             raise ValueError("each output of a run needs its own path")
         for path in outputs:
-            if os.path.isdir(path):
-                raise ValueError(f"output {path} is a directory")
+            if os.path.exists(path) and not os.path.isfile(path):
+                kind = "a directory" if os.path.isdir(path) else "not a regular file"
+                raise ValueError(f"output {path} is {kind}")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"the directory of output {path} does not exist")
         started = time.monotonic()
         if args.seed is None:
             args.seed = int.from_bytes(os.urandom(4), "little")
-        args.func(args)
-        _write_manifest(args, outputs, started)
+        _run(args, outputs, targets, started)
     except UsageError as exc:
         print(f"jseg: {exc}", file=sys.stderr)
         return 1
@@ -397,22 +396,46 @@ def _inputs_of(args) -> list[str]:
     return paths
 
 
-def _summary_path(args, key: str = "out") -> str:
-    """Where the summary JSON of output ``key`` goes: beside it, at
-    ``<path>.summary.json``, unless ``--summary-out`` names the main one's."""
-    if key == "out" and args.summary_out:
-        return args.summary_out
-    return getattr(args, key) + ".summary.json"
-
-
 def _outputs_of(args) -> list[str]:
-    """Every file the run writes, the manifest last."""
+    """Every file the run writes, in the order its handler takes them, the
+    manifest last.  A summary JSON goes beside its CSV, at
+    ``<path>.summary.json``, unless ``--summary-out`` names ``--out``'s."""
     paths = [args.out]
     if "summary_out" in args:
-        paths.append(_summary_path(args))
+        paths.append(args.summary_out or args.out + ".summary.json")
     if getattr(args, "correlation_out", None):
-        paths += [args.correlation_out, _summary_path(args, "correlation_out")]
+        paths += [args.correlation_out, args.correlation_out + ".summary.json"]
     return paths + [args.manifest or args.out + ".manifest.json"]
+
+
+def _run(args, outputs: list[str], targets: list[str], started: float) -> None:
+    """Run the handler of ``args`` on a temporary per output of
+    ``outputs``, named as the module docstring says, write the manifest into
+    the last, then move each temporary over its output's real path in
+    ``targets``, the manifest last.  Whether the run ends well or not, no
+    temporary is left."""
+    temps = [os.path.join(os.path.dirname(t), f".{os.urandom(8).hex()}.{os.path.basename(p)}")
+             for p, t in zip(outputs, targets)]
+    try:
+        args.func(args, *temps[:-1])
+        manifest = {
+            "tool": "jseg",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "config": {k: v for k, v in sorted(vars(args).items())
+                       if k != "manifest" and not callable(v)},
+            "inputs": sorted(_inputs_of(args)),
+            "outputs": sorted(outputs[:-1]),
+            "wall_time_s": round(time.monotonic() - started, 6),
+        }
+        _write_json(temps[-1], manifest)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:  # one moved into place, or never written, is gone
+            if os.path.lexists(temp):
+                os.remove(temp)
 
 
 def main() -> None:

@@ -214,23 +214,19 @@ class CorrelationResult:
     def r_at(self, pi: float) -> float:
         return self.r_values[self.pis.index(pi)]
 
-    def write_scatter_csv(self, path, table_path=None) -> None:
-        """Write the per-trial MCC/J scatter CSV to ``path``.
-
-        With ``table_path``, the table's own CSV (as
-        :meth:`ImbalanceTable.write_csv` writes it) goes there in the same
-        pass, and the four scatter columns are formatted once for both.
+    def write_scatter_csv(self, path, table_path) -> None:
+        """Write the per-trial MCC/J scatter CSV to ``path`` and the table's
+        own CSV (as :meth:`ImbalanceTable.write_csv` writes it) to
+        ``table_path``, in one pass that formats the four scatter columns
+        once for both.
         """
         rows = self.table.rows
-        if table_path is None:
-            _util.write_csv(path, SCATTER_HEADER, [rows[name] for name in SCATTER_HEADER])
-        else:
-            _util.write_csv(
-                table_path,
-                TABLE_HEADER,
-                [rows[name] for name in TABLE_HEADER],
-                [(path, SCATTER_HEADER)],
-            )
+        _util.write_csv(
+            table_path,
+            TABLE_HEADER,
+            [rows[name] for name in TABLE_HEADER],
+            [(path, SCATTER_HEADER)],
+        )
 
 
 def mcc_j_correlation(cfg: ImbalanceSimConfig, threads: int = 1) -> CorrelationResult:

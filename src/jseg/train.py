@@ -143,7 +143,7 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
         return None
 
     def check(theta: np.ndarray) -> bool:
-        g = theta[:, cols]
+        g = theta.take(cols, axis=1)
         top = g[GAP]
         return bool((g[:GAP] < top).all() and (g[GAP + 1 :] <= top).all())
 

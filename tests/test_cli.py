@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -390,8 +391,11 @@ def test_outputs_sharing_a_path_are_a_data_error(tmp_path, monkeypatch, capsys, 
         (["sim-imbalance", "--pis", "0.5", "--samples", "150", "--trials", "10",
           "--correlation-out", "{d}/sub"], "output {d}/sub is a directory"),
         (["train-toy", "--iterations", "2", "--manifest", "{d}/sub"], "output {d}/sub is a directory"),
+        (["train-toy", "--iterations", "2", "--summary-out", "{d}/fifo"],
+         "output {d}/fifo is not a regular file"),
     ],
-    ids=["summary-in-missing-dir", "correlation-in-missing-dir", "correlation-is-dir", "manifest-is-dir"],
+    ids=["summary-in-missing-dir", "correlation-in-missing-dir", "correlation-is-dir", "manifest-is-dir",
+         "summary-is-fifo"],
 )
 def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_path, capsys, argv,
                                                                            message):
@@ -400,12 +404,73 @@ def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_p
     out = tmp_path / "out.csv"
     out.write_bytes(b"an earlier run's output\n")
     (tmp_path / "sub").mkdir()
+    os.mkfifo(tmp_path / "fifo")  # renaming a file over it would destroy it
     before = sorted(tmp_path.rglob("*"))
     argv = [arg.format(d=tmp_path) for arg in argv]
     assert run(*argv, "--out", str(out), "--seed", "1") == 2
     assert capsys.readouterr().err == f"jseg: {message.format(d=tmp_path)}\n"
     assert sorted(tmp_path.rglob("*")) == before
     assert out.read_bytes() == b"an earlier run's output\n"
+
+
+@pytest.mark.parametrize("fault", ["full-disk", "interrupt"])
+@pytest.mark.parametrize(
+    "argv, csvs",
+    [
+        (["train-toy", "--iterations", "2", "--log-every", "1"], 1),
+        (["sim-imbalance", "--pis", "0.5", "--samples", "100", "--trials", "2",
+          "--correlation-out", "{d}/c.csv"], 2),
+    ],
+    ids=["train-toy", "sim-imbalance-correlation"],
+)
+def test_a_run_that_fails_midway_leaves_its_directory_as_it_found_it(tmp_path, monkeypatch, capsys,
+                                                                     argv, csvs, fault):
+    # The first JSON write fails after the run's CSVs are written: no output
+    # appears, no temporary stays, and a good --out from an earlier run stays.
+    import jseg.cli
+
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier run's output\n")
+    before = sorted(tmp_path.iterdir())
+    seen = {}
+
+    def failing_write(path, payload):
+        seen.update((p.name, p.stat().st_size) for p in tmp_path.iterdir())
+        if fault == "interrupt":
+            raise KeyboardInterrupt
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+    monkeypatch.setattr(jseg.cli, "_write_json", failing_write)
+    argv = [arg.format(d=tmp_path) for arg in argv] + ["--out", str(out), "--seed", "1"]
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv)
+    else:
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jseg: [Errno 28] No space left on device") and err.count("\n") == 1
+    assert sum(size > 0 for name, size in seen.items() if name != out.name) == csvs
+    assert sorted(tmp_path.iterdir()) == before
+    assert out.read_bytes() == b"an earlier run's output\n"
+
+
+def test_a_symlinked_output_is_written_through_and_a_fresh_one_has_the_open_mode(tmp_path):
+    # The format follows the path as given (.pgm), the bytes land in the
+    # link's target, and the link stays a link.
+    real = tmp_path / "elsewhere" / "real.grd"
+    real.parent.mkdir()
+    real.write_bytes(b"an earlier run's output\n")
+    link, plain = tmp_path / "link.pgm", tmp_path / "plain.pgm"
+    link.symlink_to(real)
+    for out in (link, plain):
+        assert run("gen-scene", "--dims", "20", "10", "--seed", "0", "--out", str(out)) == 0
+    assert link.is_symlink() and link.readlink() == real
+    assert real.read_bytes() == plain.read_bytes()
+    assert real.read_bytes().startswith(b"P5\n")
+    assert [p.name for p in real.parent.iterdir()] == ["real.grd"]
+    opened = tmp_path / "opened"
+    opened.open("w").close()
+    assert plain.stat().st_mode == opened.stat().st_mode
 
 
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
@@ -476,6 +541,7 @@ def test_evaluate_with_unequal_path_counts_is_usage_error(tmp_path, capsys):
     assert "same number of paths" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "eval.csv.manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.grd", "g.grd.manifest.json"]
 
 
 def _cli_defaults(*argv: str) -> argparse.Namespace:

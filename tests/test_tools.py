@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 _SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
@@ -54,3 +57,60 @@ def test_step_cost_prints_one_row_per_grid_and_one_column_per_loss(capsys):
     assert len(cells) == 5 and all(cell.endswith(("µs", "ms")) for cell in cells)
     step_cost.main(["--grids", "24x16", "--losses", "jc", "dsc", "--steps", "3", "--repeats", "1"])
     assert capsys.readouterr().out.splitlines()[0] == "| grid | jc | dsc |"
+
+
+_BENCH_PAIRS_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_BENCH_PAIRS_SPEC = importlib.util.spec_from_file_location("bench_pairs", _BENCH_PAIRS_PATH)
+bench_pairs = importlib.util.module_from_spec(_BENCH_PAIRS_SPEC)
+_BENCH_PAIRS_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_bench_pairs_applies_the_pair_rule_to_fixed_numbers():
+    parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    # Exclusive quartiles of 10..19: 11.75 and 17.25.
+    s = bench_pairs.summarize(parent, [9.0, 10, 11, 12, 13, 14, 15, 16, 17, 19])
+    assert (s["pairs"], s["wins"], s["ties"]) == (10, 9, 1)
+    assert (s["parent_median"], s["change_median"]) == (14.5, 13.5)
+    assert s["parent_quartiles"] == (11.75, 17.25) and s["parent_iqr"] == 5.5
+    assert not s["gain"]  # 9 of 10 pairs, but the medians are 1 apart
+    faster = [p - 6 for p in parent]
+    assert bench_pairs.summarize(parent, faster)["gain"]
+    slower = bench_pairs.summarize(parent, faster, lower_is_better=False)
+    assert (slower["wins"], slower["gain"]) == (0, False)
+    one_loss = faster[:9] + [parent[9] + 1]
+    assert bench_pairs.summarize(parent, one_loss)["wins"] == 9
+    assert bench_pairs.summarize(parent, one_loss)["gain"]
+    two_losses = faster[:8] + [parent[8] + 1, parent[9] + 1]
+    assert not bench_pairs.summarize(parent, two_losses)["gain"]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(parent, parent[:9])
+
+
+def _fake_checkout(root: Path, value: float, log: Path) -> Path:
+    """A checkout whose benchmark prints ``value`` as its op_p50_ms and
+    appends the checkout's name to ``log``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "op_p50_ms", "better": "lower"}]}')
+    result = {"correct": True, "failed": 0, "metrics": {"op_p50_ms": {"value": value}}}
+    (root / "perfbench" / "run.py").write_text(
+        f"with open({str(log)!r}, 'a') as f:\n    f.write({root.name!r})\n"
+        f"print('a metric line')\nprint({json.dumps(result)!r})\n")
+    return root
+
+
+def test_bench_pairs_alternates_the_first_side_and_prints_the_summary(tmp_path, capsys):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "p", 10.0, log)
+    change = _fake_checkout(tmp_path / "c", 8.0, log)
+    bench_pairs.main([str(parent), str(change), "--workload", "segment", "--pairs", "2"])
+    assert log.read_text() == "pccp"
+    assert capsys.readouterr().out.splitlines() == [
+        "pair 1 (parent first): parent 10, change 8",
+        "pair 2 (change first): parent 10, change 8",
+        "segment op_p50_ms: change wins 2 of 2 pairs, 0 ties",
+        "medians: parent 10, change 8",
+        "parent quartiles 10 to 10, distance 0",
+        "failed ops: parent 0, change 0",
+        "gain claimable: yes",
+    ]

@@ -410,7 +410,7 @@ def test_imbalance_and_scatter_csv_match_row_by_row(tmp_path, monkeypatch):
         ["pi", "trial", *measures],
         [[_g(r["pi"]), int(r["trial"])] + [_g(r[m]) for m in measures] for r in corr.table.rows],
     )
-    corr.write_scatter_csv(tmp_path / "scatter.csv")
+    corr.write_scatter_csv(tmp_path / "scatter.csv", tmp_path / "imb_again.csv")
     _reference_csv(
         tmp_path / "scatter_ref.csv",
         ["pi", "trial", "mcc", "j"],
@@ -421,7 +421,7 @@ def test_imbalance_and_scatter_csv_match_row_by_row(tmp_path, monkeypatch):
                      "--samples", "200", "--trials", "40", "--seed", "3",
                      "--out", str(tmp_path / "cli_imb.csv"),
                      "--correlation-out", str(tmp_path / "cli_scatter.csv")]) == 0
-    for name in ("imb", "cli_imb"):
+    for name in ("imb", "imb_again", "cli_imb"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "imb_ref.csv").read_bytes()
     for name in ("scatter", "cli_scatter"):
         got = (tmp_path / f"{name}.csv").read_bytes()
