@@ -5,26 +5,37 @@ resolved configuration, the seed, and the tool version, so any output can
 be reproduced byte for byte from its manifest.  A run's output paths
 (``--out``, the summaries, ``--correlation-out`` and the manifest) must
 all name different files, in directories that exist; a run whose paths
-collide, or whose output lies in a missing directory or is a directory or
-any other file that is not a regular one, writes nothing and exits 2.
+collide, or whose output lies in a missing directory, is a directory or
+any other file that is not a regular one, or is a file the user may not
+write, writes nothing and exits 2.
 Exit codes: 0 success, 1 usage error, 2 data error or not enough memory.
 Diagnostics go to stderr only.
 
 ``_outputs_of`` is the one place that names a run's files; each handler
 takes its output paths as parameters and never derives one.  A run's files
-appear all together or not at all, the manifest last.  ``dispatch`` names
-one temporary per output, runs the handler on those paths and writes the
-manifest into the last; only then does it move each temporary over its
+appear only once all of them are written, the manifest last.  ``dispatch``
+names one temporary per output, runs the handler on those paths and writes
+the manifest into the last; only then does it move each temporary over its
 output with ``os.replace``, the manifest last.  On any error, an interrupt
-included, it removes every temporary, so a failed run leaves the directory
-as it found it.  A temporary is named ``.<16 random hex digits>.<name>``,
-where ``<name>`` is the output's basename as given, so a writer that picks
-its format by suffix (``.pgm``) picks the one the output asks for.  It lies
+included, it removes every temporary, so a run that fails before its
+renames leaves the directory as it found it.  Each file is replaced whole,
+but the renames are not one atomic step: should one fail, the outputs
+before it are already new, and only a manifest that the run wrote marks it
+complete.
+
+A temporary is named ``.<16 random hex digits><tail>``, where ``<tail>``
+is the last four characters of the output's basename, as many as ``.pgm``
+has: a writer that picks its format by suffix picks the one the output
+asks for, and the name stays short however long the output's is.  It lies
 in the directory of the output's real path, so the rename stays on one
 filesystem and a symlinked output is written through, the link kept.  The
 writer's own ``open`` creates it, with the mode a plain ``open`` gives: 64
 random bits name no file that exists, and a file made beforehand would be
 truncated by that ``open``, which on ext4 starts writing it back at close.
+An ``OSError`` that names a temporary is raised again naming its output, so
+each message names a path the user gave.  Since a rename needs write access
+to the directory only, the up-front check refuses an existing output that
+the user may not write, which a plain ``open`` would refuse too.
 """
 
 from __future__ import annotations
@@ -365,6 +376,8 @@ def dispatch(argv: list[str] | None = None) -> int:
             if os.path.exists(path) and not os.path.isfile(path):
                 kind = "a directory" if os.path.isdir(path) else "not a regular file"
                 raise ValueError(f"output {path} is {kind}")
+            if os.path.exists(path) and not os.access(path, os.W_OK):
+                raise ValueError(f"output {path} is not writable")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"the directory of output {path} does not exist")
         started = time.monotonic()
@@ -384,16 +397,9 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def _inputs_of(args) -> list[str]:
-    paths = []
-    for key in ("in", "target", "logits", "probs"):
-        value = getattr(args, key, None)
-        if value:
-            paths.append(value)
-    for key in ("gt", "pred"):
-        value = getattr(args, key, None)
-        if value:
-            paths.extend(value)
-    return paths
+    paths = [getattr(args, key, None) for key in ("in", "target", "logits", "probs")]
+    paths += [path for key in ("gt", "pred") for path in getattr(args, key, None) or []]
+    return [path for path in paths if path]
 
 
 def _outputs_of(args) -> list[str]:
@@ -414,7 +420,7 @@ def _run(args, outputs: list[str], targets: list[str], started: float) -> None:
     the last, then move each temporary over its output's real path in
     ``targets``, the manifest last.  Whether the run ends well or not, no
     temporary is left."""
-    temps = [os.path.join(os.path.dirname(t), f".{os.urandom(8).hex()}.{os.path.basename(p)}")
+    temps = [os.path.join(os.path.dirname(t), f".{os.urandom(8).hex()}{os.path.basename(p)[-4:]}")
              for p, t in zip(outputs, targets)]
     try:
         args.func(args, *temps[:-1])
@@ -432,6 +438,11 @@ def _run(args, outputs: list[str], targets: list[str], started: float) -> None:
         _write_json(temps[-1], manifest)
         for temp, target in zip(temps, targets):
             os.replace(temp, target)
+    except OSError as exc:  # name the output the user gave, not its temporary
+        for temp, path in zip(temps, outputs):
+            if temp in (exc.filename, exc.filename2):
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
     finally:
         for temp in temps:  # one moved into place, or never written, is gone
             if os.path.lexists(temp):

@@ -393,18 +393,25 @@ def test_outputs_sharing_a_path_are_a_data_error(tmp_path, monkeypatch, capsys, 
         (["train-toy", "--iterations", "2", "--manifest", "{d}/sub"], "output {d}/sub is a directory"),
         (["train-toy", "--iterations", "2", "--summary-out", "{d}/fifo"],
          "output {d}/fifo is not a regular file"),
+        (["train-toy", "--iterations", "2", "--manifest", "{d}/read-only"],
+         "output {d}/read-only is not writable"),
     ],
     ids=["summary-in-missing-dir", "correlation-in-missing-dir", "correlation-is-dir", "manifest-is-dir",
-         "summary-is-fifo"],
+         "summary-is-fifo", "manifest-is-read-only"],
 )
-def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_path, capsys, argv,
-                                                                           message):
-    # A run with an output in a missing directory, or at a directory, exits
-    # 2 before it runs: a good --out from an earlier run stays as it was.
+def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_path, monkeypatch,
+                                                                           capsys, argv, message):
+    # A run with an output in a missing directory, at a directory, or at a
+    # file the user may not write exits 2 before it runs: a good --out from
+    # an earlier run stays as it was.
     out = tmp_path / "out.csv"
     out.write_bytes(b"an earlier run's output\n")
     (tmp_path / "sub").mkdir()
     os.mkfifo(tmp_path / "fifo")  # renaming a file over it would destroy it
+    (tmp_path / "read-only").write_bytes(b"{}\n")
+    (tmp_path / "read-only").chmod(0o444)  # a rename would replace it all the same
+    if os.geteuid() == 0:  # root may write any file: answer as its owner would
+        monkeypatch.setattr(os, "access", lambda path, mode: bool(os.stat(path).st_mode & 0o200))
     before = sorted(tmp_path.rglob("*"))
     argv = [arg.format(d=tmp_path) for arg in argv]
     assert run(*argv, "--out", str(out), "--seed", "1") == 2
@@ -415,18 +422,19 @@ def test_an_output_that_cannot_be_written_fails_before_anything_is_written(tmp_p
 
 @pytest.mark.parametrize("fault", ["full-disk", "interrupt"])
 @pytest.mark.parametrize(
-    "argv, csvs",
+    "argv, csvs, first_json",
     [
-        (["train-toy", "--iterations", "2", "--log-every", "1"], 1),
+        (["train-toy", "--iterations", "2", "--log-every", "1"], 1, "out.csv.summary.json"),
         (["sim-imbalance", "--pis", "0.5", "--samples", "100", "--trials", "2",
-          "--correlation-out", "{d}/c.csv"], 2),
+          "--correlation-out", "{d}/c.csv"], 2, "c.csv.summary.json"),
     ],
     ids=["train-toy", "sim-imbalance-correlation"],
 )
 def test_a_run_that_fails_midway_leaves_its_directory_as_it_found_it(tmp_path, monkeypatch, capsys,
-                                                                     argv, csvs, fault):
+                                                                     argv, csvs, first_json, fault):
     # The first JSON write fails after the run's CSVs are written: no output
-    # appears, no temporary stays, and a good --out from an earlier run stays.
+    # appears, no temporary stays, a good --out from an earlier run stays,
+    # and the message names the output being written, not its temporary.
     import jseg.cli
 
     out = tmp_path / "out.csv"
@@ -447,8 +455,8 @@ def test_a_run_that_fails_midway_leaves_its_directory_as_it_found_it(tmp_path, m
             run(*argv)
     else:
         assert run(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("jseg: [Errno 28] No space left on device") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"jseg: [Errno 28] No space left on device: '{tmp_path / first_json}'\n")
     assert sum(size > 0 for name, size in seen.items() if name != out.name) == csvs
     assert sorted(tmp_path.iterdir()) == before
     assert out.read_bytes() == b"an earlier run's output\n"
@@ -471,6 +479,46 @@ def test_a_symlinked_output_is_written_through_and_a_fresh_one_has_the_open_mode
     opened = tmp_path / "opened"
     opened.open("w").close()
     assert plain.stat().st_mode == opened.stat().st_mode
+
+
+def test_a_failed_rename_names_its_output_and_leaves_no_temporary(tmp_path, monkeypatch, capsys):
+    # Renames are one per file: when the second fails, --out is already new,
+    # the earlier manifest stays, and no temporary is left.
+    out, manifest = tmp_path / "t.csv", tmp_path / "t.csv.manifest.json"
+    out.write_bytes(b"an earlier run's output\n")
+    manifest.write_bytes(b"an earlier run's manifest\n")
+    replace, moved = os.replace, []
+
+    def failing_replace(src, dst):
+        if moved:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+        moved.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert run("train-toy", "--iterations", "2", "--seed", "1", "--out", str(out)) == 2
+    summary = tmp_path / "t.csv.summary.json"
+    assert capsys.readouterr().err == f"jseg: [Errno 5] Input/output error: '{summary}'\n"
+    assert moved == [str(out)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
+    assert out.read_text().startswith("iteration,")
+    assert manifest.read_bytes() == b"an earlier run's manifest\n"
+
+
+def test_an_output_with_a_long_or_dotted_name_is_written_in_its_format(tmp_path, capsys):
+    # A temporary's name stays short and ends as its output's does; a write
+    # that fails names the output, here a link into a missing directory.
+    long_pgm, dot_pgm = tmp_path / ("a" * 251 + ".pgm"), tmp_path / ".pgm"
+    for out in (long_pgm, dot_pgm):
+        assert run("gen-scene", "--dims", "20", "10", "--seed", "0", "--out", str(out),
+                   "--manifest", str(tmp_path / "m.json")) == 0
+        assert out.read_bytes().startswith(b"P5\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "missing" / "r.json")
+    assert run("grad-check", "--loss", "ce", "--trials", "1", "--seed", "0", "--out", str(link)) == 2
+    assert capsys.readouterr().err == f"jseg: [Errno 2] No such file or directory: '{link}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long_pgm.name, ".pgm", "m.json",
+                                                               "link.json"])
 
 
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):

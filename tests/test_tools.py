@@ -86,31 +86,34 @@ def test_bench_pairs_applies_the_pair_rule_to_fixed_numbers():
         bench_pairs.summarize(parent, parent[:9])
 
 
-def _fake_checkout(root: Path, value: float, log: Path) -> Path:
-    """A checkout whose benchmark prints ``value`` as its op_p50_ms and
-    appends the checkout's name to ``log``."""
+def _fake_checkout(root: Path, p50: float, rate: float, log: Path) -> Path:
+    """A checkout that declares a lower-is-better and a higher-is-better
+    metric, whose benchmark prints ``p50`` and ``rate`` for them and a metric
+    it does not declare, and appends the checkout's name to ``log``."""
     (root / "perfbench").mkdir(parents=True)
-    (root / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "op_p50_ms", "better": "lower"}]}')
-    result = {"correct": True, "failed": 0, "metrics": {"op_p50_ms": {"value": value}}}
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]}))
+    metrics = {"op_p50_ms": {"value": p50}, "ops_per_s": {"value": rate},
+               "grids.softmax.calls": {"value": 3}}
+    result = {"correct": True, "failed": 0, "metrics": metrics}
     (root / "perfbench" / "run.py").write_text(
         f"with open({str(log)!r}, 'a') as f:\n    f.write({root.name!r})\n"
         f"print('a metric line')\nprint({json.dumps(result)!r})\n")
     return root
 
 
-def test_bench_pairs_alternates_the_first_side_and_prints_the_summary(tmp_path, capsys):
+def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_path, capsys):
     log = tmp_path / "order.log"
-    parent = _fake_checkout(tmp_path / "p", 10.0, log)
-    change = _fake_checkout(tmp_path / "c", 8.0, log)
+    parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
+    change = _fake_checkout(tmp_path / "c", 8.0, 90.0, log)
     bench_pairs.main([str(parent), str(change), "--workload", "segment", "--pairs", "2"])
     assert log.read_text() == "pccp"
     assert capsys.readouterr().out.splitlines() == [
-        "pair 1 (parent first): parent 10, change 8",
-        "pair 2 (change first): parent 10, change 8",
-        "segment op_p50_ms: change wins 2 of 2 pairs, 0 ties",
-        "medians: parent 10, change 8",
-        "parent quartiles 10 to 10, distance 0",
-        "failed ops: parent 0, change 0",
-        "gain claimable: yes",
+        "pair 1 (parent first, parent / change): op_p50_ms 10 / 8, ops_per_s 100 / 90",
+        "pair 2 (change first, parent / change): op_p50_ms 10 / 8, ops_per_s 100 / 90",
+        "segment, 2 pairs; failed ops: parent 0, change 0",
+        "op_p50_ms: change wins 2, 0 ties; medians: parent 10, change 8; "
+        "parent quartiles 10 to 10, distance 0; gain claimable: yes",
+        "ops_per_s: change wins 0, 0 ties; medians: parent 100, change 90; "
+        "parent quartiles 100 to 100, distance 0; gain claimable: no",
     ]

@@ -1,17 +1,17 @@
 """Run the benchmark in two checkouts, in alternating pairs, and apply the
-pair rule to one end-to-end metric.
+pair rule to every end-to-end metric.
 
 Usage:
 
     python tools/bench_pairs.py PARENT CHANGE --workload segment --pairs 10
 
-runs ``perfbench/run.py --workload W --trace 0 --seed S`` in each checkout,
-with the Python that runs this script.  The parent runs first in odd pairs
-and the change first in even ones.  ``--seconds`` passes through; without
-it each run lasts the ``run_seconds`` of the checkout's BENCHMARK.json.
-``--metric`` (default ``op_p50_ms``) is read from the JSON object that each
-run prints last, and whether lower or higher is better from the parent's
-BENCHMARK.json.  The script prints each pair's values and failed ops, then:
+runs ``perfbench/run.py --workload W --trace 0 --seed 1`` in each checkout,
+with the Python that runs this script; each run lasts the ``run_seconds``
+of the checkout's BENCHMARK.json.  The parent runs first in odd pairs and
+the change first in even ones.  Every run prints its metrics last, as one
+JSON object; the script reads each ``end_to_end`` metric that the parent's
+BENCHMARK.json declares, and whether lower or higher is better.  It prints
+each pair's values, then for each metric:
 
 - the pairs the change wins, and the ties, which count for neither side;
 - the median of each side;
@@ -19,7 +19,7 @@ BENCHMARK.json.  The script prints each pair's values and failed ops, then:
   default method is the exclusive one);
 - whether a gain may be claimed: the change wins at least nine tenths of
   all pairs, its median beats the parent's by more than that distance, and
-  no more of its ops fail.
+  no more of its ops fail than the parent's.
 """
 
 import argparse
@@ -28,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEED = 1
 
 
 def summarize(parent: list[float], change: list[float], lower_is_better: bool = True) -> dict:
@@ -53,26 +55,24 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
     }
 
 
-def run_once(checkout: Path, workload: str, metric: str, seed: int,
-             seconds: float | None) -> tuple[float, int]:
-    """``metric``'s value and the failed ops of one benchmark run in
+def run_once(checkout: Path, workload: str) -> tuple[dict[str, float], int]:
+    """Every metric's value and the failed ops of one benchmark run in
     ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0",
-            "--seed", str(seed)]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
+            "--seed", str(SEED)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: the benchmark printed nothing:\n{done.stderr}")
     result = json.loads(lines[-1])
-    return result["metrics"][metric]["value"], result["failed"]
+    return {m: v["value"] for m, v in result["metrics"].items()}, result["failed"]
 
 
-def lower_is_better(checkout: Path, metric: str) -> bool:
-    """Whether ``checkout``'s BENCHMARK.json calls a lower ``metric`` better."""
+def end_to_end(checkout: Path) -> dict[str, bool]:
+    """Each end-to-end metric of ``checkout``'s BENCHMARK.json, mapped to
+    whether a lower value is better."""
     declared = json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
-    return next(m["better"] for m in declared if m["name"] == metric) == "lower"
+    return {m["name"]: m["better"] == "lower" for m in declared}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -81,32 +81,32 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metric", default="op_p50_ms")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
 
-    runs = {"parent": [], "change": []}
+    metrics = end_to_end(args.parent)
+    runs = {"parent": {m: [] for m in metrics}, "change": {m: [] for m in metrics}}
     failed = {"parent": 0, "change": 0}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            value, n_failed = run_once(getattr(args, side), args.workload, args.metric,
-                                       args.seed, args.seconds)
-            runs[side].append(value)
+            values, n_failed = run_once(getattr(args, side), args.workload)
+            for m in metrics:
+                runs[side][m].append(values[m])
             failed[side] += n_failed
-        print(f"pair {i + 1} ({order[0]} first): parent {runs['parent'][-1]:.6g}, "
-              f"change {runs['change'][-1]:.6g}", flush=True)
+        pair = ", ".join(f"{m} {runs['parent'][m][-1]:.6g} / {runs['change'][m][-1]:.6g}"
+                         for m in metrics)
+        print(f"pair {i + 1} ({order[0]} first, parent / change): {pair}", flush=True)
 
-    s = summarize(runs["parent"], runs["change"], lower_is_better(args.parent, args.metric))
-    q1, q3 = s["parent_quartiles"]
-    print(f"{args.workload} {args.metric}: change wins {s['wins']} of {s['pairs']} pairs, "
-          f"{s['ties']} ties")
-    print(f"medians: parent {s['parent_median']:.6g}, change {s['change_median']:.6g}")
-    print(f"parent quartiles {q1:.6g} to {q3:.6g}, distance {s['parent_iqr']:.6g}")
-    print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
-    gain = s["gain"] and failed["change"] <= failed["parent"]
-    print(f"gain claimable: {'yes' if gain else 'no'}")
+    print(f"{args.workload}, {args.pairs} pairs; failed ops: parent {failed['parent']}, "
+          f"change {failed['change']}")
+    for m, lower in metrics.items():
+        s = summarize(runs["parent"][m], runs["change"][m], lower)
+        q1, q3 = s["parent_quartiles"]
+        gain = s["gain"] and failed["change"] <= failed["parent"]
+        print(f"{m}: change wins {s['wins']}, {s['ties']} ties; medians: parent "
+              f"{s['parent_median']:.6g}, change {s['change_median']:.6g}; parent quartiles "
+              f"{q1:.6g} to {q3:.6g}, distance {s['parent_iqr']:.6g}; "
+              f"gain claimable: {'yes' if gain else 'no'}")
 
 
 if __name__ == "__main__":
