@@ -6,6 +6,8 @@ ground-truth transform, panoptic instance post-processing, imbalance
 robustness simulations, and the evaluation metrics that go with them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .grids import (
     InstanceLabelMap,
     LogitField,
@@ -75,4 +77,6 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, without the submodules that importing binds.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -1,6 +1,6 @@
-"""Small shared helpers: deterministic thread mapping, seed derivation, a
-thread-count-independent norm, the column table of a step loop's trace
-and the one CSV writer.
+"""Small shared helpers: deterministic thread mapping, the integer rule of
+every config, seed derivation, a thread-count-independent norm, the
+column table of a step loop's trace and the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -46,6 +46,14 @@ def ordered_thread_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 
 
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def set_integers(config, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``config`` to
+    ``operator.index`` of its value: an integer stays (a numpy one becomes
+    a Python int), and 2.5 or NaN raise ``TypeError``."""
+    for name in names:
+        object.__setattr__(config, name, operator.index(getattr(config, name)))
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:

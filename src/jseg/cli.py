@@ -52,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from ._util import write_csv
-from .grids import one_hot, probs_to_logits
+from .grids import InstanceLabelMap, ProbabilityField, one_hot, probs_to_logits
 from .gridio import GridIOError, read_grid, write_grid
 from .losses import LOSS_IDS, evaluate_loss, gradient_check
 from .metrics import panoptic
@@ -118,6 +118,13 @@ def _transform_args(p: argparse.ArgumentParser) -> None:
 def _transform_from(args) -> TransformConfig:
     mode = FOUR_CLASS if args.classes == 4 else THREE_CLASS
     return TransformConfig(k=args.k, gap_radius=args.gap_radius, mode=mode)
+
+
+def _scene_target(args) -> tuple[InstanceLabelMap, ProbabilityField]:
+    """The scene of the flags and its one-hot semantic target."""
+    scene = generate_scene(_scene_from(args))
+    transform = _transform_from(args)
+    return scene, one_hot(to_semantic(scene, transform), transform.channels)
 
 
 def _command(sub, name: str, func, help: str, out_help: str | None = None,
@@ -212,9 +219,7 @@ def _cmd_sim_shrinkwrap(args, out) -> None:
 
 
 def _cmd_landscape(args, out) -> None:
-    scene = generate_scene(_scene_from(args))
-    transform = _transform_from(args)
-    target = one_hot(to_semantic(scene, transform), transform.channels)
+    _, target = _scene_target(args)
     center = probs_to_logits(target, floor=args.confidence_floor)
     result = landscape_scan(
         args.loss,
@@ -249,10 +254,7 @@ def _cmd_evaluate(args, out, summary) -> None:
 
 
 def _cmd_train_toy(args, out, summary) -> None:
-    scene = generate_scene(_scene_from(args))
-    tcfg = _transform_from(args)
-    semantic = to_semantic(scene, tcfg)
-    target = one_hot(semantic, tcfg.channels)
+    scene, target = _scene_target(args)
     cfg = TrainConfig(
         loss=args.loss,
         step_size=args.step,

@@ -17,8 +17,8 @@ boundaries.
 Each loss has one core on bare planar arrays (see :mod:`jseg.grids`),
 built per target: ``_CORES[id](y, weights)`` takes the ``(C, n)`` target,
 one row of ``n`` elements per class, does the target-side work once
-(class counts, presence, ``phi``, the pair mask, class weights) and
-returns ``core(z)``, which has two modes:
+(class counts, presence, ``phi``, the pair list, class weights) and
+returns ``core(z)``, which has two modes, both reading that one table:
 
 - a ``(C, n)`` field of probabilities gives ``(components, dz, c)``, the
   loss's gradient in two parts: ``dz``, a ``(C, n)`` gradient in the
@@ -43,28 +43,30 @@ tested against them):
 - **CE at the target entries, pulled back in closed form** (ce and bwm,
   and the ce parts of dsc and jc).  Off the target the terms ``w y log
   z`` are ``-0.0``, so the core gathers ``z`` at the ``n`` target entries,
-  found once per target in element order (per item of a stack, at an
-  offset computed per call), takes the clamp and log there and sums the
-  ``n`` terms.  It keeps no ``(C, n)`` array.  For the gradient it gives
-  ``c = w_t / n`` per element, 0 where ``z_t <= LOG_EPS`` (the clamped
-  term is constant), as the float ``1 / n`` while the weights are 1 and no
-  term is clamped: through the softmax, ``dL/dz = -w y / (n z)`` pulls
-  back to ``c * (z - y)``, which
-  :meth:`~jseg.grids.BoundSoftmax.pull_back` computes with no reduction
-  and without the chain rule's cancellation as ``z_t`` nears 1.  It
+  found once per target in element order as flat indices into a ``(C,
+  n)`` plane, which a stack takes along each item's flattened plane; it
+  takes the clamp and log there and sums the ``n`` terms.  It keeps no
+  ``(C, n)`` array.  For the gradient it gives ``c = w_t / n`` per
+  element, 0 where ``z_t <= LOG_EPS`` (the clamped term is constant), as
+  the float ``1 / n`` while the weights are 1 and no term is clamped:
+  through the softmax, ``dL/dz = -w y / (n z)`` pulls back to
+  ``c * (z - y)``, which :meth:`~jseg.grids.BoundSoftmax.pull_back`
+  computes with no reduction and without the chain rule's cancellation
+  as ``z_t`` nears 1.  It
   differs from the chain rule by at most ``CLOSED_FORM_RTOL`` of the
   gradient's largest entry on softmax fields, as tested, and is the
   closer of the two to an extended-precision evaluation where every
   target is confident.
-- **The J tail in scalars.**  On a field, after ``S = phi z^T`` the pair
-  terms run on the pair list, precomputed per target, in Python floats:
-  the same IEEE operations per pair as the matrix form, which a stack
-  runs for its values.  The log is one ``np.log`` call on the pair
-  vector, and the value the exactly rounded sum of the pair terms
-  (``math.fsum``) in both modes.  The diagonal of ``M`` sums each row in
-  numpy's order: below 8 channels, where numpy sums a row in order, the
-  pair loop adds each term to its row's sum in Python floats; from 8 on,
-  where numpy sums pairwise, it is a numpy sum over the C x C layout.
+- **The J tail on the pair list.**  After ``S = phi z^T`` the pair terms
+  run on the pair list, precomputed per target in row order: a stack as
+  numpy arrays indexed by the pairs' ``(i, k)``, a field in Python floats,
+  each with the same IEEE operations per pair as the matrix form.  The log
+  is one ``np.log`` call on the pair terms, and the value the exactly
+  rounded sum of the pair terms (``math.fsum``) in both modes.  The
+  diagonal of ``M`` sums each row in numpy's order: below 8 channels,
+  where numpy sums a row in order, the pair loop adds each term to its
+  row's sum in Python floats; from 8 on, where numpy sums pairwise, it is
+  a numpy sum over the C x C layout.
 - **JC and DSC hand on the two parts.**  JC gives J's ``dz`` and CE's
   ``c``, DSC its negated Dice gradient and CE's ``c``; the pull-back adds
   ``z * (dz - sum_c dz_c z_c)`` and ``c * (z - y)``.  So no core adds a
@@ -238,14 +240,17 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
 
     It runs at the target entries (see the module docstring): off the
     target ``w y log z`` is ``-0.0``, so the value is the sum of the ``n``
-    gathered terms.  A stack gathers item ``b``'s entries at ``b * C * n``
-    past the field's, computed per call.  A field's gradient is the
-    coefficient ``c`` per element, ``w_t / n``, whose pull-back is
-    ``c * (z - y)`` (:meth:`~jseg.grids.BoundSoftmax.pull_back`); at and
-    below ``LOG_EPS`` the clamped term is constant, so ``c`` is 0 there.
-    While no ``z_t`` is clamped and the weights are 1, every element has the
-    same ``c``, and the core hands on the Python float ``1 / n``; else ``c``
-    is a lane of ``n`` values.
+    gathered terms.  Both modes gather at the one index array ``at``, built
+    per target: a field from its flattened plane into the core's own
+    array, a stack along each item's flattened plane into a fresh one,
+    which its log overwrites; the class weights broadcast over the items.
+    A field's gradient is the coefficient ``c`` per element, ``w_t / n``,
+    whose pull-back is ``c * (z - y)``
+    (:meth:`~jseg.grids.BoundSoftmax.pull_back`); at and below ``LOG_EPS``
+    the clamped term is constant, so ``c`` is 0 there.  While no ``z_t``
+    is clamped and the weights are 1, every element has the same ``c``, and
+    the core hands on the Python float ``1 / n``; else ``c`` is a lane of
+    ``n`` values.
     """
     n = y.shape[-1]
     classes = np.argmax(y, axis=0)  # each element's target class
@@ -257,23 +262,18 @@ def _weighted_ce(y: np.ndarray, class_weights: np.ndarray | None, name: str = "c
     field = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
 
     def ce(z):
-        if z.ndim == 2:
-            gathered, terms, c, clamp = field
-            idx, w = at, w_at
-        else:
-            idx = (np.arange(len(z))[:, None] * y.size + at).ravel()
-            w = None if w_at is None else np.tile(w_at, len(z))
-            gathered, terms = np.empty(idx.shape), np.empty(idx.shape)
+        # A stack's gather is fresh, and its log overwrites it.
+        gathered, terms, c, clamp = field if z.ndim == 2 else (None,) * 4
         # The indices are in range; any mode but the default "raise" takes
         # straight into the buffer instead of through a copy.
-        z.ravel().take(idx, out=gathered, mode="wrap")
+        gathered = z.reshape(z.shape[:-2] + (-1,)).take(at, axis=-1, out=gathered, mode="wrap")
         clamps = not gathered.min() > LOG_EPS  # a NaN counts; the clamp passes it on
         if clamps:  # else the clamp would change no bit
             np.maximum(gathered, LOG_EPS, out=gathered)
-        np.log(gathered, out=terms)
-        if w is not None:  # a weight of 1 would change no bit
-            np.multiply(w, terms, out=terms)
-        value = -np.add.reduce(terms.reshape(z.shape[:-2] + (n,)), axis=-1) / n
+        terms = np.log(gathered, out=gathered if terms is None else terms)
+        if w_at is not None:  # a weight of 1 would change no bit
+            np.multiply(w_at, terms, out=terms)
+        value = -np.add.reduce(terms, axis=-1) / n
         if z.ndim > 2:
             return {name: value}, None, None
         if not clamps:
@@ -377,10 +377,11 @@ def _j_core(y, weights):
     pairs = (lam != 0.0) & present & present[:, None]
     np.fill_diagonal(pairs, False)
     half_lam = 0.5 * lam
-    # A field runs the tail on the pair list in Python floats: per pair the
-    # same IEEE operations as the matrix form over all C x C pairs, which a
-    # stack runs for its values (and ``dense_core`` in tests/oracles.py for
-    # the gradient too).  The log stays one numpy call.  M is held as a flat
+    # Both modes run the pairs in row order: a stack as numpy arrays over
+    # the pair list, a field the tail in Python floats.  Per pair they are
+    # the same IEEE operations as the matrix form over all C x C pairs,
+    # which ``dense_core`` in tests/oracles.py runs for the value and the
+    # gradient.  A field's log stays one numpy call.  M is held as a flat
     # list; flat index i * C + k is entry [i, k].  numpy sums a row of fewer
     # than 8 terms in order, so below 8 channels each pair adds its term to
     # its row's sum (slot i) as the pair loop meets it, in row order; the
@@ -389,8 +390,10 @@ def _j_core(y, weights):
     # one numpy sum reduces.
     size = channels * channels
     in_order = channels < 8
-    ik = [(int(i), int(k)) for i, k in zip(*np.nonzero(pairs))]
-    lam_p = [float(lam[i, k]) for i, k in ik]
+    pi, pk = np.nonzero(pairs)  # the pairs' (i, k), in row order
+    lam_pairs = lam[pi, pk]
+    ik = list(zip(pi.tolist(), pk.tolist()))
+    lam_p = lam_pairs.tolist()
     grad_p = [(i * channels + k, i if in_order else i * channels + k, float(half_lam[i, k]),
                float(n[i]), float(n[k])) for i, k in ik]
     dz = np.empty(y.shape)  # a field's gradient
@@ -398,9 +401,9 @@ def _j_core(y, weights):
     def core(z):
         if z.ndim > 2:
             s = phi @ np.swapaxes(z, -1, -2)  # s[..., l, m] = sum_p phi_l(p) z_m(p)
-            a = 0.5 + 0.5 * (np.diagonal(s, axis1=-2, axis2=-1)[..., None] - np.swapaxes(s, -1, -2))
+            a = 0.5 + 0.5 * (s[..., pi, pi] - s[..., pk, pi])
             log_a = np.log(np.minimum(np.maximum(a, LOG_EPS), 1.0))
-            terms = (lam * log_a)[..., pairs].tolist()  # one row of pair terms per item
+            terms = (lam_pairs * log_a).tolist()  # one row of pair terms per item
             return {"j": -np.array([_pair_sum(row) for row in terms])}, None, None
         s = (phi @ z.T).tolist()
         a = [0.5 + 0.5 * (s[i][i] - s[k][i]) for i, k in ik]

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import set_integers
 from .grids import InstanceLabelMap, _check_dims
 from .transform import ball_footprint
 
@@ -36,6 +37,10 @@ class SceneSpec:
     scene, down to the byte.  Placement and rasterization cost scales with
     the blob count and the blob volume, not with the grid; the output is
     byte-identical to the full-grid reference in ``tests/oracles.py``.
+
+    ``dims``, ``cell_size``, ``notch_width``, ``notch_length`` and
+    ``n_blobs`` must be integers (``operator.index``): 2.5 raises
+    ``TypeError``.
     """
 
     kind: str
@@ -48,6 +53,7 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
+        set_integers(self, "cell_size", "notch_width", "notch_length", "n_blobs")
         if self.kind not in (TWO_SQUARES_NOTCH, RANDOM_BLOBS):
             raise ValueError(f"unknown scene kind {self.kind!r}")
         _check_dims(self.dims)

@@ -25,13 +25,12 @@ Everything is deterministic per seed, independent of thread count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _util
-from ._util import child_rng, columns, l2_norm, ordered_thread_map
+from ._util import child_rng, columns, l2_norm, ordered_thread_map, set_integers
 from .grids import BoundSoftmax, LogitField, ProbabilityField, logit_values, one_hot, planar
 from .losses import FD_CHUNK_ELEMENTS, _build_core, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
@@ -91,8 +90,7 @@ class ImbalanceSimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pis", tuple(float(p) for p in self.pis))
-        for name in ("samples", "trials"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        set_integers(self, "samples", "trials")
         if self.classifier not in (C1, C3):
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if not self.pis or any(not 0.0 < p <= 0.5 for p in self.pis):
@@ -272,8 +270,7 @@ class ShrinkwrapConfig:
     transform: TransformConfig = TransformConfig()
 
     def __post_init__(self):
-        for name in ("iterations", "margin_start", "iters_per_margin_step"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        set_integers(self, "iterations", "margin_start", "iters_per_margin_step")
         if self.margin_start < 1:
             raise ValueError("initial margin must be >= 1")
         if not 0.25 < self.confidence_start <= self.confidence_final < 1.0:

@@ -10,13 +10,12 @@ element of the target is classified correctly under MAP.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import child_rng, columns, l2_norm
+from ._util import child_rng, columns, l2_norm, set_integers
 from .grids import (BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap,
                     argmax_channels, planar)
 from .losses import LOSS_IDS, PairWeights, _build_core, evaluate_loss
@@ -56,8 +55,7 @@ class TrainConfig:
     init_noise: float = 0.5
 
     def __post_init__(self):
-        for name in ("iterations", "log_every"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        set_integers(self, "iterations", "log_every")
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not self.step_size > 0:  # written so that NaN fails too

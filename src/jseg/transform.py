@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import set_integers
 from .grids import InstanceLabelMap, SemanticLabelMap
 
 __all__ = [
@@ -42,7 +43,8 @@ class TransformConfig:
 
     ``k`` is the Chebyshev radius of the touching test.  ``gap_radius`` is
     the radius of the closing's hyper-spherical structuring element; it is
-    data dependent, so it stays configurable.
+    data dependent, so it stays configurable.  Both must be integers
+    (``operator.index``): 2.5 or NaN raise ``TypeError``.
     """
 
     k: int = 2
@@ -50,6 +52,7 @@ class TransformConfig:
     mode: str = FOUR_CLASS
 
     def __post_init__(self):
+        set_integers(self, "k", "gap_radius")
         if self.k < 1:
             raise ValueError("neighbourhood radius k must be >= 1")
         if self.mode not in (THREE_CLASS, FOUR_CLASS):

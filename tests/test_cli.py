@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,16 @@ def test_scipy_is_imported_only_inside_postprocess_functions():
     assert "simulate.py" in places
     assert {name for name, found in places.items() if found} <= {"postprocess.py"}
     assert all(places["postprocess.py"])
+
+
+def test_package_all_lists_its_reexports_and_no_module():
+    # A star import binds the public API, not the submodules it comes from.
+    names = {}
+    exec("from jseg import *", names)
+    assert "evaluate_loss" in jseg.__all__ and "losses" not in jseg.__all__
+    for name in jseg.__all__:
+        assert names[name] is getattr(jseg, name), name
+        assert not isinstance(names[name], types.ModuleType), name
 
 
 def test_import_cli_leaves_scipy_ndimage_unloaded():

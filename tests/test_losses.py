@@ -346,6 +346,36 @@ def test_batched_cores_equal_per_item_cores(loss_id):
             assert _same_bits(parts[name][b], value)
 
 
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_batched_cores_equal_per_item_cores_at_clamped_absent_and_nan_entries(loss_id):
+    # Class 3 is absent (bwm weight 0, no J pair with it) and the pair (0, 1)
+    # weighs 0.  Items 1 to 3 hold target entries of exactly 0 and exactly
+    # LOG_EPS, item 4 a NaN at one target entry; items 0 and 5 clamp nowhere.
+    rng = np.random.default_rng(23)
+    classes = rng.integers(0, 3, size=(5, 3)).astype(np.int32)
+    assert sorted(np.unique(classes)) == [0, 1, 2]
+    y = planar(one_hot(SemanticLabelMap(classes), 4).values)
+    targets, elements = np.argmax(y, axis=0), np.arange(y.shape[-1])
+    z = softmax_values(rng.normal(size=(6, 4, 15)))
+    z[1, targets[:4], elements[:4]] = 0.0
+    z[2, targets[3:9], elements[3:9]] = LOG_EPS
+    z[3, targets[::2], elements[::2]] = np.resize([0.0, LOG_EPS], 8)
+    z[4, targets[7], 7] = np.nan
+    lam = rng.random((4, 4))
+    lam[0, 1] = 0.0
+    core = _CORES[loss_id](y, PairWeights(lam))
+    parts = core(z)[0]
+    unclamped = core(z[[0, 5]])[0]  # a stack that takes no clamp
+    for b in range(len(z)):
+        for name, value in core(z[b])[0].items():
+            if b == 4:
+                assert np.isnan(parts[name][b]) and np.isnan(value)
+            else:
+                assert _same_bits(parts[name][b], value)
+    for name, values in unclamped.items():
+        assert _same_bits(values, parts[name][[0, 5]])
+
+
 @pytest.mark.parametrize("dims", [(5, 3), (3, 4, 2)], ids=["2d", "3d"])
 @pytest.mark.parametrize("loss_id", LOSS_IDS)
 def test_value_path_equals_the_full_cores_parts(loss_id, dims):

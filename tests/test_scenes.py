@@ -89,6 +89,12 @@ def test_spec_invariants():
         _spec(notch_length=9)
     with pytest.raises(ValueError):
         _spec(kind="hexagons")
+    # Sizes and counts are integers, checked before any range is.
+    for fields in ({"cell_size": 2.5}, {"notch_width": 1.5}, {"notch_length": 2.0}):
+        with pytest.raises(TypeError):
+            SceneSpec(kind="two-squares-notch", dims=(24, 16), **fields)
+    with pytest.raises(TypeError):
+        SceneSpec(kind="random-blobs", dims=(24, 16), n_blobs=2.5)
 
 
 def _blob_specs():

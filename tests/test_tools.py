@@ -106,8 +106,18 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
     log = tmp_path / "order.log"
     parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
     change = _fake_checkout(tmp_path / "c", 8.0, 90.0, log)
+    # Bytecode no source matches, in each tree whose caches are renewed.
+    stale = [root / top / "__pycache__" / "gone.cpython-311.pyc"
+             for root in (parent, change) for top in ("src/pkg", "perfbench", "tools")]
+    for path in stale:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"stale")
     bench_pairs.main([str(parent), str(change), "--workload", "segment", "--pairs", "2"])
     assert log.read_text() == "pccp"
+    assert not any(path.exists() for path in stale)
+    for root in (parent, change):  # and the sources are compiled anew
+        cached = (root / "perfbench" / "__pycache__").iterdir()
+        assert [path.name.split(".")[0] for path in cached] == ["run"]
     assert capsys.readouterr().out.splitlines() == [
         "pair 1 (parent first, parent / change): op_p50_ms 10 / 8, ops_per_s 100 / 90",
         "pair 2 (change first, parent / change): op_p50_ms 10 / 8, ops_per_s 100 / 90",

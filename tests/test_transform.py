@@ -245,6 +245,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransformConfig(mode="five-class")
     assert TransformConfig(mode=THREE_CLASS).channels == 3
+    # Radii are integers when the config is made, not when the transform runs.
+    for fields in ({"k": 2.5}, {"gap_radius": float("nan")}, {"gap_radius": 3.0}):
+        with pytest.raises(TypeError):
+            TransformConfig(**fields)
+    assert type(TransformConfig(k=np.int64(2)).k) is int
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -7,11 +7,15 @@ Usage:
 
 runs ``perfbench/run.py --workload W --trace 0 --seed 1`` in each checkout,
 with the Python that runs this script; each run lasts the ``run_seconds``
-of the checkout's BENCHMARK.json.  The parent runs first in odd pairs and
-the change first in even ones.  Every run prints its metrics last, as one
-JSON object; the script reads each ``end_to_end`` metric that the parent's
-BENCHMARK.json declares, and whether lower or higher is better.  It prints
-each pair's values, then for each metric:
+of the checkout's BENCHMARK.json.  Before the first pair, every
+``__pycache__`` under ``src/``, ``perfbench/`` and ``tools/`` of both
+checkouts is removed and those trees are compiled anew, so that neither
+side reads bytecode left by an earlier state of its files.  The parent
+runs first in odd pairs and the change first in even ones.  Every run
+prints its metrics last, as one JSON object; the script reads each
+``end_to_end`` metric that the parent's BENCHMARK.json declares, and
+whether lower or higher is better.  It prints each pair's values, then
+for each metric:
 
 - the pairs the change wins, and the ties, which count for neither side;
 - the median of each side;
@@ -23,7 +27,9 @@ each pair's values, then for each metric:
 """
 
 import argparse
+import compileall
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +59,19 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
         "parent_iqr": q3 - q1,
         "gain": wins >= 0.9 * len(parent) and sign * (medians[0] - medians[1]) > q3 - q1,
     }
+
+
+def fresh_bytecode(checkout: Path) -> None:
+    """Remove every ``__pycache__`` under ``src/``, ``perfbench/`` and
+    ``tools/`` of ``checkout`` and compile those trees with the Python that
+    runs this script."""
+    for top in ("src", "perfbench", "tools"):
+        root = checkout / top
+        if root.is_dir():
+            for cache in list(root.rglob("__pycache__")):
+                shutil.rmtree(cache)
+            if not compileall.compile_dir(root, quiet=1):
+                raise RuntimeError(f"{root}: a file does not compile")
 
 
 def run_once(checkout: Path, workload: str) -> tuple[dict[str, float], int]:
@@ -86,6 +105,8 @@ def main(argv: list[str] | None = None) -> None:
     metrics = end_to_end(args.parent)
     runs = {"parent": {m: [] for m in metrics}, "change": {m: [] for m in metrics}}
     failed = {"parent": 0, "change": 0}
+    for checkout in (args.parent, args.change):
+        fresh_bytecode(checkout)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
