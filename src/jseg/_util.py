@@ -30,10 +30,11 @@ CSV_CHUNK_ROWS = 4096
 def ordered_thread_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
     """Map ``fn`` over ``items``, optionally on a thread pool.
 
-    Results come back in submission order and every item carries its own
-    state (e.g. a child RNG), so the output is bitwise identical for any
-    thread count.  The pool never gets more workers than there are items.
-    ``threads`` must be an integer: NaN or 2.5 raise ``TypeError``.
+    Results come back in submission order, so the output is bitwise
+    identical for any thread count as long as ``fn`` shares no mutable
+    state between items, as a landscape scan's rows share none.  The pool
+    never gets more workers than there are items.  ``threads`` must be an
+    integer: NaN or 2.5 raise ``TypeError``.
     ``concurrent.futures`` is imported only when a pool runs, so a launch
     that maps on one thread does not load it.
     """

@@ -136,7 +136,7 @@ def _command(sub, name: str, func, help: str, out_help: str | None = None,
     if summary:
         p.add_argument("--summary-out", default=None)
     p.add_argument("--seed", type=int, default=None, help="auto-generated when omitted")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="threads for landscape rows only")
     p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
     p.set_defaults(func=func)
     return p
@@ -193,8 +193,8 @@ def _cmd_sim_imbalance(args, out, summary, corr_out=None, corr_summary=None) -> 
         seed=args.seed,
     )
     # The correlation runs the sweep itself; its table is the one written here.
-    corr = mcc_j_correlation(cfg, threads=args.threads) if corr_out else None
-    table = corr.table if corr else run_imbalance_sim(cfg, threads=args.threads)
+    corr = mcc_j_correlation(cfg) if corr_out else None
+    table = corr.table if corr else run_imbalance_sim(cfg)
     if corr:
         # One pass writes both CSVs, formatting their shared columns once.
         corr.write_scatter_csv(corr_out, out)

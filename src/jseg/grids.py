@@ -240,7 +240,7 @@ class BoundSoftmax:
     once: each call reads ``x`` as it is then and writes the same C-order
     ``out``, and each :meth:`pull_back` writes the same C-order pull-back
     array, made at the first pull-back, so a softmax that is never pulled
-    back (:func:`softmax_values`) makes none.  ``y``, the planar one-hot
+    back (``BoundSoftmax(x)()``) makes none.  ``y``, the planar one-hot
     target, is needed only to pull back cross entropy in closed form.
 
     The subtraction keeps every exponent at or below 0, so nothing
@@ -317,12 +317,6 @@ class BoundSoftmax:
         return pulled
 
 
-def softmax_values(x: np.ndarray) -> np.ndarray:
-    """The softmax of a planar ``x`` (:class:`BoundSoftmax`) in a fresh
-    C-order array."""
-    return BoundSoftmax(x)()
-
-
 def softmax(logits: LogitField) -> ProbabilityField:
     """Per-element softmax with max-subtraction, so no exponent overflows.
 
@@ -330,7 +324,7 @@ def softmax(logits: LogitField) -> ProbabilityField:
     output shift-invariant per element.
     """
     x = logits.values
-    return ProbabilityField(softmax_values(planar(x)).T.reshape(x.shape))
+    return ProbabilityField(BoundSoftmax(planar(x))().T.reshape(x.shape))
 
 
 def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:
@@ -354,7 +348,7 @@ def logit_values(p: np.ndarray, floor: float = LOG_FLOOR, out=None) -> np.ndarra
     reproduces the probabilities ``p`` up to the zero-probability floor.
 
     For probabilities the library derives itself, so, like
-    :func:`softmax_values`, it checks nothing: ``floor`` must lie in (0, 1).
+    :class:`BoundSoftmax`, it checks nothing: ``floor`` must lie in (0, 1).
     """
     logits = np.maximum(p, floor, out=out)
     return np.log(logits, out=logits)

@@ -132,8 +132,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import l2_norm
-from .grids import (BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, planar,
-                    softmax_values)
+from .grids import BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, planar
 
 __all__ = [
     "LOG_EPS",
@@ -530,7 +529,7 @@ def _stack_totals(core):
     the landscape scan's evaluator of stacked grid cells."""
 
     def totals(stack: np.ndarray) -> np.ndarray:
-        return sum(core(softmax_values(stack))[0].values())
+        return sum(core(BoundSoftmax(stack)())[0].values())
 
     return totals
 

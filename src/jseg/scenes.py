@@ -38,9 +38,11 @@ class SceneSpec:
     the blob count and the blob volume, not with the grid; the output is
     byte-identical to the full-grid reference in ``tests/oracles.py``.
 
-    ``dims``, ``cell_size``, ``notch_width``, ``notch_length`` and
-    ``n_blobs`` must be integers (``operator.index``): 2.5 raises
-    ``TypeError``.
+    ``dims``, ``cell_size``, ``notch_width``, ``notch_length``, ``seed``
+    and ``n_blobs`` must be integers (``operator.index``): 2.5 raises
+    ``TypeError``.  Each kind checks the ranges of only the fields it
+    reads: the notch fields for the notch, ``n_blobs`` and ``seed``, which
+    must be >= 0, for the blobs.
     """
 
     kind: str
@@ -53,18 +55,20 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
-        set_integers(self, "cell_size", "notch_width", "notch_length", "n_blobs")
+        set_integers(self, "cell_size", "notch_width", "notch_length", "seed", "n_blobs")
         if self.kind not in (TWO_SQUARES_NOTCH, RANDOM_BLOBS):
             raise ValueError(f"unknown scene kind {self.kind!r}")
         _check_dims(self.dims)
         if self.cell_size < 1:
             raise ValueError("cell_size must be >= 1")
-        if self.notch_width < 1:
+        if self.kind == TWO_SQUARES_NOTCH and self.notch_width < 1:
             raise ValueError("notch width must be >= 1")
-        if not 0 <= self.notch_length <= self.cell_size:
+        if self.kind == TWO_SQUARES_NOTCH and not 0 <= self.notch_length <= self.cell_size:
             raise ValueError("notch length must lie in [0, cell_size]")
-        if self.n_blobs < 1:
+        if self.kind == RANDOM_BLOBS and self.n_blobs < 1:
             raise ValueError("need at least one blob")
+        if self.kind == RANDOM_BLOBS and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_scene(spec: SceneSpec) -> InstanceLabelMap:

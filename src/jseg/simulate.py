@@ -78,8 +78,9 @@ class ImbalanceSimConfig:
     """Protocol for the random-classifier sweeps.
 
     C1 predicts positive with the ground-truth ratio pi, C3 with one half.
-    ``samples`` lies in [100, MAX_SAMPLES].  ``samples`` and ``trials``
-    must be integers (``operator.index``): 150.0 raises ``TypeError``.
+    ``samples`` lies in [100, MAX_SAMPLES].  ``samples``, ``trials`` and
+    ``seed`` must be integers (``operator.index``): 150.0 raises
+    ``TypeError``.  ``seed`` must be >= 0.
     """
 
     classifier: str = C3
@@ -90,7 +91,7 @@ class ImbalanceSimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pis", tuple(float(p) for p in self.pis))
-        set_integers(self, "samples", "trials")
+        set_integers(self, "samples", "trials", "seed")
         if self.classifier not in (C1, C3):
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if not self.pis or any(not 0.0 < p <= 0.5 for p in self.pis):
@@ -103,6 +104,8 @@ class ImbalanceSimConfig:
             raise ValueError(f"at most {MAX_SAMPLES} samples per trial, got {self.samples}")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,9 @@ class ImbalanceTable:
         _util.write_csv(path, TABLE_HEADER, [self.rows[name] for name in TABLE_HEADER])
 
 
-def _simulate_pi(args) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+def _simulate_pi(cfg: ImbalanceSimConfig, pi_index: int) -> tuple[tuple[np.ndarray, ...], int]:
     """The ``(pos, ppos, tp)`` counts of one ratio's trials and the number
     of degenerate trials redrawn."""
-    cfg, pi_index = args
     pi = cfg.pis[pi_index]
     rng = child_rng(cfg.seed, pi_index)
     p_pred = pi if cfg.classifier == C1 else 0.5
@@ -169,7 +171,7 @@ def _simulate_pi(args) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
     return (pos, ppos, tp), resampled
 
 
-def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTable:
+def run_imbalance_sim(cfg: ImbalanceSimConfig) -> ImbalanceTable:
     """Sample the configured classifier against Bernoulli(pi) ground truths.
 
     Each trial is drawn as its confusion counts, from the exact joint law of
@@ -180,13 +182,11 @@ def run_imbalance_sim(cfg: ImbalanceSimConfig, threads: int = 1) -> ImbalanceTab
     ``fn = pos - tp`` and ``tn = samples - pos - ppos + tp``.  Trials where a
     class is entirely absent (``pos`` or ``ppos`` is 0 or ``samples``) are
     redrawn and counted, for at most ``MAX_REDRAW_ROUNDS`` rounds, and then
-    raise ``ValueError``.  Each ratio draws from its own child generator, so
-    the table is the same for any thread count.  The measures are
-    elementwise, so they run once, on the counts of every ratio.
+    raise ``ValueError``.  The ratios run in order, each from its own child
+    generator ``child_rng(seed, index)``.  The measures are elementwise, so
+    they run once, on the counts of every ratio.
     """
-    results = ordered_thread_map(
-        _simulate_pi, [(cfg, i) for i in range(len(cfg.pis))], threads
-    )
+    results = [_simulate_pi(cfg, i) for i in range(len(cfg.pis))]
     pos, ppos, tp = (np.concatenate(counts) for counts in zip(*(r for r, _ in results)))
     values, _ = confusion_measures(tp, ppos - tp, pos - tp, cfg.samples - pos - ppos + tp)
     rows = np.zeros(
@@ -227,11 +227,11 @@ class CorrelationResult:
         )
 
 
-def mcc_j_correlation(cfg: ImbalanceSimConfig, threads: int = 1) -> CorrelationResult:
+def mcc_j_correlation(cfg: ImbalanceSimConfig) -> CorrelationResult:
     """Linear agreement between MCC and J across trials, per imbalance ratio."""
     if cfg.classifier != C3:
         raise ValueError("the MCC/J correlation protocol uses classifier c3")
-    table = run_imbalance_sim(cfg, threads=threads)
+    table = run_imbalance_sim(cfg)
     rs = []
     for pi in cfg.pis:
         try:
@@ -256,9 +256,9 @@ class ShrinkwrapConfig:
     mask, background outside), the remainder spread uniformly; ``c`` moves
     linearly from ``confidence_start`` to ``confidence_final``.  Once the
     margin hits zero the per-element probabilities move linearly to the
-    exact one-hot ground truth over the remaining iterations.  The three
-    integer settings must be integers (``operator.index``): 1.5 raises
-    ``TypeError``.
+    exact one-hot ground truth over the remaining iterations.  ``scene``
+    must be of the two-squares-notch kind.  The three integer settings
+    must be integers (``operator.index``): 1.5 raises ``TypeError``.
     """
 
     scene: SceneSpec = SceneSpec(kind=TWO_SQUARES_NOTCH, dims=(80, 56), cell_size=8, seed=0)
@@ -271,6 +271,8 @@ class ShrinkwrapConfig:
 
     def __post_init__(self):
         set_integers(self, "iterations", "margin_start", "iters_per_margin_step")
+        if self.scene.kind != TWO_SQUARES_NOTCH:
+            raise ValueError("the shrinkwrap trajectory runs on the two-squares-notch scene")
         if self.margin_start < 1:
             raise ValueError("initial margin must be >= 1")
         if not 0.25 < self.confidence_start <= self.confidence_final < 1.0:
@@ -347,10 +349,10 @@ def _squared_distance(fg: np.ndarray, reach: int) -> np.ndarray:
 def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     """Walk the prescribed trajectory and record each loss's gradient norm.
 
-    The scene must be the two-squares-notch geometry; the cells' dilation
-    absorbs the notch and touching structure until the margin reaches zero,
-    at which point the mask hugs the cells but the rare classes are still
-    wrong ("the shrinkwrap point").
+    The scene is the two-squares-notch geometry, which the configuration
+    requires; the cells' dilation absorbs the notch and touching structure
+    until the margin reaches zero, at which point the mask hugs the cells
+    but the rare classes are still wrong ("the shrinkwrap point").
 
     The mask at margin ``m`` is ``d2 <= m*m`` on one squared distance field
     of the cells (:func:`_squared_distance`), the same set as a dilation by
@@ -382,8 +384,6 @@ def run_shrinkwrap(cfg: ShrinkwrapConfig) -> ShrinkwrapTrace:
     85 steps run the cores.  The shrinkwrap step itself is always built:
     the margin falls from 1 to 0 there.
     """
-    if cfg.scene.kind != TWO_SQUARES_NOTCH:
-        raise ValueError("the shrinkwrap trajectory runs on the two-squares-notch scene")
     scene = generate_scene(cfg.scene)
     semantic = to_semantic(scene, cfg.transform)
     channels = cfg.transform.channels

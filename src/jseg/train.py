@@ -42,8 +42,9 @@ class TrainConfig:
     is exactly uniform and a single descent step already classifies every
     element correctly, which makes timing comparisons between losses
     degenerate; a small noise level gives every loss actual work to do and
-    gives the seed its role.  ``iterations`` and ``log_every`` must be
-    integers (``operator.index``): 1.5 raises ``TypeError``.
+    gives the seed its role.  ``iterations``, ``log_every`` and ``seed``
+    must be integers (``operator.index``): 1.5 raises ``TypeError``.
+    ``seed`` must be >= 0.
     """
 
     loss: str = "jc"
@@ -55,7 +56,7 @@ class TrainConfig:
     init_noise: float = 0.5
 
     def __post_init__(self):
-        set_integers(self, "iterations", "log_every")
+        set_integers(self, "iterations", "log_every", "seed")
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if not self.step_size > 0:  # written so that NaN fails too
@@ -64,6 +65,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.log_every < 1:
             raise ValueError("log period must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not self.init_noise >= 0:

@@ -13,7 +13,7 @@ from jseg import (
     probs_to_logits,
     softmax,
 )
-from jseg.grids import PROB_ATOL, argmax_channels, channel_views, fold_views, softmax_values
+from jseg.grids import PROB_ATOL, BoundSoftmax, argmax_channels, channel_views, fold_views
 
 
 def _each_kind(dims, rng):
@@ -114,7 +114,7 @@ def test_a_softmax_that_is_never_pulled_back_makes_no_pull_back_array():
     stack = np.random.default_rng(4).normal(size=(512, 4, 64))
     tracemalloc.start()
     try:
-        out = softmax_values(stack)
+        out = BoundSoftmax(stack)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

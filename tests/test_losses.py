@@ -23,7 +23,7 @@ from jseg import (
     probs_to_logits,
 )
 from jseg._util import l2_norm
-from jseg.grids import BoundSoftmax, planar, softmax_values
+from jseg.grids import BoundSoftmax, planar
 from jseg.losses import (_CORES, CLOSED_FORM_RTOL, FD_CHUNK_ELEMENTS, LOG_EPS, _build_core,
                          _stack_totals)
 from oracles import default_order_pull_back, default_order_softmax, dense_core, pair_loop_j
@@ -311,7 +311,7 @@ def test_j_core_matches_the_pair_loop_oracle(dims):
     for present in ([0, 1, 2, 3], [0, 2, 3], [1, 3]):
         classes = rng.choice(present, size=dims).astype(np.int32)
         y = one_hot(SemanticLabelMap(classes), 4).values
-        z = softmax_values(rng.normal(0.0, 2.0, size=(4, y[..., 0].size)))
+        z = BoundSoftmax(rng.normal(0.0, 2.0, size=(4, y[..., 0].size)))()
         lam = rng.random((4, 4)) * (rng.random((4, 4)) > 0.2)
         want, want_dz = pair_loop_j(y, z.T.reshape(y.shape), lam)
         parts, dz, _ = _CORES["j"](planar(y), PairWeights(lam))(z)
@@ -334,7 +334,7 @@ def test_batched_cores_equal_per_item_cores(loss_id):
     # A stack gets its items' values and no gradient.
     rng = np.random.default_rng(17)
     y = planar(_random_one_hot(rng, (5, 3)).values)
-    z = softmax_values(rng.normal(size=(3, 4, 15)))
+    z = BoundSoftmax(rng.normal(size=(3, 4, 15)))()
     weights = PairWeights(rng.random((4, 4)))
     core = _CORES[loss_id](y, weights)
     parts, dz, c = core(z)
@@ -356,7 +356,7 @@ def test_batched_cores_equal_per_item_cores_at_clamped_absent_and_nan_entries(lo
     assert sorted(np.unique(classes)) == [0, 1, 2]
     y = planar(one_hot(SemanticLabelMap(classes), 4).values)
     targets, elements = np.argmax(y, axis=0), np.arange(y.shape[-1])
-    z = softmax_values(rng.normal(size=(6, 4, 15)))
+    z = BoundSoftmax(rng.normal(size=(6, 4, 15)))()
     z[1, targets[:4], elements[:4]] = 0.0
     z[2, targets[3:9], elements[3:9]] = LOG_EPS
     z[3, targets[::2], elements[::2]] = np.resize([0.0, LOG_EPS], 8)
@@ -383,7 +383,7 @@ def test_value_path_equals_the_full_cores_parts(loss_id, dims):
     # the field's components.
     rng = np.random.default_rng(21)
     y = _random_one_hot(rng, dims)
-    z = softmax_values(rng.normal(size=(4, y.values[..., 0].size)))
+    z = BoundSoftmax(rng.normal(size=(4, y.values[..., 0].size)))()
     weights = PairWeights(rng.random((4, 4)))
     probs = ProbabilityField(z.T.reshape(y.values.shape))
     components = evaluate_loss(loss_id, y, probs, weights).components
@@ -459,7 +459,7 @@ def test_softmax_and_pull_back_keep_the_default_order_bits(shape):
         uniform = float(rng.random())
         want_z = default_order_softmax(x, -2)
         theta[...] = x
-        z = softmax_values(x)
+        z = BoundSoftmax(x)()
         assert _same_bits(z, want_z) and z.flags.c_contiguous
         for bound in (BoundSoftmax(x.copy(), y), softmax):
             z = bound()

@@ -95,6 +95,26 @@ def test_spec_invariants():
             SceneSpec(kind="two-squares-notch", dims=(24, 16), **fields)
     with pytest.raises(TypeError):
         SceneSpec(kind="random-blobs", dims=(24, 16), n_blobs=2.5)
+    # A seed is an integer, checked when the spec is made.
+    for kind in ("two-squares-notch", "random-blobs"):
+        with pytest.raises(TypeError):
+            SceneSpec(kind=kind, dims=(24, 16), seed=2.5)
+    # Each kind checks the ranges of only the fields it reads: a notch
+    # longer than the cell is refused, as are no blobs and a negative seed
+    # for the blobs, but a blob scene's cell may be shorter than the
+    # default notch, and a notch scene reads no blob count and no seed.
+    with pytest.raises(ValueError, match="notch length"):
+        _spec(cell_size=3, notch_length=4)
+    with pytest.raises(ValueError, match="blob"):
+        SceneSpec(kind="random-blobs", dims=(24, 16), n_blobs=0)
+    with pytest.raises(ValueError, match="seed"):
+        SceneSpec(kind="random-blobs", dims=(24, 16), seed=-1)
+    assert np.array_equal(generate_scene(_spec(n_blobs=0, seed=-1)).labels,
+                          generate_scene(_spec()).labels)
+    for cell_size in (1, 2, 3):
+        spec = SceneSpec(kind="random-blobs", dims=(64, 64), cell_size=cell_size, seed=cell_size)
+        want = full_grid_blobs((64, 64), spec.n_blobs, cell_size, cell_size)
+        assert generate_scene(spec).labels.tobytes() == want.tobytes()
 
 
 def _blob_specs():
@@ -111,8 +131,8 @@ def _blob_specs():
 
 
 def _blobs(dims, n_blobs, cell_size, seed):
-    spec = SceneSpec(kind="random-blobs", dims=dims, cell_size=cell_size, notch_length=0,
-                     seed=seed, n_blobs=n_blobs)
+    spec = SceneSpec(kind="random-blobs", dims=dims, cell_size=cell_size, seed=seed,
+                     n_blobs=n_blobs)
     return generate_scene(spec).labels
 
 

@@ -58,8 +58,8 @@ def test_c1_accuracy_matches_closed_form():
 
 def test_imbalance_determinism_and_thread_independence():
     cfg = _small_cfg()
-    a = run_imbalance_sim(cfg, threads=1)
-    b = run_imbalance_sim(cfg, threads=8)
+    a = run_imbalance_sim(cfg)
+    b = run_imbalance_sim(cfg)
     assert a.rows.tobytes() == b.rows.tobytes()
     for pi in cfg.pis:
         for measure in ("pi", "trial", "j", "mcc"):
@@ -151,6 +151,11 @@ def test_imbalance_config_validation():
         _small_cfg(samples=10**9 + 1)
     with pytest.raises(ValueError):
         _small_cfg(classifier="c2")
+    # A seed is a non-negative integer, checked when the config is made.
+    with pytest.raises(TypeError):
+        _small_cfg(seed=2.5)
+    with pytest.raises(ValueError, match="seed"):
+        _small_cfg(seed=-1)
     # One block per ratio: a repeated ratio would pool two blocks in the
     # summary but keep only the last block's resampling count.
     for pis in ((0.01, 0.01), (0.25, 0.5, 0.25)):
@@ -234,10 +239,9 @@ def test_shrinkwrap_final_gradients_vanish():
 
 
 def test_shrinkwrap_rejects_other_scenes():
-    with pytest.raises(ValueError):
-        run_shrinkwrap(
-            _fast_shrinkwrap(scene=SceneSpec(kind="random-blobs", dims=(40, 28), seed=0))
-        )
+    # The configuration refuses the scene before anything runs.
+    with pytest.raises(ValueError, match="two-squares-notch"):
+        _fast_shrinkwrap(scene=SceneSpec(kind="random-blobs", dims=(40, 28), seed=0))
 
 
 def test_shrinkwrap_confidence_invariants():

@@ -86,19 +86,22 @@ def test_bench_pairs_applies_the_pair_rule_to_fixed_numbers():
         bench_pairs.summarize(parent, parent[:9])
 
 
-def _fake_checkout(root: Path, p50: float, rate: float, log: Path) -> Path:
+def _fake_checkout(root: Path, p50: float, rate: float, log: Path, failed: int = 0,
+                   result: bool = True, end: str = "") -> Path:
     """A checkout that declares a lower-is-better and a higher-is-better
-    metric, whose benchmark prints ``p50`` and ``rate`` for them and a metric
-    it does not declare, and appends the checkout's name to ``log``."""
+    metric, whose benchmark appends the checkout's name to ``log``, prints
+    a line and then, when ``result`` holds, its result: ``p50`` and
+    ``rate`` for the two metrics, a metric it does not declare and
+    ``failed`` ops.  The statement ``end`` runs last."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]}))
     metrics = {"op_p50_ms": {"value": p50}, "ops_per_s": {"value": rate},
                "grids.softmax.calls": {"value": 3}}
-    result = {"correct": True, "failed": 0, "metrics": metrics}
+    line = {"correct": failed == 0, "failed": failed, "metrics": metrics}
     (root / "perfbench" / "run.py").write_text(
         f"with open({str(log)!r}, 'a') as f:\n    f.write({root.name!r})\n"
-        f"print('a metric line')\nprint({json.dumps(result)!r})\n")
+        f"print('a metric line')\n{f'print({json.dumps(line)!r})' if result else ''}\n{end}\n")
     return root
 
 
@@ -127,3 +130,19 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
         "ops_per_s: change wins 0, 0 ties; medians: parent 100, change 90; "
         "parent quartiles 100 to 100, distance 0; gain claimable: no",
     ]
+
+
+def test_bench_pairs_names_a_run_that_ends_without_its_result(tmp_path):
+    log = tmp_path / "order.log"
+    crashed = _fake_checkout(tmp_path / "crashed", 10.0, 100.0, log, result=False,
+                             end="raise MemoryError('no room for the scene')")
+    with pytest.raises(RuntimeError) as info:
+        bench_pairs.run_once(crashed, "segment")
+    message = str(info.value)
+    assert message.startswith(f"{crashed}: the segment run exited 1 without its result")
+    assert message.endswith("MemoryError: no room for the scene")
+    # A run whose ops failed exits 1 but prints its result, which counts.
+    failing = _fake_checkout(tmp_path / "failing", 10.0, 100.0, log, failed=2,
+                             end="raise SystemExit(1)")
+    values, failed = bench_pairs.run_once(failing, "segment")
+    assert (values["op_p50_ms"], failed) == (10.0, 2)

@@ -111,6 +111,10 @@ def test_config_validation():
         TrainConfig(iterations=-1)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="lbfgs")
+    with pytest.raises(TypeError):
+        TrainConfig(seed=2.5)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 def test_components_recorded():

@@ -76,14 +76,25 @@ def fresh_bytecode(checkout: Path) -> None:
 
 def run_once(checkout: Path, workload: str) -> tuple[dict[str, float], int]:
     """Every metric's value and the failed ops of one benchmark run in
-    ``checkout``."""
+    ``checkout``.
+
+    A run whose last stdout line is not its JSON result raises
+    ``RuntimeError`` naming the checkout, the workload, the exit code and
+    the last 20 lines of stderr.  A run that prints its result and exits
+    1, as the benchmark does when ops fail, still counts: its failed ops
+    are in the result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0",
             "--seed", str(SEED)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: the benchmark printed nothing:\n{done.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        tail = "\n".join(done.stderr.strip().splitlines()[-20:])
+        raise RuntimeError(
+            f"{checkout}: the {workload} run exited {done.returncode} without its result; "
+            f"stderr ends:\n{tail}"
+        ) from None
     return {m: v["value"] for m, v in result["metrics"].items()}, result["failed"]
 
 
