@@ -1,6 +1,7 @@
 """Small shared helpers: deterministic thread mapping, the integer rule of
-every config, seed derivation, a thread-count-independent norm, the
-column table of a step loop's trace and the one CSV writer.
+every config, the seed rule of every seeded entry point, seed derivation,
+a thread-count-independent norm, the column table of a step loop's trace
+and the one CSV writer.
 
 The CSV writer formats cells, not rows: per chunk of rows, each numeric
 column formats each of its distinct values once, and one pass can write
@@ -55,6 +56,16 @@ def set_integers(config, *names: str) -> None:
     a Python int), and 2.5 or NaN raise ``TypeError``."""
     for name in names:
         object.__setattr__(config, name, operator.index(getattr(config, name)))
+
+
+def check_seed(seed) -> int:
+    """``operator.index`` of ``seed``, which must be >= 0: 2.5 raises
+    ``TypeError``, and -1 ``ValueError`` naming the seed, where numpy's
+    generators would name no field."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:

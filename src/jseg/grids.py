@@ -5,8 +5,9 @@ fields over 2-D or 3-D element grids, plus the softmax / one-hot bridges
 between them.  Container arrays are stored C-order with the class channel
 last and are marked read-only once a container is built, so instances
 can move between threads freely.  All reductions run in a fixed order
-(numpy's pairwise summation, or an in-order fold over the channels),
-which keeps results independent of worker count.
+(numpy's pairwise summation, or, in a probability field's simplex check,
+an in-order fold over the channel slices), which keeps results
+independent of worker count.
 
 Each construction checks its input once and makes exactly one copy, in
 the container's dtype (int32 for maps, float64 for fields), so no caller
@@ -136,7 +137,12 @@ class ProbabilityField:
             if not (np.isfinite(low) and np.isfinite(high)):
                 raise ValueError("probability values must be finite")
             raise ValueError("probabilities must lie in [0, 1]")
-        sums = fold_views(np.add, channel_views(values))
+        # The channel slices folded in order: below 8 channels, the bits of
+        # values.sum(axis=-1), which folds in order too, without the loop
+        # overhead numpy pays per element over a short last axis.
+        sums = values[..., 0] + values[..., 1]
+        for c in range(2, values.shape[-1]):
+            sums += values[..., c]
         worst = float(max(sums.max() - 1.0, 1.0 - sums.min()))
         if worst > PROB_ATOL:
             raise ValueError(f"per-element probabilities must sum to 1 (off by {worst:.3g})")
@@ -155,8 +161,9 @@ class ProbabilityField:
         return bool(np.all((self.values == 1.0) | (self.values == 0.0)))
 
     def argmax_classes(self) -> SemanticLabelMap:
-        """Per-element most likely class; ties go to the lowest index."""
-        return SemanticLabelMap(argmax_channels(self.values)[0])
+        """Per-element most likely class; ties go to the lowest index, as
+        numpy's argmax gives."""
+        return SemanticLabelMap(np.argmax(self.values, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -167,28 +174,6 @@ class LogitField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _field_copy(self.values, "logit"))
-
-
-def channel_views(x: np.ndarray) -> list[np.ndarray]:
-    """The channel (last-axis) slices of ``x``, in order."""
-    return [x[..., c] for c in range(x.shape[-1])]
-
-
-def fold_views(ufunc: np.ufunc, views: list[np.ndarray]):
-    """Fold ``ufunc`` over ``views`` in order (at least two): the first step
-    writes the result and the rest fold into it, so no view is written and
-    no other array is made.
-
-    Folded over ``channel_views(x)``, it gives the same result as
-    ``ufunc.reduce(x, axis=-1)`` for fewer than 8 channels (bar the sign of
-    an all-negative-zero sum), where numpy folds in order too, at a
-    fraction of the cost, since numpy's reduction over a short last axis
-    pays a loop overhead per element.
-    """
-    acc = ufunc(views[0], views[1])
-    for view in views[2:]:
-        ufunc(acc, view, out=acc)
-    return acc
 
 
 def planar(x: np.ndarray) -> np.ndarray:
@@ -216,22 +201,6 @@ def lane_op(ufunc: np.ufunc, planes: list, lane: np.ndarray, outs: list) -> None
     """
     for plane, out in zip(planes, outs):
         ufunc(plane, lane, out=out)
-
-
-def argmax_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index (int32) and value of the largest channel, per element.
-
-    Walks the channel slices in order and moves only to a strictly larger
-    value, so ties go to the lowest index: for finite ``x``, the same as
-    ``np.argmax`` and ``max`` over the last axis, at a fraction of the cost.
-    """
-    best = x[..., 0]
-    index = np.zeros(best.shape, dtype=np.int32)
-    for c in range(1, x.shape[-1]):
-        larger = x[..., c] > best
-        index[larger] = c
-        best = np.where(larger, x[..., c], best)
-    return index, best
 
 
 class BoundSoftmax:

@@ -126,12 +126,13 @@ OpenBLAS threads, as tested.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._util import l2_norm
+from ._util import check_seed, l2_norm
 from .grids import BoundSoftmax, LogitField, ProbabilityField, SemanticLabelMap, one_hot, planar
 
 __all__ = [
@@ -553,8 +554,10 @@ def gradient_check(loss_id: str, seed: int = 0, trials: int = 100, step: float =
     logits, so the finite-difference stacks are ``(2k, C, n)``.  Raises
     ``ValueError`` for an unknown loss, for ``trials < 1`` and, from the
     first trial's :func:`finite_difference_gradient`, for a ``step`` that
-    is not finite and positive.
+    is not finite and positive.  ``seed`` and ``trials`` must be integers
+    (``operator.index``), and ``seed`` must be >= 0.
     """
+    seed, trials = check_seed(seed), operator.index(trials)
     if trials < 1:
         raise ValueError(f"gradient check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)

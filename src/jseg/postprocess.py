@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, argmax_channels
+from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap
 from .transform import CELL, GAP, TOUCHING, ball_footprint
 
 __all__ = [
@@ -63,7 +63,8 @@ def resolve_gaps(
 
     Non-gap elements pass through unchanged; the output never contains the
     gap class.  A map without gap elements is returned as it is, since
-    containers are immutable.
+    containers are immutable.  The restricted MAP is numpy's argmax over
+    the first three channels, so a tie goes to the lowest class.
     """
     classes = semantic.classes
     if classes.shape != probs.values.shape[:-1]:
@@ -76,14 +77,13 @@ def resolve_gaps(
 
     out = classes.copy()
     first3 = probs.values[gap][:, :3]
-    restricted, top = argmax_channels(first3)
     if cfg.gap_mode == MAP3:
-        out[gap] = restricted
+        out[gap] = first3.argmax(axis=-1)
     elif cfg.gap_mode == GAP_TO_BACKGROUND:
         out[gap] = 0
     else:
-        spread = top - np.median(first3, axis=-1)
-        out[gap] = np.where(spread < cfg.tau, restricted, 0)
+        spread = first3.max(axis=-1) - np.median(first3, axis=-1)
+        out[gap] = np.where(spread < cfg.tau, first3.argmax(axis=-1), 0)
     return SemanticLabelMap(out)
 
 

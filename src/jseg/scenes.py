@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import set_integers
+from ._util import check_seed, set_integers
 from .grids import InstanceLabelMap, _check_dims
 from .transform import ball_footprint
 
@@ -67,8 +67,8 @@ class SceneSpec:
             raise ValueError("notch length must lie in [0, cell_size]")
         if self.kind == RANDOM_BLOBS and self.n_blobs < 1:
             raise ValueError("need at least one blob")
-        if self.kind == RANDOM_BLOBS and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.kind == RANDOM_BLOBS:
+            check_seed(self.seed)
 
 
 def generate_scene(spec: SceneSpec) -> InstanceLabelMap:

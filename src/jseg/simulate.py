@@ -25,12 +25,13 @@ Everything is deterministic per seed, independent of thread count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _util
-from ._util import child_rng, columns, l2_norm, ordered_thread_map, set_integers
+from ._util import check_seed, child_rng, columns, l2_norm, ordered_thread_map, set_integers
 from .grids import BoundSoftmax, LogitField, ProbabilityField, logit_values, one_hot, planar
 from .losses import FD_CHUNK_ELEMENTS, _build_core, _stack_totals, evaluate_loss
 from .metrics import MEASURES, confusion_measures, pearson
@@ -104,8 +105,7 @@ class ImbalanceSimConfig:
             raise ValueError(f"at most {MAX_SAMPLES} samples per trial, got {self.samples}")
         if self.trials < 2:
             raise ValueError("need at least 2 trials")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -474,8 +474,10 @@ def landscape_scan(
     bit for bit.  Raises what :func:`evaluate_loss` raises for bad inputs,
     and ``ValueError`` for a bad resolution, for a span that is not
     positive or whose grid width ``2 * span`` overflows, and when a
-    perturbed logit is not finite.
+    perturbed logit is not finite.  ``seed`` and ``resolution`` must be
+    integers (``operator.index``), and ``seed`` must be >= 0.
     """
+    seed, resolution = check_seed(seed), operator.index(resolution)
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd number >= 3 so the centre lies on the grid")
     # The grid is 2 * span wide, which must stay finite; NaN fails too.

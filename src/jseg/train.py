@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import child_rng, columns, l2_norm, set_integers
-from .grids import (BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap,
-                    argmax_channels, planar)
+from ._util import check_seed, child_rng, columns, l2_norm, set_integers
+from .grids import BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, planar
 from .losses import LOSS_IDS, PairWeights, _build_core, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
@@ -44,7 +43,7 @@ class TrainConfig:
     degenerate; a small noise level gives every loss actual work to do and
     gives the seed its role.  ``iterations``, ``log_every`` and ``seed``
     must be integers (``operator.index``): 1.5 raises ``TypeError``.
-    ``seed`` must be >= 0.
+    ``seed`` must be >= 0, and ``step_size`` and ``init_noise`` finite.
     """
 
     loss: str = "jc"
@@ -59,18 +58,17 @@ class TrainConfig:
         set_integers(self, "iterations", "log_every", "seed")
         if self.loss not in LOSS_IDS:
             raise ValueError(f"unknown loss {self.loss!r}")
-        if not self.step_size > 0:  # written so that NaN fails too
-            raise ValueError("step size must be positive")
+        if not 0 < self.step_size < math.inf:  # written so that NaN fails too
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.log_every < 1:
             raise ValueError("log period must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.optimizer not in ("gd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not self.init_noise >= 0:
-            raise ValueError("init noise must be >= 0")
+        if not 0 <= self.init_noise < math.inf:
+            raise ValueError(f"init noise must be finite and >= 0, got {self.init_noise}")
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,8 @@ class _Adam:
 def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
     """Whether MAP classifies every gap element of ``target`` as GAP, as a
     function of the planar ``(C, n)`` logits; None when ``target`` has no
-    gap element.
-
-    :func:`argmax_channels` sends ties to the lowest index, so an element
-    is classed GAP exactly when its GAP logit is strictly greater than every
-    lower channel and no smaller than any higher one.  The gap elements'
-    columns are found once, here; each call gathers them and compares.  With
-    the four-class transform GAP is the last channel, so that is one
-    comparison.
+    gap element.  The gap elements' columns are found once, here; each
+    call gathers them and takes their argmax over the channels.
     """
     has_gap = target.channels > GAP
     cols = np.flatnonzero(target.values[..., GAP] == 1.0) if has_gap else []
@@ -144,9 +136,7 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
         return None
 
     def check(theta: np.ndarray) -> bool:
-        g = theta.take(cols, axis=1)
-        top = g[GAP]
-        return bool((g[:GAP] < top).all() and (g[GAP + 1 :] <= top).all())
+        return bool((np.argmax(theta.take(cols, axis=1), axis=0) == GAP).all())
 
     return check
 
@@ -218,7 +208,7 @@ def train(
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
     def measure_pq(probs: np.ndarray) -> float:
-        decided = argmax_channels(probs.T)[0]
+        decided = np.argmax(probs, axis=0)
         key = decided.tobytes()
         if key not in measured:
             decided[decided == GAP] = BACKGROUND  # the "background" gap mode

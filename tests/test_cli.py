@@ -549,6 +549,8 @@ def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
         (["grad-check", "--loss", "ce", "--trials", "1", "--step", "0"], "step must"),
         (["train-toy", "--iterations", "1", "--step", "nan"], "step size"),
         (["train-toy", "--iterations", "1", "--init-noise", "nan"], "init noise"),
+        (["train-toy", "--iterations", "1", "--init-noise", "inf"], "init noise"),
+        (["train-toy", "--iterations", "1", "--step", "inf"], "step size"),
         (["landscape", "--resolution", "3", "--span", "nan"], "span"),
         (["sim-imbalance", "--samples", str(10**9 + 1)], "samples"),
         (["sim-imbalance", "--pis", "1e-12", "--samples", "100", "--trials", "2"], "pi=1e-12"),
@@ -558,6 +560,23 @@ def test_settings_that_cannot_run_are_data_errors(tmp_path, capsys, argv, messag
     out = tmp_path / "out"
     assert run(*argv, "--seed", "0", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grad-check", "--loss", "jc", "--trials", "1"],
+        ["landscape", "--resolution", "3"],
+        ["gen-scene", "--kind", "random-blobs"],
+        ["train-toy", "--iterations", "1"],
+        ["sim-imbalance", "--pis", "0.1", "--samples", "100", "--trials", "2"],
+    ],
+)
+def test_a_negative_seed_is_a_data_error_named_by_every_seeded_subcommand(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == 2
+    assert "jseg: seed must be >= 0, got -1\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -164,11 +164,21 @@ def test_gradients_match_finite_differences(loss_id):
 
 
 @pytest.mark.parametrize(
-    "settings", [{"trials": 0}, {"trials": -3}, {"step": np.nan}, {"step": 0.0}, {"step": np.inf}]
+    "settings",
+    [{"trials": 0}, {"trials": -3}, {"step": np.nan}, {"step": 0.0}, {"step": np.inf}, {"seed": -1}],
 )
 def test_gradient_check_rejects_settings_it_cannot_run(settings):
-    with pytest.raises(ValueError, match="trials|step"):
+    with pytest.raises(ValueError, match="trials|step|seed must be >= 0, got -1"):
         gradient_check("ce", **settings)
+
+
+def test_gradient_check_takes_integer_seeds_and_trials():
+    # 2.5 once failed inside numpy's SeedSequence, and True was reported as True.
+    for settings in ({"seed": 2.5}, {"trials": 2.5}, {"seed": np.nan}):
+        with pytest.raises(TypeError):
+            gradient_check("ce", **settings)
+    report = gradient_check("ce", seed=np.int64(3), trials=True)
+    assert type(report["trials"]) is int and report == gradient_check("ce", seed=3, trials=1)
 
 
 @pytest.mark.parametrize("step", [np.nan, 0.0, -1e-5, np.inf])

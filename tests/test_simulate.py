@@ -455,6 +455,12 @@ def test_landscape_validation():
     y, theta = _landscape_inputs()
     with pytest.raises(ValueError):
         landscape_scan("jc", y, theta, resolution=10)
+    # A seed is a non-negative integer, and so is the resolution.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        landscape_scan("jc", y, theta, seed=-1)
+    for settings in ({"seed": 2.5}, {"resolution": 5.0}):
+        with pytest.raises(TypeError):
+            landscape_scan("jc", y, theta, **settings)
     # Past about 8.99e307, 2 * span and so linspace's grid overflow.
     for span in (0.0, np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="span"):

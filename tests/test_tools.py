@@ -68,34 +68,69 @@ _BENCH_PAIRS_SPEC.loader.exec_module(bench_pairs)
 def test_bench_pairs_applies_the_pair_rule_to_fixed_numbers():
     parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]
     # Exclusive quartiles of 10..19: 11.75 and 17.25.
-    s = bench_pairs.summarize(parent, [9.0, 10, 11, 12, 13, 14, 15, 16, 17, 19])
+    s = bench_pairs.summarize(parent, [9.0, 10, 11, 12, 13, 14, 15, 16, 17, 19], 0.5)
     assert (s["pairs"], s["wins"], s["ties"]) == (10, 9, 1)
     assert (s["parent_median"], s["change_median"]) == (14.5, 13.5)
     assert s["parent_quartiles"] == (11.75, 17.25) and s["parent_iqr"] == 5.5
     assert not s["gain"]  # 9 of 10 pairs, but the medians are 1 apart
     faster = [p - 6 for p in parent]
-    assert bench_pairs.summarize(parent, faster)["gain"]
-    slower = bench_pairs.summarize(parent, faster, lower_is_better=False)
+    assert bench_pairs.summarize(parent, faster, 0.5)["gain"]
+    slower = bench_pairs.summarize(parent, faster, 0.5, lower_is_better=False)
     assert (slower["wins"], slower["gain"]) == (0, False)
     one_loss = faster[:9] + [parent[9] + 1]
-    assert bench_pairs.summarize(parent, one_loss)["wins"] == 9
-    assert bench_pairs.summarize(parent, one_loss)["gain"]
+    assert bench_pairs.summarize(parent, one_loss, 0.5)["wins"] == 9
+    assert bench_pairs.summarize(parent, one_loss, 0.5)["gain"]
     two_losses = faster[:8] + [parent[8] + 1, parent[9] + 1]
-    assert not bench_pairs.summarize(parent, two_losses)["gain"]
+    assert not bench_pairs.summarize(parent, two_losses, 0.5)["gain"]
     with pytest.raises(ValueError):
-        bench_pairs.summarize(parent, parent[:9])
+        bench_pairs.summarize(parent, parent[:9], 0.5)
+
+
+_PARENT = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # median 104.5, distance 5.5
+
+
+def test_bench_pairs_reports_worse_past_the_bound_of_the_parents_median():
+    # A bound of 0.1 is 10.45 here; the change's median is 11 worse.
+    s = bench_pairs.summarize(_PARENT, [p + 11 for p in _PARENT], 0.1)
+    assert (s["limit"], s["worse"]) == (0.1 * 104.5, "worse")
+    assert bench_pairs.summarize(_PARENT, [p + 10 for p in _PARENT], 0.1)["worse"] == "no"
+    # Higher is better: 11 fewer ops per second are as bad.
+    fewer = bench_pairs.summarize(_PARENT, [p - 11 for p in _PARENT], 0.1, lower_is_better=False)
+    assert fewer["worse"] == "worse"
+    # Worse beats the spread: a bound below the distance still reads worse.
+    assert bench_pairs.summarize(_PARENT, [p + 11 for p in _PARENT], 0.01)["worse"] == "worse"
+
+
+def test_bench_pairs_reports_unresolved_when_the_parent_spreads_past_the_bound():
+    # A bound of 0.05 is 5.225, below the parent's distance of 5.5.
+    s = bench_pairs.summarize(_PARENT, _PARENT, 0.05)
+    assert s["limit"] < s["parent_iqr"] and s["worse"] == "unresolved"
+    # Most change runs beat the parent's, but not every one beats every one.
+    nearly = [p - 9 for p in _PARENT]
+    assert bench_pairs.summarize(_PARENT, nearly, 0.05)["worse"] == "unresolved"
+
+
+def test_bench_pairs_reports_no_when_neither_rule_holds():
+    assert bench_pairs.summarize(_PARENT, [p + 5 for p in _PARENT], 0.06)["worse"] == "no"
+    # The spread exceeds the bound, but every change run beats every parent run.
+    better = [p - 10 for p in _PARENT]
+    assert bench_pairs.summarize(_PARENT, better, 0.05)["worse"] == "no"
+    more = bench_pairs.summarize(_PARENT, [p + 10 for p in _PARENT], 0.05, lower_is_better=False)
+    assert more["worse"] == "no"
 
 
 def _fake_checkout(root: Path, p50: float, rate: float, log: Path, failed: int = 0,
                    result: bool = True, end: str = "") -> Path:
     """A checkout that declares a lower-is-better and a higher-is-better
-    metric, whose benchmark appends the checkout's name to ``log``, prints
-    a line and then, when ``result`` holds, its result: ``p50`` and
-    ``rate`` for the two metrics, a metric it does not declare and
-    ``failed`` ops.  The statement ``end`` runs last."""
+    metric, with bounds of 0.1 and 0.2, whose benchmark appends the
+    checkout's name to ``log``, prints a line and then, when ``result``
+    holds, its result: ``p50`` and ``rate`` for the two metrics, a metric
+    it does not declare and ``failed`` ops.  The statement ``end`` runs
+    last."""
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]}))
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.1},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2}]}))
     metrics = {"op_p50_ms": {"value": p50}, "ops_per_s": {"value": rate},
                "grids.softmax.calls": {"value": 3}}
     line = {"correct": failed == 0, "failed": failed, "metrics": metrics}
@@ -126,9 +161,9 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
         "pair 2 (change first, parent / change): op_p50_ms 10 / 8, ops_per_s 100 / 90",
         "segment, 2 pairs; failed ops: parent 0, change 0",
         "op_p50_ms: change wins 2, 0 ties; medians: parent 10, change 8; "
-        "parent quartiles 10 to 10, distance 0; gain claimable: yes",
+        "parent quartiles 10 to 10, distance 0; gain claimable: yes; bound 1, worse: no",
         "ops_per_s: change wins 0, 0 ties; medians: parent 100, change 90; "
-        "parent quartiles 100 to 100, distance 0; gain claimable: no",
+        "parent quartiles 100 to 100, distance 0; gain claimable: no; bound 20, worse: no",
     ]
 
 

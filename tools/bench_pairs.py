@@ -13,9 +13,9 @@ checkouts is removed and those trees are compiled anew, so that neither
 side reads bytecode left by an earlier state of its files.  The parent
 runs first in odd pairs and the change first in even ones.  Every run
 prints its metrics last, as one JSON object; the script reads each
-``end_to_end`` metric that the parent's BENCHMARK.json declares, and
-whether lower or higher is better.  It prints each pair's values, then
-for each metric:
+``end_to_end`` metric that the parent's BENCHMARK.json declares, whether
+lower or higher is better, and its bound.  It prints each pair's values,
+then for each metric:
 
 - the pairs the change wins, and the ties, which count for neither side;
 - the median of each side;
@@ -23,7 +23,13 @@ for each metric:
   default method is the exclusive one);
 - whether a gain may be claimed: the change wins at least nine tenths of
   all pairs, its median beats the parent's by more than that distance, and
-  no more of its ops fail than the parent's.
+  no more of its ops fail than the parent's;
+- whether the metric got worse, the verdict on a change that claims no
+  gain.  The bound is a fraction of the parent's median.  ``worse``: the
+  change's median is worse than the parent's by more than the bound.
+  ``unresolved``: it is not, but the parent's inter-quartile distance
+  exceeds the bound, so the runs spread too widely to tell, unless every
+  run of the change beats every run of the parent.  ``no`` otherwise.
 """
 
 import argparse
@@ -38,10 +44,13 @@ from pathlib import Path
 SEED = 1
 
 
-def summarize(parent: list[float], change: list[float], lower_is_better: bool = True) -> dict:
+def summarize(parent: list[float], change: list[float], bound: float,
+              lower_is_better: bool = True) -> dict:
     """The pair rule over ``parent[i]`` and ``change[i]``, the two runs of
     pair ``i``: wins, ties, both medians, the parent's quartiles, their
-    distance, and whether the metric's gain may be claimed."""
+    distance, whether the metric's gain may be claimed, and whether it got
+    worse by more than ``bound``, a fraction of the parent's median: the
+    ``worse`` verdict, with the bound in the metric's unit as ``limit``."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("the pair rule needs two or more pairs of runs")
     sign = 1 if lower_is_better else -1
@@ -49,6 +58,13 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
     ties = sum(p == c for p, c in zip(parent, change))
     q1, _, q3 = statistics.quantiles(parent, n=4)
     medians = statistics.median(parent), statistics.median(change)
+    limit = bound * medians[0]
+    if sign * (medians[1] - medians[0]) > limit:
+        worse = "worse"
+    elif q3 - q1 > limit and not all(sign * (p - c) > 0 for p in parent for c in change):
+        worse = "unresolved"
+    else:
+        worse = "no"
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -58,6 +74,8 @@ def summarize(parent: list[float], change: list[float], lower_is_better: bool = 
         "parent_quartiles": (q1, q3),
         "parent_iqr": q3 - q1,
         "gain": wins >= 0.9 * len(parent) and sign * (medians[0] - medians[1]) > q3 - q1,
+        "limit": limit,
+        "worse": worse,
     }
 
 
@@ -98,11 +116,11 @@ def run_once(checkout: Path, workload: str) -> tuple[dict[str, float], int]:
     return {m: v["value"] for m, v in result["metrics"].items()}, result["failed"]
 
 
-def end_to_end(checkout: Path) -> dict[str, bool]:
+def end_to_end(checkout: Path) -> dict[str, tuple[bool, float]]:
     """Each end-to-end metric of ``checkout``'s BENCHMARK.json, mapped to
-    whether a lower value is better."""
+    whether a lower value is better and to its bound."""
     declared = json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
-    return {m["name"]: m["better"] == "lower" for m in declared}
+    return {m["name"]: (m["better"] == "lower", m["bound"]) for m in declared}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -131,14 +149,15 @@ def main(argv: list[str] | None = None) -> None:
 
     print(f"{args.workload}, {args.pairs} pairs; failed ops: parent {failed['parent']}, "
           f"change {failed['change']}")
-    for m, lower in metrics.items():
-        s = summarize(runs["parent"][m], runs["change"][m], lower)
+    for m, (lower, bound) in metrics.items():
+        s = summarize(runs["parent"][m], runs["change"][m], bound, lower)
         q1, q3 = s["parent_quartiles"]
         gain = s["gain"] and failed["change"] <= failed["parent"]
         print(f"{m}: change wins {s['wins']}, {s['ties']} ties; medians: parent "
               f"{s['parent_median']:.6g}, change {s['change_median']:.6g}; parent quartiles "
               f"{q1:.6g} to {q3:.6g}, distance {s['parent_iqr']:.6g}; "
-              f"gain claimable: {'yes' if gain else 'no'}")
+              f"gain claimable: {'yes' if gain else 'no'}; bound {s['limit']:.6g}, "
+              f"worse: {s['worse']}")
 
 
 if __name__ == "__main__":
