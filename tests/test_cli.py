@@ -549,11 +549,11 @@ def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):
         (["grad-check", "--loss", "ce", "--trials", "1", "--step", "0"], "step must"),
         (["train-toy", "--iterations", "1", "--step", "nan"], "step size"),
         (["train-toy", "--iterations", "1", "--init-noise", "nan"], "init noise"),
-        (["train-toy", "--iterations", "1", "--init-noise", "inf"], "init noise"),
-        (["train-toy", "--iterations", "1", "--step", "inf"], "step size"),
         (["landscape", "--resolution", "3", "--span", "nan"], "span"),
         (["sim-imbalance", "--samples", str(10**9 + 1)], "samples"),
         (["sim-imbalance", "--pis", "1e-12", "--samples", "100", "--trials", "2"], "pi=1e-12"),
+        (["train-toy", "--iterations", "1", "--init-noise", "inf"], "init noise"),
+        (["train-toy", "--iterations", "1", "--step", "inf"], "step size"),
     ],
 )
 def test_settings_that_cannot_run_are_data_errors(tmp_path, capsys, argv, message):
