@@ -56,9 +56,10 @@ from .grids import InstanceLabelMap, ProbabilityField, one_hot, probs_to_logits
 from .gridio import GridIOError, read_grid, write_grid
 from .losses import LOSS_IDS, evaluate_loss, gradient_check
 from .metrics import panoptic
-from .postprocess import PostprocessConfig, instances_from_probs
-from .scenes import RANDOM_BLOBS, TWO_SQUARES_NOTCH, SceneSpec, generate_scene
+from .postprocess import CONNECTIVITIES, GAP_MODES, PostprocessConfig, instances_from_probs
+from .scenes import SCENE_KINDS, TWO_SQUARES_NOTCH, SceneSpec, generate_scene
 from .simulate import (
+    CLASSIFIERS,
     ImbalanceSimConfig,
     ShrinkwrapConfig,
     default_pi_grid,
@@ -67,7 +68,7 @@ from .simulate import (
     run_imbalance_sim,
     run_shrinkwrap,
 )
-from .train import TrainConfig, train
+from .train import OPTIMIZERS, TrainConfig, train
 from .transform import FOUR_CLASS, THREE_CLASS, TransformConfig, to_semantic
 
 
@@ -89,7 +90,7 @@ def _scene_args(p: argparse.ArgumentParser, kinds: bool = True) -> None:
     """The scene flags; without ``kinds``, only the two-squares-notch
     scene's, leaving out ``--kind`` and ``--blobs``."""
     if kinds:
-        p.add_argument("--kind", choices=[TWO_SQUARES_NOTCH, RANDOM_BLOBS], default=TWO_SQUARES_NOTCH)
+        p.add_argument("--kind", choices=SCENE_KINDS, default=TWO_SQUARES_NOTCH)
         p.add_argument("--blobs", type=int, default=SceneSpec.n_blobs)
     p.add_argument("--dims", type=int, nargs="+", default=[24, 16], help="grid extent per axis")
     p.add_argument("--cell-size", type=int, default=SceneSpec.cell_size)
@@ -311,7 +312,7 @@ def _build_parser() -> _Parser:
 
     p = _command(sub, "sim-imbalance", _cmd_sim_imbalance, "random-classifier imbalance sweep",
                  "per-trial CSV path", summary=True)
-    p.add_argument("--classifier", choices=["c1", "c3"], default=ImbalanceSimConfig.classifier)
+    p.add_argument("--classifier", choices=CLASSIFIERS, default=ImbalanceSimConfig.classifier)
     p.add_argument("--pis", type=float, nargs="+", default=None)
     p.add_argument("--samples", type=int, default=ImbalanceSimConfig.samples)
     p.add_argument("--trials", type=int, default=ImbalanceSimConfig.trials)
@@ -338,11 +339,9 @@ def _build_parser() -> _Parser:
 
     p = _command(sub, "postprocess", _cmd_postprocess, "probability field to instance map")
     p.add_argument("--in", required=True)
-    p.add_argument(
-        "--gap-mode", choices=["map3", "background", "dubious"], default=PostprocessConfig.gap_mode
-    )
+    p.add_argument("--gap-mode", choices=GAP_MODES, default=PostprocessConfig.gap_mode)
     p.add_argument("--tau", type=float, default=PostprocessConfig.tau)
-    p.add_argument("--connectivity", choices=["face", "full"], default=PostprocessConfig.connectivity)
+    p.add_argument("--connectivity", choices=CONNECTIVITIES, default=PostprocessConfig.connectivity)
 
     p = _command(sub, "evaluate", _cmd_evaluate, "panoptic metrics of predicted instance maps",
                  "per-pair CSV path", summary=True)
@@ -359,7 +358,7 @@ def _build_parser() -> _Parser:
                    help="gradient-descent step; adam ignores it and runs at its fixed 1e-4")
     p.add_argument("--iterations", type=int, default=TrainConfig.iterations)
     p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
-    p.add_argument("--optimizer", choices=["gd", "adam"], default=TrainConfig.optimizer)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainConfig.optimizer)
     p.add_argument("--init-noise", type=float, default=TrainConfig.init_noise)
 
     return parser

@@ -28,6 +28,7 @@ operation reads a stride-C view.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,9 +300,11 @@ def softmax(logits: LogitField) -> ProbabilityField:
 def one_hot(semantic: SemanticLabelMap, channels: int) -> ProbabilityField:
     """Exact one-hot encoding of a semantic map into ``channels`` channels.
 
-    Channel sums recover the per-class element counts.
+    Channel sums recover the per-class element counts.  ``channels`` must be
+    an integer (``operator.index``): 2.5 raises ``TypeError``.
     """
     classes = semantic.classes
+    channels = operator.index(channels)
     if channels < 2:
         raise ValueError("one-hot encoding needs at least 2 channels")
     top = int(classes.max(initial=0))

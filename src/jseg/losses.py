@@ -378,8 +378,10 @@ def _j_core(y, weights):
     np.fill_diagonal(pairs, False)
     half_lam = 0.5 * lam
     # Both modes run the pairs in row order: a stack as numpy arrays over
-    # the pair list, a field the tail in Python floats.  Per pair they are
-    # the same IEEE operations as the matrix form over all C x C pairs,
+    # the pair list, a field the tail in Python floats.  A field on the
+    # stack's numpy path gives the same bits but made the ``toy`` benchmark's
+    # median op time about 5% slower, so it keeps the float tail.  Per pair
+    # they are the same IEEE operations as the matrix form over all C x C pairs,
     # which ``dense_core`` in tests/oracles.py runs for the value and the
     # gradient.  A field's log stays one numpy call.  M is held as a flat
     # list; flat index i * C + k is entry [i, k].  numpy sums a row of fewer

@@ -27,9 +27,11 @@ __all__ = [
 MAP3 = "map3"
 GAP_TO_BACKGROUND = "background"
 DUBIOUS = "dubious"
+GAP_MODES = (MAP3, GAP_TO_BACKGROUND, DUBIOUS)
 
 FACE = "face"
 FULL = "full"
+CONNECTIVITIES = (FACE, FULL)
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,16 @@ class PostprocessConfig:
     connectivity: str = FACE
 
     def __post_init__(self):
-        if self.gap_mode not in (MAP3, GAP_TO_BACKGROUND, DUBIOUS):
+        if self.gap_mode not in GAP_MODES:
             raise ValueError(f"unknown gap mode {self.gap_mode!r}")
         if self.gap_mode == DUBIOUS and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.connectivity not in (FACE, FULL):
+        if self.connectivity not in CONNECTIVITIES:
             raise ValueError(f"unknown connectivity {self.connectivity!r}")
 
 
 def resolve_gaps(
-    semantic: SemanticLabelMap, probs: ProbabilityField, cfg: PostprocessConfig
+    semantic: SemanticLabelMap, probs: ProbabilityField, cfg: PostprocessConfig | None = None
 ) -> SemanticLabelMap:
     """Re-decide every gap element onto the first three classes.
 
@@ -75,6 +77,7 @@ def resolve_gaps(
     if probs.channels < 3:
         raise ValueError("gap resolution needs at least 3 channels")
 
+    cfg = cfg or PostprocessConfig()
     out = classes.copy()
     first3 = probs.values[gap][:, :3]
     if cfg.gap_mode == MAP3:

@@ -15,6 +15,7 @@ __all__ = ["SceneSpec", "generate_scene", "TWO_SQUARES_NOTCH", "RANDOM_BLOBS"]
 
 TWO_SQUARES_NOTCH = "two-squares-notch"
 RANDOM_BLOBS = "random-blobs"
+SCENE_KINDS = (TWO_SQUARES_NOTCH, RANDOM_BLOBS)
 
 #: Extra Euclidean clearance between blob surfaces.  At 1.5 no two labels can
 #: share a face (or a diagonal in 2-D), so rasterized blobs always keep at
@@ -56,7 +57,7 @@ class SceneSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         set_integers(self, "cell_size", "notch_width", "notch_length", "seed", "n_blobs")
-        if self.kind not in (TWO_SQUARES_NOTCH, RANDOM_BLOBS):
+        if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         _check_dims(self.dims)
         if self.cell_size < 1:

@@ -24,6 +24,8 @@ from .transform import BACKGROUND, GAP
 
 __all__ = ["TrainConfig", "TrainTrace", "TrainDiverged", "train"]
 
+OPTIMIZERS = ("gd", "adam")
+
 #: Adam's learning rate, moment decay rates and denominator offset.
 _ADAM_LR = 1e-4
 _ADAM_BETA1 = 0.9
@@ -65,7 +67,7 @@ class TrainConfig:
         if self.log_every < 1:
             raise ValueError("log period must be >= 1")
         check_seed(self.seed)
-        if self.optimizer not in ("gd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0 <= self.init_noise < math.inf:
             raise ValueError(f"init noise must be finite and >= 0, got {self.init_noise}")

@@ -109,6 +109,7 @@ def bottom_hat(instance: InstanceLabelMap, radius: int) -> np.ndarray:
     reaches beyond the ``radius``-padded grid.
     """
     fg = instance.labels > 0
+    ball_footprint(radius, fg.ndim)  # a bad radius gets the ball's rule before any padding
     padded = np.pad(fg, 2 * radius, mode="edge")
     dilated = np.zeros([n + 2 * radius for n in fg.shape], dtype=bool)
     _fold_ball(np.logical_or, padded, radius, dilated)

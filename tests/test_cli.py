@@ -69,6 +69,13 @@ def test_package_all_lists_its_reexports_and_no_module():
     for name in jseg.__all__:
         assert names[name] is getattr(jseg, name), name
         assert not isinstance(names[name], types.ModuleType), name
+    # Each module's __all__ is the one list of its public names: the package
+    # exports exactly their union.
+    modules = ("grids", "gridio", "losses", "metrics", "postprocess", "scenes", "simulate",
+               "train", "transform")
+    # jseg.train is the function, so the modules come from sys.modules.
+    union = {name for module in modules for name in sys.modules[f"jseg.{module}"].__all__}
+    assert set(jseg.__all__) == union and len(union) == 65
 
 
 def test_import_cli_leaves_scipy_ndimage_unloaded():
@@ -831,6 +838,40 @@ def test_manifest_config_keys_of_every_subcommand(tmp_path, grids, name):
 def test_summary_out_is_a_flag_of_the_summary_writers_only():
     has = {name for name, p in _subparsers().items() if "--summary-out" in p._option_string_actions}
     assert has == {"sim-imbalance", "evaluate", "train-toy"}
+
+
+def test_option_choices_are_the_tuples_their_configs_check():
+    # Each value set lives in one module tuple, read by the config's check
+    # and by the parser alike.
+    from jseg.postprocess import CONNECTIVITIES, GAP_MODES
+    from jseg.scenes import SCENE_KINDS
+    from jseg.simulate import CLASSIFIERS
+    from jseg.train import OPTIMIZERS
+
+    subparsers = _subparsers()
+
+    def choices(name: str, flag: str):
+        return subparsers[name]._option_string_actions[flag].choices
+
+    assert choices("postprocess", "--gap-mode") is GAP_MODES
+    assert choices("postprocess", "--connectivity") is CONNECTIVITIES
+    assert choices("sim-imbalance", "--classifier") is CLASSIFIERS
+    assert choices("train-toy", "--optimizer") is OPTIMIZERS
+    for name in ("gen-scene", "landscape", "train-toy"):
+        assert choices(name, "--kind") is SCENE_KINDS
+    checks = [(PostprocessConfig, "gap_mode", GAP_MODES),
+              (PostprocessConfig, "connectivity", CONNECTIVITIES),
+              (ImbalanceSimConfig, "classifier", CLASSIFIERS),
+              (TrainConfig, "optimizer", OPTIMIZERS)]
+    for cls, field, values in checks:
+        for value in values:
+            cls(**{field: value})
+        with pytest.raises(ValueError, match="unknown"):
+            cls(**{field: "none"})
+    for kind in SCENE_KINDS:
+        SceneSpec(kind=kind, dims=(24, 16))
+    with pytest.raises(ValueError, match="unknown scene kind"):
+        SceneSpec(kind="none", dims=(24, 16))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_KEYS))

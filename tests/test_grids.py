@@ -177,6 +177,14 @@ def test_one_hot_rejects_overflowing_class():
         one_hot(SemanticLabelMap(np.array([[3, 0]])), 3)
 
 
+def test_one_hot_takes_integer_channels():
+    # The same TypeError whatever the map's top class, before any range check.
+    for top in (1, 3):
+        with pytest.raises(TypeError):
+            one_hot(SemanticLabelMap(np.array([[top, 0]])), 2.5)
+    assert one_hot(SemanticLabelMap(np.array([[3, 0]])), np.int64(4)).channels == 4
+
+
 def test_one_hot_argmax_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(100):

@@ -51,6 +51,14 @@ def test_resolve_gaps_map3():
     assert resolved.classes[0, 1] == 0  # untouched non-gap element
 
 
+def test_resolve_gaps_without_a_config_uses_the_default():
+    z = _field([[0.2, 0.25, 0.15, 0.4], [0.5, 0.05, 0.05, 0.4]])
+    h = z.argmax_classes()
+    assert np.array_equal(resolve_gaps(h, z, None).classes,
+                          resolve_gaps(h, z, PostprocessConfig()).classes)
+    assert np.array_equal(resolve_gaps(h, z).classes, [[1, 0]])
+
+
 def test_resolve_gaps_background_mode():
     z = _field([[0.2, 0.25, 0.15, 0.4]])
     h = z.argmax_classes()

@@ -59,6 +59,17 @@ def test_step_cost_prints_one_row_per_grid_and_one_column_per_loss(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "| grid | jc | dsc |"
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--repeats"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_step_cost_refuses_run_lengths_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as stop:
+        step_cost.main(["--grids", "24x16", flag, value])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # not even the table's header
+    assert f"{flag} must be >= 1, got {value}" in captured.err
+
+
 _BENCH_PAIRS_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _BENCH_PAIRS_SPEC = importlib.util.spec_from_file_location("bench_pairs", _BENCH_PAIRS_PATH)
 bench_pairs = importlib.util.module_from_spec(_BENCH_PAIRS_SPEC)
@@ -165,6 +176,19 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
         "ops_per_s: change wins 0, 0 ties; medians: parent 100, change 90; "
         "parent quartiles 100 to 100, distance 0; gain claimable: no; bound 20, worse: no",
     ]
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pairs_refuses_fewer_than_two_pairs_before_it_runs(tmp_path, capsys, pairs):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
+    change = _fake_checkout(tmp_path / "c", 8.0, 90.0, log)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(parent), str(change), "--workload", "segment", "--pairs", pairs])
+    assert stop.value.code == 2
+    assert f"--pairs must be >= 2, got {pairs}" in capsys.readouterr().err
+    assert not log.exists()
+    assert not any((root / "perfbench" / "__pycache__").exists() for root in (parent, change))
 
 
 def test_bench_pairs_names_a_run_that_ends_without_its_result(tmp_path):

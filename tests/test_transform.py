@@ -264,3 +264,10 @@ def test_named_errors(d):
     for axes in (0, -1):
         with pytest.raises(ValueError, match="at least 1 axis"):
             ball_footprint(1, axes)
+    # bottom_hat checks its radius by the ball's rule before it pads.
+    instance = InstanceLabelMap(np.ones((4,) * d, dtype=np.int32))
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match=re.escape("structuring-element radius must be >= 1")):
+            bottom_hat(instance, radius)
+    with pytest.raises(TypeError):
+        bottom_hat(instance, 2.5)

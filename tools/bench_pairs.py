@@ -128,8 +128,10 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 2, as the pair rule needs")
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # refused before anything is compiled or run
+        parser.error(f"--pairs must be >= 2, got {args.pairs}")
 
     metrics = end_to_end(args.parent)
     runs = {"parent": {m: [] for m in metrics}, "change": {m: [] for m in metrics}}

@@ -67,6 +67,10 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--steps", type=int, help="n of T(n) for every grid")
     parser.add_argument("--repeats", type=int, help="runs per T for every grid")
     args = parser.parse_args(argv)
+    for flag in ("steps", "repeats"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag} must be >= 1, got {value}")
     print("| grid | " + " | ".join(args.losses) + " |")
     print("|---" * (len(args.losses) + 1) + "|")
     for name in args.grids:
