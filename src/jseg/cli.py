@@ -249,7 +249,9 @@ def _cmd_evaluate(args, out, summary) -> None:
         for gt_path, pred_path in zip(args.gt, args.pred)
     ]
     columns = {m: [r[m] for r in reports] for m in ("p05", "rq", "sq", "pq")}
-    write_csv(out, ["gt", "pred", *columns], [args.gt, args.pred, *columns.values()])
+    flagged = [";".join(m for m in columns if m in r.flagged) for r in reports]
+    write_csv(out, ["gt", "pred", *columns, "flagged"],
+              [args.gt, args.pred, *columns.values(), flagged])
     means = {m: float(np.mean(col)) for m, col in columns.items()}
     _write_json(summary, {"pairs": len(reports), "mean": means})
 

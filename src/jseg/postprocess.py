@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap
+from .grids import InstanceLabelMap, ProbabilityField, SemanticLabelMap, map_planes
 from .transform import CELL, GAP, TOUCHING, ball_footprint
 
 __all__ = [
@@ -65,8 +65,9 @@ def resolve_gaps(
 
     Non-gap elements pass through unchanged; the output never contains the
     gap class.  A map without gap elements is returned as it is, since
-    containers are immutable.  The restricted MAP is numpy's argmax over
-    the first three channels, so a tie goes to the lowest class.
+    containers are immutable.  The restricted MAP is the first maximum
+    over the first three channels (:func:`~jseg.grids.map_planes`), so a
+    tie goes to the lowest class; ``dubious`` reads its top value too.
     """
     classes = semantic.classes
     if classes.shape != probs.values.shape[:-1]:
@@ -79,14 +80,14 @@ def resolve_gaps(
 
     cfg = cfg or PostprocessConfig()
     out = classes.copy()
-    first3 = probs.values[gap][:, :3]
-    if cfg.gap_mode == MAP3:
-        out[gap] = first3.argmax(axis=-1)
-    elif cfg.gap_mode == GAP_TO_BACKGROUND:
+    if cfg.gap_mode == GAP_TO_BACKGROUND:
         out[gap] = 0
     else:
-        spread = first3.max(axis=-1) - np.median(first3, axis=-1)
-        out[gap] = np.where(spread < cfg.tau, first3.argmax(axis=-1), 0)
+        first3 = probs.values[gap][:, :3]
+        restricted, top = map_planes(first3.T)
+        if cfg.gap_mode == DUBIOUS:
+            restricted = np.where(top - np.median(first3, axis=-1) < cfg.tau, restricted, 0)
+        out[gap] = restricted
     return SemanticLabelMap(out)
 
 

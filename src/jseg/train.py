@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import check_seed, child_rng, columns, l2_norm, set_integers
-from .grids import BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField, SemanticLabelMap, planar
+from .grids import (BoundSoftmax, InstanceLabelMap, LogitField, ProbabilityField,
+                    SemanticLabelMap, map_planes, planar)
 from .losses import LOSS_IDS, PairWeights, _build_core, evaluate_loss
 from .metrics import panoptic
 from .postprocess import to_instances
@@ -130,7 +131,8 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
     """Whether MAP classifies every gap element of ``target`` as GAP, as a
     function of the planar ``(C, n)`` logits; None when ``target`` has no
     gap element.  The gap elements' columns are found once, here; each
-    call gathers them and takes their argmax over the channels.
+    call gathers them and takes their argmax over the channels, which on
+    so few columns is faster than :func:`~jseg.grids.map_planes`.
     """
     has_gap = target.channels > GAP
     cols = np.flatnonzero(target.values[..., GAP] == 1.0) if has_gap else []
@@ -184,12 +186,13 @@ def train(
     alone, so post-processing and panoptic quality rerun only on log
     iterations where the map changed since the last one measured.  The
     measure reads the probabilities the step's softmax just wrote, before
-    the update, so it runs no softmax of its own, and takes their argmax
-    once: the map is the memo key, and on a re-measure it becomes the
-    semantic map after one line sets its gap elements to background, the
-    "background" gap mode of :func:`~jseg.postprocess.resolve_gaps`
-    repeated, since that function would need a probability field the mode
-    never reads.
+    the update, so it runs no softmax of its own, and makes its MAP
+    decision once (:func:`~jseg.grids.map_planes` over the planar
+    probabilities): the map is the memo key, and on a re-measure it
+    becomes the semantic map after one line sets its gap elements to
+    background, the "background" gap mode of
+    :func:`~jseg.postprocess.resolve_gaps` repeated, since that function
+    would need a probability field the mode never reads.
     """
     if target.values.shape[:-1] != source.labels.shape:
         raise ValueError("target field and source instance map shapes differ")
@@ -210,7 +213,7 @@ def train(
     measured: dict[bytes, float] = {}  # the last MAP class map measured, and its PQ
 
     def measure_pq(probs: np.ndarray) -> float:
-        decided = np.argmax(probs, axis=0)
+        decided = map_planes(probs)[0]
         key = decided.tobytes()
         if key not in measured:
             decided[decided == GAP] = BACKGROUND  # the "background" gap mode

@@ -17,6 +17,7 @@ import jseg
 from jseg import (
     ImbalanceSimConfig,
     PostprocessConfig,
+    ProbabilityField,
     SceneSpec,
     ShrinkwrapConfig,
     TrainConfig,
@@ -210,8 +211,8 @@ def test_postprocess_and_evaluate_chain(tmp_path):
     assert run("evaluate", "--gt", str(g), "--pred", str(inst), "--out", str(ev),
                "--seed", "0") == 0
     lines = ev.read_text().splitlines()
-    assert lines[0] == "gt,pred,p05,rq,sq,pq"
-    assert lines[1].endswith(",1,1,1,1")
+    assert lines[0] == "gt,pred,p05,rq,sq,pq,flagged"
+    assert lines[1].endswith(",1,1,1,1,")  # a perfect match flags nothing
     summary = json.loads((tmp_path / "eval.csv.summary.json").read_text())
     assert summary["mean"]["pq"] == 1.0
 
@@ -537,6 +538,17 @@ def test_an_output_with_a_long_or_dotted_name_is_written_in_its_format(tmp_path,
     assert capsys.readouterr().err == f"jseg: [Errno 2] No such file or directory: '{link}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long_pgm.name, ".pgm", "m.json",
                                                                "link.json"])
+
+
+def test_postprocess_names_the_channel_count_of_a_field_past_four(tmp_path, capsys):
+    # Channel 4 never wins, so no class past 3 would show in the decision.
+    values = np.zeros((6, 5, 5))
+    values[..., 1] = 1.0
+    probs, out = tmp_path / "p5.grd", tmp_path / "inst.grd"
+    write_grid(ProbabilityField(values), probs)
+    assert run("postprocess", "--in", str(probs), "--seed", "0", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "jseg: a semantic map needs at most 4 channels, got 5\n"
+    assert not out.exists()
 
 
 def test_duplicate_ratios_are_a_data_error(tmp_path, capsys):

@@ -15,7 +15,7 @@ from jseg import (
     resolve_gaps,
     softmax,
 )
-from jseg.grids import PROB_ATOL, BoundSoftmax
+from jseg.grids import PROB_ATOL, BoundSoftmax, map_planes
 
 
 def _each_kind(dims, rng):
@@ -211,19 +211,42 @@ def test_probs_to_logits_round_trip():
     assert np.allclose(back, z.values, atol=1e-12)
 
 
+def _check_map_planes(values: np.ndarray, planes) -> None:
+    """``map_planes(planes)`` against numpy's argmax and max over the
+    channels of ``values``, channel-last; ``planes`` must be left as it was."""
+    values.setflags(write=False)
+    before = values.tobytes()
+    index, best = map_planes(planes)
+    assert np.issubdtype(index.dtype, np.signedinteger)
+    assert np.array_equal(index, np.argmax(values, axis=-1).reshape(index.shape))
+    assert np.array_equal(best, values.max(axis=-1).reshape(best.shape))
+    assert values.tobytes() == before  # -0.0 included
+
+
 def test_map_decisions_match_numpy_on_exact_ties():
     # Each element puts 1/2 on each of two channels, or 1 on one, so every
     # value lies in {0, 1/2, 1} and ties are common, in all channels and in
-    # the first three that gap resolution reads.
+    # the first three that gap resolution reads.  map_planes itself also
+    # sees -0.0, which ties 0.0, on channel-last and planar layouts.
     rng = np.random.default_rng(5)
+    levels = np.array([-0.0, 0.0, 0.5, 1.0])
     tied = decided = 0
     for channels in range(2, 10):
         eye = np.eye(channels)
+        raw = levels[rng.integers(0, 4, (50, channels))]
+        planar = np.ascontiguousarray(raw.T)  # (C, n): its rows are the planes
+        planar.setflags(write=False)
+        _check_map_planes(raw, planar)
         for dims in ((7, 9), (4, 5, 6)):
+            raw = levels[rng.integers(0, 4, dims + (channels,))]
+            _check_map_planes(raw, np.moveaxis(raw, -1, 0))
             values = (eye[rng.integers(0, channels, dims)] + eye[rng.integers(0, channels, dims)]) / 2
             field = ProbabilityField(values)
             if channels <= 4:  # a semantic map holds classes 0..3 only
                 assert np.array_equal(field.argmax_classes().classes, np.argmax(values, axis=-1))
+            else:
+                with pytest.raises(ValueError, match=f"at most 4 channels, got {channels}$"):
+                    field.argmax_classes()
             if channels < 3:
                 continue
             semantic = SemanticLabelMap(rng.integers(0, 4, dims))
@@ -239,9 +262,15 @@ def test_map_decisions_match_numpy_on_exact_ties():
                 got = resolve_gaps(semantic, field, cfg).classes
                 assert np.array_equal(got[gap], want)
                 assert np.array_equal(got[~gap], semantic.classes[~gap])
-    assert tied > decided / 3  # about 46% of the gap elements tie
+    assert tied > decided / 3  # about 48% of the gap elements tie
     ties = ProbabilityField(np.array([[[0.5, 0.5, 0.0, 0.0], [0.0, 0.4, 0.4, 0.2]]]))
     assert np.array_equal(ties.argmax_classes().classes, [[0, 1]])
+    # 200 channels: a channel index past 127 must not wrap.
+    wide = rng.random((40, 200))
+    wide[:5, 150] = wide[:5, 199] = 2.0  # a tie past 127 goes to 150
+    _check_map_planes(wide, np.ascontiguousarray(wide.T))
+    index = map_planes(wide.T)[0]
+    assert index.max() > 127 and np.array_equal(index[:5], [150] * 5)
 
 
 def test_folded_validation_sums_match_numpy_bit_for_bit():

@@ -132,21 +132,24 @@ def test_bench_pairs_reports_no_when_neither_rule_holds():
 
 def _fake_checkout(root: Path, p50: float, rate: float, log: Path, failed: int = 0,
                    result: bool = True, end: str = "") -> Path:
-    """A checkout that declares a lower-is-better and a higher-is-better
-    metric, with bounds of 0.1 and 0.2, whose benchmark appends the
-    checkout's name to ``log``, prints a line and then, when ``result``
-    holds, its result: ``p50`` and ``rate`` for the two metrics, a metric
-    it does not declare and ``failed`` ops.  The statement ``end`` runs
-    last."""
+    """A checkout that declares the workloads ``segment`` and ``toy`` and a
+    lower-is-better and a higher-is-better metric, with bounds of 0.1 and
+    0.2, whose benchmark appends the checkout's name and the workload's
+    first letter to ``log``, prints a line and then, when ``result`` holds,
+    its result: ``p50`` and ``rate`` for the two metrics, a metric it does
+    not declare and ``failed`` ops.  The statement ``end`` runs last."""
     (root / "perfbench").mkdir(parents=True)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "op_p50_ms", "better": "lower", "bound": 0.1},
-        {"name": "ops_per_s", "better": "higher", "bound": 0.2}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "segment"}, {"name": "toy"}],
+        "end_to_end": [{"name": "op_p50_ms", "better": "lower", "bound": 0.1},
+                       {"name": "ops_per_s", "better": "higher", "bound": 0.2}]}))
     metrics = {"op_p50_ms": {"value": p50}, "ops_per_s": {"value": rate},
                "grids.softmax.calls": {"value": 3}}
     line = {"correct": failed == 0, "failed": failed, "metrics": metrics}
     (root / "perfbench" / "run.py").write_text(
-        f"with open({str(log)!r}, 'a') as f:\n    f.write({root.name!r})\n"
+        "import sys\n"
+        f"with open({str(log)!r}, 'a') as f:\n"
+        f"    f.write({root.name!r} + sys.argv[sys.argv.index('--workload') + 1][0])\n"
         f"print('a metric line')\n{f'print({json.dumps(line)!r})' if result else ''}\n{end}\n")
     return root
 
@@ -162,7 +165,7 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"stale")
     bench_pairs.main([str(parent), str(change), "--workload", "segment", "--pairs", "2"])
-    assert log.read_text() == "pccp"
+    assert log.read_text() == "pscscsps"
     assert not any(path.exists() for path in stale)
     for root in (parent, change):  # and the sources are compiled anew
         cached = (root / "perfbench" / "__pycache__").iterdir()
@@ -176,6 +179,40 @@ def test_bench_pairs_alternates_the_first_side_and_summarizes_every_metric(tmp_p
         "ops_per_s: change wins 0, 0 ties; medians: parent 100, change 90; "
         "parent quartiles 100 to 100, distance 0; gain claimable: no; bound 20, worse: no",
     ]
+
+
+def test_bench_pairs_runs_each_named_workload_in_turn(tmp_path, capsys):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
+    change = _fake_checkout(tmp_path / "c", 12.0, 100.0, log)
+    bench_pairs.main([str(parent), str(change), "--workload", "toy", "segment", "--pairs", "2"])
+    assert log.read_text() == "ptctctpt" + "pscscsps"
+    lines = capsys.readouterr().out.splitlines()
+    blocks = [lines[:5], lines[5:]]
+    assert [block[2] for block in blocks] == ["toy, 2 pairs; failed ops: parent 0, change 0",
+                                              "segment, 2 pairs; failed ops: parent 0, change 0"]
+    for block in blocks:
+        assert [line.split(" (")[0] for line in block[:2]] == ["pair 1", "pair 2"]
+        assert block[3].startswith("op_p50_ms: change wins 0, 0 ties; medians: parent 10, change 12")
+        assert block[3].endswith("bound 1, worse: worse")
+        assert block[4].startswith("ops_per_s: change wins 0, 2 ties")
+
+
+@pytest.mark.parametrize("names", [["sweep"], ["toy", "field", "segment"]])
+def test_bench_pairs_refuses_a_workload_the_parent_does_not_list(tmp_path, capsys, names):
+    log = tmp_path / "order.log"
+    parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
+    change = _fake_checkout(tmp_path / "c", 8.0, 90.0, log)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(parent), str(change), "--workload", *names])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    unknown = names[0] if len(names) == 1 else names[1]
+    assert (f"--workload {unknown}: not in the parent's BENCHMARK.json "
+            "(it lists segment, toy)") in captured.err
+    assert not log.exists()
+    assert not any((root / "perfbench" / "__pycache__").exists() for root in (parent, change))
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])

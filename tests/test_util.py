@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from jseg import (
     LOSS_IDS,
     ImbalanceSimConfig,
+    InstanceLabelMap,
     LogitField,
     ProbabilityField,
     SceneSpec,
@@ -38,6 +39,7 @@ from jseg import (
     run_shrinkwrap,
     to_semantic,
     train,
+    write_grid,
 )
 from jseg import _util, grids, losses, simulate
 from jseg.cli import dispatch
@@ -476,15 +478,22 @@ def test_evaluate_csv_matches_row_by_row(tmp_path):
                          "--blobs", "4", "--cell-size", "9", "--seed", str(seed),
                          "--out", str(path)]) == 0
         paths.append(str(path))
-    gts, preds = [paths[0], paths[1], paths[0]], [paths[0], paths[0], paths[1]]
+    # Two scenes of different seeds match no cell, so SQ divides by zero;
+    # with no predicted instance P05 does too.
+    empty = str(tmp_path / "empty.grd")
+    write_grid(InstanceLabelMap(np.zeros((40, 36), np.int32)), empty)
+    gts, preds = [paths[0], paths[1], paths[0], paths[1]], [paths[0], paths[0], paths[1], empty]
     out = tmp_path / "eval.csv"
     assert dispatch(["evaluate", "--gt", *gts, "--pred", *preds, "--seed", "0",
                      "--out", str(out)]) == 0
+    measures = ("p05", "rq", "sq", "pq")
     rows = []
     for gt, pred in zip(gts, preds):
         report = panoptic(read_grid(gt, "instance"), read_grid(pred, "instance"))
-        rows.append([gt, pred] + [_g(report[m]) for m in ("p05", "rq", "sq", "pq")])
-    _reference_csv(tmp_path / "eval_ref.csv", ["gt", "pred", "p05", "rq", "sq", "pq"], rows)
+        flagged = ";".join(m for m in measures if m in report.flagged)
+        rows.append([gt, pred] + [_g(report[m]) for m in measures] + [flagged])
+    assert [row[-1] for row in rows] == ["", "sq", "sq", "p05;sq"]
+    _reference_csv(tmp_path / "eval_ref.csv", ["gt", "pred", *measures, "flagged"], rows)
     assert out.read_bytes() == (tmp_path / "eval_ref.csv").read_bytes()
 
 

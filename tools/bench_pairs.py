@@ -4,10 +4,14 @@ pair rule to every end-to-end metric.
 Usage:
 
     python tools/bench_pairs.py PARENT CHANGE --workload segment --pairs 10
+    python tools/bench_pairs.py PARENT CHANGE --workload toy field sweep segment
 
 runs ``perfbench/run.py --workload W --trace 0 --seed 1`` in each checkout,
 with the Python that runs this script; each run lasts the ``run_seconds``
-of the checkout's BENCHMARK.json.  Before the first pair, every
+of the checkout's BENCHMARK.json.  Each named workload runs its pairs in
+turn, in the order given, and gets its own summary block; a name that
+the parent's BENCHMARK.json does not list is refused before anything is
+compiled or run.  Before the first pair, every
 ``__pycache__`` under ``src/``, ``perfbench/`` and ``tools/`` of both
 checkouts is removed and those trees are compiled anew, so that neither
 side reads bytecode left by an earlier state of its files.  The parent
@@ -116,32 +120,26 @@ def run_once(checkout: Path, workload: str) -> tuple[dict[str, float], int]:
     return {m: v["value"] for m, v in result["metrics"].items()}, result["failed"]
 
 
-def end_to_end(checkout: Path) -> dict[str, tuple[bool, float]]:
-    """Each end-to-end metric of ``checkout``'s BENCHMARK.json, mapped to
-    whether a lower value is better and to its bound."""
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
-    return {m["name"]: (m["better"] == "lower", m["bound"]) for m in declared}
+def declared(checkout: Path) -> tuple[list[str], dict[str, tuple[bool, float]]]:
+    """The workload names of ``checkout``'s BENCHMARK.json, and each of its
+    end-to-end metrics mapped to whether a lower value is better and to
+    its bound."""
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: (m["better"] == "lower", m["bound"]) for m in bench["end_to_end"]}
+    return [w["name"] for w in bench["workloads"]], metrics
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10, help="at least 2, as the pair rule needs")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:  # refused before anything is compiled or run
-        parser.error(f"--pairs must be >= 2, got {args.pairs}")
-
-    metrics = end_to_end(args.parent)
+def compare(parent: Path, change: Path, workload: str, pairs: int,
+            metrics: dict[str, tuple[bool, float]]) -> None:
+    """Run ``pairs`` alternating pairs of ``workload`` and print each pair's
+    values, then the workload's summary block: one line per metric."""
     runs = {"parent": {m: [] for m in metrics}, "change": {m: [] for m in metrics}}
     failed = {"parent": 0, "change": 0}
-    for checkout in (args.parent, args.change):
-        fresh_bytecode(checkout)
-    for i in range(args.pairs):
+    checkouts = {"parent": parent, "change": change}
+    for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values, n_failed = run_once(getattr(args, side), args.workload)
+            values, n_failed = run_once(checkouts[side], workload)
             for m in metrics:
                 runs[side][m].append(values[m])
             failed[side] += n_failed
@@ -149,7 +147,7 @@ def main(argv: list[str] | None = None) -> None:
                          for m in metrics)
         print(f"pair {i + 1} ({order[0]} first, parent / change): {pair}", flush=True)
 
-    print(f"{args.workload}, {args.pairs} pairs; failed ops: parent {failed['parent']}, "
+    print(f"{workload}, {pairs} pairs; failed ops: parent {failed['parent']}, "
           f"change {failed['change']}")
     for m, (lower, bound) in metrics.items():
         s = summarize(runs["parent"][m], runs["change"][m], bound, lower)
@@ -159,7 +157,30 @@ def main(argv: list[str] | None = None) -> None:
               f"{s['parent_median']:.6g}, change {s['change_median']:.6g}; parent quartiles "
               f"{q1:.6g} to {q3:.6g}, distance {s['parent_iqr']:.6g}; "
               f"gain claimable: {'yes' if gain else 'no'}; bound {s['limit']:.6g}, "
-              f"worse: {s['worse']}")
+              f"worse: {s['worse']}", flush=True)
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help="one or more workloads of the parent's BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10, help="at least 2, as the pair rule needs")
+    args = parser.parse_args(argv)
+    # Both refused before anything is compiled or run.
+    if args.pairs < 2:
+        parser.error(f"--pairs must be >= 2, got {args.pairs}")
+    workloads, metrics = declared(args.parent)
+    unknown = [w for w in args.workload if w not in workloads]
+    if unknown:
+        parser.error(f"--workload {', '.join(unknown)}: not in the parent's BENCHMARK.json "
+                     f"(it lists {', '.join(workloads)})")
+
+    for checkout in (args.parent, args.change):
+        fresh_bytecode(checkout)
+    for workload in args.workload:
+        compare(args.parent, args.change, workload, args.pairs, metrics)
 
 
 if __name__ == "__main__":
