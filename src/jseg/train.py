@@ -131,8 +131,7 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
     """Whether MAP classifies every gap element of ``target`` as GAP, as a
     function of the planar ``(C, n)`` logits; None when ``target`` has no
     gap element.  The gap elements' columns are found once, here; each
-    call gathers them and takes their argmax over the channels, which on
-    so few columns is faster than :func:`~jseg.grids.map_planes`.
+    call gathers them and decides them with :func:`~jseg.grids.map_planes`.
     """
     has_gap = target.channels > GAP
     cols = np.flatnonzero(target.values[..., GAP] == 1.0) if has_gap else []
@@ -140,7 +139,7 @@ def _gap_check(target: ProbabilityField) -> Callable[[np.ndarray], bool] | None:
         return None
 
     def check(theta: np.ndarray) -> bool:
-        return bool((np.argmax(theta.take(cols, axis=1), axis=0) == GAP).all())
+        return bool((map_planes(theta.take(cols, axis=1))[0] == GAP).all())
 
     return check
 

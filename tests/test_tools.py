@@ -185,7 +185,8 @@ def test_bench_pairs_runs_each_named_workload_in_turn(tmp_path, capsys):
     log = tmp_path / "order.log"
     parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
     change = _fake_checkout(tmp_path / "c", 12.0, 100.0, log)
-    bench_pairs.main([str(parent), str(change), "--workload", "toy", "segment", "--pairs", "2"])
+    bench_pairs.main([str(parent), "--workload", "toy", str(change), "--workload", "segment",
+                      "--pairs", "2"])
     assert log.read_text() == "ptctctpt" + "pscscsps"
     lines = capsys.readouterr().out.splitlines()
     blocks = [lines[:5], lines[5:]]
@@ -198,19 +199,23 @@ def test_bench_pairs_runs_each_named_workload_in_turn(tmp_path, capsys):
         assert block[4].startswith("ops_per_s: change wins 0, 2 ties")
 
 
-@pytest.mark.parametrize("names", [["sweep"], ["toy", "field", "segment"]])
-def test_bench_pairs_refuses_a_workload_the_parent_does_not_list(tmp_path, capsys, names):
+@pytest.mark.parametrize("names, message", [
+    (["sweep"], "--workload sweep: not in the parent's BENCHMARK.json (it lists segment, toy)"),
+    (["toy", "field", "segment"],
+     "--workload field: not in the parent's BENCHMARK.json (it lists segment, toy)"),
+    (["toy", "segment", "toy"], "--workload toy: given more than once"),
+])
+def test_bench_pairs_refuses_a_workload_not_listed_or_repeated(tmp_path, capsys, names, message):
     log = tmp_path / "order.log"
     parent = _fake_checkout(tmp_path / "p", 10.0, 100.0, log)
     change = _fake_checkout(tmp_path / "c", 8.0, 90.0, log)
+    flags = [arg for name in names for arg in ("--workload", name)]
     with pytest.raises(SystemExit) as stop:
-        bench_pairs.main([str(parent), str(change), "--workload", *names])
+        bench_pairs.main([str(parent), str(change), *flags])
     assert stop.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    unknown = names[0] if len(names) == 1 else names[1]
-    assert (f"--workload {unknown}: not in the parent's BENCHMARK.json "
-            "(it lists segment, toy)") in captured.err
+    assert message in captured.err
     assert not log.exists()
     assert not any((root / "perfbench" / "__pycache__").exists() for root in (parent, change))
 

@@ -4,14 +4,15 @@ pair rule to every end-to-end metric.
 Usage:
 
     python tools/bench_pairs.py PARENT CHANGE --workload segment --pairs 10
-    python tools/bench_pairs.py PARENT CHANGE --workload toy field sweep segment
+    python tools/bench_pairs.py PARENT CHANGE --workload toy --workload segment
 
 runs ``perfbench/run.py --workload W --trace 0 --seed 1`` in each checkout,
 with the Python that runs this script; each run lasts the ``run_seconds``
-of the checkout's BENCHMARK.json.  Each named workload runs its pairs in
-turn, in the order given, and gets its own summary block; a name that
-the parent's BENCHMARK.json does not list is refused before anything is
-compiled or run.  Before the first pair, every
+of the checkout's BENCHMARK.json.  ``--workload`` takes one name and may
+be given again for more; each named workload runs its pairs in turn, in
+the order given, and gets its own summary block.  A name that the
+parent's BENCHMARK.json does not list, or one given twice, is refused
+before anything is compiled or run.  Before the first pair, every
 ``__pycache__`` under ``src/``, ``perfbench/`` and ``tools/`` of both
 checkouts is removed and those trees are compiled anew, so that neither
 side reads bytecode left by an earlier state of its files.  The parent
@@ -164,8 +165,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", nargs="+", required=True,
-                        help="one or more workloads of the parent's BENCHMARK.json")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of the parent's BENCHMARK.json; repeat for more")
     parser.add_argument("--pairs", type=int, default=10, help="at least 2, as the pair rule needs")
     args = parser.parse_args(argv)
     # Both refused before anything is compiled or run.
@@ -176,6 +177,9 @@ def main(argv: list[str] | None = None) -> None:
     if unknown:
         parser.error(f"--workload {', '.join(unknown)}: not in the parent's BENCHMARK.json "
                      f"(it lists {', '.join(workloads)})")
+    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
+    if repeated:
+        parser.error(f"--workload {', '.join(repeated)}: given more than once")
 
     for checkout in (args.parent, args.change):
         fresh_bytecode(checkout)
